@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -30,7 +29,8 @@ from .dsl import DslError, GENERATOR_NAMES, parse_and_build
 from .ladders2d import QNum2D
 from .opalg import apply_canonical
 from .osc3d import QNum3D
-from .suite import SuiteConfig, render_text, report_json, run_suite
+from .suite import (SuiteConfig, render_text, report_json, run_suite,
+                    summary_line)
 from .symx import render
 from .verify import (DegenerateBattery, IdentityReport, PlanDegenerate,
                      SamplePlan, check_op_zero, check_zero)
@@ -79,24 +79,16 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _summary(reports) -> str:
-    passed = sum(1 for r in reports if r.passed)
-    return f"checks: {passed} passed / {len(reports) - passed} failed"
-
-
 def _finish(cfg: CliConfig, header: list, payload: dict, reports: list) -> int:
     """Emit the per-command report in the requested format; exit by pass/fail."""
+    summary = summary_line(r.passed for r in reports)
     if cfg.format == "json":
         doc = dict(payload)
         doc["checks"] = [r.as_dict() for r in reports]
-        doc["summary"] = _summary(reports)
-        _emit(_json_doc(doc), cfg.out)
+        doc["summary"] = summary
+        _emit(report_json(doc), cfg.out)
     else:
-        lines = list(header) + [str(r) for r in reports] + [_summary(reports)]
+        lines = list(header) + [str(r) for r in reports] + [summary]
         _emit("\n".join(lines) + "\n", cfg.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -278,7 +270,7 @@ def cmd_dump(cfg: CliConfig, name: str) -> int:
             "notes": notes,
         }
         payload.update(extra)
-        _emit(_json_doc(payload), cfg.out)
+        _emit(report_json(payload), cfg.out)
     else:
         lines = [f"operator: {name} (omega = {cfg.omega})"]
         lines += [f"{k.replace('_', ' ')}: {v}" for k, v in extra.items()]

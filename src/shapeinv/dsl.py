@@ -12,6 +12,7 @@ NAME is one of the registered generators.  A bare name denotes the
 full-coordinate realization (families keep their symbolic lattice label);
 applying an integer, as in ``Lm(3)``, instantiates the lattice-reduced form
 at that incoming label.  ``[X,Y]`` is the commutator ``X*Y - Y*X``.
+Parentheses, brackets and unary minus nest at most ``MAX_DEPTH`` levels.
 Scalars -- integers and the imaginary unit ``i`` -- multiply and add
 freely and promote to multiples of the identity when combined with
 operators.
@@ -158,11 +159,18 @@ def _tokenize(text: str) -> list:
     return out
 
 
+# Each nesting level costs up to four parser frames ('(' and '[' go through
+# atom -> expr -> term -> unary), so this bound keeps the parser and the
+# recursive evaluation of the AST well inside the default recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -182,6 +190,18 @@ class _Parser:
     def at_sym(self, *symbols) -> bool:
         kind, val, _ = self.peek()
         return kind == "sym" and val in symbols
+
+    def nested(self, parse):
+        """Consume an opening '(', '[' or unary '-' and run `parse` one
+        nesting level deeper."""
+        _, val, pos = self.next()
+        if self.depth == MAX_DEPTH:
+            raise DslError(f"expression nested deeper than {MAX_DEPTH} levels "
+                           f"at {val!r}", pos)
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
 
     def parse(self):
         node = self.expr()
@@ -207,8 +227,7 @@ class _Parser:
 
     def unary(self):
         if self.at_sym("-"):
-            self.next()
-            return Neg(self.unary())
+            return Neg(self.nested(self.unary))
         return self.atom()
 
     def atom(self):
@@ -240,19 +259,23 @@ class _Parser:
                 return Gen(val, sign * int(aval))
             return Gen(val)
         if kind == "sym" and val == "(":
-            self.next()
-            node = self.expr()
-            self.expect(")")
-            return node
+            return self.nested(self.group)
         if kind == "sym" and val == "[":
-            self.next()
-            left = self.expr()
-            self.expect(",")
-            right = self.expr()
-            self.expect("]")
-            return Bracket(left, right)
+            return self.nested(self.bracket)
         got = repr(val) if kind != "end" else "end of input"
         raise DslError(f"expected an operand, found {got}", pos)
+
+    def group(self):
+        node = self.expr()
+        self.expect(")")
+        return node
+
+    def bracket(self):
+        left = self.expr()
+        self.expect(",")
+        right = self.expr()
+        self.expect("]")
+        return Bracket(left, right)
 
 
 def parse_op_expr(text: str) -> OpDslAst:
@@ -304,13 +327,18 @@ def _promote(value, param):
 
 
 def _mul(a, b):
+    """Product of two values.  Operator products are normalized, because
+    composition does not merge like terms and repeated products would
+    otherwise grow geometrically."""
     if a[0] == "sc" and b[0] == "sc":
         return ("sc", a[1] * b[1])
     if a[0] == "sc":
-        return ("op", DiffOp.from_expr(Const(a[1]), b[1].param) @ b[1])
-    if b[0] == "sc":
-        return ("op", DiffOp.from_expr(Const(b[1]), a[1].param) @ a[1])
-    return ("op", a[1] @ b[1])
+        prod = DiffOp.from_expr(Const(a[1]), b[1].param) @ b[1]
+    elif b[0] == "sc":
+        prod = DiffOp.from_expr(Const(b[1]), a[1].param) @ a[1]
+    else:
+        prod = a[1] @ b[1]
+    return ("op", prod.normalized())
 
 
 def _add(a, b):
@@ -349,7 +377,8 @@ def _eval(node, omega):
         for v in (left, right):
             if v[0] == "op":
                 param = v[1].param or param
-        return ("op", commutator(_promote(left, param), _promote(right, param)))
+        return ("op", commutator(_promote(left, param),
+                                 _promote(right, param)).normalized())
     raise DslError(f"unsupported node {node!r}")
 
 

@@ -29,7 +29,6 @@ from .symx import (
     canonical,
     canonical_key,
     cf_to_expr,
-    conjugate_expr,
     diff,
     memo_put,
     render,
@@ -37,6 +36,7 @@ from .symx import (
     substitute,
     trig_to_exp,
     _canon_cf,
+    _cf_add,
     _cf_key,
     _key_to_cf,
     _ordkey,
@@ -152,20 +152,7 @@ class DiffOp:
         buckets: dict = {}
         for t in self.terms:
             key = (t.derivs, t.shift)
-            cf = _canon_cf(t.coeff)
-            if key in buckets:
-                prev = buckets[key]
-                merged = dict(prev)
-                for m, c in cf.items():
-                    s = merged.get(m)
-                    s = c if s is None else s + c
-                    if s.is_zero():
-                        merged.pop(m, None)
-                    else:
-                        merged[m] = s
-                buckets[key] = merged
-            else:
-                buckets[key] = dict(cf)
+            buckets[key] = _cf_add(buckets.get(key, {}), _canon_cf(t.coeff))
         out = []
         for (derivs, shift) in sorted(buckets, key=lambda k: (k[1], k[0])):
             cf = buckets[(derivs, shift)]
@@ -325,10 +312,6 @@ class DiffOp:
         return f"DiffOp<{self.render()}>"
 
 
-def compose(a: DiffOp, b: DiffOp) -> DiffOp:
-    return a @ b
-
-
 def apply_canonical(op: DiffOp, f: Expr) -> Expr:
     """Apply and recanonicalize: keeps chained applications from ballooning."""
     return canonical(op.apply(f))
@@ -336,26 +319,6 @@ def apply_canonical(op: DiffOp, f: Expr) -> Expr:
 
 def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
     return (a @ b) - (b @ a)
-
-
-def anticommutator(a: DiffOp, b: DiffOp) -> DiffOp:
-    return (a @ b) + (b @ a)
-
-
-def op_equal(a: DiffOp, b: DiffOp, plan, **kw):
-    """Randomized equality of two operators over a sample plan.
-
-    Lives in shapeinv.verify (which stays import-free of this module);
-    re-exported here because it is part of the operator-algebra surface.
-    """
-    from .verify import op_equal as _op_equal
-    return _op_equal(a, b, plan, **kw)
-
-
-def conjugate_op(op: DiffOp) -> DiffOp:
-    """Termwise complex conjugation of coefficients (derivatives untouched)."""
-    return DiffOp(tuple(OpTerm(conjugate_expr(t.coeff), t.derivs, t.shift)
-                        for t in op.terms), op.param)
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,7 @@ from .verify import (
     check_proportional,
     check_zero,
     op_equal,
+    structural,
 )
 
 OMEGA = Sym("omega")
@@ -1030,11 +1031,6 @@ def cartesian_crosscheck(plan: SamplePlan = None, omega=1,
 # Transcription deviation reports
 # ---------------------------------------------------------------------------
 
-def _structural(name: str, ok: bool, notes: str = "", data=None) -> IdentityReport:
-    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, 1e-12,
-                          notes=notes, data=data)
-
-
 def _only_derivs(diff: DiffOp, allowed: set) -> bool:
     norm = diff.normalized()
     return bool(norm.terms) and all(t.derivs in allowed for t in norm.terms)
@@ -1050,7 +1046,7 @@ def transcription_reports(omega=None) -> dict:
     out = {}
 
     diff = (cart.a1 - cartesian_a1_printed(omega)).normalized()
-    out["cartesian a1 psi slot"] = _structural(
+    out["cartesian a1 psi slot"] = structural(
         "cartesian a1 psi slot", _only_derivs(diff, {_DPS}),
         notes="the transcribed first cartesian operator carries cos(phi) in "
               "its psi slot where the gradient has sin(phi); all other "
@@ -1060,21 +1056,21 @@ def transcription_reports(omega=None) -> dict:
     for name in ("A2", "A2d"):
         ok = derived[name].same_operator(combo_reference(name, omega,
                                                          printed=True))
-        out[f"full {name} transcription"] = _structural(
+        out[f"full {name} transcription"] = structural(
             f"full {name} transcription", ok,
             notes="printed and derived forms agree exactly")
     diff = (comb.A1 - combo_reference("A1", omega, printed=True)).normalized()
-    out["full A1 psi slot"] = _structural(
+    out["full A1 psi slot"] = structural(
         "full A1 psi slot", _only_derivs(diff, {_DPS}),
         notes="the transcribed first lowering combo flips only the "
               "psi-derivative sign")
     diff = (comb.A1d - combo_reference("A1d", omega, printed=True)).normalized()
-    out["full A1d derivative group"] = _structural(
+    out["full A1d derivative group"] = structural(
         "full A1d derivative group",
         _only_derivs(diff, {_DR, _DPS, _DTH, _DPH}),
         notes="the transcribed first raising combo flips the sign of its "
               "whole derivative group; the multiplicative term agrees")
-    out["printed A1d collapses onto A2"] = _structural(
+    out["printed A1d collapses onto A2"] = structural(
         "printed A1d collapses onto A2",
         combo_reference("A1d", omega, printed=True).same_operator(
             combo_reference("A2", omega, printed=True)),
@@ -1086,35 +1082,35 @@ def transcription_reports(omega=None) -> dict:
     for name in ("A1d", "A2", "A2d"):
         ok = reduced[name].same_operator(reduced_reference(name, omega,
                                                            printed=True))
-        out[f"reduced {name} transcription"] = _structural(
+        out[f"reduced {name} transcription"] = structural(
             f"reduced {name} transcription", ok,
             notes="printed and derived reduced forms agree exactly "
                   "(incoming-label scalar slot included)")
     diff = (s.A1 - reduced_reference("A1", omega, printed=True)).normalized()
-    out["reduced A1 psi slot"] = _structural(
+    out["reduced A1 psi slot"] = structural(
         "reduced A1 psi slot", _only_derivs(diff, {_DPS}),
         notes="the reduced transcription inherits the psi-slot sign flip "
               "of the phi-full form; the incoming-label scalar is correct")
     for name in ("A1", "A1d", "A2", "A2d"):
         ok = reduced[name].same_operator(reduced_reference(name, omega))
-        out[f"reduced {name} corrected"] = _structural(
+        out[f"reduced {name} corrected"] = structural(
             f"reduced {name} corrected", ok,
             notes="corrected transcription matches the derived reduction")
 
-    out["full Hamiltonian"] = _structural(
+    out["full Hamiltonian"] = structural(
         "full Hamiltonian",
         build_H4(omega).same_operator(h4_reference(omega)),
         notes="derived Laplacian route matches the corrected transcription "
               "(angular prefactor 1/r^2)")
-    out["angular block is the invariant"] = _structural(
+    out["angular block is the invariant"] = structural(
         "angular block is the invariant", angular_matches_invariant(),
         notes="the angular block equals minus the two-angle quadratic "
               "invariant operator")
-    out["reduced Hamiltonian"] = _structural(
+    out["reduced Hamiltonian"] = structural(
         "reduced Hamiltonian",
         build_Hm(omega).same_operator(hm_reference(omega)),
         notes="the reduced transcription is correct as printed")
-    out["radial similarity"] = _structural(
+    out["radial similarity"] = structural(
         "radial similarity", radial_similarity_matches(omega),
         notes="r^(1/2)-conjugation reproduces the weighted form including "
               "the +3/(8 r^2) residue")
@@ -1122,7 +1118,7 @@ def transcription_reports(omega=None) -> dict:
 
     ok = all(c_squared(n, m) == c_squared_printed(n, m)
              for n in range(0, 9) for m in range(-n, n + 1, 2))
-    out["descent normalization closed form"] = _structural(
+    out["descent normalization closed form"] = structural(
         "descent normalization closed form", ok,
         notes="the transcribed closed form of the descent constant equals "
               "the per-step product exactly (n <= 8)")

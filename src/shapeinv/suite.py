@@ -30,6 +30,7 @@ from .verify import (
     check_zero,
     default_battery,
     op_equal,
+    structural,
 )
 
 
@@ -74,10 +75,6 @@ def _light_battery(param: str) -> list:
     return [b[0], b[1], b[3], b[5]]
 
 
-def _structural(name: str, ok: bool, notes: str = "") -> IdentityReport:
-    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, 1e-12, notes=notes)
-
-
 def _worst(reports) -> IdentityReport:
     return max(reports, key=lambda r: r.relative)
 
@@ -90,7 +87,7 @@ def _chk_su2_structural(cfg):
     gs = su2.build_raw_generators()
     bad = [lbl for lbl, res, _ in su2.commutator_residuals(gs)
            if not res.normalized().is_zero()]
-    return _structural(
+    return structural(
         "su2 bracket table (structural)", not bad,
         notes="all 15 residual operators normalize to zero" if not bad
         else "nonzero residuals: " + ", ".join(bad))
@@ -113,9 +110,9 @@ def _chk_su2_sampled(cfg):
 def _chk_invariant_routes(cfg):
     gs = su2.build_raw_generators()
     ok = su2.quadratic(gs).same_operator(su2.quadratic_right(gs))
-    return _structural("invariant from either sector", ok,
-                       notes="left-built and right-built quadratic forms "
-                             "are the same operator")
+    return structural("invariant from either sector", ok,
+                      notes="left-built and right-built quadratic forms "
+                            "are the same operator")
 
 
 def _chk_invariant_closed(cfg):
@@ -137,9 +134,9 @@ def _chk_invariant_reduction(cfg):
     red = su2.fourier_reduce(su2.casimir(su2.build_raw_generators()))
     ref = su2.casimir_reduced_reference()
     ok = red.same_operator(ref)
-    return _structural("invariant lattice reduction", ok,
-                       notes="reduction agrees term-for-term with the "
-                             "closed reduced form")
+    return structural("invariant lattice reduction", ok,
+                      notes="reduction agrees term-for-term with the "
+                            "closed reduced form")
 
 
 def _chk_reduced_generators(cfg):
@@ -147,17 +144,17 @@ def _chk_reduced_generators(cfg):
     names = ("Lp", "Lm", "L3", "Rp", "Rm", "R3")
     bad = [n for n, op in zip(names, gs[:6])
            if not op.same_operator(su2.reduced_ladder_reference(n))]
-    return _structural("reduced generators closed forms", not bad,
-                       notes="all six reduced generators match" if not bad
-                       else "mismatch: " + ", ".join(bad))
+    return structural("reduced generators closed forms", not bad,
+                      notes="all six reduced generators match" if not bad
+                      else "mismatch: " + ", ".join(bad))
 
 
 def _chk_weight_similarity(cfg):
     der = su2.conjugate(su2.casimir_reduced_reference(), su2.weight_psi())
     ok = der.same_operator(su2.weighted_reduced_reference())
-    return _structural("half-power weight similarity", ok,
-                       notes="single-angle weight conjugation matches its "
-                             "closed form")
+    return structural("half-power weight similarity", ok,
+                      notes="single-angle weight conjugation matches its "
+                            "closed form")
 
 
 def _chk_hq(cfg):
@@ -177,10 +174,10 @@ def _chk_primed(cfg):
     names = ("Lp", "Lm", "L3", "Rp", "Rm", "R3")
     bad = [n for n, a, b in zip(names, got[:6], ref[:6])
            if not a.same_operator(b)]
-    return _structural("weight-conjugated generators", not bad,
-                       notes="scalar corrections ride the generator's own "
-                             "lattice shift" if not bad
-                       else "mismatch: " + ", ".join(bad))
+    return structural("weight-conjugated generators", not bad,
+                      notes="scalar corrections ride the generator's own "
+                            "lattice shift" if not bad
+                      else "mismatch: " + ", ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def _chk_degeneracy(cfg):
             ms = ladders2d.degeneracy(twol, q)
             if ms != table.get(q, []) or len(ms) != twol + 1 - abs(q):
                 bad.append((twol, q))
-    return _structural(
+    return structural(
         "level degeneracies", not bad,
         notes=f"counts match the weight-pair enumeration for levels "
               f"<= {cfg.twol_max}/2" if not bad else f"mismatches: {bad}")
@@ -276,9 +273,9 @@ def _suite_reconstruction_states(cfg):
 def _chk_reconstruction(cfg):
     states = _suite_reconstruction_states(cfg)
     if not states:
-        return _structural("chain reconstructions", True,
-                           notes="no multi-step states at this cap; "
-                                 "trivially satisfied")
+        return structural("chain reconstructions", True,
+                          notes="no multi-step states at this cap; "
+                                "trivially satisfied")
     plan = _plan(cfg, "reconstruct")
     reports = []
     for qn in states:
@@ -304,8 +301,8 @@ def _chk_annihilation(cfg):
                                       tol=cfg.tol_eigen,
                                       name=f"{label} at {qn}"))
     if not reports:
-        return _structural("edge annihilations", True,
-                           notes="no edge states at this cap")
+        return structural("edge annihilations", True,
+                          notes="no edge states at this cap")
     worst = _worst(reports)
     return IdentityReport("edge annihilations", worst.relative, 1.0,
                           cfg.tol_eigen,
@@ -316,7 +313,7 @@ def _chk_reorder(cfg):
     res = ladders2d.reorder_identity_residuals()
     ok = (res["valid"].normalized().is_zero()
           and not res["stated"].normalized().is_zero())
-    return _structural(
+    return structural(
         "pair-order exchange identity", ok,
         notes="label-consistent placement vanishes identically; the "
               "as-stated index placement does not (kept as control)")
@@ -329,9 +326,9 @@ def _chk_reorder(cfg):
 def _chk_gradients(cfg):
     ok = all(is_zero_expr(res)
              for _, res in osc3d.gradient_duality_residuals())
-    return _structural("cartesian gradient duality", ok,
-                       notes="all 16 pairings collapse to the identity "
-                             "pattern exactly")
+    return structural("cartesian gradient duality", ok,
+                      notes="all 16 pairings collapse to the identity "
+                            "pattern exactly")
 
 
 def _chk_osc_comm_structural(cfg):
@@ -340,9 +337,9 @@ def _chk_osc_comm_structural(cfg):
         for lbl, res, _ in osc3d.commutator_residuals(reduced=reduced):
             if not res.normalized().is_zero():
                 bad.append(("reduced" if reduced else "full") + " " + lbl)
-    return _structural("oscillator brackets (structural)", not bad,
-                       notes="56 residuals (both algebras) normalize to zero"
-                       if not bad else "nonzero: " + ", ".join(bad))
+    return structural("oscillator brackets (structural)", not bad,
+                      notes="56 residuals (both algebras) normalize to zero"
+                      if not bad else "nonzero: " + ", ".join(bad))
 
 
 def _chk_osc_comm_sampled(cfg):
@@ -353,8 +350,8 @@ def _chk_osc_comm_sampled(cfg):
 
 
 def _chk_angular_invariant(cfg):
-    return _structural("oscillator angular block", osc3d.angular_matches_invariant(),
-                       notes="equals minus the two-angle quadratic invariant")
+    return structural("oscillator angular block", osc3d.angular_matches_invariant(),
+                      notes="equals minus the two-angle quadratic invariant")
 
 
 def _chk_hamiltonian_forms(cfg):
@@ -362,7 +359,7 @@ def _chk_hamiltonian_forms(cfg):
     ok_red = osc3d.build_Hm().same_operator(osc3d.hm_reference())
     ok_sim = osc3d.radial_similarity_matches()
     ok = ok_full and ok_red and ok_sim
-    return _structural(
+    return structural(
         "oscillator Hamiltonian forms", ok,
         notes="derived Laplacian, lattice reduction and half-power radial "
               "similarity all match their closed forms" if ok else
@@ -372,7 +369,7 @@ def _chk_hamiltonian_forms(cfg):
 def _chk_transcriptions(cfg):
     reports = osc3d.transcription_reports()
     bad = [k for k, r in reports.items() if not r.passed]
-    return _structural(
+    return structural(
         "transcription deviations isolated", not bad,
         notes=f"{len(reports)} comparisons: exact matches match, each "
               "known deviation is confined to its offending slot"
@@ -409,9 +406,9 @@ def _chk_intertwining(cfg):
 
 def _chk_ground(cfg):
     ok = osc3d.ground_annihilation(1) and osc3d.ground_annihilation(2)
-    return _structural("ground-state annihilation", ok,
-                       notes="all four lowering operators kill the Gaussian "
-                             "exactly at both frequencies")
+    return structural("ground-state annihilation", ok,
+                      notes="all four lowering operators kill the Gaussian "
+                            "exactly at both frequencies")
 
 
 def _grid3d(cap: int):
@@ -481,7 +478,7 @@ def _chk_ascent_target(cfg):
                                       _plan(cfg, "ascent"),
                                       tol=cfg.tol_eigen)
     ok = reps["corrected"].passed and not reps["stated"].passed
-    return _structural(
+    return structural(
         "ascent pair target", ok,
         notes="the ascent product lands two lattice sites up; the "
               "as-stated down-target fails (its coefficient is correct)")
@@ -491,8 +488,8 @@ def _chk_spectrum(cfg):
     ok = (osc3d.spectrum(osc3d.QNum3D(0, 0)) == 2
           and osc3d.spectrum(osc3d.QNum3D(2, 0, 1, 1)) == 6
           and osc3d.QNum3D(3, -1, omega=Fraction(2)).energy() == 10)
-    return _structural("spectrum bookkeeping", ok,
-                       notes="(n + n3 + n4 + 2) w at spot-checked labels")
+    return structural("spectrum bookkeeping", ok,
+                      notes="(n + n3 + n4 + 2) w at spot-checked labels")
 
 
 def _chk_cartesian_crosscheck(cfg):
@@ -508,11 +505,6 @@ def _chk_cartesian_crosscheck(cfg):
 # Fault injections (negative controls)
 # ---------------------------------------------------------------------------
 
-def _fault(name: str, detected: bool, notes: str) -> IdentityReport:
-    rep = _structural(name, detected, notes=notes)
-    return rep
-
-
 def _flip_term_sign(op: DiffOp, derivs: tuple) -> DiffOp:
     terms = tuple(OpTerm(Mul(Const(-1), t.coeff), t.derivs, t.shift)
                   if t.derivs == derivs else t for t in op.terms)
@@ -527,9 +519,9 @@ def _flt_su2_sign(cfg):
                         reference_ops=(bad, gs.Lm, gs.L3),
                         testfns=_light_battery("q"), tol=cfg.tol_operator,
                         name="mutated bracket")
-    return _fault("fault: generator sign flip", not rep.passed,
-                  notes=f"polar-slot sign flip breaks bracket closure "
-                        f"(relative {rep.relative:.3e})")
+    return structural("fault: generator sign flip", not rep.passed,
+                      notes=f"polar-slot sign flip breaks bracket closure "
+                            f"(relative {rep.relative:.3e})")
 
 
 def _flt_invariant_scale(cfg):
@@ -537,9 +529,9 @@ def _flt_invariant_scale(cfg):
     rep = op_equal(su2.quadratic(gs), su2.casimir_reference(),
                    _plan(cfg, "flt-scale"), testfns=_light_battery("q"),
                    tol=1e-12, name="mutated invariant scale")
-    return _fault("fault: invariant scale dropped", not rep.passed,
-                  notes=f"undoing the factor-4 normalization is caught "
-                        f"(relative {rep.relative:.3e})")
+    return structural("fault: invariant scale dropped", not rep.passed,
+                      notes=f"undoing the factor-4 normalization is caught "
+                            f"(relative {rep.relative:.3e})")
 
 
 def _flt_reversed_shift(cfg):
@@ -551,9 +543,9 @@ def _flt_reversed_shift(cfg):
                         reference_ops=(bad, red.Lm, red.L3),
                         testfns=_light_battery("q"), tol=cfg.tol_operator,
                         name="mutated reduced bracket")
-    return _fault("fault: reversed lattice shift", not rep.passed,
-                  notes=f"flipping the shift direction breaks reduced "
-                        f"closure (relative {rep.relative:.3e})")
+    return structural("fault: reversed lattice shift", not rep.passed,
+                      notes=f"flipping the shift direction breaks reduced "
+                            f"closure (relative {rep.relative:.3e})")
 
 
 def _flt_coeff_off_by_one(cfg):
@@ -564,9 +556,9 @@ def _flt_coeff_off_by_one(cfg):
                              tol=cfg.tol_eigen, name="chain one-step ratio")
     claimed = 2.0  # the true chain coefficient is exactly 1; mutate by +1
     detected = rep.passed and abs(rep.data["ratio"] - claimed) > cfg.tol_eigen
-    return _fault("fault: ladder coefficient off by one", detected,
-                  notes=f"measured chain ratio {rep.data['ratio'].real:.6g} "
-                        f"rejects the off-by-one claim {claimed:g}")
+    return structural("fault: ladder coefficient off by one", detected,
+                      notes=f"measured chain ratio {rep.data['ratio'].real:.6g} "
+                            f"rejects the off-by-one claim {claimed:g}")
 
 
 def _flt_zero_point(cfg):
@@ -574,9 +566,9 @@ def _flt_zero_point(cfg):
                                      drop_constant=True,
                                      testfns=_light_battery("m"),
                                      tol=cfg.tol_operator)
-    return _fault("fault: zero-point constant dropped", not rep.passed,
-                  notes=f"factorization without the +2 fails "
-                        f"(relative {rep.relative:.3e})")
+    return structural("fault: zero-point constant dropped", not rep.passed,
+                      notes=f"factorization without the +2 fails "
+                            f"(relative {rep.relative:.3e})")
 
 
 def _flt_gradient_sign(cfg):
@@ -584,9 +576,9 @@ def _flt_gradient_sign(cfg):
         _plan(cfg, "flt-grad"), testfns=_light_battery("m"),
         tol=cfg.tol_operator)
     detected = pattern == [True, True, False, False]
-    return _fault("fault: lowering-gradient sign flip", detected,
-                  notes="exactly the two lowering intertwinings break "
-                        f"(pattern {pattern})")
+    return structural("fault: lowering-gradient sign flip", detected,
+                      notes="exactly the two lowering intertwinings break "
+                            f"(pattern {pattern})")
 
 
 def _flt_frequency_blind(cfg):
@@ -600,9 +592,9 @@ def _flt_frequency_blind(cfg):
     rep = check_zero(res, _plan(cfg, "flt-blind"),
                      reference=[Mul(lam, psi)], tol=cfg.tol_eigen,
                      name="frequency-blind eigencheck")
-    return _fault("fault: frequency-blind polynomial arguments", not rep.passed,
-                  notes=f"unscaled polynomial arguments fail off the unit "
-                        f"frequency (relative {rep.relative:.3e})")
+    return structural("fault: frequency-blind polynomial arguments", not rep.passed,
+                      notes=f"unscaled polynomial arguments fail off the unit "
+                            f"frequency (relative {rep.relative:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +764,6 @@ def run_suite(config=None, sectors=None) -> dict:
                 "notes": f"error: {exc}",
             }
         entries.append(entry)
-    passed = sum(1 for e in entries if e["pass"])
-    failed = len(entries) - passed
     label = "shapeinv"
     if sectors is not None:
         label += "[" + "+".join(s for s in SECTORS if s in sectors) + "]"
@@ -786,12 +776,18 @@ def run_suite(config=None, sectors=None) -> dict:
             "constant": cfg.tol_constant,
         },
         "checks": entries,
-        "summary": f"checks: {passed} passed / {failed} failed",
+        "summary": summary_line(e["pass"] for e in entries),
     }
 
 
+def summary_line(passes) -> str:
+    """Closing line of every report: how many checks passed and failed."""
+    passes = [bool(p) for p in passes]
+    return f"checks: {sum(passes)} passed / {len(passes) - sum(passes)} failed"
+
+
 def report_json(report: dict) -> str:
-    """Canonical byte-stable rendering of a suite report."""
+    """Canonical byte-stable rendering of a report document."""
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 

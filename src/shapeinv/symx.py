@@ -251,55 +251,29 @@ def free_symbols(e: Expr) -> frozenset:
     return out
 
 
+def rebuild(e: Expr, kids) -> Expr:
+    """The node `e` over new children `kids`, given in `children(e)` order."""
+    if isinstance(e, (Add, Mul, Sin, Cos, Exp)):
+        return type(e)(*kids)
+    if isinstance(e, Pow):
+        return Pow(kids[0], e.exponent)
+    if isinstance(e, Hermite):
+        return Hermite(e.degree, kids[0])
+    if isinstance(e, (Const, Sym)):
+        return e
+    raise TypeError(f"unknown node {type(e).__name__}")
+
+
 def substitute(e: Expr, name: str, repl) -> Expr:
     """Replace every occurrence of symbol `name` by `repl` (capture-free)."""
     repl = as_expr(repl)
 
     def go(x: Expr) -> Expr:
-        if isinstance(x, Sym):
-            return repl if x.name == name else x
-        if isinstance(x, Const):
-            return x
-        if isinstance(x, Add):
-            return Add(*(go(t) for t in x.terms))
-        if isinstance(x, Mul):
-            return Mul(*(go(f) for f in x.factors))
-        if isinstance(x, Pow):
-            return Pow(go(x.base), x.exponent)
-        if isinstance(x, Sin):
-            return Sin(go(x.arg))
-        if isinstance(x, Cos):
-            return Cos(go(x.arg))
-        if isinstance(x, Exp):
-            return Exp(go(x.arg))
-        if isinstance(x, Hermite):
-            return Hermite(x.degree, go(x.arg))
-        raise TypeError(f"unknown node {type(x).__name__}")
+        if isinstance(x, Sym) and x.name == name:
+            return repl
+        return rebuild(x, [go(c) for c in children(x)])
 
     return go(e)
-
-
-def conjugate_expr(e: Expr) -> Expr:
-    """Complex conjugate, assuming every symbol takes real values."""
-    if isinstance(e, Const):
-        return Const(e.value.conjugate())
-    if isinstance(e, Sym):
-        return e
-    if isinstance(e, Add):
-        return Add(*(conjugate_expr(t) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(*(conjugate_expr(f) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(conjugate_expr(e.base), e.exponent)
-    if isinstance(e, Sin):
-        return Sin(conjugate_expr(e.arg))
-    if isinstance(e, Cos):
-        return Cos(conjugate_expr(e.arg))
-    if isinstance(e, Exp):
-        return Exp(conjugate_expr(e.arg))
-    if isinstance(e, Hermite):
-        return Hermite(e.degree, conjugate_expr(e.arg))
-    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 def trig_to_exp(e: Expr, name: str) -> Expr:
@@ -309,32 +283,14 @@ def trig_to_exp(e: Expr, name: str) -> Expr:
     which hold identically; other trig factors are left untouched so their
     canonical forms stay in the sin/cos basis.
     """
-    if isinstance(e, (Const, Sym)):
-        return e
-    if isinstance(e, Add):
-        return Add(*(trig_to_exp(t, name) for t in e.terms))
-    if isinstance(e, Mul):
-        return Mul(*(trig_to_exp(f, name) for f in e.factors))
-    if isinstance(e, Pow):
-        return Pow(trig_to_exp(e.base, name), e.exponent)
-    if isinstance(e, Sin):
-        a = trig_to_exp(e.arg, name)
-        if name in free_symbols(a):
-            half_i = Const(GaussRat(0, Fraction(-1, 2)))
-            return Mul(half_i, Add(Exp(Mul(IMAG, a)),
-                                   Mul(Const(-1), Exp(Mul(Const(-1), IMAG, a)))))
-        return Sin(a)
-    if isinstance(e, Cos):
-        a = trig_to_exp(e.arg, name)
-        if name in free_symbols(a):
-            return Mul(Const(Fraction(1, 2)),
-                       Add(Exp(Mul(IMAG, a)), Exp(Mul(Const(-1), IMAG, a))))
-        return Cos(a)
-    if isinstance(e, Exp):
-        return Exp(trig_to_exp(e.arg, name))
-    if isinstance(e, Hermite):
-        return Hermite(e.degree, trig_to_exp(e.arg, name))
-    raise TypeError(f"unknown node {type(e).__name__}")
+    x = rebuild(e, [trig_to_exp(c, name) for c in children(e)])
+    if not isinstance(x, (Sin, Cos)) or name not in free_symbols(x.arg):
+        return x
+    pos, neg = Exp(Mul(IMAG, x.arg)), Exp(Mul(Const(-1), IMAG, x.arg))
+    if isinstance(x, Sin):
+        return Mul(Const(GaussRat(0, Fraction(-1, 2))),
+                   Add(pos, Mul(Const(-1), neg)))
+    return Mul(Const(Fraction(1, 2)), Add(pos, neg))
 
 
 # ---------------------------------------------------------------------------
@@ -442,48 +398,6 @@ def evaluate(e: Expr, binding: dict) -> complex:
         raise TypeError(f"unknown node {type(x).__name__}")
 
     return ev(e)
-
-
-def expand_hermite(e: Expr) -> Expr:
-    """Rewrite Hermite nodes as explicit polynomials (exact recurrence)."""
-
-    def poly(n: int) -> list:
-        # coefficient list, index = power
-        if n == 0:
-            return [GaussRat(1)]
-        prev, cur = [GaussRat(1)], [GaussRat(0), GaussRat(2)]
-        for k in range(1, n):
-            nxt = [GaussRat(0)] * (k + 2)
-            for p, c in enumerate(cur):
-                nxt[p + 1] = nxt[p + 1] + GaussRat(2) * c
-            for p, c in enumerate(prev):
-                nxt[p] = nxt[p] - GaussRat(2 * k) * c
-            prev, cur = cur, nxt
-        return cur
-
-    def go(x: Expr) -> Expr:
-        if isinstance(x, Hermite):
-            a = go(x.arg)
-            terms = [Mul(Const(c), Pow(a, p)) for p, c in enumerate(poly(x.degree))
-                     if not c.is_zero()]
-            return Add(*terms) if terms else ZERO
-        if isinstance(x, (Const, Sym)):
-            return x
-        if isinstance(x, Add):
-            return Add(*(go(t) for t in x.terms))
-        if isinstance(x, Mul):
-            return Mul(*(go(f) for f in x.factors))
-        if isinstance(x, Pow):
-            return Pow(go(x.base), x.exponent)
-        if isinstance(x, Sin):
-            return Sin(go(x.arg))
-        if isinstance(x, Cos):
-            return Cos(go(x.arg))
-        if isinstance(x, Exp):
-            return Exp(go(x.arg))
-        raise TypeError(f"unknown node {type(x).__name__}")
-
-    return go(e)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .symx import (
     THETA,
     evaluate_fast,
     free_symbols,
-    render,
 )
 
 DEFAULT_BOXES = {
@@ -181,9 +180,9 @@ def _jsonable(v):
 def _eval_many(exprs, pts):
     """Evaluate several expressions over the plan with a shared atom cache.
 
-    Returns (values: list per expr of list per point, skipped point count).
-    Points where any expression is singular or overflows are dropped for all
-    expressions, keeping the value lists aligned.
+    Returns (values: list per expr of list per point, kept points, skipped
+    point count).  Points where any expression is singular or overflows are
+    dropped for all expressions, keeping the value lists aligned.
     """
     values = [[] for _ in exprs]
     kept_pts = []
@@ -212,25 +211,46 @@ def _guard_skips(skipped: int, total: int, name: str):
             f"{name}: {skipped}/{total} sample points skipped (budget 20%)")
 
 
+def _sample(exprs, plan: SamplePlan, name: str):
+    """Evaluate exprs on the plan's points for their free symbols.
+
+    Returns (values per expr, kept points, skipped count); raises
+    PlanDegenerate when the skip budget is exceeded.
+    """
+    syms = set()
+    for e in exprs:
+        syms |= free_symbols(e)
+    pts = plan.points(syms - {"theta", "psi", "phi", "r"})
+    vals, kept, skipped = _eval_many(exprs, pts)
+    _guard_skips(skipped, plan.count, name)
+    return vals, kept, skipped
+
+
+def _max_abs(values) -> float:
+    return max((abs(v) for v in values), default=0.0)
+
+
+def _worst_point(kept, values):
+    """Largest |value| and its (rounded) binding; (0.0, None) if all vanish."""
+    max_abs, worst = 0.0, None
+    for b, v in zip(kept, values):
+        if abs(v) > max_abs:
+            max_abs, worst = abs(v), {k: round(x, 6) for k, x in b.items()}
+    return max_abs, worst
+
+
+def structural(name: str, ok: bool, notes: str = "", data=None) -> IdentityReport:
+    """Report for an exact (symbolic) comparison: relative 0 or 1."""
+    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, 1e-12,
+                          notes=notes, data=data)
+
+
 def check_zero(f: Expr, plan: SamplePlan, reference=(ONE,), tol=TOL_OPERATOR,
                name="zero-check") -> IdentityReport:
     """Residual of f against 0, scaled by reference expression magnitudes."""
-    refs = list(reference)
-    syms = free_symbols(f)
-    for rexpr in refs:
-        syms |= free_symbols(rexpr)
-    pts = plan.points(syms - {"theta", "psi", "phi", "r"})
-    vals, kept, skipped = _eval_many([f] + refs, pts)
-    _guard_skips(skipped, plan.count, name)
-    fvals = vals[0]
-    scale = 0.0
-    for rv in vals[1:]:
-        for v in rv:
-            scale = max(scale, abs(v))
-    max_abs, worst = 0.0, None
-    for b, v in zip(kept, fvals):
-        if abs(v) > max_abs:
-            max_abs, worst = abs(v), {k: round(x, 6) for k, x in b.items()}
+    (fvals, *refvals), kept, skipped = _sample([f, *reference], plan, name)
+    scale = max(map(_max_abs, refvals), default=0.0)
+    max_abs, worst = _worst_point(kept, fvals)
     notes = ""
     if scale < 1e-20:
         notes = "reference scale degenerate; using absolute residual"
@@ -242,12 +262,8 @@ def check_zero(f: Expr, plan: SamplePlan, reference=(ONE,), tol=TOL_OPERATOR,
 def check_proportional(f: Expr, g: Expr, plan: SamplePlan, tol=TOL_EIGEN,
                        name="proportionality") -> IdentityReport:
     """Pointwise f/g must be constant; reports mean ratio and dispersion."""
-    syms = free_symbols(f) | free_symbols(g)
-    pts = plan.points(syms - {"theta", "psi", "phi", "r"})
-    vals, kept, skipped = _eval_many([f, g], pts)
-    fv, gv = vals
-    _guard_skips(skipped, plan.count, name)
-    gscale = max((abs(v) for v in gv), default=0.0)
+    (fv, gv), _, skipped = _sample([f, g], plan, name)
+    gscale = _max_abs(gv)
     if gscale < 1e-20:
         raise PlanDegenerate(f"{name}: proportionality undefined (divisor ~ 0)")
     usable = [(a, b) for a, b in zip(fv, gv) if abs(b) > 1e-6 * gscale]
@@ -267,11 +283,7 @@ def check_proportional(f: Expr, g: Expr, plan: SamplePlan, tol=TOL_EIGEN,
 def measure_constant(f: Expr, plan: SamplePlan, tol=1e-9,
                      name="constant") -> IdentityReport:
     """Verify f is a constant function; the measured value goes in `data`."""
-    syms = free_symbols(f)
-    pts = plan.points(syms - {"theta", "psi", "phi", "r"})
-    vals, kept, skipped = _eval_many([f], pts)
-    _guard_skips(skipped, plan.count, name)
-    fv = vals[0]
+    (fv,), _, skipped = _sample([f], plan, name)
     mean = sum(fv) / len(fv)
     stddev = math.sqrt(sum(abs(v - mean) ** 2 for v in fv) / len(fv))
     # absolute dispersion criterion: a constant is constant at any magnitude
@@ -303,6 +315,37 @@ def default_battery(param: str = "q") -> list:
     ]
 
 
+def _probe_loop(op, reference_ops, plan: SamplePlan, testfns, name):
+    """Worst relative residual of `op` over a probe battery.
+
+    Each probe f is applied by `op` and then by each reference operator; the
+    residual op f is scaled by the largest |r f| over the plan (by 1 when
+    there are no references), and probes with a degenerate scale are passed
+    over.  Returns (worst relative residual, {"probe", "point"} of it,
+    largest max-abs residual, largest scale), or None when every probe was
+    degenerate.
+    """
+    ops = (op, *reference_ops)
+    param = next((o.param for o in ops if getattr(o, "param", None)), "q")
+    fns = list(testfns) if testfns is not None else default_battery(param)
+    worst_rel, worst_info, max_abs_all, scale_all = -1.0, None, 0.0, 0.0
+    for idx, fn in enumerate(fns):
+        (dv, *refvals), kept, _ = _sample([o.apply(fn) for o in ops], plan,
+                                          f"{name}[probe {idx}]")
+        scale = max(map(_max_abs, refvals)) if reference_ops else 1.0
+        if scale < 1e-20:
+            continue
+        max_abs, point = _worst_point(kept, dv)
+        rel = max_abs / scale
+        if rel > worst_rel:
+            worst_rel, worst_info = rel, {"probe": idx, "point": point}
+        max_abs_all = max(max_abs_all, max_abs)
+        scale_all = max(scale_all, scale)
+    if worst_info is None:
+        return None
+    return worst_rel, worst_info, max_abs_all, scale_all
+
+
 def op_equal(a, b, plan: SamplePlan, testfns=None, tol=TOL_OPERATOR,
              name="operator-equality") -> IdentityReport:
     """Compare two operators by applying their difference to a probe battery.
@@ -312,96 +355,30 @@ def op_equal(a, b, plan: SamplePlan, testfns=None, tol=TOL_OPERATOR,
     probes.  If every probe is annihilated by both operators the comparison
     is inconclusive, unless both normalize to the structural zero operator.
     """
-    param = getattr(a, "param", None) or getattr(b, "param", None) or "q"
-    fns = list(testfns) if testfns is not None else default_battery(param)
-    d = a - b
-    worst_rel, worst_info, max_abs_all, scale_all = -1.0, None, 0.0, 0.0
-    degenerate = True
-    for idx, fn in enumerate(fns):
-        rd = d.apply(fn)
-        ra = a.apply(fn)
-        rb = b.apply(fn)
-        syms = free_symbols(rd) | free_symbols(ra) | free_symbols(rb)
-        pts = plan.points(syms - {"theta", "psi", "phi", "r"})
-        vals, kept, skipped = _eval_many([rd, ra, rb], pts)
-        _guard_skips(skipped, plan.count, f"{name}[probe {idx}]")
-        dv, av, bv = vals
-        scale = max(max((abs(v) for v in av), default=0.0),
-                    max((abs(v) for v in bv), default=0.0))
-        max_abs, wpt = 0.0, None
-        for bnd, v in zip(kept, dv):
-            if abs(v) > max_abs:
-                max_abs, wpt = abs(v), {k: round(x, 6) for k, x in bnd.items()}
-        if scale >= 1e-20:
-            degenerate = False
-            rel = max_abs / max(scale, SCALE_FLOOR)
-            if rel > worst_rel:
-                worst_rel = rel
-                worst_info = {"probe": idx, "point": wpt}
-            max_abs_all = max(max_abs_all, max_abs)
-            scale_all = max(scale_all, scale)
-    if degenerate:
+    found = _probe_loop(a - b, (a, b), plan, testfns, name)
+    if found is None:
         if a.is_zero() and b.is_zero():
             return IdentityReport(name, 0.0, 1.0, tol,
                                   notes="both operators structurally zero")
         raise DegenerateBattery(f"{name}: inconclusive: degenerate test battery")
-    # reconstruct a report whose relative residual equals the worst per-probe one
+    worst_rel, worst_info, max_abs, scale = found
+    # the relative residual is the worst per-probe one
     return IdentityReport(name, worst_rel, 1.0, tol, worst=worst_info,
-                          data={"max_abs": max_abs_all, "scale": scale_all})
+                          data={"max_abs": max_abs, "scale": scale})
 
 
 def check_op_zero(op, plan: SamplePlan, reference_ops=(), testfns=None,
                   tol=TOL_OPERATOR, name="operator-zero") -> IdentityReport:
     """Check an operator is zero, scaling residuals by reference operators.
 
-    Convenience wrapper over op_equal for commutator-style identities where
-    the natural scale comes from the operators being commuted.
+    The probe loop of op_equal, for commutator-style identities where the
+    natural scale comes from the operators being commuted.
     """
-    param = getattr(op, "param", None)
-    if param is None:
-        for r in reference_ops:
-            param = getattr(r, "param", None)
-            if param:
-                break
-    fns = list(testfns) if testfns is not None else default_battery(param or "q")
-    worst_rel, worst_info = -1.0, None
-    degenerate = True
-    for idx, fn in enumerate(fns):
-        exprs = [op.apply(fn)] + [r.apply(fn) for r in reference_ops]
-        syms = set()
-        for e in exprs:
-            syms |= free_symbols(e)
-        pts = plan.points(syms - {"theta", "psi", "phi", "r"})
-        vals, kept, skipped = _eval_many(exprs, pts)
-        _guard_skips(skipped, plan.count, f"{name}[probe {idx}]")
-        dv = vals[0]
-        scale = 0.0
-        for rv in vals[1:]:
-            scale = max(scale, max((abs(v) for v in rv), default=0.0))
-        if not reference_ops:
-            scale = 1.0
-        max_abs, wpt = 0.0, None
-        for bnd, v in zip(kept, dv):
-            if abs(v) > max_abs:
-                max_abs, wpt = abs(v), {k: round(x, 6) for k, x in bnd.items()}
-        if scale >= 1e-20:
-            degenerate = False
-            rel = max_abs / max(scale, SCALE_FLOOR)
-            if rel > worst_rel:
-                worst_rel, worst_info = rel, {"probe": idx, "point": wpt}
-    if degenerate:
+    found = _probe_loop(op, reference_ops, plan, testfns, name)
+    if found is None:
         if op.is_zero():
             return IdentityReport(name, 0.0, 1.0, tol,
                                   notes="operator structurally zero")
         raise DegenerateBattery(f"{name}: inconclusive: degenerate test battery")
+    worst_rel, worst_info, _, _ = found
     return IdentityReport(name, worst_rel, 1.0, tol, worst=worst_info)
-
-
-def run_suite(config=None):
-    """Run every registered check plus fault-injection controls.
-
-    Thin delegation: the registry lives in `shapeinv.suite` so that this
-    module stays free of physics imports.
-    """
-    from .suite import run_suite as _run
-    return _run(config)

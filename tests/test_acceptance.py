@@ -4,6 +4,7 @@ Each test prints a single [PASS]/[FAIL] line with the measured numbers and
 then asserts, so a bare ``pytest -v tests/test_acceptance.py`` doubles as
 the release checklist.
 """
+import hashlib
 import time
 from fractions import Fraction
 
@@ -225,3 +226,14 @@ def test_criterion_9_reproducible_suite(full_suite_runs, capsys):
     _verdict(capsys, 9, ok,
              f"full battery ({len(first['checks'])} checks) passed in "
              f"{elapsed:.1f}s; rerun with the same seed is byte-identical")
+
+
+def test_suite_report_digest_seed_7(full_suite_runs):
+    """The seed-7 report bytes are pinned, so a change behind the suite
+    cannot move a single residual digit unnoticed.  The digest was recorded
+    on Python 3.11.7 with the x86-64 libm; another libm may round the last
+    bits of a residual differently."""
+    first, _, _ = full_suite_runs
+    digest = hashlib.sha256(report_json(first).encode()).hexdigest()
+    assert digest == (
+        "2c230afb042efce9d1a7291f5157552c5f6773798614a37097f4785d9fb7fc37")

@@ -60,6 +60,18 @@ def test_check_threads_frequency(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "L3" + ")" * 3000,
+    "[" * 1500 + "L3, L3]" + ", L3]" * 1499,
+    "-" * 3000 + "L3",
+], ids=["parentheses", "brackets", "unary-minus"])
+def test_check_deep_nesting_exits_two(expr, capsys):
+    # '--' keeps a leading '-' from being read as an option
+    code, _, err = run_cli(["check", "--points", "8", "--", expr], capsys)
+    assert code == 2
+    assert "nested deeper" in err
+
+
 def test_check_rejects_nonpositive_frequency(capsys):
     code, _, err = run_cli(["check", "Hm", "--omega", "-1"], capsys)
     assert code == 2

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapeinv.dsl import (
-    Bracket, DslError, Gen, GENERATOR_NAMES, ImagLit, IntLit, Neg, OpDslAst,
-    Prod, Sum, build_operator, parse_and_build, parse_op_expr, render_ast,
+    Bracket, DslError, Gen, GENERATOR_NAMES, ImagLit, IntLit, MAX_DEPTH, Neg,
+    OpDslAst, Prod, Sum, build_operator, parse_and_build, parse_op_expr,
+    render_ast,
 )
 from shapeinv.opalg import apply_canonical
 from shapeinv.symx import ONE, evaluate
@@ -73,6 +74,24 @@ def test_parse_errors_carry_positions(text, fragment, pos):
     assert fragment in str(exc.value)
     assert exc.value.pos == pos
     assert f"(at position {pos})" in str(exc.value)
+
+
+def nested(opener: str, depth: int) -> str:
+    """L3 under `depth` levels of '(', '[' or unary '-'."""
+    if opener == "(":
+        return "(" * depth + "L3" + ")" * depth
+    if opener == "[":
+        return "[" * depth + "L3, L3]" + ", L3]" * (depth - 1)
+    return "-" * depth + "L3"
+
+
+@pytest.mark.parametrize("opener", ["(", "[", "-"])
+def test_nesting_depth_is_bounded(opener):
+    # at the bound the expression parses and builds
+    op = parse_and_build(nested(opener, MAX_DEPTH))
+    assert op.is_zero() == (opener == "[")
+    with pytest.raises(DslError, match=f"nested deeper than {MAX_DEPTH}"):
+        parse_op_expr(nested(opener, MAX_DEPTH + 1))
 
 
 def test_unknown_generator_lists_valid_names():
@@ -152,6 +171,12 @@ def test_known_identities_build_to_zero(text):
 
 def test_nonidentity_is_not_zero():
     assert not parse_and_build("Lp - Rp").normalized().is_zero()
+
+
+def test_products_are_normalized():
+    # composition alone would leave 1327 unmerged terms here
+    op = parse_and_build("Lp*Lp*Lp*Lp")
+    assert len(op.terms) == len(op.normalized().terms) == 34
 
 
 def test_scalar_expression_promotes_to_identity_multiple():

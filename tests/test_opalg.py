@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapeinv.opalg import (
-    DiffOp, OpError, OpTerm, anticommutator, apply_canonical, commutator,
-    compose, conjugate_op, fourier_reduce,
+    DiffOp, OpError, OpTerm, apply_canonical, commutator, fourier_reduce,
 )
 from shapeinv.symx import (
     Add, Const, Cos, Exp, Mul, Pow, Sin, Sym,
@@ -124,23 +123,6 @@ def test_commutator_weyl_pair():
     assert c.same_operator(DiffOp.identity())
 
 
-def test_anticommutator_matches_definition():
-    a = DiffOp.partial("r")
-    b = DiffOp.from_expr(R)
-    anti = anticommutator(a, b).normalized()
-    want = (a @ b + b @ a).normalized()
-    assert anti.same_operator(want)
-
-
-def test_conjugate_op_flips_imaginary_units():
-    op = DiffOp.from_expr(Mul(IMAG, Sin(THETA))) @ DiffOp.partial("phi")
-    conj = conjugate_op(op)
-    f = Mul(Sin(PSI), Exp(Mul(IMAG, PHI)))
-    from shapeinv.symx import conjugate_expr
-    want = conjugate_expr(op.apply(conjugate_expr(f)))
-    assert _same_expr(conj.apply(f), want)
-
-
 def test_fourier_reduce_monomial():
     # e^{ik phi} d/dphi acting on e^{ip phi} -> i(p - k) shift(k)
     k = 2
@@ -229,12 +211,6 @@ def test_jacobi_identity(a, b, c):
              + commutator(b, commutator(c, a))
              + commutator(c, commutator(a, b))).normalized()
     assert total.is_zero()
-
-
-@settings(max_examples=30, deadline=None)
-@given(_ops(), _ops())
-def test_compose_function_matches_matmul(a, b):
-    assert compose(a, b).normalized().same_operator((a @ b).normalized())
 
 
 @settings(max_examples=30, deadline=None)

@@ -163,6 +163,12 @@ def test_op_equal_and_check_op_zero():
          + DiffOp.from_expr(Sin(THETA)) @ DiffOp.partial("theta"))
     rep = op_equal(a, b, plan)
     assert rep.passed
+    # op_equal is the probe loop of check_op_zero over a - b with (a, b) as
+    # the references; only its data fields differ
+    same = check_op_zero(a - b, plan, reference_ops=(a, b), name=rep.name)
+    assert ({**rep.as_dict(), "data": None}
+            == {**same.as_dict(), "data": None})
+    assert set(rep.data) == {"max_abs", "scale"} and not same.data
     rep2 = check_op_zero((a - b).normalized(), plan)
     assert rep2.passed and rep2.relative == 0.0
     rep3 = check_op_zero(DiffOp.from_expr(Sin(THETA)), plan)

@@ -310,8 +310,22 @@ def _add_common(p: argparse.ArgumentParser):
                    help="write the report to PATH instead of stdout")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose missing-EXPR error names the `--` rule.
+
+    argparse reads an operand such as ``-L3`` as an unknown option and then
+    reports EXPR as missing; such an expression must follow ``--``.
+    """
+
+    def error(self, message):
+        if message.endswith("required: EXPR"):
+            message += ("; an expression that starts with '-' must follow "
+                        "'--', for example: shapeinv check -- -L3")
+        super().error(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="shapeinv",
         description="symbolic-numeric verification of a pair of "
                     "ladder-generated Hamiltonian families")

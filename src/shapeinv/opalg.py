@@ -39,7 +39,6 @@ from .symx import (
     _cf_add,
     _cf_key,
     _key_to_cf,
-    _ordkey,
     IMAG,
     ONE,
     ZERO,
@@ -396,7 +395,7 @@ def fourier_reduce(op: DiffOp, param: str) -> DiffOp:
                 if kind == "hermite" and _cf_mentions(_key_to_cf(akey[2]), "phi"):
                     raise OpError("phi inside a Hermite argument")
                 atoms.append((akey, exp))
-            base = cf_to_expr({tuple(sorted(atoms, key=_ordkey)): coeff})
+            base = cf_to_expr({tuple(sorted(atoms)): coeff})
             if n:
                 freq = Mul(IMAG, Add(psym, Const(-k)))
                 base = Mul(base, Pow(freq, n)) if n > 1 else Mul(base, freq)

@@ -748,22 +748,16 @@ def run_suite(config=None, sectors=None) -> dict:
             continue
         try:
             rep = fn(cfg)
-            entry = {
-                "name": name,
-                "paper_ref": ref,
-                "pass": bool(rep.passed),
-                "relative_residual": float(rep.relative),
-                "notes": rep.notes,
-            }
+            passed, relative, notes = bool(rep.passed), float(rep.relative), rep.notes
         except (PlanDegenerate, DegenerateBattery, ValueError) as exc:
-            entry = {
-                "name": name,
-                "paper_ref": ref,
-                "pass": False,
-                "relative_residual": 1.0,
-                "notes": f"error: {exc}",
-            }
-        entries.append(entry)
+            passed, relative, notes = False, 1.0, f"error: {exc}"
+        except Exception as exc:  # a fault in one check must not end the battery
+            import logging  # here, not at the top: it adds 5 ms to start-up
+            logging.getLogger(__name__).exception("suite check %r raised", name)
+            passed, relative = False, 1.0
+            notes = f"error: {type(exc).__name__}: {exc}"
+        entries.append({"name": name, "paper_ref": ref, "pass": passed,
+                        "relative_residual": relative, "notes": notes})
     label = "shapeinv"
     if sectors is not None:
         label += "[" + "+".join(s for s in SECTORS if s in sectors) + "]"

@@ -19,8 +19,10 @@ Two simplifiers are provided:
 """
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
+from functools import partial
 
 from .rationals import GaussRat, I as IUNIT
 
@@ -385,13 +387,10 @@ def evaluate(e: Expr, binding: dict) -> complex:
                 return b ** p.numerator
             return b ** (p.numerator / p.denominator)
         if isinstance(x, Sin):
-            import cmath
             return cmath.sin(ev(x.arg))
         if isinstance(x, Cos):
-            import cmath
             return cmath.cos(ev(x.arg))
         if isinstance(x, Exp):
-            import cmath
             return cmath.exp(ev(x.arg))
         if isinstance(x, Hermite):
             return _hermite_value(x.degree, ev(x.arg))
@@ -548,15 +547,7 @@ _CANON_MEMO: dict = {}
 
 
 def _cf_key(cf: dict) -> tuple:
-    return tuple(sorted(((m, c.key()) for m, c in cf.items()), key=_ordkey))
-
-
-def _ordkey(x):
-    if isinstance(x, tuple):
-        return (0, tuple(_ordkey(i) for i in x))
-    if isinstance(x, str):
-        return (1, x)
-    return (2, x)
+    return tuple(sorted((m, c.key()) for m, c in cf.items()))
 
 
 def _key_to_cf(key: tuple) -> dict:
@@ -586,12 +577,7 @@ def _cf_scale(a: dict, c: GaussRat) -> dict:
 
 
 def _atoms_to_mono(atoms: dict) -> tuple:
-    return tuple(sorted(((k, (p.numerator, p.denominator)) for k, p in atoms.items()),
-                        key=_ordkey))
-
-
-def _mono_to_atoms(mono: tuple) -> dict:
-    return {k: Fraction(n, d) for k, (n, d) in mono}
+    return tuple(sorted((k, (p.numerator, p.denominator)) for k, p in atoms.items()))
 
 
 def _insert_atom(atoms: dict, coeff_box: list, key, exp: Fraction):
@@ -784,7 +770,8 @@ def cf_to_expr(cf: dict) -> Expr:
     if not cf:
         return ZERO
     terms = []
-    for mono, coeff in sorted(cf.items(), key=lambda kv: _ordkey(kv[0])):
+    for mono in sorted(cf):
+        coeff = cf[mono]
         factors = []
         if not coeff.is_one() or not mono:
             factors.append(Const(coeff))
@@ -814,56 +801,91 @@ def is_zero_expr(e: Expr) -> bool:
     return not _canon_cf(e)
 
 
-# -- fast evaluation of canonical forms with atom caching -------------------
+# ---------------------------------------------------------------------------
+# Compiled evaluation of canonical forms
+# ---------------------------------------------------------------------------
 
-def eval_cf(cf: dict, binding: dict, cache: dict) -> complex:
-    import cmath
+_ATOM_FUNCS = {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}
 
-    def atom_val(key) -> complex:
-        v = cache.get(key)
-        if v is not None:
+
+class Program:
+    """CFs compiled once for evaluation at many points (after SymPy's
+    `lambdify` and `cse`): one slot per distinct atom, shared by all the CFs.
+
+    Calling it with a binding yields each CF's value in turn, bit for bit as
+    a direct walk over the CFs: each term multiplies its coefficient by its
+    atoms in monomial order as v ** n or v ** (n/d) (repeated multiplication
+    would move the last bits of the reports), top-level sums follow dict
+    order and nested ones key order.  Atoms are evaluated lazily, once per
+    point; a term stops at an exact zero atom with a positive power.  Raises
+    EvalError for an unbound symbol or a zero base with a negative power.
+    """
+
+    def __init__(self, cfs):
+        slots: dict = {}
+        self.atoms: list = []   # per slot: (symbol name, None) or (function, argument terms)
+        self.consts: list = []  # per slot: the value of a constant atom, else None
+
+        def slot(key) -> int:
+            if key not in slots:
+                kind, const, atom = key[0], None, (key[1], None)
+                if kind == "cpow":
+                    a, b, c, d = key[1]
+                    const = complex(GaussRat(Fraction(a, b), Fraction(c, d)))
+                elif kind == "hermite":
+                    atom = (partial(_hermite_value, key[1]), terms(_key_to_cf(key[2])))
+                elif kind != "sym":
+                    atom = (_ATOM_FUNCS[kind], terms(_key_to_cf(key[1])))
+                slots[key] = len(self.atoms)
+                self.atoms.append(atom)
+                self.consts.append(const)
+            return slots[key]
+
+        def terms(cf: dict) -> tuple:
+            return tuple((complex(c), tuple((slot(k), n, n if d == 1 else n / d)
+                                            for k, (n, d) in mono))
+                         for mono, c in cf.items())
+
+        self.sums = [terms(cf) for cf in cfs]
+
+    def __call__(self, binding: dict):
+        atoms, vals = self.atoms, list(self.consts)
+
+        def value(i: int) -> complex:
+            f, arg = atoms[i]
+            if arg is None:
+                try:
+                    v = complex(binding[f])
+                except KeyError:
+                    raise EvalError(f"unbound symbol {f!r}") from None
+            else:
+                v = f(total(arg))
+            vals[i] = v
             return v
-        kind = key[0]
-        if kind == "sym":
-            try:
-                v = complex(binding[key[1]])
-            except KeyError:
-                raise EvalError(f"unbound symbol {key[1]!r}") from None
-        elif kind == "sin":
-            v = cmath.sin(eval_cf(_key_to_cf(key[1]), binding, cache))
-        elif kind == "cos":
-            v = cmath.cos(eval_cf(_key_to_cf(key[1]), binding, cache))
-        elif kind == "exp":
-            v = cmath.exp(eval_cf(_key_to_cf(key[1]), binding, cache))
-        elif kind == "hermite":
-            v = _hermite_value(key[1], eval_cf(_key_to_cf(key[2]), binding, cache))
-        elif kind == "cpow":
-            a, b, c, d = key[1]
-            v = complex(GaussRat(Fraction(a, b), Fraction(c, d)))
-        else:  # pragma: no cover
-            raise TypeError(f"unknown atom {kind}")
-        cache[key] = v
-        return v
 
-    total = 0j
-    for mono, coeff in cf.items():
-        term = complex(coeff)
-        for akey, (n, d) in mono:
-            v = atom_val(akey)
-            if v == 0:
-                if n < 0:
-                    raise EvalError("singular evaluation: zero base with negative power")
-                term = 0j if n > 0 else term
-                if n > 0:
-                    break
-                continue
-            term *= v ** (n / d) if d != 1 else v ** n
-        total += term
-    return total
+        def total(terms: tuple) -> complex:
+            out = 0j
+            for term, factors in terms:
+                for i, n, p in factors:
+                    v = vals[i]
+                    if v is None:
+                        v = value(i)
+                    if v == 0:
+                        if n < 0:
+                            raise EvalError("singular evaluation: zero base with negative power")
+                        term = 0j
+                        break
+                    term *= v ** p
+                out += term
+            return out
+
+        return (total(terms) for terms in self.sums)
 
 
-def evaluate_fast(e: Expr, binding: dict, cache: dict | None = None) -> complex:
-    return eval_cf(_canon_cf(e), binding, cache if cache is not None else {})
+def evaluate_fast(e: Expr, binding: dict) -> complex:
+    """Value of e at binding, through its compiled canonical form."""
+    (value,) = Program([_canon_cf(e)])(binding)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +916,7 @@ def render(e: Expr) -> str:
             joined = " + ".join(parts).replace("+ -", "- ")
             return paren(joined, prec >= 2)
         if isinstance(x, Mul):
-            fs = sorted(x.factors, key=lambda f: (_rank(f), _ordkey(f.key())))
+            fs = sorted(x.factors, key=lambda f: (_rank(f), f.key()))
             return paren("*".join(go(f, 2) for f in fs), prec >= 3)
         if isinstance(x, Pow):
             p = x.exponent

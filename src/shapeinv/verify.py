@@ -13,6 +13,20 @@ Conventions
 * proportionality checks report the pointwise-ratio dispersion stddev/|mean|;
 * points where evaluation hits a singularity are skipped, but more than 20%
   skipped points invalidates the plan.
+
+Sample counts
+-------------
+For a nonzero polynomial of total degree d and points drawn independently
+and uniformly from S^n, a point is a root with probability at most d/|S|
+(Schwartz 1980; Zippel 1979), so the chance that every point of a cloud is a
+root falls geometrically with the number of points.  The sample counts rest
+on that independence assumption: a plan's cloud depends only on the seed and
+on the names of the free symbols, never on the expression under test, so
+its points are independent of the residual's zero set.  The residuals are
+trigonometric and exponential polynomials; a nonzero one vanishes on a set
+of measure zero in the coordinate boxes, and float draws make |S| large.
+The integer parameter pools hold only 4 to 7 values each, so the counts rely
+on the continuous coordinates to tell a nonzero residual from zero.
 """
 from __future__ import annotations
 
@@ -35,12 +49,13 @@ from .symx import (
     PHI,
     PSI,
     Pow,
+    Program,
     R,
     Sin,
     Sym,
     THETA,
-    evaluate_fast,
     free_symbols,
+    _canon_cf,
 )
 
 DEFAULT_BOXES = {
@@ -178,21 +193,24 @@ def _jsonable(v):
 
 
 def _eval_many(exprs, pts):
-    """Evaluate several expressions over the plan with a shared atom cache.
+    """Evaluate several expressions over the plan with one compiled program.
 
     Returns (values: list per expr of list per point, kept points, skipped
     point count).  Points where any expression is singular or overflows are
-    dropped for all expressions, keeping the value lists aligned.
+    dropped for all expressions, keeping the value lists aligned; an
+    expression whose canonical form is already singular skips every point.
     """
     values = [[] for _ in exprs]
     kept_pts = []
+    try:
+        program = Program([_canon_cf(e) for e in exprs])
+    except (EvalError, OverflowError, ZeroDivisionError):
+        return values, kept_pts, len(pts)
     skipped = 0
     for b in pts:
-        cache = {}
         row = []
         try:
-            for e in exprs:
-                v = evaluate_fast(e, b, cache)
+            for v in program(b):
                 if v != v or abs(v) > 1e100:  # nan or blow-up
                     raise EvalError("non-finite evaluation")
                 row.append(v)

@@ -72,6 +72,16 @@ def test_check_deep_nesting_exits_two(expr, capsys):
     assert "nested deeper" in err
 
 
+def test_check_leading_minus_needs_double_dash(capsys):
+    code, _, err = run_cli(["check", "-L3", "--points", "8"], capsys)
+    assert code == 2
+    assert "must follow '--'" in err
+    assert "shapeinv check -- -L3" in err
+    code, out, _ = run_cli(["check", "--points", "8", "--", "-L3"], capsys)
+    assert code == 1
+    assert "checks: 0 passed / 1 failed" in out
+
+
 def test_check_rejects_nonpositive_frequency(capsys):
     code, _, err = run_cli(["check", "Hm", "--omega", "-1"], capsys)
     assert code == 2

@@ -3,6 +3,9 @@ import json
 
 import pytest
 
+from shapeinv import suite
+from shapeinv.opalg import OpError
+from shapeinv.symx import SymxError
 from shapeinv.suite import (
     FAULT_PREFIX, SECTORS, SuiteConfig, render_text, report_json, run_suite,
     _registry,
@@ -97,3 +100,24 @@ def test_config_coercion():
     assert report["seed"] == 2
     with pytest.raises(TypeError):
         run_suite(42)
+
+
+@pytest.mark.parametrize("error", [OpError("bad term"), SymxError("bad form"),
+                                   ZeroDivisionError("division by zero"),
+                                   RecursionError("too deep")],
+                         ids=lambda exc: type(exc).__name__)
+def test_a_raising_check_is_a_failed_entry(error, monkeypatch):
+    name, _, _, fn = next(e for e in _registry() if e[2] == "2d")
+
+    def broken(cfg):
+        raise error
+
+    monkeypatch.setattr(suite, fn.__name__, broken)
+    report = run_suite(SMALL, sectors=("2d",))
+    entries = {e["name"]: e for e in report["checks"]}
+    assert len(entries) == sum(1 for e in _registry() if e[2] == "2d") > 1
+    assert entries[name]["pass"] is False
+    assert entries[name]["relative_residual"] == 1.0
+    assert entries[name]["notes"] == f"error: {type(error).__name__}: {error}"
+    assert all(e["pass"] for n, e in entries.items() if n != name)
+    assert report["summary"] == f"checks: {len(entries) - 1} passed / 1 failed"

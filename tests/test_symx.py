@@ -8,16 +8,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from shapeinv import su2
 from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
-    Add, Const, Cos, Exp, Hermite, Mul, Pow, Sin, Sym,
+    Add, Const, Cos, EvalError, Exp, Hermite, Mul, Pow, Program, Sin, Sym,
     IMAG, ONE, PHI, PSI, R, THETA, ZERO,
     canonical, canonical_key, children, cot, csc, diff, equivalent,
     evaluate, evaluate_fast, free_symbols, is_zero_expr, render,
-    simplify_basic, substitute, trig_to_exp,
+    simplify_basic, substitute, trig_to_exp, _canon_cf, _key_to_cf, _rank,
 )
+from shapeinv.verify import default_battery
 
 B0 = {"theta": 0.83, "psi": 1.21, "phi": 2.47, "r": 1.37}
 
@@ -98,9 +100,8 @@ def test_free_symbols_and_coordinates():
 
 
 def test_evaluate_fast_matches_evaluate():
-    cache = {}
     for e in DIFF_CASES:
-        assert abs(evaluate_fast(e, B0, cache) - evaluate(e, B0)) <= 1e-12
+        assert abs(evaluate_fast(e, B0) - evaluate(e, B0)) <= 1e-12
 
 
 def test_simplify_basic_keeps_value():
@@ -210,3 +211,132 @@ def test_canonical_preserves_value(e):
     v = evaluate(e, B0)
     w = evaluate(canonical(e), B0)
     assert abs(v - w) <= 1e-9 * (abs(v) + 1)
+
+
+# ---------------------------------------------------------------------------
+# The compiled evaluator against the tree oracle `evaluate`
+# ---------------------------------------------------------------------------
+
+class _CountingBinding(dict):
+    """A binding that counts how often each symbol is looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = {}
+
+    def __getitem__(self, name):
+        self.reads[name] = self.reads.get(name, 0) + 1
+        return super().__getitem__(name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exprs, min_size=2, max_size=4))
+def test_program_matches_tree_oracle(es):
+    es = [*es, Mul(R, Sin(THETA))]
+    program = Program([_canon_cf(e) for e in es])
+    binding = _CountingBinding(B0)
+    for e, got in zip(es, program(binding), strict=True):
+        want = evaluate(e, B0)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    # one slot per atom: a symbol shared by the expressions is read once
+    assert set(binding.reads.values()) == {1}
+
+
+@settings(max_examples=30, deadline=None)
+@given(_exprs)
+def test_program_raises_as_tree_oracle(e):
+    assume(not is_zero_expr(e))
+    unbound = Mul(e, Sym("q"))
+    singular = Mul(e, Pow(Sin(PHI), -1))
+    for f, binding in ((unbound, B0), (singular, {**B0, "phi": 0.0})):
+        with pytest.raises(EvalError) as tree:
+            evaluate(f, binding)
+        with pytest.raises(EvalError) as compiled:
+            list(Program([_canon_cf(e), _canon_cf(f)])(binding))
+        assert str(compiled.value) == str(tree.value)
+
+
+def test_program_stops_a_term_at_a_zero_atom():
+    # sin(phi) sorts before r: the term is zero before r^-1 is reached
+    program = Program([_canon_cf(Add(Mul(Sin(PHI), Pow(R, -1)), THETA))])
+    binding = _CountingBinding({"phi": 0.0, "r": 0.0, "theta": 0.5})
+    assert list(program(binding)) == [0.5 + 0j]
+    assert binding.reads == {"phi": 1, "theta": 1}
+    with pytest.raises(EvalError, match="zero base with negative power"):
+        list(program({"phi": 1.0, "r": 0.0, "theta": 0.5}))
+
+
+# ---------------------------------------------------------------------------
+# Native tuple order against the recursive sort key it replaced
+# ---------------------------------------------------------------------------
+
+def _ordkey(x):
+    """Oracle: the former sort key (tuples < strings < everything else)."""
+    if isinstance(x, tuple):
+        return (0, tuple(_ordkey(i) for i in x))
+    if isinstance(x, str):
+        return (1, x)
+    return (2, x)
+
+
+def _arg_keys(mono):
+    for akey, _ in mono:
+        if akey[0] in ("sin", "cos", "exp"):
+            yield akey[1]
+        elif akey[0] == "hermite":
+            yield akey[2]
+
+
+def _pooled_sort_inputs(cfs):
+    """The monomials, `_cf_key` pairs and atom pairs of the CFs and of every
+    nested atom argument, each kind pooled into one list."""
+    monos, pairs, atoms = [], [], []
+    todo = list(cfs)
+    while todo:
+        cf = todo.pop()
+        monos += cf
+        pairs += [(m, c.key()) for m, c in cf.items()]
+        for mono in cf:
+            atoms += mono
+            todo += [_key_to_cf(k) for k in _arg_keys(mono)]
+    return monos, pairs, atoms
+
+
+def _assert_native_order(cfs):
+    for keys in _pooled_sort_inputs(cfs):
+        assert sorted(keys) == sorted(keys, key=_ordkey)
+
+
+def _mul_factor_sort_keys(e):
+    """(native, oracle) factor keys of every Mul node, as `render` sorts them."""
+    if isinstance(e, Mul):
+        for f in e.factors:
+            yield (_rank(f), f.key()), (_rank(f), _ordkey(f.key()))
+    for c in children(e):
+        yield from _mul_factor_sort_keys(c)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4))
+def test_native_order_matches_oracle_on_canonical_keys(es):
+    _assert_native_order([_canon_cf(e) for e in es])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4))
+def test_native_order_matches_oracle_in_render(es):
+    pairs = [p for e in es for x in (e, canonical(e))
+             for p in _mul_factor_sort_keys(x)]
+    assert (sorted(native for native, _ in pairs)
+            == [native for native, _ in sorted(pairs, key=lambda p: p[1])])
+
+
+def test_native_order_matches_oracle_on_bracket_table():
+    gens = su2.build_raw_generators()
+    cfs = [_canon_cf(t.coeff)
+           for _, res, refs in su2.commutator_residuals(gens)
+           for op in (res, *refs) for t in op.terms]
+    cfs += [_canon_cf(op.apply(f))
+            for _, op in gens.pairs() for f in default_battery("q")]
+    assert len(cfs) > 500
+    _assert_native_order(cfs)

@@ -152,9 +152,7 @@ def cmd_shape2d(cfg: CliConfig) -> int:
         return _usage_error("shape2d", "--q and --m must be given together")
     plan, tol = cfg.plan(24), cfg.tolerance(1e-8)
     reports = [ladders2d.verify_ladder_actions(cfg.twol, plan, tol=tol)]
-    res = ladders2d.reorder_identity_residuals()
-    ok = (res["valid"].normalized().is_zero()
-          and not res["stated"].normalized().is_zero())
+    ok = ladders2d.reorder_identity_holds()
     reports.append(IdentityReport(
         "lowering-pair exchange identity", 0.0 if ok else 1.0, 1.0, 1e-12,
         notes="the two descending compositions agree exactly once the "

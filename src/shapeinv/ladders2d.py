@@ -6,6 +6,11 @@ provides the one-step ladder coefficients, the in-level (m +- 2) and
 cross-level (q +- 2) pair ladders with their scalar eigenvalues, degeneracy
 bookkeeping, and chain reconstruction with measured normalization products.
 
+The one-step operators are not transcribed here: each is the closed form of
+a reduced generator (`su2.reduced_ladder_reference`) pinned to an incoming
+label, so the shape-invariance ladders and the reduced su(2) generators are
+one set of operators.
+
 Conventions established by measurement (see the decisions ledger):
 
 * the states built by the lowering chain ("chain family") are unnormalized:
@@ -24,13 +29,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
-from .rationals import GaussRat
 from .symx import (
     Add,
     Const,
-    Cos,
     Exp,
     Expr,
     IMAG,
@@ -43,14 +45,10 @@ from .symx import (
     Sym,
     THETA,
     canonical,
-    cot,
-    csc,
 )
-from .opalg import DiffOp, OpTerm, apply_canonical
+from .opalg import DiffOp, apply_canonical
 from . import su2
 from .verify import IdentityReport, SamplePlan, check_proportional, check_zero
-
-_IHALF = Const(GaussRat(0, Fraction(1, 2)))   # i/2
 
 
 # ---------------------------------------------------------------------------
@@ -82,17 +80,9 @@ class QNum2D:
         if (self.m - (self.twol - abs(self.q))) % 2 != 0:
             raise ValueError("quantum numbers out of range: parity violation")
 
-    @property
-    def level(self) -> Fraction:
-        return Fraction(self.twol, 2)
-
     def eigenvalue(self) -> Fraction:
         """l(l+1) at the quadratic normalization."""
         return Fraction(self.twol * (self.twol + 2), 4)
-
-
-def half_integer_level(qn: QNum2D) -> bool:
-    return qn.twol % 2 == 1
 
 
 def degeneracy(twol: int, q: int) -> list:
@@ -128,37 +118,22 @@ def valid_states(twol: int):
 # Concrete one-step operators
 # ---------------------------------------------------------------------------
 
-def _concrete_ladder(a_im: int, c_cot: int, c_im: int, mm) -> DiffOp:
-    # (i/2)( sin(th) d_psi + (a_im i + cos cot) d_th
-    #        + i mm (c_cot cot(th) + c_im i cot(ps)/sin(th)) )
-    mval = mm if isinstance(mm, Expr) else Const(mm)
-    c_psi = Mul(_IHALF, Sin(THETA))
-    c_th = Mul(_IHALF, Add(Const(GaussRat(0, Fraction(a_im))),
-                           Mul(Cos(THETA), cot(PSI))))
-    c_sc = Mul(_IHALF, IMAG, mval,
-               Add(Mul(Const(c_cot), cot(THETA)),
-                   Mul(Const(GaussRat(0, Fraction(c_im))), cot(PSI), csc(THETA))))
-    terms = (OpTerm(c_psi, (0, 1, 0, 0)), OpTerm(c_th, (1, 0, 0, 0)),
-             OpTerm(c_sc, (0, 0, 0, 0)))
-    return DiffOp(terms).normalized()
-
-
 def Lminus_of(mm) -> DiffOp:
     """One-step lowering operator of the left sector at incoming label mm."""
-    return _concrete_ladder(-1, -1, -1, mm)
+    return su2.reduced_ladder_reference("Lm").at_incoming(mm).normalized()
 
 
 def Rminus_of(mm) -> DiffOp:
     """One-step lowering operator of the right sector at incoming label mm."""
-    return _concrete_ladder(+1, +1, -1, mm)
+    return su2.reduced_ladder_reference("Rm").at_incoming(mm).normalized()
 
 
 def Lplus_of(mm) -> DiffOp:
-    return _concrete_ladder(+1, -1, +1, mm)
+    return su2.reduced_ladder_reference("Lp").at_incoming(mm).normalized()
 
 
 def Rplus_of(mm) -> DiffOp:
-    return _concrete_ladder(-1, +1, +1, mm)
+    return su2.reduced_ladder_reference("Rp").at_incoming(mm).normalized()
 
 
 def L3_of(mm) -> DiffOp:
@@ -182,6 +157,12 @@ def reorder_identity_residuals() -> dict:
     valid = Lminus_of(sm1) @ Rminus_of(s) - Rminus_of(sm1) @ Lminus_of(s)
     stated = Lminus_of(s) @ Rminus_of(sm1) - Rminus_of(s) @ Lminus_of(sm1)
     return {"valid": valid, "stated": stated}
+
+
+def reorder_identity_holds() -> bool:
+    """The label-consistent placement vanishes and the stated one does not."""
+    res = reorder_identity_residuals()
+    return res["valid"].is_zero() and not res["stated"].is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -223,22 +204,9 @@ def chi_tilde(qn: QNum2D) -> Expr:
     return canonical(Mul(su2.weight_full(), chi_reduced(qn)))
 
 
-def chi_full(qn: QNum2D) -> Expr:
-    """Angle-complete eigenfunction e^{i q phi} chi_reduced."""
-    if qn.q == 0:
-        return chi_reduced(qn)
-    return canonical(Mul(Exp(Mul(Const(qn.q), IMAG, PHI)), chi_reduced(qn)))
-
-
 # ---------------------------------------------------------------------------
 # Ladder coefficients
 # ---------------------------------------------------------------------------
-
-class LadderCoeff(NamedTuple):
-    value: float
-    kind: str          # 'A+', 'A-', 'B+', 'B-'
-    at: tuple          # (twol, q, m)
-
 
 def _rad_pair(sign: int, twol: int, diff: int):
     # radicand factors of 1/2 sqrt((2l -+ d)(2l +- d + 2)) for sign = +-1
@@ -262,18 +230,6 @@ def _A(sign: int, twol: int, q: int, m: int) -> float:
 
 def _B(sign: int, twol: int, q: int, m: int) -> float:
     return math.sqrt(_coeff_sq(sign, twol, q, m, use_sum=True))
-
-
-def coeff_A(sign: int, qn: QNum2D) -> LadderCoeff:
-    """1/2 sqrt((2l -+ (m-q))(2l +- (m-q) + 2)); negative radicand rejected."""
-    v = _A(sign, qn.twol, qn.q, qn.m)
-    return LadderCoeff(v, "A+" if sign > 0 else "A-", (qn.twol, qn.q, qn.m))
-
-
-def coeff_B(sign: int, qn: QNum2D) -> LadderCoeff:
-    """1/2 sqrt((2l -+ (m+q))(2l +- (m+q) + 2)); negative radicand rejected."""
-    v = _B(sign, qn.twol, qn.q, qn.m)
-    return LadderCoeff(v, "B+" if sign > 0 else "B-", (qn.twol, qn.q, qn.m))
 
 
 # measured one-step assignment on the coefficient-normalized family
@@ -313,10 +269,6 @@ def _gnorm(twol: int, q: int, m: int) -> float:
     if l_steps > 0:
         return _gnorm(twol, q + 1, m + 1) * _B(-1, twol, q + 1, m + 1)
     return _gnorm(twol, q + 1, m - 1) * _A(+1, twol, q + 1, m - 1)
-
-
-def normalized_step_value(kind: str, qn: QNum2D) -> float:
-    return _MEASURED_STEP[kind](qn.twol, qn.q, qn.m)
 
 
 def verify_ladder_actions(twol: int, plan: SamplePlan,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 from .symx import (
     COORDINATES,
@@ -27,7 +26,6 @@ from .symx import (
     Sym,
     as_expr,
     canonical,
-    canonical_key,
     cf_to_expr,
     diff,
     memo_put,
@@ -147,34 +145,35 @@ class DiffOp:
             return a
         raise OpError(f"parameter clash: {a!r} vs {b!r}")
 
-    def normalized(self) -> "DiffOp":
+    def _buckets(self) -> list:
+        """[(derivs, shift, cf)]: the coefficients of equal (derivs, shift)
+        merged into one canonical form, zero forms dropped, in (shift,
+        derivs) order."""
         buckets: dict = {}
         for t in self.terms:
             key = (t.derivs, t.shift)
             buckets[key] = _cf_add(buckets.get(key, {}), _canon_cf(t.coeff))
-        out = []
-        for (derivs, shift) in sorted(buckets, key=lambda k: (k[1], k[0])):
-            cf = buckets[(derivs, shift)]
-            if cf:
-                out.append(OpTerm(cf_to_expr(cf), derivs, shift))
-        return DiffOp(out, self.param)
+        return [(derivs, shift, buckets[(derivs, shift)])
+                for derivs, shift in sorted(buckets, key=lambda k: (k[1], k[0]))
+                if buckets[(derivs, shift)]]
+
+    def normalized(self) -> "DiffOp":
+        return DiffOp([OpTerm(cf_to_expr(cf), derivs, shift)
+                       for derivs, shift, cf in self._buckets()], self.param)
 
     def is_zero(self) -> bool:
-        return not self.normalized().terms
+        return not self._buckets()
 
     def is_shift_free(self) -> bool:
         return all(t.shift == 0 for t in self.terms)
 
     def structure_key(self) -> tuple:
-        return tuple((t.derivs, t.shift, canonical_key(t.coeff))
-                     for t in self.normalized().terms)
+        return tuple((derivs, shift, _cf_key(cf))
+                     for derivs, shift, cf in self._buckets())
 
     def same_operator(self, other: "DiffOp") -> bool:
-        """Exact structural equality after canonical normalization."""
+        """Exact structural equality of the merged canonical forms."""
         return self.structure_key() == other.structure_key()
-
-    def max_order(self) -> int:
-        return max((sum(t.derivs) for t in self.terms), default=0)
 
     # -- action on expressions -------------------------------------------------
     def apply(self, f: Expr) -> Expr:

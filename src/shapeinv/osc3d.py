@@ -355,24 +355,29 @@ def build_oscillators(omega=None) -> OscillatorSet:
 # Canonical commutators
 # ---------------------------------------------------------------------------
 
+def _ladder_set(omega, reduced: bool) -> tuple:
+    """(lows, ups, identity) of one algebra: the four lowering and the four
+    raising operators as (name, op) pairs in matching order, reduced to the
+    m-lattice or phi-full."""
+    if reduced:
+        s = build_oscillators(omega)
+        lows = [("A1", s.A1), ("A2", s.A2), ("a3", s.a3), ("a4", s.a4)]
+        ups = [("A1d", s.A1d), ("A2d", s.A2d), ("a3d", s.a3d), ("a4d", s.a4d)]
+        return lows, ups, DiffOp.identity("m")
+    c = build_combos(omega)
+    cart = cartesian_ladders(omega)
+    lows = [("A1", c.A1), ("A2", c.A2), ("a3", cart.a3), ("a4", cart.a4)]
+    ups = [("A1d", c.A1d), ("A2d", c.A2d), ("a3d", cart.a3d), ("a4d", cart.a4d)]
+    return lows, ups, DiffOp.identity()
+
+
 def commutator_residuals(omega=None, reduced: bool = True) -> list:
     """All 28 canonical-commutator residuals of the 8-operator set.
 
     Returns (label, residual DiffOp, reference ops); every residual must be
     the zero operator ([low_i, up_j] = delta_ij, same-kind pairs commute).
     """
-    if reduced:
-        s = build_oscillators(omega)
-        lows = [("A1", s.A1), ("A2", s.A2), ("a3", s.a3), ("a4", s.a4)]
-        ups = [("A1d", s.A1d), ("A2d", s.A2d), ("a3d", s.a3d), ("a4d", s.a4d)]
-        ident = DiffOp.identity("m")
-    else:
-        c = build_combos(omega)
-        cart = cartesian_ladders(omega)
-        lows = [("A1", c.A1), ("A2", c.A2), ("a3", cart.a3), ("a4", cart.a4)]
-        ups = [("A1d", c.A1d), ("A2d", c.A2d), ("a3d", cart.a3d),
-               ("a4d", cart.a4d)]
-        ident = DiffOp.identity()
+    lows, ups, ident = _ladder_set(omega, reduced)
     out = []
     for i, (ln, lo) in enumerate(lows):
         for j, (un, up) in enumerate(ups):
@@ -393,15 +398,11 @@ def verify_canonical_commutators(plan: SamplePlan = None, omega=None,
                                  tol: float = 1e-10) -> IdentityReport:
     """Worst-case report over the full 28-commutator battery."""
     plan = plan or SamplePlan(seed=31, count=24)
-    worst = None
-    failures = []
-    for label, res, refs in commutator_residuals(omega, reduced):
-        rep = check_op_zero(res, plan, reference_ops=refs, tol=tol,
-                            testfns=testfns, name=f"commutator {label}")
-        if worst is None or rep.relative > worst.relative:
-            worst = rep
-        if not rep.passed:
-            failures.append(label)
+    reports = {label: check_op_zero(res, plan, reference_ops=refs, tol=tol,
+                                    testfns=testfns, name=f"commutator {label}")
+               for label, res, refs in commutator_residuals(omega, reduced)}
+    worst = max(reports.values(), key=lambda r: r.relative)
+    failures = [label for label, rep in reports.items() if not rep.passed]
     kind = "reduced" if reduced else "phi-full"
     return IdentityReport(
         f"canonical commutators ({kind})", worst.max_abs, worst.scale, tol,
@@ -530,30 +531,24 @@ def angular_prefactor_deviation(omega=None) -> IdentityReport:
             "d_psi^2", "2 cot(psi) d_psi", "m^2/(sin^2 psi sin^2 theta)"]})
 
 
+def _factorization(omega, reduced: bool, zero_pt: int) -> tuple:
+    """w (A1d A1 + A2d A2 + a3d a3 + a4d a4 + zero_pt), normalized, and the
+    Hamiltonian it must equal."""
+    lows, ups, ident = _ladder_set(omega, reduced)
+    number = sum((up @ lo for (_, lo), (_, up) in zip(lows, ups)), DiffOp.zero())
+    w = _P(_as_omega(omega), ident.param)
+    fact = (w @ (number + Fraction(zero_pt) * ident)).normalized()
+    return fact, build_Hm(omega) if reduced else build_H4(omega)
+
+
 def verify_factorization(plan: SamplePlan = None, omega=None,
                          reduced: bool = True, drop_constant: bool = False,
                          testfns=None, tol: float = 1e-10) -> IdentityReport:
     """H equals w (A1d A1 + A2d A2 + a3d a3 + a4d a4 + 2), uniformly in m
     when reduced.  drop_constant removes the +2 (negative control)."""
     plan = plan or SamplePlan(seed=37, count=32)
-    w = _as_omega(omega)
-    zero_pt = 0 if drop_constant else 2
-    if reduced:
-        s = build_oscillators(omega)
-        ident = DiffOp.identity("m")
-        ham = build_Hm(omega)
-        which = "reduced"
-        number = (s.A1d @ s.A1) + (s.A2d @ s.A2) + (s.a3d @ s.a3) + (s.a4d @ s.a4)
-    else:
-        c = build_combos(omega)
-        cart = cartesian_ladders(omega)
-        ident = DiffOp.identity()
-        ham = build_H4(omega)
-        which = "phi-full"
-        number = ((c.A1d @ c.A1) + (c.A2d @ c.A2) + (cart.a3d @ cart.a3)
-                  + (cart.a4d @ cart.a4))
-    fact = (_P(w, number.param) @ (number + Fraction(zero_pt) * ident)).normalized()
-    name = f"ladder factorization ({which})"
+    fact, ham = _factorization(omega, reduced, 0 if drop_constant else 2)
+    name = f"ladder factorization ({'reduced' if reduced else 'phi-full'})"
     if drop_constant:
         name += " [zero-point dropped]"
     return op_equal(fact, ham, plan, testfns=testfns, tol=tol, name=name)
@@ -561,18 +556,8 @@ def verify_factorization(plan: SamplePlan = None, omega=None,
 
 def factorization_matches(omega=None, reduced: bool = True) -> bool:
     """Structural form of the factorization identity."""
-    w = _as_omega(omega)
-    if reduced:
-        s = build_oscillators(omega)
-        number = (s.A1d @ s.A1) + (s.A2d @ s.A2) + (s.a3d @ s.a3) + (s.a4d @ s.a4)
-        fact = _P(w, "m") @ (number + 2 * DiffOp.identity("m"))
-        return fact.normalized().same_operator(build_Hm(omega))
-    c = build_combos(omega)
-    cart = cartesian_ladders(omega)
-    number = ((c.A1d @ c.A1) + (c.A2d @ c.A2) + (cart.a3d @ cart.a3)
-              + (cart.a4d @ cart.a4))
-    fact = _P(w) @ (number + 2 * DiffOp.identity())
-    return fact.normalized().same_operator(build_H4(omega))
+    fact, ham = _factorization(omega, reduced, 2)
+    return fact.same_operator(ham)
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +589,11 @@ def verify_intertwining(plan: SamplePlan = None, omega=None,
                         tol: float = 1e-10) -> IdentityReport:
     """Single report over the four intertwining relations (worst case)."""
     plan = plan or SamplePlan(seed=41, count=32)
-    worst, rels = None, {}
-    for name, res, refs in intertwining_residuals(omega, oscillators):
-        rep = check_op_zero(res, plan, reference_ops=refs, tol=tol,
-                            testfns=testfns, name=f"intertwining {name}")
-        rels[name] = rep.relative
-        if worst is None or rep.relative > worst.relative:
-            worst = rep
+    reports = {name: check_op_zero(res, plan, reference_ops=refs, tol=tol,
+                                   testfns=testfns, name=f"intertwining {name}")
+               for name, res, refs in intertwining_residuals(omega, oscillators)}
+    rels = {name: rep.relative for name, rep in reports.items()}
+    worst = max(reports.values(), key=lambda r: r.relative)
     return IdentityReport("intertwining relations", worst.max_abs, worst.scale,
                           tol, worst=worst.worst,
                           data={"relations": rels, "worst": worst.name})
@@ -831,11 +814,6 @@ _ACTIONS = {
     "a4d": (0, 0, 0, +1, lambda qn: qn.n4 + 1),
     "a4": (0, 0, 0, -1, lambda qn: qn.n4),
 }
-
-
-def ladder_coefficient(kind: str, qn: QNum3D) -> float:
-    """Positive square-root coefficient of one ladder step (0 at an edge)."""
-    return math.sqrt(_ACTIONS[kind][4](qn))
 
 
 def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,

@@ -40,9 +40,6 @@ class GaussRat:
     def is_one(self) -> bool:
         return self.re == 1 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
         o = GaussRat.of(other)
@@ -92,9 +89,6 @@ class GaussRat:
             k >>= 1
         return out
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
-
     # -- comparisons / hashing -------------------------------------------
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -140,4 +134,3 @@ class GaussRat:
 ZERO = GaussRat(0)
 ONE = GaussRat(1)
 I = GaussRat(0, 1)
-HALF = GaussRat(Fraction(1, 2))

@@ -25,7 +25,6 @@ from .symx import (
     Expr,
     IMAG,
     Mul,
-    ONE,
     PHI,
     PSI,
     Pow,
@@ -50,22 +49,19 @@ _P = DiffOp.from_expr
 
 
 class GeneratorSet(NamedTuple):
-    """The six first-order generators of one variant of the algebra.
-
-    variant: 'raw'     -- angle operators involving all three angles
-             'reduced' -- phi Fourier-reduced; parameter q, shift operators
-             'primed'  -- reduced then weight-conjugated (Schrodinger gauge)
-    """
+    """The six first-order generators of one realization of the algebra:
+    the raw angle operators in all three angles, their phi Fourier reduction
+    (parameter q, shift operators), or the reduction conjugated by the
+    angular weight (Schrodinger gauge)."""
     Lp: DiffOp
     Lm: DiffOp
     L3: DiffOp
     Rp: DiffOp
     Rm: DiffOp
     R3: DiffOp
-    variant: str = "raw"
 
     def pairs(self):
-        return list(zip(("Lp", "Lm", "L3", "Rp", "Rm", "R3"), self[:6]))
+        return list(zip(self._fields, self))
 
 
 def _ladder_gen(exp_sign: int, a_im: int, c_cot: int, c_im: int) -> DiffOp:
@@ -97,7 +93,6 @@ def build_raw_generators() -> GeneratorSet:
         Rp=_ladder_gen(+1, -1, +1, +1),
         Rm=_ladder_gen(-1, +1, +1, -1),
         R3=_axis_gen(+1),
-        variant="raw",
     )
 
 
@@ -112,7 +107,7 @@ def commutator_residuals(gs: GeneratorSet) -> list:
     residual must be the zero operator; the left sector closes with +2 L3,
     the right sector with -2 R3, and the sectors commute.
     """
-    Lp, Lm, L3, Rp, Rm, R3 = gs[:6]
+    Lp, Lm, L3, Rp, Rm, R3 = gs
     out = [
         ("[Lp,Lm]=2L3", commutator(Lp, Lm) - 2 * L3, (Lp, Lm, L3)),
         ("[L3,Lp]=+Lp", commutator(L3, Lp) - Lp, (L3, Lp)),
@@ -171,7 +166,7 @@ def fourier_reduce(op: DiffOp, param: str = "q") -> DiffOp:
 
 def build_reduced_generators() -> GeneratorSet:
     gs = build_raw_generators()
-    return GeneratorSet(*(fourier_reduce(op) for op in gs[:6]), variant="reduced")
+    return GeneratorSet(*(fourier_reduce(op) for op in gs))
 
 
 def reduced_ladder_reference(which: str) -> DiffOp:
@@ -266,7 +261,6 @@ def hq_reference() -> DiffOp:
 class HqBundle(NamedTuple):
     reference: DiffOp       # transcribed closed Schrodinger-type form
     derived: DiffOp         # weight . reduced invariant . weight^(-1)
-    quadratic: DiffOp       # derived/4: normalization with l(l+1) eigenvalues
     offset: IdentityReport  # measured constant part of reference - derived
 
 
@@ -281,7 +275,6 @@ def build_Hq(plan: SamplePlan | None = None) -> HqBundle:
     plan = plan or SamplePlan(seed=11, count=120)
     reference = hq_reference()
     derived = conjugate(casimir_reduced_reference(), weight_full())
-    quad = (Fraction(1, 4) * derived).normalized()
     diff = (reference - derived).normalized()
     deriv_terms = tuple(t for t in diff.terms
                         if any(t.derivs) or t.shift != 0)
@@ -292,7 +285,7 @@ def build_Hq(plan: SamplePlan | None = None) -> HqBundle:
                               name="Hq closed-form offset")
     if deriv_terms:
         offset = offset.fail("difference contains derivative terms")
-    return HqBundle(reference, derived, quad, offset)
+    return HqBundle(reference, derived, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +296,7 @@ def build_primed_generators() -> GeneratorSet:
     """Reduced generators conjugated by the full angular weight."""
     gs = build_reduced_generators()
     w = weight_full()
-    return GeneratorSet(*(conjugate(op, w) for op in gs[:6]), variant="primed")
+    return GeneratorSet(*(conjugate(op, w) for op in gs))
 
 
 def _corr_fn(sign_im: int) -> Expr:
@@ -336,4 +329,4 @@ def primed_reference(resolved: bool = True) -> GeneratorSet:
     Rm = (reduced_ladder_reference("Rm") + corr(-1, +1, shifts["Rm"])).normalized()
     L3 = reduced_ladder_reference("L3")
     R3 = reduced_ladder_reference("R3")
-    return GeneratorSet(Lp, Lm, L3, Rp, Rm, R3, variant="primed")
+    return GeneratorSet(Lp, Lm, L3, Rp, Rm, R3)

@@ -86,7 +86,7 @@ def _worst(reports) -> IdentityReport:
 def _chk_su2_structural(cfg):
     gs = su2.build_raw_generators()
     bad = [lbl for lbl, res, _ in su2.commutator_residuals(gs)
-           if not res.normalized().is_zero()]
+           if not res.is_zero()]
     return structural(
         "su2 bracket table (structural)", not bad,
         notes="all 15 residual operators normalize to zero" if not bad
@@ -97,12 +97,9 @@ def _chk_su2_sampled(cfg):
     gs = su2.build_raw_generators()
     plan = _plan(cfg, "su2-comm")
     fns = _light_battery("q")
-    worst = None
-    for lbl, res, refs in su2.commutator_residuals(gs):
-        rep = check_op_zero(res, plan, reference_ops=refs, testfns=fns,
-                            tol=cfg.tol_operator, name=lbl)
-        if worst is None or rep.relative > worst.relative:
-            worst = rep
+    worst = _worst(check_op_zero(res, plan, reference_ops=refs, testfns=fns,
+                                 tol=cfg.tol_operator, name=lbl)
+                   for lbl, res, refs in su2.commutator_residuals(gs))
     return IdentityReport("su2 bracket table (sampled)", worst.relative, 1.0,
                           cfg.tol_operator, notes=f"worst: {worst.name}")
 
@@ -140,9 +137,7 @@ def _chk_invariant_reduction(cfg):
 
 
 def _chk_reduced_generators(cfg):
-    gs = su2.build_reduced_generators()
-    names = ("Lp", "Lm", "L3", "Rp", "Rm", "R3")
-    bad = [n for n, op in zip(names, gs[:6])
+    bad = [n for n, op in su2.build_reduced_generators().pairs()
            if not op.same_operator(su2.reduced_ladder_reference(n))]
     return structural("reduced generators closed forms", not bad,
                       notes="all six reduced generators match" if not bad
@@ -169,11 +164,9 @@ def _chk_hq(cfg):
 
 
 def _chk_primed(cfg):
-    got = su2.build_primed_generators()
+    got = su2.build_primed_generators().pairs()
     ref = su2.primed_reference(resolved=True)
-    names = ("Lp", "Lm", "L3", "Rp", "Rm", "R3")
-    bad = [n for n, a, b in zip(names, got[:6], ref[:6])
-           if not a.same_operator(b)]
+    bad = [n for (n, a), b in zip(got, ref) if not a.same_operator(b)]
     return structural("weight-conjugated generators", not bad,
                       notes="scalar corrections ride the generator's own "
                             "lattice shift" if not bad
@@ -200,17 +193,13 @@ def _chk_degeneracy(cfg):
 
 def _chk_eigen2d(cfg):
     plan = _plan(cfg, "eigen2d", count=max(4, cfg.points // 2))
-    worst = None
-    states = 0
-    for twol in range(cfg.twol_max + 1):
-        for qn in ladders2d.valid_states(twol):
-            states += 1
-            for rep in ladders2d.verify_eigen(qn, plan, tol=cfg.tol_eigen):
-                if worst is None or rep.relative > worst.relative:
-                    worst = rep
+    states = [qn for twol in range(cfg.twol_max + 1)
+              for qn in ladders2d.valid_states(twol)]
+    worst = _worst(rep for qn in states
+                   for rep in ladders2d.verify_eigen(qn, plan, tol=cfg.tol_eigen))
     return IdentityReport(
         "2-D eigen grid", worst.relative, 1.0, cfg.tol_eigen,
-        notes=f"{states} states x 4 relations; worst: {worst.name}")
+        notes=f"{len(states)} states x 4 relations; worst: {worst.name}")
 
 
 def _chk_ladders2d(cfg):
@@ -310,11 +299,8 @@ def _chk_annihilation(cfg):
 
 
 def _chk_reorder(cfg):
-    res = ladders2d.reorder_identity_residuals()
-    ok = (res["valid"].normalized().is_zero()
-          and not res["stated"].normalized().is_zero())
     return structural(
-        "pair-order exchange identity", ok,
+        "pair-order exchange identity", ladders2d.reorder_identity_holds(),
         notes="label-consistent placement vanishes identically; the "
               "as-stated index placement does not (kept as control)")
 
@@ -335,7 +321,7 @@ def _chk_osc_comm_structural(cfg):
     bad = []
     for reduced in (True, False):
         for lbl, res, _ in osc3d.commutator_residuals(reduced=reduced):
-            if not res.normalized().is_zero():
+            if not res.is_zero():
                 bad.append(("reduced" if reduced else "full") + " " + lbl)
     return structural("oscillator brackets (structural)", not bad,
                       notes="56 residuals (both algebras) normalize to zero"
@@ -394,9 +380,8 @@ def _chk_intertwining(cfg):
     rep = osc3d.verify_intertwining(_plan(cfg, "intertwine"),
                                     testfns=_light_battery("m"),
                                     tol=cfg.tol_operator)
-    structural = all(res.normalized().is_zero()
-                     for _, res, _ in osc3d.intertwining_residuals())
-    if structural:
+    vanish = all(res.is_zero() for _, res, _ in osc3d.intertwining_residuals())
+    if vanish:
         rep.notes = (rep.notes + "; " if rep.notes else "") + \
             "all four relations vanish structurally"
     else:
@@ -421,18 +406,13 @@ def _grid3d(cap: int):
 
 def _chk_eigen3d(cfg):
     plan = _plan(cfg, "eigen3d", count=max(4, cfg.points // 2))
-    worst = None
-    states = 0
-    for w in (Fraction(1), Fraction(2)):
-        for n, m, n3, n4 in _grid3d(cfg.n_max):
-            qn = osc3d.QNum3D(n, m, n3, n4, w)
-            states += 1
-            rep = osc3d.verify_eigen(qn, plan, closed=True, tol=cfg.tol_eigen)
-            if worst is None or rep.relative > worst.relative:
-                worst = rep
+    states = [osc3d.QNum3D(n, m, n3, n4, w) for w in (Fraction(1), Fraction(2))
+              for n, m, n3, n4 in _grid3d(cfg.n_max)]
+    worst = _worst(osc3d.verify_eigen(qn, plan, closed=True, tol=cfg.tol_eigen)
+                   for qn in states)
     return IdentityReport(
         "3-D eigen grid (closed form)", worst.relative, 1.0, cfg.tol_eigen,
-        notes=f"{states} states over two frequencies; worst: {worst.name}")
+        notes=f"{len(states)} states over two frequencies; worst: {worst.name}")
 
 
 def _chk_ladder_ratio3d(cfg):

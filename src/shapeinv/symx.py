@@ -792,11 +792,6 @@ def canonical_key(e: Expr) -> tuple:
     return _cf_key(_canon_cf(e))
 
 
-def equivalent(a: Expr, b: Expr) -> bool:
-    """Structural equality of canonical forms."""
-    return canonical_key(a) == canonical_key(b)
-
-
 def is_zero_expr(e: Expr) -> bool:
     return not _canon_cf(e)
 

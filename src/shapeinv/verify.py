@@ -81,10 +81,9 @@ SKIP_BUDGET = 0.20
 SCALE_FLOOR = 1e-300
 
 # default tolerances (see package docs): operator identities are tight,
-# eigen/ladder chains accumulate more roundoff, finite differences are loose
+# eigen/ladder chains accumulate more roundoff
 TOL_OPERATOR = 1e-10
 TOL_EIGEN = 1e-8
-TOL_FD = 1e-6
 
 
 class PlanDegenerate(RuntimeError):

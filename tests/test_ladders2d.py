@@ -12,8 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 from shapeinv import ladders2d as ld
 from shapeinv.ladders2d import QNum2D
-from shapeinv.opalg import apply_canonical
-from shapeinv.symx import Add, Const, Mul, canonical, is_zero_expr
+from shapeinv.opalg import DiffOp, OpTerm, apply_canonical
+from shapeinv.rationals import GaussRat
+from shapeinv.symx import (
+    Add, Const, Cos, Expr, IMAG, Mul, PSI, Sin, Sym, THETA,
+    canonical, cot, csc, is_zero_expr,
+)
 from shapeinv.verify import SamplePlan
 
 
@@ -101,10 +105,42 @@ def test_ladder_actions_whole_level(twol):
         assert rep.data["reference_label_max_deviation"] > 1e-2
 
 
+def _transcribed_ladder(a_im: int, c_cot: int, c_im: int, mm) -> DiffOp:
+    """Oracle: the one-step operators as once transcribed term by term,
+    (i/2)( sin(th) d_psi + (a_im i + cos(th) cot(ps)) d_th
+           + i mm (c_cot cot(th) + c_im i cot(ps)/sin(th)) )."""
+    ihalf = Const(GaussRat(0, Fraction(1, 2)))
+    mval = mm if isinstance(mm, Expr) else Const(mm)
+    c_psi = Mul(ihalf, Sin(THETA))
+    c_th = Mul(ihalf, Add(Const(GaussRat(0, Fraction(a_im))),
+                          Mul(Cos(THETA), cot(PSI))))
+    c_sc = Mul(ihalf, IMAG, mval,
+               Add(Mul(Const(c_cot), cot(THETA)),
+                   Mul(Const(GaussRat(0, Fraction(c_im))), cot(PSI), csc(THETA))))
+    terms = (OpTerm(c_psi, (0, 1, 0, 0)), OpTerm(c_th, (1, 0, 0, 0)),
+             OpTerm(c_sc, (0, 0, 0, 0)))
+    return DiffOp(terms).normalized()
+
+
+def test_one_step_operators_are_the_transcribed_ones():
+    signs = {ld.Lminus_of: (-1, -1, -1), ld.Rminus_of: (+1, +1, -1),
+             ld.Lplus_of: (+1, -1, +1), ld.Rplus_of: (-1, +1, +1)}
+    s = Sym("s")
+    for mm in [*range(-9, 10), s, Add(s, Const(-1))]:
+        for op_of, (a_im, c_cot, c_im) in signs.items():
+            got = op_of(mm)
+            want = _transcribed_ladder(a_im, c_cot, c_im, mm)
+            assert got.param == want.param is None
+            # Expr equality is equality of the whole tree
+            assert [(t.derivs, t.shift, t.coeff) for t in got.terms] == \
+                [(t.derivs, t.shift, t.coeff) for t in want.terms], (op_of, mm)
+
+
 def test_reorder_identity_true_and_stated_forms():
     res = ld.reorder_identity_residuals()
     assert res["valid"].normalized().is_zero()
     assert not res["stated"].normalized().is_zero()
+    assert ld.reorder_identity_holds()
 
 
 def test_pair_scalar_measured_equals_closed():

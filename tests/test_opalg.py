@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shapeinv import ladders2d, osc3d, su2
 from shapeinv.opalg import (
     DiffOp, OpError, OpTerm, apply_canonical, commutator, fourier_reduce,
 )
@@ -18,6 +19,7 @@ from shapeinv.symx import (
     IMAG, ONE, PHI, PSI, R, THETA,
     canonical_key, diff, is_zero_expr, render,
 )
+from shapeinv.verify import SamplePlan
 
 F = Mul(Sin(THETA), Cos(PSI))
 G = Add(Pow(R, Fraction(2)), Mul(Sin(PSI), Cos(THETA)))
@@ -218,3 +220,102 @@ def test_jacobi_identity(a, b, c):
 def test_apply_canonical_matches_apply(op):
     f = Mul(Sin(THETA), Cos(PSI), R)
     assert canonical_key(apply_canonical(op, f)) == canonical_key(op.apply(f))
+
+
+# ---------------------------------------------------------------------------
+# Structural decisions against the round-trip oracle
+# ---------------------------------------------------------------------------
+
+def _round_trip_key(op):
+    """Oracle: canonicalize each coefficient, rebuild it as a tree, and
+    canonicalize the tree again for the key."""
+    return tuple((t.derivs, t.shift, canonical_key(t.coeff))
+                 for t in op.normalized().terms)
+
+
+def _assert_routes_agree(op, label=""):
+    key = _round_trip_key(op)
+    assert op.structure_key() == key, label
+    assert op.is_zero() == (not key), label
+
+
+def _structural_pairs():
+    """Every operator pair the suite and `osc3d.transcription_reports` decide
+    structurally, with a name for failure messages."""
+    raw = su2.build_raw_generators()
+    red = su2.build_reduced_generators()
+    yield "invariant routes", su2.quadratic(raw), su2.quadratic_right(raw)
+    yield "invariant closed", su2.casimir(raw), su2.casimir_reference()
+    yield ("invariant reduced", su2.fourier_reduce(su2.casimir(raw)),
+           su2.casimir_reduced_reference())
+    for name, op in red.pairs():
+        yield f"reduced {name}", op, su2.reduced_ladder_reference(name)
+    yield ("weight similarity",
+           su2.conjugate(su2.casimir_reduced_reference(), su2.weight_psi()),
+           su2.weighted_reduced_reference())
+    hq = su2.build_Hq(SamplePlan(seed=11, count=60))
+    yield "Hq", hq.reference, hq.derived
+    for (name, a), b in zip(su2.build_primed_generators().pairs(),
+                            su2.primed_reference(resolved=True)):
+        yield f"primed {name}", a, b
+
+    cart = osc3d.cartesian_ladders()
+    comb = osc3d.build_combos()
+    s = osc3d.build_oscillators()
+    yield "cartesian a1", cart.a1, osc3d.cartesian_a1_printed()
+    for name in ("A1", "A1d", "A2", "A2d"):
+        yield (f"full {name} printed", getattr(comb, name),
+               osc3d.combo_reference(name, printed=True))
+        yield (f"reduced {name} printed", getattr(s, name),
+               osc3d.reduced_reference(name, printed=True))
+        yield (f"reduced {name}", getattr(s, name),
+               osc3d.reduced_reference(name))
+    yield ("printed A1d and A2", osc3d.combo_reference("A1d", printed=True),
+           osc3d.combo_reference("A2", printed=True))
+    yield "H4", osc3d.build_H4(), osc3d.h4_reference()
+    yield ("angular block", osc3d._angular_block(),
+           -1 * su2.casimir_reference())
+    yield "Hm", osc3d.build_Hm(), osc3d.hm_reference()
+    yield ("radial similarity",
+           su2.conjugate(osc3d.build_Hm(), Pow(R, Fraction(1, 2))),
+           osc3d.hm_tilde_reference())
+    printed_red = fourier_reduce(osc3d.h4_reference(printed=True), "m")
+    scale = Mul(Const(Fraction(-1, 2)),
+                Add(Pow(R, Fraction(-1)), Mul(Const(-1), Pow(R, Fraction(-2)))))
+    yield ("angular prefactor",
+           (printed_red - osc3d.hm_reference()).normalized(),
+           DiffOp.from_expr(scale, "m") @ osc3d._angular_block(reduced=True))
+    for reduced in (True, False):
+        fact, ham = osc3d._factorization(None, reduced, 2)
+        yield f"factorization reduced={reduced}", fact, ham
+
+
+def _residuals():
+    for gs in (su2.build_raw_generators(), su2.build_reduced_generators()):
+        yield from su2.commutator_residuals(gs)
+    for reduced in (True, False):
+        yield from osc3d.commutator_residuals(reduced=reduced)
+    yield from osc3d.intertwining_residuals()
+    res = ladders2d.reorder_identity_residuals()
+    yield "reorder valid", res["valid"], ()
+    yield "reorder stated", res["stated"], ()
+
+
+def test_structural_decisions_match_round_trip_on_residuals():
+    for label, res, _ in _residuals():
+        _assert_routes_agree(res, label)
+
+
+def test_structural_decisions_match_round_trip_on_pairs():
+    for label, a, b in _structural_pairs():
+        diff = a - b
+        for op in (a, b, diff):
+            _assert_routes_agree(op, label)
+        assert a.same_operator(b) == (_round_trip_key(a) == _round_trip_key(b)), label
+
+
+@settings(max_examples=40, deadline=None)
+@given(_ops(), _ops())
+def test_structural_decisions_match_round_trip_on_random_ops(a, b):
+    for op in (a, a @ b, commutator(a, b), a - a):
+        _assert_routes_agree(op)

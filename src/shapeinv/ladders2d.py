@@ -48,7 +48,13 @@ from .symx import (
 )
 from .opalg import DiffOp, apply_canonical
 from . import su2
-from .verify import IdentityReport, SamplePlan, check_proportional, check_zero
+from .verify import (
+    IdentityReport,
+    SamplePlan,
+    check_eigen,
+    check_proportional,
+    check_zero,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +258,6 @@ _STEP_TARGET = {
     "L+": lambda q, m: (q + 1, m + 1),
     "L-": lambda q, m: (q - 1, m - 1),
 }
-_STEP_OP = {"R+": Rplus_of, "R-": Rminus_of, "L+": Lplus_of, "L-": Lminus_of}
 
 
 @lru_cache(maxsize=None)
@@ -281,6 +286,8 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
     zero function together with a zero coefficient.  The deviation of the
     reference (as-stated) A-label assignment is recorded in the data.
     """
+    # built per call, so a constructor rebound on the module is the one used
+    step_ops = {"R+": Rplus_of, "R-": Rminus_of, "L+": Lplus_of, "L-": Lminus_of}
     worst = 0.0
     worst_at = None
     ref_label_dev = 0.0
@@ -288,7 +295,7 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
     annihilated = 0
     for qn in valid_states(twol):
         src = chi_reduced(qn)
-        for kind, op_of in _STEP_OP.items():
+        for kind, op_of in step_ops.items():
             tq, tm = _STEP_TARGET[kind](qn.q, qn.m)
             coeff = _MEASURED_STEP[kind](qn.twol, qn.q, qn.m)
             applied = op_of(qn.q).apply(src)
@@ -488,24 +495,17 @@ def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
 def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float = 1e-8) -> list:
     """Eigen-equation reports for one state: quadratic invariant on chi,
     Schrodinger form on the weighted chi, and the two axis generators."""
-    lam = Const(qn.eigenvalue())
+    lam = qn.eigenvalue()
     chi = chi_reduced(qn)
     quad = Fraction(1, 4) * su2.casimir_reduced_reference().subs_param(qn.q)
-    res = Add(quad.apply(chi), Mul(Const(-1), lam, chi))
-    ref = Mul(lam, chi) if qn.twol else chi
-    out = [check_zero(res, plan, reference=[ref], tol=tol,
-                      name=f"quadratic eigenvalue {qn}")]
     hq = Fraction(1, 4) * su2.hq_reference().subs_param(qn.q)
-    ct = chi_tilde(qn)
-    res_t = Add(hq.apply(ct), Mul(Const(-1), lam, ct))
-    ref_t = Mul(lam, ct) if qn.twol else ct
-    out.append(check_zero(res_t, plan, reference=[ref_t], tol=tol,
-                          name=f"weighted-form eigenvalue {qn}"))
+    out = [check_eigen(quad, chi, lam, plan, tol, f"quadratic eigenvalue {qn}"),
+           check_eigen(hq, chi_tilde(qn), lam, plan, tol,
+                       f"weighted-form eigenvalue {qn}")]
     for name, op_of, val in (("left-axis", L3_of, Fraction(qn.m + qn.q, 2)),
                              ("right-axis", R3_of, Fraction(qn.m - qn.q, 2))):
-        res_a = Add(op_of(qn.q).apply(chi), Mul(Const(-val), chi))
-        out.append(check_zero(res_a, plan, reference=[chi], tol=tol,
-                              name=f"{name} weight {qn}"))
+        out.append(check_eigen(op_of(qn.q), chi, val, plan, tol,
+                               f"{name} weight {qn}", reference=chi))
     return out
 
 

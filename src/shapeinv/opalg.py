@@ -113,8 +113,8 @@ class DiffOp:
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def zero(param=None) -> "DiffOp":
-        return DiffOp((), param)
+    def zero() -> "DiffOp":
+        return DiffOp(())
 
     @staticmethod
     def identity(param=None) -> "DiffOp":

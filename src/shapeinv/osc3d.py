@@ -67,11 +67,13 @@ from .verify import (
     IdentityReport,
     PlanDegenerate,
     SamplePlan,
+    check_eigen,
     check_op_zero,
     check_proportional,
     check_zero,
     op_equal,
     structural,
+    worst_of,
 )
 
 OMEGA = Sym("omega")
@@ -197,14 +199,12 @@ def cartesian_ladders(omega=None) -> CartesianSet:
     return CartesianSet(a1, a1d, a2, a2d, a3, a3d, a4, a4d)
 
 
-def cartesian_a1_printed(omega=None, dagger=False) -> DiffOp:
+def cartesian_a1_printed() -> DiffOp:
     """Verbatim transcription of the first cartesian ladder operator: its
     psi-derivative slot carries cos(phi) where the derived gradient has
     sin(phi) (the other three slots agree)."""
-    w = _as_omega(omega)
-    pref = _sqrt_w_half(w)
-    gsign = Fraction(-1 if dagger else 1)
-    gs = Mul(Const(gsign), pref, Pow(w, Fraction(-1)))
+    pref = _sqrt_w_half(OMEGA)
+    gs = Mul(pref, Pow(OMEGA, Fraction(-1)))
     rinv = Pow(R, Fraction(-1))
     sp, cp, st, ct = Sin(PSI), Cos(PSI), Sin(THETA), Cos(THETA)
     sf, cf = Sin(PHI), Cos(PHI)
@@ -310,15 +310,14 @@ def combo_reference(name: str, omega=None, printed: bool = False) -> DiffOp:
     return DiffOp(tuple(terms)).normalized()
 
 
-def reduced_reference(name: str, omega=None, printed: bool = False) -> DiffOp:
+def reduced_reference(name: str, printed: bool = False) -> DiffOp:
     """Closed transcription of one reduced combo as a shift operator.
 
     The printed concrete operators carry the incoming label m; on the
     lattice that is the parameter minus the shift, so the scalar slot reads
     -ph*(m_param - eps)/(w r sin(psi)sin(theta)) times the group sign."""
-    w = _as_omega(omega)
     eps, slots, phi_slot = _combo_parts(
-        name, w, _COMBO_PRINTED_REDUCED if printed else _COMBO_DERIVED)
+        name, OMEGA, _COMBO_PRINTED_REDUCED if printed else _COMBO_DERIVED)
     lat = Add(Sym("m"), Const(-eps))
     terms = [OpTerm(c, d, eps) for d, c in slots.items()]
     terms.append(OpTerm(Mul(phi_slot, IMAG, lat), _NOD, eps))
@@ -393,21 +392,16 @@ def commutator_residuals(omega=None, reduced: bool = True) -> list:
     return out
 
 
-def verify_canonical_commutators(plan: SamplePlan = None, omega=None,
-                                 reduced: bool = True, testfns=None,
+def verify_canonical_commutators(plan: SamplePlan = None, testfns=None,
                                  tol: float = 1e-10) -> IdentityReport:
-    """Worst-case report over the full 28-commutator battery."""
+    """Worst-case report over the 28 commutators of the reduced algebra."""
     plan = plan or SamplePlan(seed=31, count=24)
     reports = {label: check_op_zero(res, plan, reference_ops=refs, tol=tol,
                                     testfns=testfns, name=f"commutator {label}")
-               for label, res, refs in commutator_residuals(omega, reduced)}
-    worst = max(reports.values(), key=lambda r: r.relative)
+               for label, res, refs in commutator_residuals()}
     failures = [label for label, rep in reports.items() if not rep.passed]
-    kind = "reduced" if reduced else "phi-full"
-    return IdentityReport(
-        f"canonical commutators ({kind})", worst.max_abs, worst.scale, tol,
-        worst=worst.worst, notes="; ".join(failures) if failures else "",
-        data={"pairs": 28, "worst_pair": worst.name})
+    return worst_of("canonical commutators (reduced)", reports.values(), tol,
+                    notes="; ".join(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -460,16 +454,15 @@ def _radial_block(power: int, param=None) -> DiffOp:
             @ _P(Pow(R, power), param) @ DiffOp.partial("r", param=param)).normalized()
 
 
-def h4_reference(omega=None, printed: bool = False) -> DiffOp:
+def h4_reference(printed: bool = False) -> DiffOp:
     """Closed transcription of the full Hamiltonian.
 
     printed=True keeps the angular block's 1/r prefactor as transcribed;
     the corrected form (matching the cartesian Laplacian) carries 1/r^2."""
-    w = _as_omega(omega)
     rpow = Pow(R, Fraction(-1 if printed else -2))
     op = (Fraction(-1, 2) * _radial_block(3)
           + Fraction(-1, 2) * (_P(rpow) @ _angular_block())
-          + _P(Mul(Const(_HALF), Pow(w, 2), Pow(R, 2))))
+          + _P(Mul(Const(_HALF), Pow(OMEGA, 2), Pow(R, 2))))
     return op.normalized()
 
 
@@ -491,44 +484,40 @@ def hm_reference(omega=None) -> DiffOp:
     return op.normalized()
 
 
-def hm_tilde_reference(omega=None) -> DiffOp:
+def hm_tilde_reference() -> DiffOp:
     """Closed transcription of the half-power-weighted reduced Hamiltonian,
     including the +3/(8 r^2) residue of the radial similarity."""
-    w = _as_omega(omega)
     op = (Fraction(-1, 2) * _radial_block(2, "m")
           + Fraction(-1, 2) * (_P(Pow(R, Fraction(-2)), "m")
                                @ _angular_block(reduced=True))
-          + _P(Add(Mul(Const(_HALF), Pow(w, 2), Pow(R, 2)),
+          + _P(Add(Mul(Const(_HALF), Pow(OMEGA, 2), Pow(R, 2)),
                    Mul(Const(Fraction(3, 8)), Pow(R, Fraction(-2)))), "m"))
     return op.normalized()
 
 
-def radial_similarity_matches(omega=None) -> bool:
+def radial_similarity_matches() -> bool:
     """r^(1/2) Hm r^(-1/2) equals the weighted transcription exactly."""
-    conj = su2.conjugate(build_Hm(omega), Pow(R, Fraction(1, 2)))
-    return conj.same_operator(hm_tilde_reference(omega))
+    conj = su2.conjugate(build_Hm(), Pow(R, Fraction(1, 2)))
+    return conj.same_operator(hm_tilde_reference())
 
 
-def angular_prefactor_deviation(omega=None) -> IdentityReport:
+def angular_prefactor_deviation() -> IdentityReport:
     """Reduce the as-printed full Hamiltonian and diff it against the
     reduced transcription: the difference must be exactly the angular block
     scaled by -(1/r - 1/r^2)/2, i.e. the deviation is confined to the
     angular prefactor."""
-    printed_red = fourier_reduce(h4_reference(omega, printed=True), "m")
-    diff = (printed_red - hm_reference(omega)).normalized()
+    printed_red = fourier_reduce(h4_reference(printed=True), "m")
+    diff = printed_red - hm_reference()
     scale = Mul(Const(Fraction(-1, 2)),
                 Add(Pow(R, Fraction(-1)), Mul(Const(-1), Pow(R, Fraction(-2)))))
-    expected = (_P(scale, "m") @ _angular_block(reduced=True)).normalized()
+    expected = _P(scale, "m") @ _angular_block(reduced=True)
     ok = diff.same_operator(expected) and not diff.is_zero()
-    return IdentityReport(
-        "angular prefactor deviation", 0.0 if ok else 1.0, 1.0, 1e-12,
+    return structural(
+        "angular prefactor deviation", ok,
         notes="the transcribed full Hamiltonian carries 1/r on the angular "
               "block where the cartesian Laplacian requires 1/r^2; the "
               "residual is confined to the angular derivatives and the "
-              "centrifugal scalar",
-        data={"offending_terms": [
-            "(1/sin^2 psi) d_theta^2", "cot(theta)/sin^2 psi d_theta",
-            "d_psi^2", "2 cot(psi) d_psi", "m^2/(sin^2 psi sin^2 theta)"]})
+              "centrifugal scalar")
 
 
 def _factorization(omega, reduced: bool, zero_pt: int) -> tuple:
@@ -541,22 +530,21 @@ def _factorization(omega, reduced: bool, zero_pt: int) -> tuple:
     return fact, build_Hm(omega) if reduced else build_H4(omega)
 
 
-def verify_factorization(plan: SamplePlan = None, omega=None,
-                         reduced: bool = True, drop_constant: bool = False,
+def verify_factorization(plan: SamplePlan = None, drop_constant: bool = False,
                          testfns=None, tol: float = 1e-10) -> IdentityReport:
-    """H equals w (A1d A1 + A2d A2 + a3d a3 + a4d a4 + 2), uniformly in m
-    when reduced.  drop_constant removes the +2 (negative control)."""
+    """H equals w (A1d A1 + A2d A2 + a3d a3 + a4d a4 + 2) on the m-lattice,
+    uniformly in m.  drop_constant removes the +2 (negative control)."""
     plan = plan or SamplePlan(seed=37, count=32)
-    fact, ham = _factorization(omega, reduced, 0 if drop_constant else 2)
-    name = f"ladder factorization ({'reduced' if reduced else 'phi-full'})"
+    fact, ham = _factorization(None, True, 0 if drop_constant else 2)
+    name = "ladder factorization (reduced)"
     if drop_constant:
         name += " [zero-point dropped]"
     return op_equal(fact, ham, plan, testfns=testfns, tol=tol, name=name)
 
 
-def factorization_matches(omega=None, reduced: bool = True) -> bool:
+def factorization_matches(reduced: bool = True) -> bool:
     """Structural form of the factorization identity."""
-    fact, ham = _factorization(omega, reduced, 2)
+    fact, ham = _factorization(None, reduced, 2)
     return fact.same_operator(ham)
 
 
@@ -567,61 +555,53 @@ def factorization_matches(omega=None, reduced: bool = True) -> bool:
 _INTERTWINE_SIGNS = (("A1d", +1), ("A2d", +1), ("A1", -1), ("A2", -1))
 
 
-def intertwining_residuals(omega=None, oscillators: OscillatorSet = None) -> list:
+def intertwining_residuals(oscillators: OscillatorSet = None) -> list:
     """[H, X] -+ w X for the four ladder operators, uniformly in m.
 
     Raising combos intertwine with +w, lowering with -w.  The shift
     bookkeeping realizes the per-argument form: composing H after a shift-k
     operator evaluates H at the shifted label automatically."""
-    ham = build_Hm(omega)
-    w = _as_omega(omega)
-    s = oscillators if oscillators is not None else build_oscillators(omega)
+    ham = build_Hm()
+    s = oscillators if oscillators is not None else build_oscillators()
     out = []
     for name, sign in _INTERTWINE_SIGNS:
         x = getattr(s, name)
-        res = commutator(ham, x) - (Fraction(sign) * (_P(w, "m") @ x))
+        res = commutator(ham, x) - (Fraction(sign) * (_P(OMEGA, "m") @ x))
         out.append((name, res, (ham, x)))
     return out
 
 
-def verify_intertwining(plan: SamplePlan = None, omega=None,
-                        oscillators: OscillatorSet = None, testfns=None,
+def verify_intertwining(plan: SamplePlan = None, testfns=None,
                         tol: float = 1e-10) -> IdentityReport:
     """Single report over the four intertwining relations (worst case)."""
     plan = plan or SamplePlan(seed=41, count=32)
-    reports = {name: check_op_zero(res, plan, reference_ops=refs, tol=tol,
-                                   testfns=testfns, name=f"intertwining {name}")
-               for name, res, refs in intertwining_residuals(omega, oscillators)}
-    rels = {name: rep.relative for name, rep in reports.items()}
-    worst = max(reports.values(), key=lambda r: r.relative)
-    return IdentityReport("intertwining relations", worst.max_abs, worst.scale,
-                          tol, worst=worst.worst,
-                          data={"relations": rels, "worst": worst.name})
+    return worst_of("intertwining relations", [
+        check_op_zero(res, plan, reference_ops=refs, tol=tol, testfns=testfns,
+                      name=f"intertwining {name}")
+        for name, res, refs in intertwining_residuals()], tol)
 
 
-def intertwining_fault_pattern(plan: SamplePlan = None, omega=None,
-                               testfns=None, tol: float = 1e-10) -> list:
+def intertwining_fault_pattern(plan: SamplePlan = None, testfns=None,
+                               tol: float = 1e-10) -> list:
     """Pass pattern of the four relations when the first cartesian lowering
     operator has its gradient sign flipped (its adjoint left intact).
 
     The fault corrupts both reduced lowering combos but neither raising
     one, so exactly the two lowering relations must break."""
     plan = plan or SamplePlan(seed=41, count=32)
-    w = _as_omega(omega)
-    pref = _sqrt_w_half(w)
-    grad_scale = Mul(pref, Pow(w, Fraction(-1)))
+    pref = _sqrt_w_half(OMEGA)
+    grad_scale = Mul(pref, Pow(OMEGA, Fraction(-1)))
     x1 = cartesian_coords()[0]
     d1 = cartesian_gradients()[0]
     a1_bad = (_P(Mul(pref, x1)) - (_P(grad_scale) @ d1)).normalized()
-    cart = cartesian_ladders(omega)
+    cart = cartesian_ladders()
     s = _P(_INV_SQRT2)
     i_ = _P(IMAG)
     A1_bad = fourier_reduce((s @ (a1_bad + (i_ @ cart.a2))).normalized(), "m")
     A2_bad = fourier_reduce((s @ (a1_bad - (i_ @ cart.a2))).normalized(), "m")
-    good = build_oscillators(omega)
-    faulty = good._replace(A1=A1_bad, A2=A2_bad)
+    faulty = build_oscillators()._replace(A1=A1_bad, A2=A2_bad)
     out = []
-    for name, res, refs in intertwining_residuals(omega, faulty):
+    for name, res, refs in intertwining_residuals(faulty):
         rep = check_op_zero(res, plan, reference_ops=refs, tol=tol,
                             testfns=testfns, name=f"faulted intertwining {name}")
         out.append(rep.passed)
@@ -816,27 +796,34 @@ _ACTIONS = {
 }
 
 
+def _coefficient_report(moved: Expr, target: Expr, coeff: float,
+                        plan: SamplePlan, tol: float, name: str) -> IdentityReport:
+    """moved must be coeff times target: the ratio's dispersion and its
+    relative deviation from coeff, whichever is worse."""
+    rep = check_proportional(moved, target, plan, tol=tol, name=name)
+    dev = abs(rep.data["ratio"] - coeff) / coeff
+    return IdentityReport(name, max(rep.relative, dev), 1.0, tol, data=rep.data)
+
+
 def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,
-                          omega=1, tol: float = 1e-8,
+                          tol: float = 1e-8,
                           radial_states=((0, 0), (1, 0), (0, 1))) -> IdentityReport:
-    """One aggregated report over every single-step action on the grid.
+    """One aggregated report over every single-step action on the grid (at
+    unit frequency).
 
     Valid moves must land on the target state with the square-root
     occupation coefficient; edge moves must annihilate.  Any nonzero
     coefficient attached to an invalid target is reported as an error."""
     plan = plan or SamplePlan(seed=47, count=24)
-    s = build_oscillators(omega)
-    w = Fraction(omega)
-    worst_rel, worst_name, checked, edges = 0.0, "", 0, 0
-    notes = []
+    s = build_oscillators(1)
+    reports, edges = [], 0
     for n in range(n_max + 1):
         for m in range(-n, n + 1, 2):
             for n3, n4 in radial_states:
-                qn = QNum3D(n, m, n3, n4, w)
+                qn = QNum3D(n, m, n3, n4)
                 src = state_normalized(qn)
                 for kind, (dn, dm, d3, d4, sq) in _ACTIONS.items():
-                    op = getattr(s, kind).at_incoming(m)
-                    moved = apply_canonical(op, src)
+                    moved = apply_canonical(getattr(s, kind).at_incoming(m), src)
                     coeff_sq = sq(qn)
                     tn, tm = n + dn, m + dm
                     valid = (tn >= abs(tm) and tn >= 0
@@ -847,29 +834,18 @@ def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,
                                 "ladder actions", 1.0, 1.0, tol,
                                 notes=f"zero target with nonzero coefficient "
                                       f"({kind} at {qn})")
-                        rep = check_zero(moved, plan, reference=[src],
-                                         tol=tol, name=f"edge {kind} {qn}")
+                        reports.append(check_zero(moved, plan, reference=[src],
+                                                  tol=tol, name=f"edge {kind} {qn}"))
                         edges += 1
                     else:
-                        tgt = state_normalized(QNum3D(tn, tm, n3 + d3,
-                                                      n4 + d4, w))
-                        rep = check_proportional(moved, tgt, plan, tol=tol,
-                                                 name=f"{kind} on {qn}")
-                        ratio = rep.data.get("ratio")
-                        expected = math.sqrt(coeff_sq)
-                        dev = abs(ratio - expected) / expected
-                        rep = IdentityReport(rep.name, max(rep.relative, dev),
-                                             1.0, tol, data=rep.data)
-                    checked += 1
-                    if rep.relative > worst_rel:
-                        worst_rel, worst_name = rep.relative, rep.name
-                    if not rep.passed:
-                        notes.append(rep.name)
-    return IdentityReport("ladder actions", worst_rel, 1.0, tol,
-                          notes="; ".join(notes),
-                          data={"steps_checked": checked,
-                                "edge_annihilations": edges,
-                                "worst": worst_name})
+                        tgt = state_normalized(QNum3D(tn, tm, n3 + d3, n4 + d4))
+                        reports.append(_coefficient_report(
+                            moved, tgt, math.sqrt(coeff_sq), plan, tol,
+                            f"{kind} on {qn}"))
+    rep = worst_of("ladder actions", reports, tol,
+                   notes="; ".join(r.name for r in reports if not r.passed))
+    rep.data.update(steps_checked=len(reports), edge_annihilations=edges)
+    return rep
 
 
 def pair_minus(omega=None) -> DiffOp:
@@ -896,23 +872,14 @@ def verify_pair_eigen(qn: QNum3D, plan: SamplePlan = None,
     plan = plan or SamplePlan(seed=53, count=24)
     w = qn.omega
     lam = pair_energy(qn.n, qn.m)
-    state = state_normalized(qn)
-    out = []
     up_down = (pair_plus(w) @ pair_minus(w)).at_incoming(qn.m)
-    res = canonical(Add(apply_canonical(up_down, state),
-                        Mul(Const(-lam), state)))
-    ref = Mul(Const(lam), state) if lam else state
-    out.append(check_zero(res, plan, reference=[ref], tol=tol,
-                          name=f"pair plus-after-minus {qn}"))
+    out = [check_eigen(up_down, state_normalized(qn), lam, plan, tol,
+                       f"pair plus-after-minus {qn}")]
     if qn.m - 2 >= -qn.n:
         low = QNum3D(qn.n, qn.m - 2, qn.n3, qn.n4, w)
-        state_low = state_normalized(low)
         down_up = (pair_minus(w) @ pair_plus(w)).at_incoming(qn.m - 2)
-        res = canonical(Add(apply_canonical(down_up, state_low),
-                            Mul(Const(-lam), state_low)))
-        ref = Mul(Const(lam), state_low) if lam else state_low
-        out.append(check_zero(res, plan, reference=[ref], tol=tol,
-                              name=f"pair minus-after-plus {qn}"))
+        out.append(check_eigen(down_up, state_normalized(low), lam, plan, tol,
+                               f"pair minus-after-plus {qn}"))
     return out
 
 
@@ -929,15 +896,10 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan = None,
     w = qn.omega
     moved = apply_canonical(pair_plus(w).at_incoming(qn.m),
                             state_normalized(qn))
-    out = {}
     coeff = 0.5 * math.sqrt((qn.n - qn.m) * (qn.n + qn.m + 2))
     up = QNum3D(qn.n, qn.m + 2, qn.n3, qn.n4, w)
-    rep = check_proportional(moved, state_normalized(up), plan, tol=tol,
-                             name=f"ascent target m+2 {qn}")
-    ratio = rep.data.get("ratio")
-    dev = abs(ratio - coeff) / coeff
-    out["corrected"] = IdentityReport(rep.name, max(rep.relative, dev), 1.0,
-                                      tol, data=rep.data)
+    out = {"corrected": _coefficient_report(moved, state_normalized(up), coeff,
+                                            plan, tol, f"ascent target m+2 {qn}")}
     if qn.m - 2 >= -qn.n:
         down = QNum3D(qn.n, qn.m - 2, qn.n3, qn.n4, w)
         try:
@@ -954,13 +916,10 @@ def verify_eigen(qn: QNum3D, plan: SamplePlan = None, closed: bool = True,
                  tol: float = 1e-8) -> IdentityReport:
     """H(m) psi = (n + n3 + n4 + 2) w psi as a sampled residual."""
     plan = plan or SamplePlan(seed=61, count=32)
-    ham = build_Hm(qn.omega).at_incoming(qn.m)
     psi = psi_closed(qn) if closed else psi_ladder(qn)
-    lam = Const(qn.energy())
-    res = canonical(Add(ham.apply(psi), Mul(Const(-1), lam, psi)))
     form = "closed" if closed else "ladder"
-    return check_zero(res, plan, reference=[Mul(lam, psi)], tol=tol,
-                      name=f"eigenvalue ({form}) {qn}")
+    return check_eigen(build_Hm(qn.omega).at_incoming(qn.m), psi, qn.energy(),
+                       plan, tol, f"eigenvalue ({form}) {qn}")
 
 
 def ladder_closed_ratio(qn: QNum3D, plan: SamplePlan = None,
@@ -980,17 +939,17 @@ def ground_annihilation(omega=1) -> bool:
                for k in ("a3", "a4", "A1", "A2"))
 
 
-def cartesian_crosscheck(plan: SamplePlan = None, omega=1,
+def cartesian_crosscheck(plan: SamplePlan = None,
                          tol: float = 1e-8) -> list:
     """Separable cartesian eigenfunctions pulled onto the chart match the
-    chart-native states.
+    chart-native states at unit frequency.
 
     Two probes: the single-quantum third-oscillator state against the
     ladder route for (n, m, n3, n4) = (0, 0, 1, 0); and the phi-full
     closed form at (n, m) = (1, -1) against (x1 - i x2) times the
     Gaussian."""
     plan = plan or SamplePlan(seed=71, count=32)
-    w = Fraction(omega)
+    w = Fraction(1)
     sqw = Pow(Const(w), Fraction(1, 2))
     x1, x2, x3, _ = cartesian_coords()
     out = []
@@ -1014,16 +973,16 @@ def _only_derivs(diff: DiffOp, allowed: set) -> bool:
     return bool(norm.terms) and all(t.derivs in allowed for t in norm.terms)
 
 
-def transcription_reports(omega=None) -> dict:
+def transcription_reports() -> dict:
     """Structural comparison of every closed transcription against the
     derived operators: exact matches must match, and each known deviation
     must be nonzero and confined to its offending slot."""
-    cart = cartesian_ladders(omega)
-    comb = build_combos(omega)
-    s = build_oscillators(omega)
+    cart = cartesian_ladders()
+    comb = build_combos()
+    s = build_oscillators()
     out = {}
 
-    diff = (cart.a1 - cartesian_a1_printed(omega)).normalized()
+    diff = cart.a1 - cartesian_a1_printed()
     out["cartesian a1 psi slot"] = structural(
         "cartesian a1 psi slot", _only_derivs(diff, {_DPS}),
         notes="the transcribed first cartesian operator carries cos(phi) in "
@@ -1032,17 +991,16 @@ def transcription_reports(omega=None) -> dict:
 
     derived = {"A1": comb.A1, "A1d": comb.A1d, "A2": comb.A2, "A2d": comb.A2d}
     for name in ("A2", "A2d"):
-        ok = derived[name].same_operator(combo_reference(name, omega,
-                                                         printed=True))
+        ok = derived[name].same_operator(combo_reference(name, printed=True))
         out[f"full {name} transcription"] = structural(
             f"full {name} transcription", ok,
             notes="printed and derived forms agree exactly")
-    diff = (comb.A1 - combo_reference("A1", omega, printed=True)).normalized()
+    diff = comb.A1 - combo_reference("A1", printed=True)
     out["full A1 psi slot"] = structural(
         "full A1 psi slot", _only_derivs(diff, {_DPS}),
         notes="the transcribed first lowering combo flips only the "
               "psi-derivative sign")
-    diff = (comb.A1d - combo_reference("A1d", omega, printed=True)).normalized()
+    diff = comb.A1d - combo_reference("A1d", printed=True)
     out["full A1d derivative group"] = structural(
         "full A1d derivative group",
         _only_derivs(diff, {_DR, _DPS, _DTH, _DPH}),
@@ -1050,34 +1008,33 @@ def transcription_reports(omega=None) -> dict:
               "whole derivative group; the multiplicative term agrees")
     out["printed A1d collapses onto A2"] = structural(
         "printed A1d collapses onto A2",
-        combo_reference("A1d", omega, printed=True).same_operator(
-            combo_reference("A2", omega, printed=True)),
+        combo_reference("A1d", printed=True).same_operator(
+            combo_reference("A2", printed=True)),
         notes="as transcribed, the first raising combo and the second "
               "lowering combo are the same operator; the corrected "
               "derivative-group sign separates them")
 
     reduced = {"A1": s.A1, "A1d": s.A1d, "A2": s.A2, "A2d": s.A2d}
     for name in ("A1d", "A2", "A2d"):
-        ok = reduced[name].same_operator(reduced_reference(name, omega,
-                                                           printed=True))
+        ok = reduced[name].same_operator(reduced_reference(name, printed=True))
         out[f"reduced {name} transcription"] = structural(
             f"reduced {name} transcription", ok,
             notes="printed and derived reduced forms agree exactly "
                   "(incoming-label scalar slot included)")
-    diff = (s.A1 - reduced_reference("A1", omega, printed=True)).normalized()
+    diff = s.A1 - reduced_reference("A1", printed=True)
     out["reduced A1 psi slot"] = structural(
         "reduced A1 psi slot", _only_derivs(diff, {_DPS}),
         notes="the reduced transcription inherits the psi-slot sign flip "
               "of the phi-full form; the incoming-label scalar is correct")
     for name in ("A1", "A1d", "A2", "A2d"):
-        ok = reduced[name].same_operator(reduced_reference(name, omega))
+        ok = reduced[name].same_operator(reduced_reference(name))
         out[f"reduced {name} corrected"] = structural(
             f"reduced {name} corrected", ok,
             notes="corrected transcription matches the derived reduction")
 
     out["full Hamiltonian"] = structural(
         "full Hamiltonian",
-        build_H4(omega).same_operator(h4_reference(omega)),
+        build_H4().same_operator(h4_reference()),
         notes="derived Laplacian route matches the corrected transcription "
               "(angular prefactor 1/r^2)")
     out["angular block is the invariant"] = structural(
@@ -1086,13 +1043,13 @@ def transcription_reports(omega=None) -> dict:
               "invariant operator")
     out["reduced Hamiltonian"] = structural(
         "reduced Hamiltonian",
-        build_Hm(omega).same_operator(hm_reference(omega)),
+        build_Hm().same_operator(hm_reference()),
         notes="the reduced transcription is correct as printed")
     out["radial similarity"] = structural(
-        "radial similarity", radial_similarity_matches(omega),
+        "radial similarity", radial_similarity_matches(),
         notes="r^(1/2)-conjugation reproduces the weighted form including "
               "the +3/(8 r^2) residue")
-    out["angular prefactor deviation"] = angular_prefactor_deviation(omega)
+    out["angular prefactor deviation"] = angular_prefactor_deviation()
 
     ok = all(c_squared(n, m) == c_squared_printed(n, m)
              for n in range(0, 9) for m in range(-n, n + 1, 2))

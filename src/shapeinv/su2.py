@@ -198,7 +198,7 @@ def reduced_ladder_reference(which: str) -> DiffOp:
     terms = (OpTerm(c_psi, (0, 1, 0, 0), shift),
              OpTerm(c_th, (1, 0, 0, 0), shift),
              OpTerm(c_ph, (0, 0, 0, 0), shift))
-    return DiffOp(terms, "q").normalized()
+    return DiffOp(terms, "q")
 
 
 def casimir_reduced_reference() -> DiffOp:
@@ -281,8 +281,7 @@ def build_Hq(plan: SamplePlan | None = None) -> HqBundle:
     scalar_terms = tuple(t for t in diff.terms
                          if not any(t.derivs) and t.shift == 0)
     scalar = Add(*(t.coeff for t in scalar_terms)) if scalar_terms else Const(0)
-    offset = measure_constant(scalar, plan, tol=1e-9,
-                              name="Hq closed-form offset")
+    offset = measure_constant(scalar, plan, name="Hq closed-form offset")
     if deriv_terms:
         offset = offset.fail("difference contains derivative terms")
     return HqBundle(reference, derived, offset)

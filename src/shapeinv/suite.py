@@ -21,16 +21,20 @@ from . import ladders2d, osc3d, su2
 from .opalg import DiffOp, OpTerm, commutator
 from .symx import Const, Mul, is_zero_expr
 from .verify import (
+    TOL_CONSTANT,
+    TOL_OPERATOR,
     DegenerateBattery,
     IdentityReport,
     PlanDegenerate,
     SamplePlan,
+    check_eigen,
     check_op_zero,
     check_proportional,
     check_zero,
     default_battery,
     op_equal,
     structural,
+    worst_of,
 )
 
 
@@ -38,27 +42,18 @@ from .verify import (
 class SuiteConfig:
     """Knobs for the registered battery.
 
-    points is the per-plan sample count; twol_max caps the 2-D grid (level
-    doubled), n_max caps n + n3 + n4 on the 3-D grid.  Setting a cap to 0
-    leaves a degenerate-but-passing trivial subset.
+    seed derives every sample plan; points is the per-plan sample count;
+    twol_max caps the 2-D grid (level doubled), n_max caps n + n3 + n4 on
+    the 3-D grid; tol_eigen is the tolerance of the eigen and ladder checks.
+    Setting a cap to 0 leaves a degenerate-but-passing trivial subset.
+    Operator identities use `verify.TOL_OPERATOR` and the measured constant
+    `verify.TOL_CONSTANT`.
     """
     seed: int = 0
     points: int = 10
     twol_max: int = 6
     n_max: int = 4
-    tol_operator: float = 1e-10
     tol_eigen: float = 1e-8
-    tol_constant: float = 1e-9
-
-
-def _as_config(config) -> SuiteConfig:
-    if config is None:
-        return SuiteConfig()
-    if isinstance(config, SuiteConfig):
-        return config
-    if isinstance(config, dict):
-        return SuiteConfig(**config)
-    raise TypeError(f"unsupported suite config: {config!r}")
 
 
 def _plan(cfg: SuiteConfig, label: str, count: int | None = None) -> SamplePlan:
@@ -73,10 +68,6 @@ def _light_battery(param: str) -> list:
     parameter-exponential -- enough to expose every slot and any shift."""
     b = default_battery(param)
     return [b[0], b[1], b[3], b[5]]
-
-
-def _worst(reports) -> IdentityReport:
-    return max(reports, key=lambda r: r.relative)
 
 
 # ---------------------------------------------------------------------------
@@ -97,11 +88,12 @@ def _chk_su2_sampled(cfg):
     gs = su2.build_raw_generators()
     plan = _plan(cfg, "su2-comm")
     fns = _light_battery("q")
-    worst = _worst(check_op_zero(res, plan, reference_ops=refs, testfns=fns,
-                                 tol=cfg.tol_operator, name=lbl)
-                   for lbl, res, refs in su2.commutator_residuals(gs))
-    return IdentityReport("su2 bracket table (sampled)", worst.relative, 1.0,
-                          cfg.tol_operator, notes=f"worst: {worst.name}")
+    rep = worst_of("su2 bracket table (sampled)",
+                   [check_op_zero(res, plan, reference_ops=refs, testfns=fns,
+                                  tol=TOL_OPERATOR, name=lbl)
+                    for lbl, res, refs in su2.commutator_residuals(gs)],
+                   TOL_OPERATOR)
+    return rep.note(f"worst: {rep.worst}")
 
 
 def _chk_invariant_routes(cfg):
@@ -120,11 +112,8 @@ def _chk_invariant_closed(cfg):
                    testfns=_light_battery("q"), tol=1e-12,
                    name="invariant closed form")
     if not built.same_operator(ref):
-        rep = rep.fail("structural mismatch against the closed form")
-    else:
-        rep.notes = (rep.notes + "; " if rep.notes else "") + \
-            "structural match is exact"
-    return rep
+        return rep.fail("structural mismatch against the closed form")
+    return rep.note("structural match is exact")
 
 
 def _chk_invariant_reduction(cfg):
@@ -156,11 +145,8 @@ def _chk_hq(cfg):
     bundle = su2.build_Hq(_plan(cfg, "hq", count=max(cfg.points, 100)))
     rep = bundle.offset
     if bundle.reference.same_operator(bundle.derived):
-        rep.notes = (rep.notes + "; " if rep.notes else "") + \
-            "closed form matches the derivation exactly (offset 0)"
-    else:
-        rep = rep.fail("closed form is not structurally identical")
-    return rep
+        return rep.note("closed form matches the derivation exactly (offset 0)")
+    return rep.fail("closed form is not structurally identical")
 
 
 def _chk_primed(cfg):
@@ -195,11 +181,11 @@ def _chk_eigen2d(cfg):
     plan = _plan(cfg, "eigen2d", count=max(4, cfg.points // 2))
     states = [qn for twol in range(cfg.twol_max + 1)
               for qn in ladders2d.valid_states(twol)]
-    worst = _worst(rep for qn in states
-                   for rep in ladders2d.verify_eigen(qn, plan, tol=cfg.tol_eigen))
-    return IdentityReport(
-        "2-D eigen grid", worst.relative, 1.0, cfg.tol_eigen,
-        notes=f"{len(states)} states x 4 relations; worst: {worst.name}")
+    rep = worst_of("2-D eigen grid",
+                   [r for qn in states
+                    for r in ladders2d.verify_eigen(qn, plan, tol=cfg.tol_eigen)],
+                   cfg.tol_eigen, notes=f"{len(states)} states x 4 relations")
+    return rep.note(f"worst: {rep.worst}")
 
 
 def _chk_ladders2d(cfg):
@@ -207,12 +193,10 @@ def _chk_ladders2d(cfg):
     cap = min(cfg.twol_max, 4)
     reports = [ladders2d.verify_ladder_actions(twol, plan, tol=cfg.tol_eigen)
                for twol in range(cap + 1)]
-    worst = _worst(reports)
     steps = sum(r.data.get("steps_checked", 0) for r in reports)
     edges = sum(r.data.get("edge_annihilations", 0) for r in reports)
-    return IdentityReport(
-        "2-D one-step ladder coefficients", worst.relative, 1.0,
-        cfg.tol_eigen,
+    return worst_of(
+        "2-D one-step ladder coefficients", reports, cfg.tol_eigen,
         notes=f"{steps} interior steps, {edges} edge annihilations, "
               f"levels <= {cap}/2; measured label assignment")
 
@@ -270,9 +254,8 @@ def _chk_reconstruction(cfg):
     for qn in states:
         reports += ladders2d.reconstruct_chain_reports(qn, plan,
                                                        tol=cfg.tol_eigen)
-    worst = _worst(reports)
-    return IdentityReport(
-        "chain reconstructions", worst.relative, 1.0, cfg.tol_eigen,
+    return worst_of(
+        "chain reconstructions", reports, cfg.tol_eigen,
         notes=f"both pair-chain routes, ratio 1, {len(states)} states")
 
 
@@ -292,10 +275,8 @@ def _chk_annihilation(cfg):
     if not reports:
         return structural("edge annihilations", True,
                           notes="no edge states at this cap")
-    worst = _worst(reports)
-    return IdentityReport("edge annihilations", worst.relative, 1.0,
-                          cfg.tol_eigen,
-                          notes=f"{len(reports)} raising edges annihilate")
+    return worst_of("edge annihilations", reports, cfg.tol_eigen,
+                    notes=f"{len(reports)} raising edges annihilate")
 
 
 def _chk_reorder(cfg):
@@ -329,10 +310,8 @@ def _chk_osc_comm_structural(cfg):
 
 
 def _chk_osc_comm_sampled(cfg):
-    rep = osc3d.verify_canonical_commutators(
-        _plan(cfg, "osc-comm"), testfns=_light_battery("m"),
-        tol=cfg.tol_operator)
-    return rep
+    return osc3d.verify_canonical_commutators(
+        _plan(cfg, "osc-comm"), testfns=_light_battery("m"), tol=TOL_OPERATOR)
 
 
 def _chk_angular_invariant(cfg):
@@ -367,26 +346,20 @@ def _chk_factorization(cfg):
           and osc3d.factorization_matches(reduced=False))
     rep = osc3d.verify_factorization(_plan(cfg, "factor"),
                                      testfns=_light_battery("m"),
-                                     tol=cfg.tol_operator)
+                                     tol=TOL_OPERATOR)
     if not ok:
-        rep = rep.fail("structural factorization mismatch")
-    else:
-        rep.notes = (rep.notes + "; " if rep.notes else "") + \
-            "structural match in both algebras, uniformly in the label"
-    return rep
+        return rep.fail("structural factorization mismatch")
+    return rep.note("structural match in both algebras, uniformly in the label")
 
 
 def _chk_intertwining(cfg):
     rep = osc3d.verify_intertwining(_plan(cfg, "intertwine"),
                                     testfns=_light_battery("m"),
-                                    tol=cfg.tol_operator)
+                                    tol=TOL_OPERATOR)
     vanish = all(res.is_zero() for _, res, _ in osc3d.intertwining_residuals())
     if vanish:
-        rep.notes = (rep.notes + "; " if rep.notes else "") + \
-            "all four relations vanish structurally"
-    else:
-        rep = rep.fail("a relation failed to vanish structurally")
-    return rep
+        return rep.note("all four relations vanish structurally")
+    return rep.fail("a relation failed to vanish structurally")
 
 
 def _chk_ground(cfg):
@@ -408,11 +381,11 @@ def _chk_eigen3d(cfg):
     plan = _plan(cfg, "eigen3d", count=max(4, cfg.points // 2))
     states = [osc3d.QNum3D(n, m, n3, n4, w) for w in (Fraction(1), Fraction(2))
               for n, m, n3, n4 in _grid3d(cfg.n_max)]
-    worst = _worst(osc3d.verify_eigen(qn, plan, closed=True, tol=cfg.tol_eigen)
-                   for qn in states)
-    return IdentityReport(
-        "3-D eigen grid (closed form)", worst.relative, 1.0, cfg.tol_eigen,
-        notes=f"{len(states)} states over two frequencies; worst: {worst.name}")
+    rep = worst_of("3-D eigen grid (closed form)",
+                   [osc3d.verify_eigen(qn, plan, closed=True, tol=cfg.tol_eigen)
+                    for qn in states],
+                   cfg.tol_eigen, notes=f"{len(states)} states over two frequencies")
+    return rep.note(f"worst: {rep.worst}")
 
 
 def _chk_ladder_ratio3d(cfg):
@@ -423,12 +396,10 @@ def _chk_ladder_ratio3d(cfg):
     if cap >= 2:
         states.append(osc3d.QNum3D(2, 0, 1, 1))
         states.append(osc3d.QNum3D(2, 2, omega=Fraction(2)))
-    reports = [osc3d.ladder_closed_ratio(qn, plan, tol=cfg.tol_eigen)
-               for qn in states]
-    worst = _worst(reports)
-    return IdentityReport(
-        "3-D ladder vs closed form", worst.relative, 1.0, cfg.tol_eigen,
-        notes=f"constant ratio on {len(states)} states")
+    return worst_of("3-D ladder vs closed form",
+                    [osc3d.ladder_closed_ratio(qn, plan, tol=cfg.tol_eigen)
+                     for qn in states],
+                    cfg.tol_eigen, notes=f"constant ratio on {len(states)} states")
 
 
 def _chk_ladder_actions3d(cfg):
@@ -447,9 +418,8 @@ def _chk_pair3d(cfg):
     reports = []
     for qn in (osc3d.QNum3D(2, 0), osc3d.QNum3D(3, 1), osc3d.QNum3D(2, -2)):
         reports += osc3d.verify_pair_eigen(qn, plan, tol=cfg.tol_eigen)
-    worst = _worst(reports)
-    return IdentityReport(
-        "3-D pair-ladder scalars", worst.relative, 1.0, cfg.tol_eigen,
+    return worst_of(
+        "3-D pair-ladder scalars", reports, cfg.tol_eigen,
         notes=f"{len(reports)} product relations carry (n+m)(n-m+2)/4")
 
 
@@ -473,11 +443,10 @@ def _chk_spectrum(cfg):
 
 
 def _chk_cartesian_crosscheck(cfg):
-    reports = osc3d.cartesian_crosscheck(_plan(cfg, "cartesian"),
-                                         tol=cfg.tol_eigen)
-    worst = _worst(reports)
-    return IdentityReport(
-        "cartesian crosschecks", worst.relative, 1.0, cfg.tol_eigen,
+    return worst_of(
+        "cartesian crosschecks",
+        osc3d.cartesian_crosscheck(_plan(cfg, "cartesian"), tol=cfg.tol_eigen),
+        cfg.tol_eigen,
         notes="chart-native states match separable cartesian products")
 
 
@@ -497,7 +466,7 @@ def _flt_su2_sign(cfg):
     res = commutator(bad, gs.Lm) - 2 * gs.L3
     rep = check_op_zero(res, _plan(cfg, "flt-sign"),
                         reference_ops=(bad, gs.Lm, gs.L3),
-                        testfns=_light_battery("q"), tol=cfg.tol_operator,
+                        testfns=_light_battery("q"), tol=TOL_OPERATOR,
                         name="mutated bracket")
     return structural("fault: generator sign flip", not rep.passed,
                       notes=f"polar-slot sign flip breaks bracket closure "
@@ -521,7 +490,7 @@ def _flt_reversed_shift(cfg):
     res = commutator(bad, red.Lm) - 2 * red.L3
     rep = check_op_zero(res, _plan(cfg, "flt-shift"),
                         reference_ops=(bad, red.Lm, red.L3),
-                        testfns=_light_battery("q"), tol=cfg.tol_operator,
+                        testfns=_light_battery("q"), tol=TOL_OPERATOR,
                         name="mutated reduced bracket")
     return structural("fault: reversed lattice shift", not rep.passed,
                       notes=f"flipping the shift direction breaks reduced "
@@ -545,7 +514,7 @@ def _flt_zero_point(cfg):
     rep = osc3d.verify_factorization(_plan(cfg, "flt-zp"),
                                      drop_constant=True,
                                      testfns=_light_battery("m"),
-                                     tol=cfg.tol_operator)
+                                     tol=TOL_OPERATOR)
     return structural("fault: zero-point constant dropped", not rep.passed,
                       notes=f"factorization without the +2 fails "
                             f"(relative {rep.relative:.3e})")
@@ -554,7 +523,7 @@ def _flt_zero_point(cfg):
 def _flt_gradient_sign(cfg):
     pattern = osc3d.intertwining_fault_pattern(
         _plan(cfg, "flt-grad"), testfns=_light_battery("m"),
-        tol=cfg.tol_operator)
+        tol=TOL_OPERATOR)
     detected = pattern == [True, True, False, False]
     return structural("fault: lowering-gradient sign flip", detected,
                       notes="exactly the two lowering intertwinings break "
@@ -562,16 +531,12 @@ def _flt_gradient_sign(cfg):
 
 
 def _flt_frequency_blind(cfg):
-    from .symx import Add, canonical
     w = Fraction(2)
     qn = osc3d.QNum3D(0, 0, 2, 0, w)
     psi = osc3d._closed_sum(0, 0, 2, 0, w, phase=False, hermite_scaled=False)
-    ham = osc3d.build_Hm(w).at_incoming(0)
-    lam = Const(qn.energy())
-    res = canonical(Add(ham.apply(psi), Mul(Const(-1), lam, psi)))
-    rep = check_zero(res, _plan(cfg, "flt-blind"),
-                     reference=[Mul(lam, psi)], tol=cfg.tol_eigen,
-                     name="frequency-blind eigencheck")
+    rep = check_eigen(osc3d.build_Hm(w).at_incoming(0), psi, qn.energy(),
+                      _plan(cfg, "flt-blind"), cfg.tol_eigen,
+                      "frequency-blind eigencheck")
     return structural("fault: frequency-blind polynomial arguments", not rep.passed,
                       notes=f"unscaled polynomial arguments fail off the unit "
                             f"frequency (relative {rep.relative:.3e})")
@@ -709,14 +674,16 @@ FAULT_PREFIX = "fault: "
 SECTORS = ("su2", "2d", "3d")
 
 
-def run_suite(config=None, sectors=None) -> dict:
+def run_suite(config: SuiteConfig = SuiteConfig(), sectors=None) -> dict:
     """Execute the registered battery; returns the JSON-ready report.
 
     ``sectors`` restricts the run to a subset of ``SECTORS`` (the angular
     algebra, the two-angle eigenproblem, the three-coordinate oscillator);
-    ``None`` runs everything.
+    ``None`` runs everything.  Raises TypeError when ``config`` is not a
+    ``SuiteConfig``.
     """
-    cfg = _as_config(config)
+    if not isinstance(config, SuiteConfig):
+        raise TypeError(f"unsupported suite config: {config!r}")
     if sectors is not None:
         sectors = frozenset(sectors)
         unknown = sectors - frozenset(SECTORS)
@@ -727,7 +694,7 @@ def run_suite(config=None, sectors=None) -> dict:
         if sectors is not None and sector not in sectors:
             continue
         try:
-            rep = fn(cfg)
+            rep = fn(config)
             passed, relative, notes = bool(rep.passed), float(rep.relative), rep.notes
         except (PlanDegenerate, DegenerateBattery, ValueError) as exc:
             passed, relative, notes = False, 1.0, f"error: {exc}"
@@ -743,11 +710,11 @@ def run_suite(config=None, sectors=None) -> dict:
         label += "[" + "+".join(s for s in SECTORS if s in sectors) + "]"
     return {
         "suite": label,
-        "seed": cfg.seed,
+        "seed": config.seed,
         "tolerances": {
-            "operator": cfg.tol_operator,
-            "eigen": cfg.tol_eigen,
-            "constant": cfg.tol_constant,
+            "operator": TOL_OPERATOR,
+            "eigen": config.tol_eigen,
+            "constant": TOL_CONSTANT,
         },
         "checks": entries,
         "summary": summary_line(e["pass"] for e in entries),

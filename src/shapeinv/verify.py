@@ -25,7 +25,7 @@ on the names of the free symbols, never on the expression under test, so
 its points are independent of the residual's zero set.  The residuals are
 trigonometric and exponential polynomials; a nonzero one vanishes on a set
 of measure zero in the coordinate boxes, and float draws make |S| large.
-The integer parameter pools hold only 4 to 7 values each, so the counts rely
+The integer parameter pools hold only 7 values each, so the counts rely
 on the continuous coordinates to tell a nonzero residual from zero.
 """
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .symx import (
     Sin,
     Sym,
     THETA,
+    canonical,
     free_symbols,
     _canon_cf,
 )
@@ -69,10 +70,6 @@ DEFAULT_BOXES = {
 INT_POOLS = {
     "q": (-3, 3),
     "m": (-3, 3),
-    "twol": (0, 4),
-    "n": (0, 4),
-    "n3": (0, 3),
-    "n4": (0, 3),
 }
 OMEGA_POOL = (1.0, 2.0, 0.5)
 GENERIC_BOX = (0.4, 1.7)
@@ -81,9 +78,11 @@ SKIP_BUDGET = 0.20
 SCALE_FLOOR = 1e-300
 
 # default tolerances (see package docs): operator identities are tight,
-# eigen/ladder chains accumulate more roundoff
+# eigen/ladder chains accumulate more roundoff; a measured constant is
+# judged by its absolute dispersion
 TOL_OPERATOR = 1e-10
 TOL_EIGEN = 1e-8
+TOL_CONSTANT = 1e-9
 
 
 class PlanDegenerate(RuntimeError):
@@ -97,14 +96,11 @@ class DegenerateBattery(RuntimeError):
 class SamplePlan:
     """Deterministic cloud of evaluation points avoiding singular loci."""
 
-    def __init__(self, seed: int = 0, count: int = 56, boxes: dict | None = None):
+    def __init__(self, seed: int = 0, count: int = 56):
         if count < 1:
             raise ValueError("count must be >= 1")
         self.seed = int(seed)
         self.count = int(count)
-        self.boxes = dict(DEFAULT_BOXES)
-        if boxes:
-            self.boxes.update(boxes)
 
     def points(self, extra_symbols=()) -> list:
         """Bindings for the four coordinates plus any extra named symbols.
@@ -122,7 +118,7 @@ class SamplePlan:
         for _ in range(self.count):
             b = {}
             for name in ("theta", "psi", "phi", "r"):
-                lo, hi = self.boxes[name]
+                lo, hi = DEFAULT_BOXES[name]
                 b[name] = lo + (hi - lo) * rng.random()
             for name in sorted(set(extra_symbols)):
                 if name in b:
@@ -156,10 +152,14 @@ class IdentityReport:
         self.notes = notes
         self.data = dict(data or {})
 
+    def note(self, text: str) -> "IdentityReport":
+        """Append `text` to the notes, separated by '; '."""
+        self.notes = (self.notes + "; " if self.notes else "") + text
+        return self
+
     def fail(self, reason: str) -> "IdentityReport":
         self.passed = False
-        self.notes = (self.notes + "; " if self.notes else "") + reason
-        return self
+        return self.note(reason)
 
     def as_dict(self) -> dict:
         return {
@@ -256,10 +256,21 @@ def _worst_point(kept, values):
     return max_abs, worst
 
 
-def structural(name: str, ok: bool, notes: str = "", data=None) -> IdentityReport:
+def structural(name: str, ok: bool, notes: str = "") -> IdentityReport:
     """Report for an exact (symbolic) comparison: relative 0 or 1."""
-    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, 1e-12,
-                          notes=notes, data=data)
+    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, 1e-12, notes=notes)
+
+
+def worst_of(name: str, reports, tol, notes: str = "") -> IdentityReport:
+    """One report for a battery of checks: its worst member's residual.
+
+    The aggregate keeps the worst member's max-abs residual and scale, so
+    its relative residual is that member's; `worst` holds the member's
+    name.  Ties go to the first of the equally bad members.
+    """
+    worst = max(reports, key=lambda r: r.relative)
+    return IdentityReport(name, worst.max_abs, worst.scale, tol,
+                          worst=worst.name, notes=notes)
 
 
 def check_zero(f: Expr, plan: SamplePlan, reference=(ONE,), tol=TOL_OPERATOR,
@@ -297,14 +308,34 @@ def check_proportional(f: Expr, g: Expr, plan: SamplePlan, tol=TOL_EIGEN,
     return rep
 
 
-def measure_constant(f: Expr, plan: SamplePlan, tol=1e-9,
+def check_eigen(op, f: Expr, value, plan: SamplePlan, tol, name,
+                reference=None) -> IdentityReport:
+    """Sampled residual of the eigen equation op f = value f.
+
+    The residual op f - value f is scaled by |value f| over the plan, or by
+    |f| when value is 0; `reference` replaces that scale expression.  The
+    residual goes through `canonical` before it is sampled.  Sampling takes
+    the canonical form (CF) of every expression anyway, and the float sum
+    at each point follows the order in which the CF holds its terms: the
+    order they were merged in for a raw tree, sorted monomial order after
+    the round trip.  So the round trip moves the last bits of the reported
+    residual, and it stays.
+    """
+    lam = Const(value)
+    residual = canonical(Add(op.apply(f), Mul(Const(-1), lam, f)))
+    if reference is None:
+        reference = Mul(lam, f) if value else f
+    return check_zero(residual, plan, reference=[reference], tol=tol, name=name)
+
+
+def measure_constant(f: Expr, plan: SamplePlan,
                      name="constant") -> IdentityReport:
     """Verify f is a constant function; the measured value goes in `data`."""
     (fv,), _, skipped = _sample([f], plan, name)
     mean = sum(fv) / len(fv)
     stddev = math.sqrt(sum(abs(v - mean) ** 2 for v in fv) / len(fv))
     # absolute dispersion criterion: a constant is constant at any magnitude
-    rep = IdentityReport(name, stddev, 1.0, tol,
+    rep = IdentityReport(name, stddev, 1.0, TOL_CONSTANT,
                          notes=f"value={mean:.12g}",
                          data={"value": mean, "skipped": skipped})
     return rep

@@ -105,6 +105,22 @@ def test_ladder_actions_whole_level(twol):
         assert rep.data["reference_label_max_deviation"] > 1e-2
 
 
+def test_ladder_actions_look_up_the_step_constructors(monkeypatch):
+    """The step table reaches the module's constructors at call time, so a
+    wrapper bound on the module (a counter, a tracer) sees every call."""
+    calls = []
+    original = ld.Rplus_of
+
+    def counting(mm):
+        calls.append(mm)
+        return original(mm)
+
+    monkeypatch.setattr(ld, "Rplus_of", counting)
+    rep = ld.verify_ladder_actions(2, SamplePlan(seed=3, count=6))
+    assert rep.passed, str(rep)
+    assert len(calls) == sum(1 for _ in ld.valid_states(2))
+
+
 def _transcribed_ladder(a_im: int, c_cot: int, c_im: int, mm) -> DiffOp:
     """Oracle: the one-step operators as once transcribed term by term,
     (i/2)( sin(th) d_psi + (a_im i + cos(th) cot(ps)) d_th

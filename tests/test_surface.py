@@ -1,9 +1,11 @@
-"""Every top-level name in the package is used somewhere.
+"""Every top-level name in the package is used, and every setting is set.
 
 Each module-level `def`, `class` and assignment target in `src/shapeinv`
 (dunders exempt) must be mentioned, as a whole word, somewhere in `src`,
 `tests` or `perfbench` outside the statements that define it.  A name that
-nothing mentions is dead code: delete it or use it.
+nothing mentions is dead code: delete it or use it.  Likewise each defaulted
+parameter of a module-level function or method must be passed by some call
+there.
 """
 import ast
 import re
@@ -50,3 +52,72 @@ def test_every_top_level_name_is_used():
                     for name, (modules, own) in defined.items()
                     if mentions[name] <= own)
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(label, callee name, parameter, call position or None) for each
+    defaulted parameter of a module-level function or method.  A method's
+    `self` or `cls` takes no call position, and `__init__` is called by
+    class name."""
+    functions = [(node, node.name, node.name, 0) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in node.decorator_list)
+                    callee = cls.name if node.name == "__init__" else node.name
+                    functions.append((node, f"{cls.name}.{node.name}", callee,
+                                      0 if static else 1))
+    for node, label, callee, bound in functions:
+        args = node.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index in range(first, len(positional)):
+            yield label, callee, positional[index].arg, index - bound
+        for param, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield label, callee, param.arg, None
+
+
+def _passed_arguments():
+    """callee name -> (keywords passed, largest positional count); a call
+    with *args or **kwargs passes everything."""
+    passed = {}
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for call in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                name = (func.id if isinstance(func, ast.Name) else
+                        func.attr if isinstance(func, ast.Attribute) else None)
+                if name is None:
+                    continue
+                keywords, count = passed.get(name, (set(), 0))
+                if (any(isinstance(a, ast.Starred) for a in call.args)
+                        or any(k.arg is None for k in call.keywords)):
+                    keywords, count = {"*"}, float("inf")
+                passed[name] = (keywords | {k.arg for k in call.keywords},
+                                max(count, len(call.args)))
+    return passed
+
+
+def test_every_defaulted_parameter_is_set_somewhere():
+    """A parameter with a default that no call passes, by keyword or by
+    position, is a setting nothing sets: delete it.  Calls are matched by
+    the callee's name alone, so a name shared by two functions counts the
+    calls of both."""
+    passed = _passed_arguments()
+    unset = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for label, callee, param, position in _defaulted_parameters(
+                ast.parse(path.read_text())):
+            keywords, count = passed.get(callee, (set(), 0))
+            if "*" in keywords or param in keywords:
+                continue
+            if position is not None and count > position:
+                continue
+            unset.append(f"{path.stem}.{label}({param}=)")
+    assert not unset, "defaulted but never set: " + ", ".join(sorted(unset))

@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import ladders2d, osc3d, su2
 from .dsl import DslError, GENERATOR_NAMES, parse_and_build
 from .ladders2d import QNum2D
-from .opalg import apply_canonical
 from .osc3d import QNum3D
 from .suite import (SuiteConfig, render_text, report_json, run_suite,
                     summary_line)
@@ -168,7 +167,7 @@ def cmd_shape2d(cfg: CliConfig) -> int:
         chi = ladders2d.chi_reduced(qn)
         for label, op in sorted(ladders2d.annihilation_ops(qn).items()):
             reports.append(check_zero(
-                apply_canonical(op, chi), plan, reference=[chi], tol=tol,
+                op.apply(chi), plan, reference=[chi], tol=tol,
                 name=f"{label} annihilates the state"))
         header[0] += f"  (state q={cfg.q} m={cfg.m})"
         payload["level"].update(q=cfg.q, m=cfg.m)

@@ -54,6 +54,7 @@ from .verify import (
     check_eigen,
     check_proportional,
     check_zero,
+    worst_of,
 )
 
 
@@ -288,8 +289,7 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
     """
     # built per call, so a constructor rebound on the module is the one used
     step_ops = {"R+": Rplus_of, "R-": Rminus_of, "L+": Lplus_of, "L-": Lminus_of}
-    worst = 0.0
-    worst_at = None
+    reports = []
     ref_label_dev = 0.0
     checked = 0
     annihilated = 0
@@ -307,9 +307,10 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
                         f"ladder actions 2l={twol}", 1.0, 1.0, tol,
                         notes=f"zero target with nonzero coefficient at "
                               f"{kind} {qn}")
-                rep = check_zero(applied, plan, reference=[src], tol=tol,
-                                 name=f"{kind} edge {qn}")
-                worst = max(worst, rep.relative)
+                name = f"{kind} edge {qn}"
+                rel = check_zero(applied, plan, reference=[src], tol=tol,
+                                 name=name).relative
+                reports.append(IdentityReport(name, rel, 1.0, tol))
                 annihilated += 1
                 continue
             target = chi_reduced(QNum2D(twol, tq, tm))
@@ -323,16 +324,16 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
             rel = max(rel, rep.relative)  # ratio must also be constant
             if abs(measured.imag) > tol * max(abs(coeff), 1.0):
                 rel = max(rel, abs(measured.imag))
-            if rel > worst:
-                worst, worst_at = rel, f"{kind} at {qn}"
+            reports.append(IdentityReport(f"{kind} at {qn}", rel, 1.0, tol))
             ref_coeff = _REFERENCE_STEP[kind](qn.twol, qn.q, qn.m)
             ref_label_dev = max(ref_label_dev, abs(measured - ref_coeff))
             checked += 1
-    return IdentityReport(
-        f"ladder actions 2l={twol}", worst, 1.0, tol, worst=worst_at,
-        notes="A-labels verified with the measured (sign-swapped) assignment",
-        data={"steps_checked": checked, "edge_annihilations": annihilated,
-              "reference_label_max_deviation": ref_label_dev})
+    rep = worst_of(f"ladder actions 2l={twol}", reports, tol,
+                   notes="A-labels verified with the measured (sign-swapped) "
+                         "assignment")
+    rep.data.update(steps_checked=checked, edge_annihilations=annihilated,
+                    reference_label_max_deviation=ref_label_dev)
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 from .rationals import GaussRat
@@ -100,6 +100,19 @@ def _as_omega(omega) -> Expr:
     if w <= 0:
         raise ValueError(f"frequency must be positive, got {omega!r}")
     return Const(w)
+
+
+def _per_frequency(build):
+    """`lru_cache` keyed on the frequency as `_as_omega` reads it, so that
+    f(), f(None), f(1) and f(Fraction(1)) share one entry."""
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def keyed(omega=None):
+        return cached(_as_omega(omega))
+
+    keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
+    return keyed
 
 
 def _sqrt_w_half(w: Expr) -> Expr:
@@ -181,7 +194,7 @@ class CartesianSet(NamedTuple):
     a4d: DiffOp
 
 
-@lru_cache(maxsize=None)
+@_per_frequency
 def cartesian_ladders(omega=None) -> CartesianSet:
     """a_i = sqrt(w/2)(x_i + (1/w) d/dx_i) and the adjoints (gradient sign
     flipped); coefficients come from the verified gradients, not from any
@@ -238,7 +251,7 @@ def _phi_exponential(op: DiffOp) -> DiffOp:
                         for t in op.terms), op.param).normalized()
 
 
-@lru_cache(maxsize=None)
+@_per_frequency
 def build_combos(omega=None) -> ComboSet:
     """A1 = (a1 + i a2)/sqrt2, A2 = (a1 - i a2)/sqrt2 and the adjoints."""
     c = cartesian_ladders(omega)
@@ -335,7 +348,7 @@ class OscillatorSet(NamedTuple):
     A2d: DiffOp
 
 
-@lru_cache(maxsize=None)
+@_per_frequency
 def build_oscillators(omega=None) -> OscillatorSet:
     """The reduced operator family on the m-lattice (symbolic m).
 
@@ -435,7 +448,7 @@ def angular_matches_invariant() -> bool:
     return _angular_block().same_operator(-1 * su2.casimir_reference())
 
 
-@lru_cache(maxsize=None)
+@_per_frequency
 def build_H4(omega=None) -> DiffOp:
     """Derived full Hamiltonian: -(1/2) sum_i (d/dx_i)^2 + w^2 r^2/2."""
     w = _as_omega(omega)
@@ -466,7 +479,7 @@ def h4_reference(printed: bool = False) -> DiffOp:
     return op.normalized()
 
 
-@lru_cache(maxsize=None)
+@_per_frequency
 def build_Hm(omega=None) -> DiffOp:
     """Reduced Hamiltonian on the m-lattice (Fourier reduction of the
     derived full Hamiltonian; shift-free, centrifugal term m^2)."""
@@ -733,13 +746,10 @@ def psi_ladder(qn: QNum3D) -> Expr:
         f = apply_canonical(s.a4d.at_incoming(0), f)
     for _ in range(qn.n3):
         f = apply_canonical(s.a3d.at_incoming(0), f)
-    c_sq = Fraction(1)
-    k = qn.n
-    while k > qn.m:
+    for k in range(qn.n, qn.m, -2):
         f = apply_canonical(s.A1d.at_incoming(k), f)
         f = apply_canonical(s.A2.at_incoming(k - 1), f)
-        c_sq *= Fraction((qn.n + k) * (qn.n - k + 2), 4)
-        k -= 2
+    c_sq = c_squared(qn.n, qn.m)
     if c_sq != 1:
         f = canonical(Mul(Pow(Const(c_sq), Fraction(-1, 2)), f))
     return f
@@ -823,7 +833,7 @@ def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,
                 qn = QNum3D(n, m, n3, n4)
                 src = state_normalized(qn)
                 for kind, (dn, dm, d3, d4, sq) in _ACTIONS.items():
-                    moved = apply_canonical(getattr(s, kind).at_incoming(m), src)
+                    op = getattr(s, kind).at_incoming(m)
                     coeff_sq = sq(qn)
                     tn, tm = n + dn, m + dm
                     valid = (tn >= abs(tm) and tn >= 0
@@ -834,14 +844,15 @@ def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,
                                 "ladder actions", 1.0, 1.0, tol,
                                 notes=f"zero target with nonzero coefficient "
                                       f"({kind} at {qn})")
-                        reports.append(check_zero(moved, plan, reference=[src],
-                                                  tol=tol, name=f"edge {kind} {qn}"))
+                        reports.append(check_zero(
+                            op.apply(src), plan, reference=[src], tol=tol,
+                            name=f"edge {kind} {qn}"))
                         edges += 1
                     else:
                         tgt = state_normalized(QNum3D(tn, tm, n3 + d3, n4 + d4))
                         reports.append(_coefficient_report(
-                            moved, tgt, math.sqrt(coeff_sq), plan, tol,
-                            f"{kind} on {qn}"))
+                            apply_canonical(op, src), tgt, math.sqrt(coeff_sq),
+                            plan, tol, f"{kind} on {qn}"))
     rep = worst_of("ladder actions", reports, tol,
                    notes="; ".join(r.name for r in reports if not r.passed))
     rep.data.update(steps_checked=len(reports), edge_annihilations=edges)

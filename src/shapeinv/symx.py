@@ -23,6 +23,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import partial
+from operator import add, mul
 
 from .rationals import GaussRat, I as IUNIT
 
@@ -797,90 +798,85 @@ def is_zero_expr(e: Expr) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Compiled evaluation of canonical forms
+# Compiled evaluation of trees over many points
 # ---------------------------------------------------------------------------
 
-_ATOM_FUNCS = {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}
+# what a point raises where `evaluate` raises: a zero base with a negative
+# power or an overflow, a cmath domain error, an unbound symbol
+_FAILURES = (ArithmeticError, ValueError, LookupError)
+_NAN = complex("nan")
+_FUNCS = {Sin: cmath.sin, Cos: cmath.cos, Exp: cmath.exp}
+_FOLDS = {Add: (add, 0j), Mul: (mul, 1 + 0j)}  # as `evaluate` starts them
+
+
+def _each(f, col: list, bad: set) -> list:
+    """f over one slot's values; a point where f raises joins `bad` and
+    holds nan from there on."""
+    try:
+        return list(map(f, col))
+    except _FAILURES:
+        out = []
+        for i, x in enumerate(col):
+            try:
+                out.append(f(x))
+            except _FAILURES:
+                bad.add(i)
+                out.append(_NAN)
+        return out
 
 
 class Program:
-    """CFs compiled once for evaluation at many points (after SymPy's
-    `lambdify` and `cse`): one slot per distinct atom, shared by all the CFs.
+    """Trees compiled once for evaluation at many points (after SymPy's
+    `lambdify` and `cse`): one slot per distinct node, children before
+    parents, shared by all the trees.  `symbols` holds the names of the
+    free symbols, collected in the same walk.
 
-    Calling it with a binding yields each CF's value in turn, bit for bit as
-    a direct walk over the CFs: each term multiplies its coefficient by its
-    atoms in monomial order as v ** n or v ** (n/d) (repeated multiplication
-    would move the last bits of the reports), top-level sums follow dict
-    order and nested ones key order.  Atoms are evaluated lazily, once per
-    point; a term stops at an exact zero atom with a positive power.  Raises
-    EvalError for an unbound symbol or a zero base with a negative power.
+    Calling it with a list of bindings evaluates each slot over all the
+    points at once.  It returns the values of each tree, as a list per
+    point, and the set of indices of the points where evaluation failed.
+    Each value is the one `evaluate` computes, by the same operations in
+    the same order, and a point fails exactly where `evaluate` raises.
     """
 
-    def __init__(self, cfs):
+    def __init__(self, exprs):
         slots: dict = {}
-        self.atoms: list = []   # per slot: (symbol name, None) or (function, argument terms)
-        self.consts: list = []  # per slot: the value of a constant atom, else None
+        steps = self.steps = []  # per slot: (node type, node, child slots)
+        symbols = self.symbols = set()
 
-        def slot(key) -> int:
-            if key not in slots:
-                kind, const, atom = key[0], None, (key[1], None)
-                if kind == "cpow":
-                    a, b, c, d = key[1]
-                    const = complex(GaussRat(Fraction(a, b), Fraction(c, d)))
-                elif kind == "hermite":
-                    atom = (partial(_hermite_value, key[1]), terms(_key_to_cf(key[2])))
-                elif kind != "sym":
-                    atom = (_ATOM_FUNCS[kind], terms(_key_to_cf(key[1])))
-                slots[key] = len(self.atoms)
-                self.atoms.append(atom)
-                self.consts.append(const)
-            return slots[key]
+        def walk(e: Expr) -> int:
+            i = slots.get(e)
+            if i is None:
+                kids = [walk(c) for c in children(e)]
+                if isinstance(e, Sym):
+                    symbols.add(e.name)
+                i = slots[e] = len(steps)
+                steps.append((type(e), e, kids))
+            return i
 
-        def terms(cf: dict) -> tuple:
-            return tuple((complex(c), tuple((slot(k), n, n if d == 1 else n / d)
-                                            for k, (n, d) in mono))
-                         for mono, c in cf.items())
+        self.outputs = [walk(e) for e in exprs]
 
-        self.sums = [terms(cf) for cf in cfs]
-
-    def __call__(self, binding: dict):
-        atoms, vals = self.atoms, list(self.consts)
-
-        def value(i: int) -> complex:
-            f, arg = atoms[i]
-            if arg is None:
-                try:
-                    v = complex(binding[f])
-                except KeyError:
-                    raise EvalError(f"unbound symbol {f!r}") from None
+    def __call__(self, points: list):
+        vals, bad, n = [], set(), len(points)
+        for kind, e, kids in self.steps:
+            if kind is Mul or kind is Add:
+                op, start = _FOLDS[kind]
+                col = [start] * n
+                for k in kids:
+                    col = list(map(op, col, vals[k]))
+            elif kind is Const:
+                col = [complex(e.value)] * n
+            elif kind is Sym:
+                col = _each(lambda b: complex(b[e.name]), points, bad)
+            elif kind is Pow:
+                p = e.exponent
+                p = p.numerator if p.denominator == 1 else p.numerator / p.denominator
+                col = _each(lambda b: b ** p, vals[kids[0]], bad)
+            elif kind is Hermite:
+                col = _each(partial(_hermite_value, e.degree), vals[kids[0]], bad)
             else:
-                v = f(total(arg))
-            vals[i] = v
-            return v
-
-        def total(terms: tuple) -> complex:
-            out = 0j
-            for term, factors in terms:
-                for i, n, p in factors:
-                    v = vals[i]
-                    if v is None:
-                        v = value(i)
-                    if v == 0:
-                        if n < 0:
-                            raise EvalError("singular evaluation: zero base with negative power")
-                        term = 0j
-                        break
-                    term *= v ** p
-                out += term
-            return out
-
-        return (total(terms) for terms in self.sums)
-
-
-def evaluate_fast(e: Expr, binding: dict) -> complex:
-    """Value of e at binding, through its compiled canonical form."""
-    (value,) = Program([_canon_cf(e)])(binding)
-    return value
+                col = _each(_FUNCS[kind], vals[kids[0]], bad)
+            vals.append(col)
+        return [vals[i] for i in self.outputs], bad
 
 
 # ---------------------------------------------------------------------------

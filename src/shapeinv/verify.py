@@ -12,7 +12,12 @@ Conventions
   magnitude the compared quantities reach on the plan (floored at 1e-300);
 * proportionality checks report the pointwise-ratio dispersion stddev/|mean|;
 * points where evaluation hits a singularity are skipped, but more than 20%
-  skipped points invalidates the plan.
+  skipped points invalidates the plan;
+* expressions are sampled as the trees that were built, never through their
+  canonical forms, so an exact cancellation samples to rounding level, not 0;
+* an operator comparison passes over a probe f whose reference scale is at
+  most PROBE_FLOOR = 1e-12 of f's own largest magnitude on the plan: every
+  reference annihilates it, up to rounding (about 1e-16 of |f|).
 
 Sample counts
 -------------
@@ -37,10 +42,10 @@ from fractions import Fraction
 
 from .rationals import GaussRat
 from .symx import (
+    COORDINATES,
     Add,
     Const,
     Cos,
-    EvalError,
     Exp,
     Expr,
     IMAG,
@@ -54,9 +59,6 @@ from .symx import (
     Sin,
     Sym,
     THETA,
-    canonical,
-    free_symbols,
-    _canon_cf,
 )
 
 DEFAULT_BOXES = {
@@ -76,6 +78,7 @@ GENERIC_BOX = (0.4, 1.7)
 
 SKIP_BUDGET = 0.20
 SCALE_FLOOR = 1e-300
+PROBE_FLOOR = 1e-12  # see the module notes
 
 # default tolerances (see package docs): operator identities are tight,
 # eigen/ladder chains accumulate more roundoff; a measured constant is
@@ -191,35 +194,21 @@ def _jsonable(v):
     return v
 
 
-def _eval_many(exprs, pts):
-    """Evaluate several expressions over the plan with one compiled program.
+def _eval_many(program: Program, pts):
+    """Evaluate a compiled program over the points.
 
     Returns (values: list per expr of list per point, kept points, skipped
-    point count).  Points where any expression is singular or overflows are
-    dropped for all expressions, keeping the value lists aligned; an
-    expression whose canonical form is already singular skips every point.
+    point count).  Points where any expression is singular, overflows or
+    is not finite are dropped for all expressions, keeping the value lists
+    aligned.
     """
-    values = [[] for _ in exprs]
-    kept_pts = []
-    try:
-        program = Program([_canon_cf(e) for e in exprs])
-    except (EvalError, OverflowError, ZeroDivisionError):
-        return values, kept_pts, len(pts)
-    skipped = 0
-    for b in pts:
-        row = []
-        try:
-            for v in program(b):
-                if v != v or abs(v) > 1e100:  # nan or blow-up
-                    raise EvalError("non-finite evaluation")
-                row.append(v)
-        except (EvalError, OverflowError, ZeroDivisionError):
-            skipped += 1
-            continue
-        for lst, v in zip(values, row):
-            lst.append(v)
-        kept_pts.append(b)
-    return values, kept_pts, skipped
+    values, bad = program(pts)
+    for col in values:
+        bad.update(i for i, v in enumerate(col)
+                   if v != v or abs(v) > 1e100)  # nan or blow-up
+    keep = [i for i in range(len(pts)) if i not in bad]
+    return ([[col[i] for i in keep] for col in values],
+            [pts[i] for i in keep], len(bad))
 
 
 def _guard_skips(skipped: int, total: int, name: str):
@@ -234,11 +223,9 @@ def _sample(exprs, plan: SamplePlan, name: str):
     Returns (values per expr, kept points, skipped count); raises
     PlanDegenerate when the skip budget is exceeded.
     """
-    syms = set()
-    for e in exprs:
-        syms |= free_symbols(e)
-    pts = plan.points(syms - {"theta", "psi", "phi", "r"})
-    vals, kept, skipped = _eval_many(exprs, pts)
+    program = Program(exprs)
+    pts = plan.points(program.symbols - set(COORDINATES))
+    vals, kept, skipped = _eval_many(program, pts)
     _guard_skips(skipped, plan.count, name)
     return vals, kept, skipped
 
@@ -313,16 +300,10 @@ def check_eigen(op, f: Expr, value, plan: SamplePlan, tol, name,
     """Sampled residual of the eigen equation op f = value f.
 
     The residual op f - value f is scaled by |value f| over the plan, or by
-    |f| when value is 0; `reference` replaces that scale expression.  The
-    residual goes through `canonical` before it is sampled.  Sampling takes
-    the canonical form (CF) of every expression anyway, and the float sum
-    at each point follows the order in which the CF holds its terms: the
-    order they were merged in for a raw tree, sorted monomial order after
-    the round trip.  So the round trip moves the last bits of the reported
-    residual, and it stays.
+    |f| when value is 0; `reference` replaces that scale expression.
     """
     lam = Const(value)
-    residual = canonical(Add(op.apply(f), Mul(Const(-1), lam, f)))
+    residual = Add(op.apply(f), Mul(Const(-1), lam, f))
     if reference is None:
         reference = Mul(lam, f) if value else f
     return check_zero(residual, plan, reference=[reference], tol=tol, name=name)
@@ -368,20 +349,21 @@ def _probe_loop(op, reference_ops, plan: SamplePlan, testfns, name):
 
     Each probe f is applied by `op` and then by each reference operator; the
     residual op f is scaled by the largest |r f| over the plan (by 1 when
-    there are no references), and probes with a degenerate scale are passed
-    over.  Returns (worst relative residual, {"probe", "point"} of it,
-    largest max-abs residual, largest scale), or None when every probe was
-    degenerate.
+    there are no references).  A probe whose scale is at most PROBE_FLOOR
+    times its own largest |f| on the plan is annihilated by every reference
+    and is passed over.  Returns (worst relative residual, {"probe",
+    "point"} of it, largest max-abs residual, largest scale), or None when
+    every probe was passed over.
     """
     ops = (op, *reference_ops)
     param = next((o.param for o in ops if getattr(o, "param", None)), "q")
     fns = list(testfns) if testfns is not None else default_battery(param)
     worst_rel, worst_info, max_abs_all, scale_all = -1.0, None, 0.0, 0.0
     for idx, fn in enumerate(fns):
-        (dv, *refvals), kept, _ = _sample([o.apply(fn) for o in ops], plan,
-                                          f"{name}[probe {idx}]")
+        (dv, *refvals, fv), kept, _ = _sample(
+            [*(o.apply(fn) for o in ops), fn], plan, f"{name}[probe {idx}]")
         scale = max(map(_max_abs, refvals)) if reference_ops else 1.0
-        if scale < 1e-20:
+        if scale <= PROBE_FLOOR * _max_abs(fv):
             continue
         max_abs, point = _worst_point(kept, dv)
         rel = max_abs / scale

@@ -236,4 +236,4 @@ def test_suite_report_digest_seed_7(full_suite_runs):
     first, _, _ = full_suite_runs
     digest = hashlib.sha256(report_json(first).encode()).hexdigest()
     assert digest == (
-        "2c230afb042efce9d1a7291f5157552c5f6773798614a37097f4785d9fb7fc37")
+        "e5a19fd8bd75f34dd228d58acdf626a57b8cf4e70048cc2c716e012b5f59950a")

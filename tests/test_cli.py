@@ -270,7 +270,9 @@ def test_config_helpers():
 
 
 def test_reports_do_not_depend_on_hash_randomization():
-    env = {**os.environ, "PYTHONHASHSEED": "1"}
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": src}
     argv = [sys.executable, "-m", "shapeinv.cli", "check", "Lp - Rp",
             "--points", "8", "--format", "json"]
     first = subprocess.run(argv, capture_output=True, env=env)
@@ -278,3 +280,7 @@ def test_reports_do_not_depend_on_hash_randomization():
     second = subprocess.run(argv, capture_output=True, env=env)
     assert first.returncode == second.returncode == 1
     assert first.stdout == second.stdout
+    # a child that cannot import the package exits 1 with empty output too
+    report = json.loads(first.stdout)
+    assert report["expression"] == "Lp - Rp"
+    assert [c["pass"] for c in report["checks"]] == [False]

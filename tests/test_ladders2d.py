@@ -121,6 +121,29 @@ def test_ladder_actions_look_up_the_step_constructors(monkeypatch):
     assert len(calls) == sum(1 for _ in ld.valid_states(2))
 
 
+def test_ladder_actions_name_an_edge_that_is_worst(monkeypatch):
+    """An edge whose function fails to vanish is the aggregate's worst member:
+    the report names it and carries its residual."""
+    plan = SamplePlan(seed=3, count=6)
+    clean = ld.verify_ladder_actions(2, plan)
+    real = ld.check_zero
+    edges = []
+
+    def leaky(f, plan, reference, tol, name):
+        edges.append(name)
+        if len(edges) == 1:  # the first edge keeps 1e-3 of its source
+            f = Add(f, Mul(Const(Fraction(1, 1000)), reference[0]))
+        return real(f, plan, reference=reference, tol=tol, name=name)
+
+    monkeypatch.setattr(ld, "check_zero", leaky)
+    rep = ld.verify_ladder_actions(2, plan)
+    assert len(edges) == clean.data["edge_annihilations"] > 0
+    assert rep.worst == edges[0] and not rep.passed
+    assert rep.relative == pytest.approx(1e-3, rel=1e-6)
+    assert rep.max_abs == rep.relative and rep.scale == 1.0
+    assert (rep.notes, rep.data) == (clean.notes, clean.data)
+
+
 def _transcribed_ladder(a_im: int, c_cot: int, c_im: int, mm) -> DiffOp:
     """Oracle: the one-step operators as once transcribed term by term,
     (i/2)( sin(th) d_psi + (a_im i + cos(th) cot(ps)) d_th

@@ -6,6 +6,8 @@ which is the plain recursion the memos replace, and asks for equal keys:
 first from warm tables, then after `clear_caches()`, then with a cap small
 enough that the tables are emptied many times over during the computation.
 """
+from fractions import Fraction
+
 import pytest
 
 from shapeinv import clear_caches, opalg, su2, symx
@@ -93,3 +95,16 @@ def test_clear_caches_empties_the_lru_tables():
     clear_caches()
     assert osc3d.build_H4.cache_info().currsize == 0
     assert ladders2d._chain.cache_info().currsize == 0
+
+
+def test_one_cache_entry_per_frequency():
+    from shapeinv import osc3d
+    builders = (osc3d.cartesian_ladders, osc3d.build_combos,
+                osc3d.build_oscillators, osc3d.build_H4, osc3d.build_Hm)
+    clear_caches()
+    for build in builders:
+        assert build() is build(None)
+        assert build(1) is build(Fraction(1)) is build(omega=Fraction(2, 2))
+    # one entry for the symbolic frequency, one for omega = 1
+    assert [b.cache_info().currsize for b in builders] == [2] * 5
+    clear_caches()

@@ -16,7 +16,7 @@ from shapeinv.symx import (
     Add, Const, Cos, EvalError, Exp, Hermite, Mul, Pow, Program, Sin, Sym,
     IMAG, ONE, PHI, PSI, R, THETA, ZERO,
     canonical, canonical_key, children, cot, csc, diff,
-    evaluate, evaluate_fast, free_symbols, is_zero_expr, render,
+    evaluate, free_symbols, is_zero_expr, render,
     simplify_basic, substitute, trig_to_exp, _canon_cf, _key_to_cf, _rank,
 )
 from shapeinv.verify import default_battery
@@ -102,11 +102,6 @@ def test_rational_power_arithmetic_is_exact():
 def test_free_symbols_and_coordinates():
     e = Mul(Sym("q"), Sin(THETA), Exp(Mul(IMAG, PHI)))
     assert free_symbols(e) == frozenset({"q", "theta", "phi"})
-
-
-def test_evaluate_fast_matches_evaluate():
-    for e in DIFF_CASES:
-        assert abs(evaluate_fast(e, B0) - evaluate(e, B0)) <= 1e-12
 
 
 def test_simplify_basic_keeps_value():
@@ -234,41 +229,87 @@ class _CountingBinding(dict):
         return super().__getitem__(name)
 
 
+# points around B0, one of them on the singular locus phi = 0
+_POINTS = [B0, {**B0, "phi": 0.0}, {"theta": 0.41, "psi": 2.2, "phi": 5.1, "r": 0.6}]
+
+
+def _oracle(e, binding):
+    """`evaluate`, or None where it raises."""
+    try:
+        return evaluate(e, binding)
+    except (EvalError, ArithmeticError, ValueError):
+        return None
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_exprs, min_size=2, max_size=4))
 def test_program_matches_tree_oracle(es):
     es = [*es, Mul(R, Sin(THETA))]
-    program = Program([_canon_cf(e) for e in es])
-    binding = _CountingBinding(B0)
-    for e, got in zip(es, program(binding), strict=True):
-        want = evaluate(e, B0)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-    # one slot per atom: a symbol shared by the expressions is read once
-    assert set(binding.reads.values()) == {1}
+    values, bad = Program(es)(_POINTS)
+    assert not bad
+    for e, col in zip(es, values, strict=True):
+        for b, got in zip(_POINTS, col, strict=True):
+            want = evaluate(e, b)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_exprs, min_size=1, max_size=4))
+def test_program_reads_each_symbol_once_per_point(es):
+    es = [*es, Mul(R, Sin(THETA)), Add(R, THETA)]
+    program = Program(es)
+    assert program.symbols == set().union(*map(free_symbols, es))
+    bindings = [_CountingBinding(b) for b in _POINTS]
+    program(bindings)
+    for b in bindings:
+        assert b.reads == {name: 1 for name in program.symbols}
+
+
+def _close(got, want) -> bool:
+    return (got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            or (got != got and want != want))
+
+
+@settings(max_examples=40, deadline=None)
 @given(_exprs)
-def test_program_raises_as_tree_oracle(e):
+def test_program_skips_exactly_where_tree_oracle_raises(e):
+    es = [e, Mul(e, Sym("q")), Mul(e, Pow(Sin(PHI), -1)),
+          Exp(Mul(Const(900), R, e))]
+    for f in es:
+        (col,), bad = Program([f])(_POINTS)
+        want = [_oracle(f, b) for b in _POINTS]
+        assert bad == {i for i, w in enumerate(want) if w is None}
+        assert all(_close(col[i], w) for i, w in enumerate(want) if w is not None)
+    # in one program, a point where any tree fails fails for all of them
+    _, bad = Program(es[::2])(_POINTS)
+    assert bad == {i for i, b in enumerate(_POINTS)
+                   if any(_oracle(f, b) is None for f in es[::2])}
+
+
+def _sampled_max(e):
+    (col,), bad = Program([e])(_POINTS)
+    assert not bad
+    return max(abs(v) for v in col)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs)
+def test_canonical_zero_samples_to_rounding(e):
+    # e - canonical(e) has the zero CF; sampling the tree sees rounding only,
+    # relative to the larger of e and canonical(e) on the points
     assume(not is_zero_expr(e))
-    unbound = Mul(e, Sym("q"))
-    singular = Mul(e, Pow(Sin(PHI), -1))
-    for f, binding in ((unbound, B0), (singular, {**B0, "phi": 0.0})):
-        with pytest.raises(EvalError) as tree:
-            evaluate(f, binding)
-        with pytest.raises(EvalError) as compiled:
-            list(Program([_canon_cf(e), _canon_cf(f)])(binding))
-        assert str(compiled.value) == str(tree.value)
+    c = canonical(e)
+    residual = Add(e, Mul(Const(-1), c))
+    assert is_zero_expr(residual)
+    scale = max(_sampled_max(e), _sampled_max(c))
+    assert _sampled_max(residual) <= 1e-13 * scale
 
 
-def test_program_stops_a_term_at_a_zero_atom():
-    # sin(phi) sorts before r: the term is zero before r^-1 is reached
-    program = Program([_canon_cf(Add(Mul(Sin(PHI), Pow(R, -1)), THETA))])
-    binding = _CountingBinding({"phi": 0.0, "r": 0.0, "theta": 0.5})
-    assert list(program(binding)) == [0.5 + 0j]
-    assert binding.reads == {"phi": 1, "theta": 1}
-    with pytest.raises(EvalError, match="zero base with negative power"):
-        list(program({"phi": 1.0, "r": 0.0, "theta": 0.5}))
+@settings(max_examples=60, deadline=None)
+@given(_exprs)
+def test_nonzero_canonical_form_samples_nonzero(e):
+    assume(not is_zero_expr(e))
+    assert _sampled_max(e) > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,15 @@ from fractions import Fraction
 
 import pytest
 
+import shapeinv
+from shapeinv import su2, symx
 from shapeinv.symx import (
     Add, Const, Cos, Exp, Mul, Pow, Sin, Sym, IMAG, ONE, PHI, R, THETA,
 )
 from shapeinv.opalg import DiffOp
 from shapeinv.verify import (
     DEFAULT_BOXES, DegenerateBattery, IdentityReport, PlanDegenerate,
-    SamplePlan, check_op_zero, check_proportional, check_zero,
+    SamplePlan, check_eigen, check_op_zero, check_proportional, check_zero,
     default_battery, measure_constant, op_equal,
 )
 
@@ -42,6 +44,10 @@ def test_plan_extras_change_the_stream_but_not_validity():
         assert lo <= b["theta"] <= hi
 
 
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src")
+
+
 def test_plan_stable_under_hash_randomization():
     # fresh interpreters with different PYTHONHASHSEED must sample
     # identical clouds, otherwise report bytes drift between CLI runs
@@ -49,7 +55,7 @@ def test_plan_stable_under_hash_randomization():
             "print(repr(SamplePlan(seed=3, count=4).points(('q','omega'))))")
     outs = []
     for hs in ("1", "99"):
-        env = dict(os.environ, PYTHONHASHSEED=hs)
+        env = dict(os.environ, PYTHONHASHSEED=hs, PYTHONPATH=_SRC)
         outs.append(subprocess.run(
             [sys.executable, "-c", prog], env=env, capture_output=True,
             text=True, check=True).stdout)
@@ -183,3 +189,53 @@ def test_check_op_zero_scales_against_references():
     # to a 1e+6 reference operator
     assert not check_op_zero(small, plan).passed
     assert check_op_zero(small, plan, reference_ops=[big]).passed
+
+
+def test_probe_annihilated_by_every_reference_is_passed_over():
+    # d_theta sin(theta) - cos(theta) - sin(theta) d_theta is the zero
+    # operator, built unnormalized: its sampled action is rounding-level, not
+    # exactly 0, and the probe must not count against that scale
+    plan = SamplePlan(seed=0, count=24)
+    zero = (DiffOp.partial("theta") @ DiffOp.from_expr(Sin(THETA))
+            - DiffOp.from_expr(Cos(THETA))
+            - DiffOp.from_expr(Sin(THETA)) @ DiffOp.partial("theta"))
+    probe = Mul(Exp(Mul(Const(Fraction(-1, 3)), Pow(R, 2))), Sin(THETA), R)
+    op = DiffOp.from_expr(Sin(THETA))
+    with pytest.raises(DegenerateBattery):
+        check_op_zero(op, plan, reference_ops=[zero], testfns=[probe])
+    rep = check_op_zero(op, plan, reference_ops=[zero, op],
+                        testfns=[probe, Cos(THETA)])
+    assert not rep.passed and rep.relative == 1.0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the sampled path canonicalized an expression")
+
+
+def test_sampling_never_canonicalizes(monkeypatch):
+    plan = SamplePlan(seed=5, count=12)
+    gens = su2.build_raw_generators()
+    label, residual, refs = su2.commutator_residuals(gens)[0]
+    a = DiffOp.partial("theta") @ DiffOp.from_expr(Sin(THETA))
+    b = (DiffOp.from_expr(Cos(THETA))
+         + DiffOp.from_expr(Sin(THETA)) @ DiffOp.partial("theta"))
+    d2 = DiffOp.partial("theta", 2)
+    trig = Add(Pow(Sin(THETA), 2), Pow(Cos(THETA), 2), Const(-1))
+    # every module that holds the canonicalizer, or the queries built on
+    # it, gets the refusing stand-in
+    for name in ("_canon_cf", "canonical", "free_symbols"):
+        original = getattr(symx, name)
+        for module in (shapeinv, *vars(shapeinv).values()):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, _refuse)
+    reports = [
+        check_zero(trig, plan),
+        check_proportional(Mul(Const(3), Sin(THETA), R), Mul(Sin(THETA), R),
+                           plan),
+        measure_constant(Add(Pow(Sin(PHI), 2), Pow(Cos(PHI), 2)), plan),
+        check_eigen(d2, Sin(THETA), -1, plan, 1e-10, "eigen"),
+        op_equal(a, b, plan),
+        check_op_zero(residual, plan, reference_ops=refs, name=label),
+    ]
+    assert all(rep.passed for rep in reports)
+    assert reports[0].relative > 0.0  # the tree was sampled, not its CF

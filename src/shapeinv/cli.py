@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -31,8 +32,8 @@ from .osc3d import QNum3D
 from .suite import (SuiteConfig, render_text, report_json, run_suite,
                     summary_line)
 from .symx import render
-from .verify import (DegenerateBattery, IdentityReport, PlanDegenerate,
-                     SamplePlan, check_op_zero, check_zero)
+from .verify import (DegenerateBattery, PlanDegenerate, SamplePlan,
+                     check_op_zero, check_zero, structural)
 
 
 @dataclass(frozen=True)
@@ -152,8 +153,8 @@ def cmd_shape2d(cfg: CliConfig) -> int:
     plan, tol = cfg.plan(24), cfg.tolerance(1e-8)
     reports = [ladders2d.verify_ladder_actions(cfg.twol, plan, tol=tol)]
     ok = ladders2d.reorder_identity_holds()
-    reports.append(IdentityReport(
-        "lowering-pair exchange identity", 0.0 if ok else 1.0, 1.0, 1e-12,
+    reports.append(structural(
+        "lowering-pair exchange identity", ok,
         notes="the two descending compositions agree exactly once the "
               "leading label sits one site down"))
     header = [f"level: 2l={cfg.twol}"]
@@ -284,22 +285,33 @@ def cmd_dump(cfg: CliConfig, name: str) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _positive_fraction(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if value <= 0:
-        raise argparse.ArgumentTypeError("frequency must be positive")
-    return value
+def _checked(kind, ok, rule: str):
+    """An argparse type: `kind(text)`, refused with `rule` unless `ok` holds."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule} (got {text!r})")
+        return value
+    return parse
+
+
+_positive_fraction = _checked(Fraction, lambda v: v > 0,
+                              "frequency must be positive")
+_point_count = _checked(int, lambda v: v >= 1,
+                        "point count must be an integer of at least 1")
+_tolerance = _checked(float, lambda v: 0 < v < math.inf,
+                      "tolerance must be a positive finite number")
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=None,
                    help="sampling seed (default: SHAPEINV_SEED or 0)")
-    p.add_argument("--points", type=int, default=None,
+    p.add_argument("--points", type=_point_count, default=None,
                    help="sample points per check")
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=_tolerance, default=None,
                    help="relative-tolerance override")
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="report format (default: text)")

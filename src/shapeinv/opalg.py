@@ -24,19 +24,17 @@ from .symx import (
     Mul,
     Pow,
     Sym,
+    SymxError,
     as_expr,
     canonical,
-    cf_to_expr,
+    canonical_key,
     diff,
+    fourier_modes,
+    is_zero_expr,
     memo_put,
     render,
     simplify_basic,
     substitute,
-    trig_to_exp,
-    _canon_cf,
-    _cf_add,
-    _cf_key,
-    _key_to_cf,
     IMAG,
     ONE,
     ZERO,
@@ -146,20 +144,22 @@ class DiffOp:
         raise OpError(f"parameter clash: {a!r} vs {b!r}")
 
     def _buckets(self) -> list:
-        """[(derivs, shift, cf)]: the coefficients of equal (derivs, shift)
-        merged into one canonical form, zero forms dropped, in (shift,
-        derivs) order."""
+        """[(derivs, shift, coefficient sum)] for each (derivs, shift) whose
+        coefficients do not sum to zero, in (shift, derivs) order."""
         buckets: dict = {}
         for t in self.terms:
-            key = (t.derivs, t.shift)
-            buckets[key] = _cf_add(buckets.get(key, {}), _canon_cf(t.coeff))
-        return [(derivs, shift, buckets[(derivs, shift)])
-                for derivs, shift in sorted(buckets, key=lambda k: (k[1], k[0]))
-                if buckets[(derivs, shift)]]
+            buckets.setdefault((t.derivs, t.shift), []).append(t.coeff)
+        out = []
+        for derivs, shift in sorted(buckets, key=lambda k: (k[1], k[0])):
+            coeffs = buckets[(derivs, shift)]
+            total = coeffs[0] if len(coeffs) == 1 else Add(*coeffs)
+            if not is_zero_expr(total):
+                out.append((derivs, shift, total))
+        return out
 
     def normalized(self) -> "DiffOp":
-        return DiffOp([OpTerm(cf_to_expr(cf), derivs, shift)
-                       for derivs, shift, cf in self._buckets()], self.param)
+        return DiffOp([OpTerm(canonical(c), derivs, shift)
+                       for derivs, shift, c in self._buckets()], self.param)
 
     def is_zero(self) -> bool:
         return not self._buckets()
@@ -168,8 +168,8 @@ class DiffOp:
         return all(t.shift == 0 for t in self.terms)
 
     def structure_key(self) -> tuple:
-        return tuple((derivs, shift, _cf_key(cf))
-                     for derivs, shift, cf in self._buckets())
+        return tuple((derivs, shift, canonical_key(c))
+                     for derivs, shift, c in self._buckets())
 
     def same_operator(self, other: "DiffOp") -> bool:
         """Exact structural equality of the merged canonical forms."""
@@ -323,40 +323,6 @@ def commutator(a: DiffOp, b: DiffOp) -> DiffOp:
 # Fourier reduction in phi
 # ---------------------------------------------------------------------------
 
-def _cf_mentions(cf: dict, name: str) -> bool:
-    for mono in cf:
-        for akey, _ in mono:
-            kind = akey[0]
-            if kind == "sym" and akey[1] == name:
-                return True
-            if kind in ("sin", "cos", "exp") and _cf_mentions(_key_to_cf(akey[1]), name):
-                return True
-            if kind == "hermite" and _cf_mentions(_key_to_cf(akey[2]), name):
-                return True
-    return False
-
-
-_PHI_MONO = ((("sym", "phi"), (1, 1)),)
-
-
-def _split_phi_exponent(argcf: dict):
-    """Split an exponential argument into (integer k from i*k*phi, remainder)."""
-    k = 0
-    rest = {}
-    for mono, coeff in argcf.items():
-        if mono == _PHI_MONO:
-            if not coeff.re.numerator == 0:
-                raise OpError("exp argument has a non-imaginary phi part")
-            if coeff.im.denominator != 1:
-                raise OpError("exp argument phi frequency is not an integer")
-            k = coeff.im.numerator
-        else:
-            rest[mono] = coeff
-    if _cf_mentions(rest, "phi"):
-        raise OpError("exp argument depends on phi beyond a linear term")
-    return k, rest
-
-
 def fourier_reduce(op: DiffOp, param: str) -> DiffOp:
     """Replace the periodic coordinate phi by a discrete parameter.
 
@@ -371,32 +337,16 @@ def fourier_reduce(op: DiffOp, param: str) -> DiffOp:
         raise OpError("reduction parameter cannot be a coordinate")
     psym = Sym(param)
     out = []
-    phi_index = COORDINATES.index("phi")
+    phi = COORDINATES.index("phi")
     for t in op.terms:
-        cf = _canon_cf(trig_to_exp(t.coeff, "phi"))
-        n = t.derivs[phi_index]
-        derivs = tuple(0 if i == phi_index else d for i, d in enumerate(t.derivs))
-        for mono, coeff in cf.items():
-            atoms = []
-            k = 0
-            for akey, exp in mono:
-                kind = akey[0]
-                if kind == "exp":
-                    kk, rest = _split_phi_exponent(_key_to_cf(akey[1]))
-                    k = kk
-                    if rest:
-                        atoms.append((("exp", _cf_key(rest)), exp))
-                    continue
-                if kind == "sym" and akey[1] == "phi":
-                    raise OpError("coefficient has a non-periodic phi dependence")
-                if kind in ("sin", "cos") and _cf_mentions(_key_to_cf(akey[1]), "phi"):
-                    raise OpError("unreduced trigonometric phi factor")
-                if kind == "hermite" and _cf_mentions(_key_to_cf(akey[2]), "phi"):
-                    raise OpError("phi inside a Hermite argument")
-                atoms.append((akey, exp))
-            base = cf_to_expr({tuple(sorted(atoms)): coeff})
+        n = t.derivs[phi]
+        derivs = t.derivs[:phi] + (0,) + t.derivs[phi + 1:]
+        try:
+            modes = fourier_modes(t.coeff, "phi")
+        except SymxError as exc:
+            raise OpError(str(exc)) from exc
+        for k, c in modes:
             if n:
-                freq = Mul(IMAG, Add(psym, Const(-k)))
-                base = Mul(base, Pow(freq, n)) if n > 1 else Mul(base, freq)
-            out.append(OpTerm(simplify_basic(base), derivs, k))
+                c = Mul(c, Pow(Mul(IMAG, Add(psym, Const(-k))), n))
+            out.append(OpTerm(c, derivs, k))
     return DiffOp(out, param).normalized()

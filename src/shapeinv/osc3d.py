@@ -71,7 +71,6 @@ from .verify import (
     check_op_zero,
     check_proportional,
     check_zero,
-    op_equal,
     structural,
     worst_of,
 )
@@ -552,7 +551,8 @@ def verify_factorization(plan: SamplePlan = None, drop_constant: bool = False,
     name = "ladder factorization (reduced)"
     if drop_constant:
         name += " [zero-point dropped]"
-    return op_equal(fact, ham, plan, testfns=testfns, tol=tol, name=name)
+    return check_op_zero(fact - ham, plan, reference_ops=(fact, ham),
+                         testfns=testfns, tol=tol, name=name)
 
 
 def factorization_matches(reduced: bool = True) -> bool:
@@ -674,8 +674,8 @@ def _gaussian(w: Fraction) -> Expr:
     return Exp(Mul(Const(Fraction(-1, 2) * w), Pow(R, 2)))
 
 
-def _closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
-                phase: bool, hermite_scaled: bool = True) -> Expr:
+def closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
+               phase: bool, hermite_scaled: bool = True) -> Expr:
     """The finite closed-form sum for the joint eigenfunction.
 
     sum_i (-1)^i i! C(n1,i) C(n2,i) u^(n-2i) with u = sqrt(w) r sin sin,
@@ -705,7 +705,7 @@ def _closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
 def psi_closed(qn: QNum3D, reduced: bool = True) -> Expr:
     """Closed-form joint eigenfunction; reduced drops the e^{i m phi} phase
     (the reduced family lives on (r, theta, psi))."""
-    return _closed_sum(qn.n1, qn.n2, qn.n3, qn.n4, qn.omega, phase=not reduced)
+    return closed_sum(qn.n1, qn.n2, qn.n3, qn.n4, qn.omega, phase=not reduced)
 
 
 def psi_closed_printed(qn: QNum3D) -> Expr:

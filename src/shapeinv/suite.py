@@ -32,7 +32,6 @@ from .verify import (
     check_proportional,
     check_zero,
     default_battery,
-    op_equal,
     structural,
     worst_of,
 )
@@ -108,9 +107,10 @@ def _chk_invariant_closed(cfg):
     gs = su2.build_raw_generators()
     built = su2.casimir(gs)
     ref = su2.casimir_reference()
-    rep = op_equal(built, ref, _plan(cfg, "casimir"),
-                   testfns=_light_battery("q"), tol=1e-12,
-                   name="invariant closed form")
+    rep = check_op_zero(built - ref, _plan(cfg, "casimir"),
+                        reference_ops=(built, ref),
+                        testfns=_light_battery("q"), tol=1e-12,
+                        name="invariant closed form")
     if not built.same_operator(ref):
         return rep.fail("structural mismatch against the closed form")
     return rep.note("structural match is exact")
@@ -475,9 +475,10 @@ def _flt_su2_sign(cfg):
 
 def _flt_invariant_scale(cfg):
     gs = su2.build_raw_generators()
-    rep = op_equal(su2.quadratic(gs), su2.casimir_reference(),
-                   _plan(cfg, "flt-scale"), testfns=_light_battery("q"),
-                   tol=1e-12, name="mutated invariant scale")
+    quad, ref = su2.quadratic(gs), su2.casimir_reference()
+    rep = check_op_zero(quad - ref, _plan(cfg, "flt-scale"),
+                        reference_ops=(quad, ref), testfns=_light_battery("q"),
+                        tol=1e-12, name="mutated invariant scale")
     return structural("fault: invariant scale dropped", not rep.passed,
                       notes=f"undoing the factor-4 normalization is caught "
                             f"(relative {rep.relative:.3e})")
@@ -533,7 +534,7 @@ def _flt_gradient_sign(cfg):
 def _flt_frequency_blind(cfg):
     w = Fraction(2)
     qn = osc3d.QNum3D(0, 0, 2, 0, w)
-    psi = osc3d._closed_sum(0, 0, 2, 0, w, phase=False, hermite_scaled=False)
+    psi = osc3d.closed_sum(0, 0, 2, 0, w, phase=False, hermite_scaled=False)
     rep = check_eigen(osc3d.build_Hm(w).at_incoming(0), psi, qn.energy(),
                       _plan(cfg, "flt-blind"), cfg.tol_eigen,
                       "frequency-blind eigencheck")

@@ -797,6 +797,40 @@ def is_zero_expr(e: Expr) -> bool:
     return not _canon_cf(e)
 
 
+def fourier_modes(e: Expr, name: str) -> list:
+    """[(k, c_k)] with e = sum_k c_k e^{i k name}, k an integer and each c_k
+    free of `name`, in increasing k.
+
+    Sines and cosines of `name` are rewritten as exponentials first.  Raises
+    SymxError when `name` appears any other way: outside an exponential, with
+    a frequency that is not an integer times i, or nonlinearly in an exponent.
+    """
+    def mentions(akey) -> bool:
+        return name in free_symbols(_atom_to_expr(akey))
+
+    modes: dict = {}
+    for mono, coeff in _canon_cf(trig_to_exp(e, name)).items():
+        k, atoms = 0, []
+        for akey, p in mono:
+            if akey[0] != "exp":
+                if mentions(akey):
+                    raise SymxError(f"{name} appears outside an exponential")
+                atoms.append((akey, p))
+                continue
+            arg = _key_to_cf(akey[1])
+            freq = arg.pop(((("sym", name), (1, 1)),), None)
+            if freq is not None:
+                re_num, _, k, im_den = freq.key()
+                if re_num != 0 or im_den != 1:
+                    raise SymxError(f"{name} frequency is not an integer times i")
+            if any(mentions(a) for m in arg for a, _ in m):
+                raise SymxError(f"exponent is not linear in {name}")
+            if arg:
+                atoms.append((("exp", _cf_key(arg)), p))
+        modes[k] = _cf_add(modes.get(k, {}), {tuple(sorted(atoms)): coeff})
+    return [(k, cf_to_expr(cf)) for k, cf in sorted(modes.items()) if cf]
+
+
 # ---------------------------------------------------------------------------
 # Compiled evaluation of trees over many points
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ Conventions
   canonical forms, so an exact cancellation samples to rounding level, not 0;
 * an operator comparison passes over a probe f whose reference scale is at
   most PROBE_FLOOR = 1e-12 of f's own largest magnitude on the plan: every
-  reference annihilates it, up to rounding (about 1e-16 of |f|).
+  reference annihilates it, up to rounding (about 1e-16 of |f|); by the
+  same floor, check_zero judges f absolutely when its reference scale is at
+  most PROBE_FLOOR of f's largest magnitude.
 
 Sample counts
 -------------
@@ -262,12 +264,15 @@ def worst_of(name: str, reports, tol, notes: str = "") -> IdentityReport:
 
 def check_zero(f: Expr, plan: SamplePlan, reference=(ONE,), tol=TOL_OPERATOR,
                name="zero-check") -> IdentityReport:
-    """Residual of f against 0, scaled by reference expression magnitudes."""
+    """Residual of f against 0, scaled by reference expression magnitudes.
+
+    A reference scale at most PROBE_FLOOR times f's own largest magnitude
+    is degenerate, and the residual is then judged absolutely."""
     (fvals, *refvals), kept, skipped = _sample([f, *reference], plan, name)
     scale = max(map(_max_abs, refvals), default=0.0)
     max_abs, worst = _worst_point(kept, fvals)
     notes = ""
-    if scale < 1e-20:
+    if scale <= PROBE_FLOOR * max_abs:
         notes = "reference scale degenerate; using absolute residual"
         scale = 1.0
     return IdentityReport(name, max_abs, scale, tol, worst=worst, notes=notes,
@@ -352,13 +357,12 @@ def _probe_loop(op, reference_ops, plan: SamplePlan, testfns, name):
     there are no references).  A probe whose scale is at most PROBE_FLOOR
     times its own largest |f| on the plan is annihilated by every reference
     and is passed over.  Returns (worst relative residual, {"probe",
-    "point"} of it, largest max-abs residual, largest scale), or None when
-    every probe was passed over.
+    "point"} of it), or None when every probe was passed over.
     """
     ops = (op, *reference_ops)
     param = next((o.param for o in ops if getattr(o, "param", None)), "q")
     fns = list(testfns) if testfns is not None else default_battery(param)
-    worst_rel, worst_info, max_abs_all, scale_all = -1.0, None, 0.0, 0.0
+    worst_rel, worst_info = -1.0, None
     for idx, fn in enumerate(fns):
         (dv, *refvals, fv), kept, _ = _sample(
             [*(o.apply(fn) for o in ops), fn], plan, f"{name}[probe {idx}]")
@@ -369,40 +373,18 @@ def _probe_loop(op, reference_ops, plan: SamplePlan, testfns, name):
         rel = max_abs / scale
         if rel > worst_rel:
             worst_rel, worst_info = rel, {"probe": idx, "point": point}
-        max_abs_all = max(max_abs_all, max_abs)
-        scale_all = max(scale_all, scale)
     if worst_info is None:
         return None
-    return worst_rel, worst_info, max_abs_all, scale_all
-
-
-def op_equal(a, b, plan: SamplePlan, testfns=None, tol=TOL_OPERATOR,
-             name="operator-equality") -> IdentityReport:
-    """Compare two operators by applying their difference to a probe battery.
-
-    The residual of (a-b)f is scaled per probe by the larger of |af| and
-    |bf| over the plan; the reported relative residual is the worst over
-    probes.  If every probe is annihilated by both operators the comparison
-    is inconclusive, unless both normalize to the structural zero operator.
-    """
-    found = _probe_loop(a - b, (a, b), plan, testfns, name)
-    if found is None:
-        if a.is_zero() and b.is_zero():
-            return IdentityReport(name, 0.0, 1.0, tol,
-                                  notes="both operators structurally zero")
-        raise DegenerateBattery(f"{name}: inconclusive: degenerate test battery")
-    worst_rel, worst_info, max_abs, scale = found
-    # the relative residual is the worst per-probe one
-    return IdentityReport(name, worst_rel, 1.0, tol, worst=worst_info,
-                          data={"max_abs": max_abs, "scale": scale})
+    return worst_rel, worst_info
 
 
 def check_op_zero(op, plan: SamplePlan, reference_ops=(), testfns=None,
                   tol=TOL_OPERATOR, name="operator-zero") -> IdentityReport:
     """Check an operator is zero, scaling residuals by reference operators.
 
-    The probe loop of op_equal, for commutator-style identities where the
-    natural scale comes from the operators being commuted.
+    The relative residual is the worst per probe.  Two operators a and b
+    are compared as check_op_zero(a - b, reference_ops=(a, b)); a
+    commutator identity takes the operators being commuted as references.
     """
     found = _probe_loop(op, reference_ops, plan, testfns, name)
     if found is None:
@@ -410,5 +392,5 @@ def check_op_zero(op, plan: SamplePlan, reference_ops=(), testfns=None,
             return IdentityReport(name, 0.0, 1.0, tol,
                                   notes="operator structurally zero")
         raise DegenerateBattery(f"{name}: inconclusive: degenerate test battery")
-    worst_rel, worst_info, _, _ = found
+    worst_rel, worst_info = found
     return IdentityReport(name, worst_rel, 1.0, tol, worst=worst_info)

@@ -110,7 +110,7 @@ def test_pair_eigen_matches_open_coded_residuals(qn):
 def test_frequency_blind_fault_matches_open_coded_residual():
     w = Fraction(2)
     qn = QNum3D(0, 0, 2, 0, w)
-    psi = osc3d._closed_sum(0, 0, 2, 0, w, phase=False, hermite_scaled=False)
+    psi = osc3d.closed_sum(0, 0, 2, 0, w, phase=False, hermite_scaled=False)
     ham = osc3d.build_Hm(w).at_incoming(0)
     lam = Const(qn.energy())
     res = Add(ham.apply(psi), Mul(Const(-1), lam, psi))

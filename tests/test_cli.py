@@ -88,6 +88,32 @@ def test_check_rejects_nonpositive_frequency(capsys):
     assert "frequency must be positive" in err
 
 
+@pytest.mark.parametrize("argv,fragment", [
+    (["check", "L3", "--points", "0"], "at least 1"),
+    (["check", "L3", "--points", "-1"], "at least 1"),
+    (["check", "L3", "--points", "two"], "at least 1"),
+    (["check", "L3", "--points", "1.5"], "at least 1"),
+    (["shape2d", "--twol", "2", "--points", "0"], "at least 1"),
+    (["dump", "Lp", "--points", "0"], "at least 1"),
+    (["suite", "--points", "0"], "at least 1"),
+    (["osc3d", "--n", "0", "--m", "0", "--points", "-1"], "at least 1"),
+    (["eigen2d", "--twol", "2", "--q", "0", "--m", "0", "--points", "-3"],
+     "at least 1"),
+    (["check", "L3", "--tol", "nan"], "positive finite"),
+    (["check", "L3", "--tol", "inf"], "positive finite"),
+    (["check", "L3", "--tol", "0"], "positive finite"),
+    (["check", "L3", "--tol", "-1"], "positive finite"),
+    (["suite", "--tol", "nan"], "positive finite"),
+    (["check", "L3", "--tol", "tiny"], "positive finite"),
+])
+def test_bad_points_or_tolerance_is_a_usage_error(argv, fragment, capsys):
+    # argparse rejects the value before any check runs
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert fragment in err
+    assert "Traceback" not in err and not out
+
+
 # -- eigen2d ------------------------------------------------------------------
 
 def test_eigen2d_text_report(capsys):

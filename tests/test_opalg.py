@@ -15,9 +15,10 @@ from shapeinv.opalg import (
     DiffOp, OpError, OpTerm, apply_canonical, commutator, fourier_reduce,
 )
 from shapeinv.symx import (
-    Add, Const, Cos, Exp, Mul, Pow, Sin, Sym,
+    Add, Const, Cos, Exp, Hermite, Mul, Pow, Sin, Sym,
     IMAG, ONE, PHI, PSI, R, THETA,
-    canonical_key, diff, is_zero_expr, render,
+    canonical_key, cf_to_expr, diff, is_zero_expr, render, simplify_basic,
+    trig_to_exp, _canon_cf, _cf_key, _key_to_cf,
 )
 from shapeinv.verify import SamplePlan
 
@@ -319,3 +320,117 @@ def test_structural_decisions_match_round_trip_on_pairs():
 def test_structural_decisions_match_round_trip_on_random_ops(a, b):
     for op in (a, a @ b, commutator(a, b), a - a):
         _assert_routes_agree(op)
+
+
+# ---------------------------------------------------------------------------
+# Fourier reduction against the route that walked canonical forms
+# ---------------------------------------------------------------------------
+
+def _oracle_cf_mentions(cf, name):
+    for mono in cf:
+        for akey, _ in mono:
+            kind = akey[0]
+            if kind == "sym" and akey[1] == name:
+                return True
+            if kind in ("sin", "cos", "exp") and _oracle_cf_mentions(
+                    _key_to_cf(akey[1]), name):
+                return True
+            if kind == "hermite" and _oracle_cf_mentions(
+                    _key_to_cf(akey[2]), name):
+                return True
+    return False
+
+
+_ORACLE_PHI_MONO = ((("sym", "phi"), (1, 1)),)
+
+
+def _oracle_split_phi_exponent(argcf):
+    k = 0
+    rest = {}
+    for mono, coeff in argcf.items():
+        if mono == _ORACLE_PHI_MONO:
+            if not coeff.re.numerator == 0:
+                raise OpError("exp argument has a non-imaginary phi part")
+            if coeff.im.denominator != 1:
+                raise OpError("exp argument phi frequency is not an integer")
+            k = coeff.im.numerator
+        else:
+            rest[mono] = coeff
+    if _oracle_cf_mentions(rest, "phi"):
+        raise OpError("exp argument depends on phi beyond a linear term")
+    return k, rest
+
+
+def _oracle_fourier_reduce(op, param):
+    """The reduction as it was written before `symx.fourier_modes`: it read
+    the canonical form's atom keys and Gaussian-rational fields directly."""
+    psym = Sym(param)
+    out = []
+    phi_index = 2
+    for t in op.terms:
+        cf = _canon_cf(trig_to_exp(t.coeff, "phi"))
+        n = t.derivs[phi_index]
+        derivs = tuple(0 if i == phi_index else d for i, d in enumerate(t.derivs))
+        for mono, coeff in cf.items():
+            atoms = []
+            k = 0
+            for akey, exp in mono:
+                kind = akey[0]
+                if kind == "exp":
+                    kk, rest = _oracle_split_phi_exponent(_key_to_cf(akey[1]))
+                    k = kk
+                    if rest:
+                        atoms.append((("exp", _cf_key(rest)), exp))
+                    continue
+                if kind == "sym" and akey[1] == "phi":
+                    raise OpError("coefficient has a non-periodic phi dependence")
+                if kind in ("sin", "cos") and _oracle_cf_mentions(
+                        _key_to_cf(akey[1]), "phi"):
+                    raise OpError("unreduced trigonometric phi factor")
+                if kind == "hermite" and _oracle_cf_mentions(
+                        _key_to_cf(akey[2]), "phi"):
+                    raise OpError("phi inside a Hermite argument")
+                atoms.append((akey, exp))
+            base = cf_to_expr({tuple(sorted(atoms)): coeff})
+            if n:
+                freq = Mul(IMAG, Add(psym, Const(-k)))
+                base = Mul(base, Pow(freq, n)) if n > 1 else Mul(base, freq)
+            out.append(OpTerm(simplify_basic(base), derivs, k))
+    return DiffOp(out, param).normalized()
+
+
+def _reducible_operators():
+    raw = su2.build_raw_generators()
+    for name, op in raw.pairs():
+        yield f"su2 {name}", op, "q"
+    yield "su2 casimir", su2.casimir(raw), "q"
+    for omega in (None, 1, 2):
+        cart = osc3d.cartesian_ladders(omega)
+        for name in ("a3", "a3d", "a4", "a4d"):
+            yield f"{name} omega={omega}", getattr(cart, name), "m"
+        combos = osc3d.build_combos(omega)
+        for name in ("A1", "A1d", "A2", "A2d"):
+            yield f"{name} omega={omega}", getattr(combos, name), "m"
+        yield f"H4 omega={omega}", osc3d.build_H4(omega), "m"
+    yield "H4 printed", osc3d.h4_reference(printed=True), "m"
+
+
+def test_fourier_reduce_matches_cf_walking_oracle():
+    for label, op, param in _reducible_operators():
+        new = fourier_reduce(op, param)
+        old = _oracle_fourier_reduce(op, param)
+        assert new.structure_key() == old.structure_key(), label
+        assert new.param == old.param == param, label
+
+
+@pytest.mark.parametrize("coeff", [
+    Mul(PHI, Sin(THETA)),
+    Exp(Mul(Const(Fraction(3, 2)), IMAG, PHI)),
+    Exp(Mul(Const(2), PHI)),
+    Hermite(2, Mul(R, PHI)),
+], ids=["outside-exponent", "half-integer", "real-exponent", "hermite"])
+def test_fourier_reduce_rejects_like_the_oracle(coeff):
+    op = DiffOp.from_expr(coeff) @ DiffOp.partial("phi")
+    for reduce in (fourier_reduce, _oracle_fourier_reduce):
+        with pytest.raises(OpError):
+            reduce(op, "p")

@@ -174,14 +174,14 @@ def test_printed_closed_form_fails_eigen():
 def test_frequency_blind_hermite_arguments():
     # H_2((omega-blind) x3) stops being an eigenfunction off omega = 1;
     # degree >= 2 matters, H_1 only rescales
-    blind = osc3d._closed_sum(0, 0, 2, 0, Fraction(2), phase=False,
+    blind = osc3d.closed_sum(0, 0, 2, 0, Fraction(2), phase=False,
                               hermite_scaled=False)
     ham = osc3d.build_Hm(Fraction(2)).at_incoming(0)
     lam = Const(QNum3D(0, 0, 2, 0, Fraction(2)).energy())
     res = canonical(Add(ham.apply(blind), Mul(Const(-1), lam, blind)))
     rep = check_zero(res, PLAN, reference=[Mul(lam, blind)], name="blind")
     assert not rep.passed
-    ok = osc3d._closed_sum(0, 0, 2, 0, Fraction(1), phase=False,
+    ok = osc3d.closed_sum(0, 0, 2, 0, Fraction(1), phase=False,
                            hermite_scaled=False)
     lam1 = Const(QNum3D(0, 0, 2, 0, Fraction(1)).energy())
     res1 = canonical(Add(osc3d.build_Hm(Fraction(1)).at_incoming(0).apply(ok),

@@ -1,11 +1,13 @@
-"""Every top-level name in the package is used, and every setting is set.
+"""Every top-level name in the package is used, every setting is set, and
+no module reaches into another's private names.
 
 Each module-level `def`, `class` and assignment target in `src/shapeinv`
 (dunders exempt) must be mentioned, as a whole word, somewhere in `src`,
 `tests` or `perfbench` outside the statements that define it.  A name that
 nothing mentions is dead code: delete it or use it.  Likewise each defaulted
 parameter of a module-level function or method must be passed by some call
-there.
+there.  A `_`-prefixed name belongs to its module: no other package module
+imports it or reads it as an attribute.
 """
 import ast
 import re
@@ -121,3 +123,40 @@ def test_every_defaulted_parameter_is_set_somewhere():
                 continue
             unset.append(f"{path.stem}.{label}({param}=)")
     assert not unset, "defaulted but never set: " + ", ".join(sorted(unset))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _private_reads(stem: str, tree: ast.Module):
+    """'<stem> imports|reads <module>.<name>' for each `_`-prefixed name of
+    another package module that this module imports or reads.  The body of
+    `__init__.clear_caches`, which empties the modules' memos, is exempt."""
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    bound = set()            # local names bound to package modules
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            for alias in node.names:
+                if node.module is None and alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+                elif node.module is not None and _private(alias.name):
+                    yield f"{stem} imports {node.module}.{alias.name}"
+    exempt = set()
+    if stem == "__init__":
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name == "clear_caches":
+                exempt = {id(sub) for sub in ast.walk(node)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and id(node) not in exempt
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound and _private(node.attr)):
+            yield f"{stem} reads {node.value.id}.{node.attr}"
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _private_reads(path.stem, ast.parse(path.read_text()))
+    assert not found, "private names read across modules: " + ", ".join(found)

@@ -22,7 +22,7 @@ from shapeinv.opalg import DiffOp
 from shapeinv.verify import (
     DEFAULT_BOXES, DegenerateBattery, IdentityReport, PlanDegenerate,
     SamplePlan, check_eigen, check_op_zero, check_proportional, check_zero,
-    default_battery, measure_constant, op_equal,
+    default_battery, measure_constant,
 )
 
 
@@ -77,6 +77,17 @@ def test_check_zero_trig_identity():
 def test_check_zero_negative_control():
     rep = check_zero(Add(Sin(THETA), Mul(Const(-1), THETA)),
                      SamplePlan(seed=0, count=32), reference=[THETA])
+    assert not rep.passed
+
+
+def test_check_zero_reference_cancelling_to_rounding_is_degenerate():
+    # sin^2 + cos^2 - 1 samples to rounding level, not to 0: as a scale it
+    # would turn sin(theta) into a relative residual of order 1e15
+    trig_zero = Add(Pow(Sin(THETA), 2), Pow(Cos(THETA), 2), Const(-1))
+    rep = check_zero(Sin(THETA), SamplePlan(seed=0, count=24),
+                     reference=[trig_zero])
+    assert rep.notes == "reference scale degenerate; using absolute residual"
+    assert rep.scale == 1.0 and rep.relative == rep.max_abs < 1.0
     assert not rep.passed
 
 
@@ -162,19 +173,15 @@ def test_default_battery_is_generic():
     assert len({tuple(round(x.real, 9) for x in v) for v in vals}) == len(fns)
 
 
-def test_op_equal_and_check_op_zero():
+def test_check_op_zero_compares_and_decides():
     plan = SamplePlan(seed=0, count=24)
     a = DiffOp.partial("theta") @ DiffOp.from_expr(Sin(THETA))
     b = (DiffOp.from_expr(Cos(THETA))
          + DiffOp.from_expr(Sin(THETA)) @ DiffOp.partial("theta"))
-    rep = op_equal(a, b, plan)
-    assert rep.passed
-    # op_equal is the probe loop of check_op_zero over a - b with (a, b) as
-    # the references; only its data fields differ
-    same = check_op_zero(a - b, plan, reference_ops=(a, b), name=rep.name)
-    assert ({**rep.as_dict(), "data": None}
-            == {**same.as_dict(), "data": None})
-    assert set(rep.data) == {"max_abs", "scale"} and not same.data
+    # two operators are compared through their difference, scaled by both
+    rep = check_op_zero(a - b, plan, reference_ops=(a, b))
+    assert rep.passed and not rep.data
+    assert not check_op_zero(a + b, plan, reference_ops=(a, b)).passed
     rep2 = check_op_zero((a - b).normalized(), plan)
     assert rep2.passed and rep2.relative == 0.0
     rep3 = check_op_zero(DiffOp.from_expr(Sin(THETA)), plan)
@@ -234,7 +241,7 @@ def test_sampling_never_canonicalizes(monkeypatch):
                            plan),
         measure_constant(Add(Pow(Sin(PHI), 2), Pow(Cos(PHI), 2)), plan),
         check_eigen(d2, Sin(THETA), -1, plan, 1e-10, "eigen"),
-        op_equal(a, b, plan),
+        check_op_zero(a - b, plan, reference_ops=(a, b)),
         check_op_zero(residual, plan, reference_ops=refs, name=label),
     ]
     assert all(rep.passed for rep in reports)

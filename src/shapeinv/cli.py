@@ -32,8 +32,8 @@ from .osc3d import QNum3D
 from .suite import (SuiteConfig, render_text, report_json, run_suite,
                     summary_line)
 from .symx import render
-from .verify import (DegenerateBattery, PlanDegenerate, SamplePlan,
-                     check_op_zero, check_zero, structural)
+from .verify import (TOL_EIGEN, TOL_OPERATOR, DegenerateBattery,
+                     PlanDegenerate, SamplePlan, check_op_zero, structural)
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def cmd_check(cfg: CliConfig, expr: str) -> int:
     except DslError as exc:
         return _usage_error("check", str(exc))
     try:
-        rep = check_op_zero(op, cfg.plan(32), tol=cfg.tolerance(1e-10),
+        rep = check_op_zero(op, cfg.plan(32), tol=cfg.tolerance(TOL_OPERATOR),
                             name=expr.strip())
     except (PlanDegenerate, DegenerateBattery) as exc:
         return _usage_error("check", str(exc))
@@ -129,7 +129,7 @@ def cmd_eigen2d(cfg: CliConfig) -> int:
         qn = QNum2D(cfg.twol, cfg.q, cfg.m)
     except ValueError as exc:
         return _usage_error("eigen2d", str(exc))
-    plan, tol = cfg.plan(32), cfg.tolerance(1e-8)
+    plan, tol = cfg.plan(32), cfg.tolerance(TOL_EIGEN)
     chi = ladders2d.chi_reduced(qn)
     reports = ladders2d.verify_eigen(qn, plan, tol=tol)
     header = [
@@ -150,7 +150,7 @@ def cmd_shape2d(cfg: CliConfig) -> int:
         return _usage_error("shape2d", "level label --twol must be nonnegative")
     if (cfg.q is None) != (cfg.m is None):
         return _usage_error("shape2d", "--q and --m must be given together")
-    plan, tol = cfg.plan(24), cfg.tolerance(1e-8)
+    plan, tol = cfg.plan(24), cfg.tolerance(TOL_EIGEN)
     reports = [ladders2d.verify_ladder_actions(cfg.twol, plan, tol=tol)]
     ok = ladders2d.reorder_identity_holds()
     reports.append(structural(
@@ -165,17 +165,13 @@ def cmd_shape2d(cfg: CliConfig) -> int:
         except ValueError as exc:
             return _usage_error("shape2d", str(exc))
         reports.extend(ladders2d.reconstruct_chain_reports(qn, plan, tol=tol))
-        chi = ladders2d.chi_reduced(qn)
-        for label, op in sorted(ladders2d.annihilation_ops(qn).items()):
-            reports.append(check_zero(
-                op.apply(chi), plan, reference=[chi], tol=tol,
-                name=f"{label} annihilates the state"))
+        reports.extend(ladders2d.annihilation_reports(qn, plan, tol))
         header[0] += f"  (state q={cfg.q} m={cfg.m})"
         payload["level"].update(q=cfg.q, m=cfg.m)
     return _finish(cfg, header, payload, reports)
 
 
-def cmd_osc3d(cfg: CliConfig, suite_flag: bool = False) -> int:
+def cmd_osc3d(cfg: CliConfig, suite_flag: bool) -> int:
     if suite_flag:
         return cmd_suite(cfg, sectors=("3d",))
     if cfg.n is None or cfg.m is None:
@@ -184,7 +180,7 @@ def cmd_osc3d(cfg: CliConfig, suite_flag: bool = False) -> int:
         qn = QNum3D(cfg.n, cfg.m, cfg.n3, cfg.n4, cfg.omega)
     except ValueError as exc:
         return _usage_error("osc3d", str(exc))
-    plan, tol = cfg.plan(32), cfg.tolerance(1e-8)
+    plan, tol = cfg.plan(32), cfg.tolerance(TOL_EIGEN)
     closed = osc3d.psi_closed(qn)
     ladder = osc3d.psi_ladder(qn)
     reports = [

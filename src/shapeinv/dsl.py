@@ -15,7 +15,8 @@ at that incoming label.  ``[X,Y]`` is the commutator ``X*Y - Y*X``.
 Parentheses, brackets and unary minus nest at most ``MAX_DEPTH`` levels.
 Scalars -- integers and the imaginary unit ``i`` -- multiply and add
 freely and promote to multiples of the identity when combined with
-operators.
+operators.  A product or bracket of two operators whose coefficient-node
+counts multiply past ``MAX_PRODUCT_SIZE`` is refused before it is composed.
 
 The AST is a tree of frozen dataclasses; ``parse(render(ast))`` returns an
 equal tree, so rendered forms are stable fixed points.
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import GaussRat
-from .symx import Const
+from .symx import Const, children
 from .opalg import DiffOp, OpError, commutator
 
 GENERATOR_NAMES = (
@@ -326,6 +327,37 @@ def _promote(value, param):
     return DiffOp.from_expr(Const(payload), param)
 
 
+# Composing two operators pairs every coefficient of one with every
+# coefficient (and derivative) of the other, so its cost follows the product
+# of their coefficient-node counts.  The documented examples stay below
+# 20 000; Lp*Lp*Lp*Lp*Lp reaches 193 806 and takes seconds, and each
+# further factor roughly triples the time.
+MAX_PRODUCT_SIZE = 100_000
+
+
+def _coefficient_nodes(op: DiffOp) -> int:
+    """Distinct nodes in the operator's coefficient trees."""
+    seen, todo = set(), [t.coeff for t in op.terms]
+    while todo:
+        e = todo.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            todo.extend(children(e))
+    return len(seen)
+
+
+def _check_size(a, b, node: OpDslAst):
+    """Refuse to compose the operator values a and b of `node` when their
+    coefficient-node counts multiply past MAX_PRODUCT_SIZE."""
+    if a[0] == "op" and b[0] == "op":
+        na, nb = _coefficient_nodes(a[1]), _coefficient_nodes(b[1])
+        if na * nb > MAX_PRODUCT_SIZE:
+            raise DslError(
+                f"operator product {node.render()} too large to compose: "
+                f"{na} x {nb} = {na * nb} coefficient-node pairs "
+                f"(bound {MAX_PRODUCT_SIZE})")
+
+
 def _mul(a, b):
     """Product of two values.  Operator products are normalized, because
     composition does not merge like terms and repeated products would
@@ -367,12 +399,15 @@ def _eval(node, omega):
         return acc
     if isinstance(node, Prod):
         acc = _eval(node.items[0], omega)
-        for it in node.items[1:]:
-            acc = _mul(acc, _eval(it, omega))
+        for k in range(1, len(node.items)):
+            right = _eval(node.items[k], omega)
+            _check_size(acc, right, Prod(node.items[:k + 1]))
+            acc = _mul(acc, right)
         return acc
     if isinstance(node, Bracket):
         left = _eval(node.left, omega)
         right = _eval(node.right, omega)
+        _check_size(left, right, node)
         param = None
         for v in (left, right):
             if v[0] == "op":

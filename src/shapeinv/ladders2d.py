@@ -49,6 +49,7 @@ from .symx import (
 from .opalg import DiffOp, apply_canonical
 from . import su2
 from .verify import (
+    TOL_EIGEN,
     IdentityReport,
     SamplePlan,
     check_eigen,
@@ -278,7 +279,7 @@ def _gnorm(twol: int, q: int, m: int) -> float:
 
 
 def verify_ladder_actions(twol: int, plan: SamplePlan,
-                          tol: float = 1e-8) -> IdentityReport:
+                          tol: float = TOL_EIGEN) -> IdentityReport:
     """Measure every one-step ladder ratio on the full grid at this level.
 
     The measured pointwise ratio (converted to the normalized family via the
@@ -470,7 +471,7 @@ def chain_norm_products(qn: QNum2D) -> dict:
 
 
 def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
-                              tol: float = 1e-8) -> list:
+                              tol: float = TOL_EIGEN) -> list:
     """Ratio-constancy reports for both reconstruction routes."""
     out = []
     rec = reconstruct_chain(qn)
@@ -493,7 +494,7 @@ def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
 # Eigen verification
 # ---------------------------------------------------------------------------
 
-def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float = 1e-8) -> list:
+def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float = TOL_EIGEN) -> list:
     """Eigen-equation reports for one state: quadratic invariant on chi,
     Schrodinger form on the weighted chi, and the two axis generators."""
     lam = qn.eigenvalue()
@@ -521,3 +522,12 @@ def annihilation_ops(qn: QNum2D) -> dict:
         out["left-raising"] = Lplus_of(qn.q)
         out["right-raising"] = Rplus_of(qn.q)
     return out
+
+
+def annihilation_reports(qn: QNum2D, plan: SamplePlan, tol: float) -> list:
+    """One sampled check that each of `annihilation_ops(qn)` kills chi,
+    scaled by chi itself, in label order."""
+    chi = chi_reduced(qn)
+    return [check_zero(op.apply(chi), plan, reference=[chi], tol=tol,
+                       name=f"{label} annihilates the state")
+            for label, op in sorted(annihilation_ops(qn).items())]

@@ -64,11 +64,11 @@ from .opalg import (
 )
 from . import su2
 from .verify import (
+    TOL_EIGEN,
     IdentityReport,
     PlanDegenerate,
     SamplePlan,
     check_eigen,
-    check_op_zero,
     check_proportional,
     check_zero,
     structural,
@@ -311,7 +311,7 @@ def _combo_parts(name: str, w: Expr, table: dict):
     return eps, slots, phi_slot
 
 
-def combo_reference(name: str, omega=None, printed: bool = False) -> DiffOp:
+def combo_reference(name: str, omega=None, *, printed: bool) -> DiffOp:
     """Closed transcription of one phi-full combo (printed or corrected)."""
     w = _as_omega(omega)
     eps, slots, phi_slot = _combo_parts(
@@ -402,18 +402,6 @@ def commutator_residuals(omega=None, reduced: bool = True) -> list:
                 (an, a), (bn, b) = group[i], group[j]
                 out.append((f"[{an},{bn}]", commutator(a, b), (a, b)))
     return out
-
-
-def verify_canonical_commutators(plan: SamplePlan = None, testfns=None,
-                                 tol: float = 1e-10) -> IdentityReport:
-    """Worst-case report over the 28 commutators of the reduced algebra."""
-    plan = plan or SamplePlan(seed=31, count=24)
-    reports = {label: check_op_zero(res, plan, reference_ops=refs, tol=tol,
-                                    testfns=testfns, name=f"commutator {label}")
-               for label, res, refs in commutator_residuals()}
-    failures = [label for label, rep in reports.items() if not rep.passed]
-    return worst_of("canonical commutators (reduced)", reports.values(), tol,
-                    notes="; ".join(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -532,33 +520,14 @@ def angular_prefactor_deviation() -> IdentityReport:
               "centrifugal scalar")
 
 
-def _factorization(omega, reduced: bool, zero_pt: int) -> tuple:
+def factorization(reduced: bool, zero_pt: int) -> tuple:
     """w (A1d A1 + A2d A2 + a3d a3 + a4d a4 + zero_pt), normalized, and the
-    Hamiltonian it must equal."""
-    lows, ups, ident = _ladder_set(omega, reduced)
+    Hamiltonian it equals when zero_pt is 2: on the m-lattice (uniformly in
+    m) or phi-full, at symbolic frequency."""
+    lows, ups, ident = _ladder_set(None, reduced)
     number = sum((up @ lo for (_, lo), (_, up) in zip(lows, ups)), DiffOp.zero())
-    w = _P(_as_omega(omega), ident.param)
-    fact = (w @ (number + Fraction(zero_pt) * ident)).normalized()
-    return fact, build_Hm(omega) if reduced else build_H4(omega)
-
-
-def verify_factorization(plan: SamplePlan = None, drop_constant: bool = False,
-                         testfns=None, tol: float = 1e-10) -> IdentityReport:
-    """H equals w (A1d A1 + A2d A2 + a3d a3 + a4d a4 + 2) on the m-lattice,
-    uniformly in m.  drop_constant removes the +2 (negative control)."""
-    plan = plan or SamplePlan(seed=37, count=32)
-    fact, ham = _factorization(None, True, 0 if drop_constant else 2)
-    name = "ladder factorization (reduced)"
-    if drop_constant:
-        name += " [zero-point dropped]"
-    return check_op_zero(fact - ham, plan, reference_ops=(fact, ham),
-                         testfns=testfns, tol=tol, name=name)
-
-
-def factorization_matches(reduced: bool = True) -> bool:
-    """Structural form of the factorization identity."""
-    fact, ham = _factorization(None, reduced, 2)
-    return fact.same_operator(ham)
+    fact = _P(OMEGA, ident.param) @ (number + Fraction(zero_pt) * ident)
+    return fact.normalized(), build_Hm() if reduced else build_H4()
 
 
 # ---------------------------------------------------------------------------
@@ -584,24 +553,12 @@ def intertwining_residuals(oscillators: OscillatorSet = None) -> list:
     return out
 
 
-def verify_intertwining(plan: SamplePlan = None, testfns=None,
-                        tol: float = 1e-10) -> IdentityReport:
-    """Single report over the four intertwining relations (worst case)."""
-    plan = plan or SamplePlan(seed=41, count=32)
-    return worst_of("intertwining relations", [
-        check_op_zero(res, plan, reference_ops=refs, tol=tol, testfns=testfns,
-                      name=f"intertwining {name}")
-        for name, res, refs in intertwining_residuals()], tol)
-
-
-def intertwining_fault_pattern(plan: SamplePlan = None, testfns=None,
-                               tol: float = 1e-10) -> list:
-    """Pass pattern of the four relations when the first cartesian lowering
-    operator has its gradient sign flipped (its adjoint left intact).
+def gradient_flipped_oscillators() -> OscillatorSet:
+    """The reduced set with the first cartesian lowering operator's
+    gradient sign flipped (its adjoint left intact).
 
     The fault corrupts both reduced lowering combos but neither raising
-    one, so exactly the two lowering relations must break."""
-    plan = plan or SamplePlan(seed=41, count=32)
+    one, so exactly the two lowering intertwining relations must break."""
     pref = _sqrt_w_half(OMEGA)
     grad_scale = Mul(pref, Pow(OMEGA, Fraction(-1)))
     x1 = cartesian_coords()[0]
@@ -612,13 +569,7 @@ def intertwining_fault_pattern(plan: SamplePlan = None, testfns=None,
     i_ = _P(IMAG)
     A1_bad = fourier_reduce((s @ (a1_bad + (i_ @ cart.a2))).normalized(), "m")
     A2_bad = fourier_reduce((s @ (a1_bad - (i_ @ cart.a2))).normalized(), "m")
-    faulty = build_oscillators()._replace(A1=A1_bad, A2=A2_bad)
-    out = []
-    for name, res, refs in intertwining_residuals(faulty):
-        rep = check_op_zero(res, plan, reference_ops=refs, tol=tol,
-                            testfns=testfns, name=f"faulted intertwining {name}")
-        out.append(rep.passed)
-    return out
+    return build_oscillators()._replace(A1=A1_bad, A2=A2_bad)
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +766,8 @@ def _coefficient_report(moved: Expr, target: Expr, coeff: float,
     return IdentityReport(name, max(rep.relative, dev), 1.0, tol, data=rep.data)
 
 
-def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,
-                          tol: float = 1e-8,
+def verify_ladder_actions(n_max: int, plan: SamplePlan,
+                          tol: float = TOL_EIGEN,
                           radial_states=((0, 0), (1, 0), (0, 1))) -> IdentityReport:
     """One aggregated report over every single-step action on the grid (at
     unit frequency).
@@ -824,7 +775,6 @@ def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,
     Valid moves must land on the target state with the square-root
     occupation coefficient; edge moves must annihilate.  Any nonzero
     coefficient attached to an invalid target is reported as an error."""
-    plan = plan or SamplePlan(seed=47, count=24)
     s = build_oscillators(1)
     reports, edges = [], 0
     for n in range(n_max + 1):
@@ -859,13 +809,13 @@ def verify_ladder_actions(n_max: int = 3, plan: SamplePlan = None,
     return rep
 
 
-def pair_minus(omega=None) -> DiffOp:
+def pair_minus(omega) -> DiffOp:
     """Paired descent: second lowering after first raising (m -> m - 2)."""
     s = build_oscillators(omega)
     return (s.A2 @ s.A1d).normalized()
 
 
-def pair_plus(omega=None) -> DiffOp:
+def pair_plus(omega) -> DiffOp:
     """Paired ascent: second raising after first lowering (m -> m + 2)."""
     s = build_oscillators(omega)
     return (s.A2d @ s.A1).normalized()
@@ -876,11 +826,10 @@ def pair_energy(n: int, m: int) -> Fraction:
     return Fraction((n + m) * (n - m + 2), 4)
 
 
-def verify_pair_eigen(qn: QNum3D, plan: SamplePlan = None,
-                      tol: float = 1e-8) -> list:
+def verify_pair_eigen(qn: QNum3D, plan: SamplePlan,
+                      tol: float = TOL_EIGEN) -> list:
     """Reports for plus-after-minus on the state and minus-after-plus on
     the state two sites down; both carry the same scalar."""
-    plan = plan or SamplePlan(seed=53, count=24)
     w = qn.omega
     lam = pair_energy(qn.n, qn.m)
     up_down = (pair_plus(w) @ pair_minus(w)).at_incoming(qn.m)
@@ -894,8 +843,8 @@ def verify_pair_eigen(qn: QNum3D, plan: SamplePlan = None,
     return out
 
 
-def raising_pair_reports(qn: QNum3D, plan: SamplePlan = None,
-                         tol: float = 1e-8) -> dict:
+def raising_pair_reports(qn: QNum3D, plan: SamplePlan,
+                         tol: float = TOL_EIGEN) -> dict:
     """The ascent pair lands on m + 2 (the transcription labels the target
     m - 2; the coefficient (1/2)sqrt((n-m)(n+m+2)) is correct).
 
@@ -903,7 +852,6 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan = None,
     reduced chart identifies the states at +-m (the phase that separates
     them is divided out), so the two candidates only differ for m != 0;
     start the demonstration off-center."""
-    plan = plan or SamplePlan(seed=59, count=24)
     w = qn.omega
     moved = apply_canonical(pair_plus(w).at_incoming(qn.m),
                             state_normalized(qn))
@@ -923,25 +871,23 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan = None,
     return out
 
 
-def verify_eigen(qn: QNum3D, plan: SamplePlan = None, closed: bool = True,
-                 tol: float = 1e-8) -> IdentityReport:
+def verify_eigen(qn: QNum3D, plan: SamplePlan, closed: bool = True,
+                 tol: float = TOL_EIGEN) -> IdentityReport:
     """H(m) psi = (n + n3 + n4 + 2) w psi as a sampled residual."""
-    plan = plan or SamplePlan(seed=61, count=32)
     psi = psi_closed(qn) if closed else psi_ladder(qn)
     form = "closed" if closed else "ladder"
     return check_eigen(build_Hm(qn.omega).at_incoming(qn.m), psi, qn.energy(),
                        plan, tol, f"eigenvalue ({form}) {qn}")
 
 
-def ladder_closed_ratio(qn: QNum3D, plan: SamplePlan = None,
-                        tol: float = 1e-8) -> IdentityReport:
+def ladder_closed_ratio(qn: QNum3D, plan: SamplePlan,
+                        tol: float = TOL_EIGEN) -> IdentityReport:
     """Chain-built and closed-form eigenfunctions agree up to a constant."""
-    plan = plan or SamplePlan(seed=67, count=32)
     return check_proportional(psi_ladder(qn), psi_closed(qn), plan, tol=tol,
                               name=f"ladder vs closed {qn}")
 
 
-def ground_annihilation(omega=1) -> bool:
+def ground_annihilation(omega) -> bool:
     """Every lowering operator kills the Gaussian ground state exactly."""
     w = Fraction(omega)
     s = build_oscillators(w)
@@ -950,8 +896,8 @@ def ground_annihilation(omega=1) -> bool:
                for k in ("a3", "a4", "A1", "A2"))
 
 
-def cartesian_crosscheck(plan: SamplePlan = None,
-                         tol: float = 1e-8) -> list:
+def cartesian_crosscheck(plan: SamplePlan,
+                         tol: float = TOL_EIGEN) -> list:
     """Separable cartesian eigenfunctions pulled onto the chart match the
     chart-native states at unit frequency.
 
@@ -959,7 +905,6 @@ def cartesian_crosscheck(plan: SamplePlan = None,
     ladder route for (n, m, n3, n4) = (0, 0, 1, 0); and the phi-full
     closed form at (n, m) = (1, -1) against (x1 - i x2) times the
     Gaussian."""
-    plan = plan or SamplePlan(seed=71, count=32)
     w = Fraction(1)
     sqw = Pow(Const(w), Fraction(1, 2))
     x1, x2, x3, _ = cartesian_coords()

@@ -19,7 +19,7 @@ def _frac(x) -> Fraction:
 class GaussRat:
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
 

@@ -264,7 +264,7 @@ class HqBundle(NamedTuple):
     offset: IdentityReport  # measured constant part of reference - derived
 
 
-def build_Hq(plan: SamplePlan | None = None) -> HqBundle:
+def build_Hq(plan: SamplePlan) -> HqBundle:
     """Construct H_q both ways and measure the constant offset between them.
 
     The derived route conjugates the reduced invariant by the full angular
@@ -272,7 +272,6 @@ def build_Hq(plan: SamplePlan | None = None) -> HqBundle:
     part (must vanish structurally) and a multiplication part whose constancy
     and value are measured over the plan.
     """
-    plan = plan or SamplePlan(seed=11, count=120)
     reference = hq_reference()
     derived = conjugate(casimir_reduced_reference(), weight_full())
     diff = (reference - derived).normalized()
@@ -305,7 +304,7 @@ def _corr_fn(sign_im: int) -> Expr:
                    Mul(Const(GaussRat(0, Fraction(sign_im))), cot(PSI), csc(THETA))))
 
 
-def primed_reference(resolved: bool = True) -> GeneratorSet:
+def primed_reference(resolved: bool) -> GeneratorSet:
     """Closed forms: reduced generators plus scalar shift corrections.
 
     With resolved=True each correction term rides the same lattice shift as

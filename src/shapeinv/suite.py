@@ -22,6 +22,8 @@ from .opalg import DiffOp, OpTerm, commutator
 from .symx import Const, Mul, is_zero_expr
 from .verify import (
     TOL_CONSTANT,
+    TOL_EIGEN,
+    TOL_EXACT,
     TOL_OPERATOR,
     DegenerateBattery,
     IdentityReport,
@@ -30,7 +32,6 @@ from .verify import (
     check_eigen,
     check_op_zero,
     check_proportional,
-    check_zero,
     default_battery,
     structural,
     worst_of,
@@ -52,7 +53,7 @@ class SuiteConfig:
     points: int = 10
     twol_max: int = 6
     n_max: int = 4
-    tol_eigen: float = 1e-8
+    tol_eigen: float = TOL_EIGEN
 
 
 def _plan(cfg: SuiteConfig, label: str, count: int | None = None) -> SamplePlan:
@@ -67,6 +68,17 @@ def _light_battery(param: str) -> list:
     parameter-exponential -- enough to expose every slot and any shift."""
     b = default_battery(param)
     return [b[0], b[1], b[3], b[5]]
+
+
+def _op_reports(plan: SamplePlan, param: str, residuals) -> list:
+    """One sampled report per (label, residual, reference ops): the
+    residual against zero on the light battery in `param`, scaled by its
+    reference operators, at TOL_OPERATOR; each report is named by its
+    label."""
+    fns = _light_battery(param)
+    return [check_op_zero(res, plan, reference_ops=refs, testfns=fns,
+                          tol=TOL_OPERATOR, name=label)
+            for label, res, refs in residuals]
 
 
 # ---------------------------------------------------------------------------
@@ -84,13 +96,9 @@ def _chk_su2_structural(cfg):
 
 
 def _chk_su2_sampled(cfg):
-    gs = su2.build_raw_generators()
-    plan = _plan(cfg, "su2-comm")
-    fns = _light_battery("q")
+    residuals = su2.commutator_residuals(su2.build_raw_generators())
     rep = worst_of("su2 bracket table (sampled)",
-                   [check_op_zero(res, plan, reference_ops=refs, testfns=fns,
-                                  tol=TOL_OPERATOR, name=lbl)
-                    for lbl, res, refs in su2.commutator_residuals(gs)],
+                   _op_reports(_plan(cfg, "su2-comm"), "q", residuals),
                    TOL_OPERATOR)
     return rep.note(f"worst: {rep.worst}")
 
@@ -109,7 +117,7 @@ def _chk_invariant_closed(cfg):
     ref = su2.casimir_reference()
     rep = check_op_zero(built - ref, _plan(cfg, "casimir"),
                         reference_ops=(built, ref),
-                        testfns=_light_battery("q"), tol=1e-12,
+                        testfns=_light_battery("q"), tol=TOL_EXACT,
                         name="invariant closed form")
     if not built.same_operator(ref):
         return rep.fail("structural mismatch against the closed form")
@@ -264,14 +272,8 @@ def _chk_annihilation(cfg):
     states = [qn for twol in range(min(cfg.twol_max, 4) + 1)
               for qn in ladders2d.valid_states(twol)
               if ladders2d.annihilation_ops(qn)][:6]
-    reports = []
-    for qn in states:
-        chi = ladders2d.chi_reduced(qn)
-        for label, op in ladders2d.annihilation_ops(qn).items():
-            applied = op.apply(chi)
-            reports.append(check_zero(applied, plan, reference=[chi],
-                                      tol=cfg.tol_eigen,
-                                      name=f"{label} at {qn}"))
+    reports = [rep for qn in states for rep in
+               ladders2d.annihilation_reports(qn, plan, cfg.tol_eigen)]
     if not reports:
         return structural("edge annihilations", True,
                           notes="no edge states at this cap")
@@ -310,8 +312,10 @@ def _chk_osc_comm_structural(cfg):
 
 
 def _chk_osc_comm_sampled(cfg):
-    return osc3d.verify_canonical_commutators(
-        _plan(cfg, "osc-comm"), testfns=_light_battery("m"), tol=TOL_OPERATOR)
+    reports = _op_reports(_plan(cfg, "osc-comm"), "m",
+                          osc3d.commutator_residuals())
+    return worst_of("oscillator brackets (sampled)", reports, TOL_OPERATOR,
+                    notes="; ".join(r.name for r in reports if not r.passed))
 
 
 def _chk_angular_invariant(cfg):
@@ -342,22 +346,22 @@ def _chk_transcriptions(cfg):
 
 
 def _chk_factorization(cfg):
-    ok = (osc3d.factorization_matches(reduced=True)
-          and osc3d.factorization_matches(reduced=False))
-    rep = osc3d.verify_factorization(_plan(cfg, "factor"),
-                                     testfns=_light_battery("m"),
-                                     tol=TOL_OPERATOR)
+    full, full_ham = osc3d.factorization(False, 2)
+    fact, ham = osc3d.factorization(True, 2)
+    ok = fact.same_operator(ham) and full.same_operator(full_ham)
+    rep, = _op_reports(_plan(cfg, "factor"), "m",
+                       [("factorization", fact - ham, (fact, ham))])
     if not ok:
         return rep.fail("structural factorization mismatch")
     return rep.note("structural match in both algebras, uniformly in the label")
 
 
 def _chk_intertwining(cfg):
-    rep = osc3d.verify_intertwining(_plan(cfg, "intertwine"),
-                                    testfns=_light_battery("m"),
-                                    tol=TOL_OPERATOR)
-    vanish = all(res.is_zero() for _, res, _ in osc3d.intertwining_residuals())
-    if vanish:
+    residuals = osc3d.intertwining_residuals()
+    rep = worst_of("intertwining relations",
+                   _op_reports(_plan(cfg, "intertwine"), "m", residuals),
+                   TOL_OPERATOR)
+    if all(res.is_zero() for _, res, _ in residuals):
         return rep.note("all four relations vanish structurally")
     return rep.fail("a relation failed to vanish structurally")
 
@@ -464,10 +468,8 @@ def _flt_su2_sign(cfg):
     gs = su2.build_raw_generators()
     bad = _flip_term_sign(gs.Lp, (1, 0, 0, 0))
     res = commutator(bad, gs.Lm) - 2 * gs.L3
-    rep = check_op_zero(res, _plan(cfg, "flt-sign"),
-                        reference_ops=(bad, gs.Lm, gs.L3),
-                        testfns=_light_battery("q"), tol=TOL_OPERATOR,
-                        name="mutated bracket")
+    rep, = _op_reports(_plan(cfg, "flt-sign"), "q",
+                       [("mutated bracket", res, (bad, gs.Lm, gs.L3))])
     return structural("fault: generator sign flip", not rep.passed,
                       notes=f"polar-slot sign flip breaks bracket closure "
                             f"(relative {rep.relative:.3e})")
@@ -478,7 +480,7 @@ def _flt_invariant_scale(cfg):
     quad, ref = su2.quadratic(gs), su2.casimir_reference()
     rep = check_op_zero(quad - ref, _plan(cfg, "flt-scale"),
                         reference_ops=(quad, ref), testfns=_light_battery("q"),
-                        tol=1e-12, name="mutated invariant scale")
+                        tol=TOL_EXACT, name="mutated invariant scale")
     return structural("fault: invariant scale dropped", not rep.passed,
                       notes=f"undoing the factor-4 normalization is caught "
                             f"(relative {rep.relative:.3e})")
@@ -489,10 +491,8 @@ def _flt_reversed_shift(cfg):
     bad = DiffOp(tuple(OpTerm(t.coeff, t.derivs, -t.shift)
                        for t in red.Lp.terms), red.Lp.param).normalized()
     res = commutator(bad, red.Lm) - 2 * red.L3
-    rep = check_op_zero(res, _plan(cfg, "flt-shift"),
-                        reference_ops=(bad, red.Lm, red.L3),
-                        testfns=_light_battery("q"), tol=TOL_OPERATOR,
-                        name="mutated reduced bracket")
+    rep, = _op_reports(_plan(cfg, "flt-shift"), "q", [
+        ("mutated reduced bracket", res, (bad, red.Lm, red.L3))])
     return structural("fault: reversed lattice shift", not rep.passed,
                       notes=f"flipping the shift direction breaks reduced "
                             f"closure (relative {rep.relative:.3e})")
@@ -512,19 +512,19 @@ def _flt_coeff_off_by_one(cfg):
 
 
 def _flt_zero_point(cfg):
-    rep = osc3d.verify_factorization(_plan(cfg, "flt-zp"),
-                                     drop_constant=True,
-                                     testfns=_light_battery("m"),
-                                     tol=TOL_OPERATOR)
+    fact, ham = osc3d.factorization(True, 0)
+    rep, = _op_reports(_plan(cfg, "flt-zp"), "m",
+                       [("factorization without +2", fact - ham, (fact, ham))])
     return structural("fault: zero-point constant dropped", not rep.passed,
                       notes=f"factorization without the +2 fails "
                             f"(relative {rep.relative:.3e})")
 
 
 def _flt_gradient_sign(cfg):
-    pattern = osc3d.intertwining_fault_pattern(
-        _plan(cfg, "flt-grad"), testfns=_light_battery("m"),
-        tol=TOL_OPERATOR)
+    residuals = osc3d.intertwining_residuals(
+        osc3d.gradient_flipped_oscillators())
+    pattern = [rep.passed for rep in
+               _op_reports(_plan(cfg, "flt-grad"), "m", residuals)]
     detected = pattern == [True, True, False, False]
     return structural("fault: lowering-gradient sign flip", detected,
                       notes="exactly the two lowering intertwinings break "
@@ -675,7 +675,7 @@ FAULT_PREFIX = "fault: "
 SECTORS = ("su2", "2d", "3d")
 
 
-def run_suite(config: SuiteConfig = SuiteConfig(), sectors=None) -> dict:
+def run_suite(config: SuiteConfig, sectors=None) -> dict:
     """Execute the registered battery; returns the JSON-ready report.
 
     ``sectors`` restricts the run to a subset of ``SECTORS`` (the angular

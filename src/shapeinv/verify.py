@@ -84,10 +84,12 @@ PROBE_FLOOR = 1e-12  # see the module notes
 
 # default tolerances (see package docs): operator identities are tight,
 # eigen/ladder chains accumulate more roundoff; a measured constant is
-# judged by its absolute dispersion
+# judged by its absolute dispersion; an exact identity (a structural
+# verdict, the quadratic invariant's closed form) is judged tighter still
 TOL_OPERATOR = 1e-10
 TOL_EIGEN = 1e-8
 TOL_CONSTANT = 1e-9
+TOL_EXACT = 1e-12
 
 
 class PlanDegenerate(RuntimeError):
@@ -101,13 +103,13 @@ class DegenerateBattery(RuntimeError):
 class SamplePlan:
     """Deterministic cloud of evaluation points avoiding singular loci."""
 
-    def __init__(self, seed: int = 0, count: int = 56):
+    def __init__(self, seed: int, count: int):
         if count < 1:
             raise ValueError("count must be >= 1")
         self.seed = int(seed)
         self.count = int(count)
 
-    def points(self, extra_symbols=()) -> list:
+    def points(self, extra_symbols) -> list:
         """Bindings for the four coordinates plus any extra named symbols.
 
         Extras are drawn from integer pools for quantum-number-like names,
@@ -245,9 +247,10 @@ def _worst_point(kept, values):
     return max_abs, worst
 
 
-def structural(name: str, ok: bool, notes: str = "") -> IdentityReport:
+def structural(name: str, ok: bool, notes: str) -> IdentityReport:
     """Report for an exact (symbolic) comparison: relative 0 or 1."""
-    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, 1e-12, notes=notes)
+    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, TOL_EXACT,
+                          notes=notes)
 
 
 def worst_of(name: str, reports, tol, notes: str = "") -> IdentityReport:
@@ -331,7 +334,7 @@ def measure_constant(f: Expr, plan: SamplePlan,
 # Operator comparison
 # ---------------------------------------------------------------------------
 
-def default_battery(param: str = "q") -> list:
+def default_battery(param: str) -> list:
     """Probe functions exercising every derivative slot, the periodic
     coordinate, the radial direction and the shift parameter (polynomially
     and exponentially, so mismatched shifts cannot hide)."""

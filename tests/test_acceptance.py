@@ -15,7 +15,7 @@ from shapeinv.ladders2d import QNum2D
 from shapeinv.osc3d import QNum3D
 from shapeinv.suite import FAULT_PREFIX, SuiteConfig, report_json, run_suite
 from shapeinv.verify import (SamplePlan, check_op_zero, check_zero,
-                             default_battery)
+                             default_battery, worst_of)
 
 
 def _verdict(capsys, num: int, ok: bool, text: str):
@@ -156,18 +156,26 @@ def test_criterion_5_two_angle_ladders(capsys):
 
 def test_criterion_6_oscillator_algebra(capsys):
     plan = SamplePlan(seed=106, count=16)
-    comm = osc3d.verify_canonical_commutators(plan, tol=1e-10)
+
+    def worst(name, residuals):
+        return worst_of(name, [
+            check_op_zero(res, plan, reference_ops=refs, tol=1e-10, name=label)
+            for label, res, refs in residuals], 1e-10)
+
+    comm = worst("canonical commutators", osc3d.commutator_residuals())
     structural = all(res.normalized().is_zero()
                      for reduced in (True, False)
                      for _, res, _ in osc3d.commutator_residuals(
                          reduced=reduced))
-    fact_sym = (osc3d.factorization_matches(reduced=True)
-                and osc3d.factorization_matches(reduced=False))
-    fact = osc3d.verify_factorization(plan, tol=1e-10)
+    fact_sym = all(fact.same_operator(ham) for fact, ham in (
+        osc3d.factorization(reduced, 2) for reduced in (True, False)))
+    number, ham = osc3d.factorization(True, 2)
+    fact = worst("factorization",
+                 [("factorization", number - ham, (number, ham))])
     inter_res = osc3d.intertwining_residuals()
     inter_structural = all(res.normalized().is_zero()
                            for _, res, _ in inter_res)
-    inter = osc3d.verify_intertwining(plan, tol=1e-10)
+    inter = worst("intertwining relations", inter_res)
     ok = (comm.passed and structural and fact_sym and fact.passed
           and len(inter_res) == 4 and inter_structural and inter.passed)
     _verdict(capsys, 6, ok,

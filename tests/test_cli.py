@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from shapeinv.cli import CliConfig, main
-from shapeinv.dsl import GENERATOR_NAMES
+from shapeinv.dsl import GENERATOR_NAMES, MAX_PRODUCT_SIZE, parse_and_build
 
 
 def run_cli(argv, capsys):
@@ -80,6 +80,23 @@ def test_check_leading_minus_needs_double_dash(capsys):
     code, out, _ = run_cli(["check", "--points", "8", "--", "-L3"], capsys)
     assert code == 1
     assert "checks: 0 passed / 1 failed" in out
+
+
+@pytest.mark.parametrize("expr,product", [
+    ("Lp*Lp*Lp*Lp*Lp*Lp", "Lp*Lp*Lp*Lp*Lp"),
+    ("[Lp*Lp*Lp, Lm*Lm*Lm]", "[Lp*Lp*Lp, Lm*Lm*Lm]"),
+], ids=["power", "bracket"])
+def test_check_oversized_product_is_a_usage_error(expr, product, capsys):
+    # refused before it is composed: the sixth power would take over 10 s
+    code, out, err = run_cli(["check", expr, "--points", "8"], capsys)
+    assert code == 2
+    assert f"operator product {product} too large" in err
+    assert f"(bound {MAX_PRODUCT_SIZE})" in err
+    assert "Traceback" not in err and not out
+
+
+def test_fourth_power_stays_under_the_product_bound():
+    assert parse_and_build("Lp*Lp*Lp*Lp").param is None
 
 
 def test_check_rejects_nonpositive_frequency(capsys):

@@ -287,7 +287,7 @@ def _structural_pairs():
            (printed_red - osc3d.hm_reference()).normalized(),
            DiffOp.from_expr(scale, "m") @ osc3d._angular_block(reduced=True))
     for reduced in (True, False):
-        fact, ham = osc3d._factorization(None, reduced, 2)
+        fact, ham = osc3d.factorization(reduced, 2)
         yield f"factorization reduced={reduced}", fact, ham
 
 

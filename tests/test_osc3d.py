@@ -15,9 +15,17 @@ from shapeinv.opalg import apply_canonical, commutator
 from shapeinv.symx import (
     Add, Const, Mul, canonical, is_zero_expr, render,
 )
-from shapeinv.verify import PlanDegenerate, SamplePlan, check_zero
+from shapeinv.verify import (
+    PlanDegenerate, SamplePlan, check_op_zero, check_zero, worst_of,
+)
 
 PLAN = SamplePlan(seed=29, count=24)
+
+
+def _sampled(residuals) -> list:
+    """Each residual against zero on PLAN with the full default battery."""
+    return [check_op_zero(res, PLAN, reference_ops=refs, tol=1e-10, name=label)
+            for label, res, refs in residuals]
 
 
 # -- label validation ---------------------------------------------------------
@@ -62,7 +70,8 @@ def test_canonical_commutators_structural(reduced):
 
 
 def test_canonical_commutators_sampled():
-    rep = osc3d.verify_canonical_commutators(PLAN)
+    rep = worst_of("canonical commutators",
+                   _sampled(osc3d.commutator_residuals()), 1e-10)
     assert rep.passed, str(rep)
 
 
@@ -85,14 +94,17 @@ def test_reduced_hamiltonian_and_similarity():
 
 
 def test_factorization_structural_and_sampled():
-    assert osc3d.factorization_matches(reduced=True)
-    assert osc3d.factorization_matches(reduced=False)
-    rep = osc3d.verify_factorization(PLAN)
+    for reduced in (True, False):
+        fact, ham = osc3d.factorization(reduced, 2)
+        assert fact.same_operator(ham), reduced
+    fact, ham = osc3d.factorization(True, 2)
+    rep, = _sampled([("factorization", fact - ham, (fact, ham))])
     assert rep.passed, str(rep)
 
 
 def test_factorization_with_zero_point_dropped_fails():
-    rep = osc3d.verify_factorization(PLAN, drop_constant=True)
+    fact, ham = osc3d.factorization(True, 0)
+    rep, = _sampled([("factorization", fact - ham, (fact, ham))])
     assert not rep.passed
 
 
@@ -104,12 +116,15 @@ def test_intertwining_structural():
 
 
 def test_intertwining_sampled():
-    rep = osc3d.verify_intertwining(PLAN)
+    rep = worst_of("intertwining relations",
+                   _sampled(osc3d.intertwining_residuals()), 1e-10)
     assert rep.passed, str(rep)
 
 
 def test_gradient_sign_fault_breaks_exactly_two():
-    assert osc3d.intertwining_fault_pattern(PLAN) == [True, True, False, False]
+    reports = _sampled(osc3d.intertwining_residuals(
+        osc3d.gradient_flipped_oscillators()))
+    assert [rep.passed for rep in reports] == [True, True, False, False]
 
 
 # -- transcription controls ---------------------------------------------------

@@ -1,13 +1,13 @@
-"""Every top-level name in the package is used, every setting is set, and
-no module reaches into another's private names.
+"""Every top-level name in the package is used, every setting is set,
+every default is used, and no module reaches into another's private names.
 
 Each module-level `def`, `class` and assignment target in `src/shapeinv`
 (dunders exempt) must be mentioned, as a whole word, somewhere in `src`,
 `tests` or `perfbench` outside the statements that define it.  A name that
 nothing mentions is dead code: delete it or use it.  Likewise each defaulted
 parameter of a module-level function or method must be passed by some call
-there.  A `_`-prefixed name belongs to its module: no other package module
-imports it or reads it as an attribute.
+there, and omitted by some other.  A `_`-prefixed name belongs to its
+module: no other package module imports it or reads it as an attribute.
 """
 import ast
 import re
@@ -83,10 +83,10 @@ def _defaulted_parameters(tree: ast.Module):
                 yield label, callee, param.arg, None
 
 
-def _passed_arguments():
-    """callee name -> (keywords passed, largest positional count); a call
-    with *args or **kwargs passes everything."""
-    passed = {}
+def _calls():
+    """callee name -> [(keywords passed, positional count)] for each call;
+    None for a call with *args or **kwargs, which may pass anything."""
+    calls = {}
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
             for call in ast.walk(ast.parse(path.read_text())):
@@ -97,13 +97,32 @@ def _passed_arguments():
                         func.attr if isinstance(func, ast.Attribute) else None)
                 if name is None:
                     continue
-                keywords, count = passed.get(name, (set(), 0))
-                if (any(isinstance(a, ast.Starred) for a in call.args)
-                        or any(k.arg is None for k in call.keywords)):
-                    keywords, count = {"*"}, float("inf")
-                passed[name] = (keywords | {k.arg for k in call.keywords},
-                                max(count, len(call.args)))
-    return passed
+                starred = (any(isinstance(a, ast.Starred) for a in call.args)
+                           or any(k.arg is None for k in call.keywords))
+                calls.setdefault(name, []).append(
+                    None if starred else
+                    ({k.arg for k in call.keywords}, len(call.args)))
+    return calls
+
+
+def _defaults_failing(rule):
+    """'<module>.<label>(<param>=)' for each defaulted parameter whose calls,
+    matched by the callee's name alone, fail `rule(passes)`: `passes` holds
+    one flag per call, True when the call passes the parameter by keyword
+    or by position, False when it omits it, None when it goes through
+    *args or **kwargs."""
+    calls = _calls()
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for label, callee, param, position in _defaulted_parameters(
+                ast.parse(path.read_text())):
+            passes = [None if call is None else
+                      param in call[0] or (position is not None
+                                           and call[1] > position)
+                      for call in calls.get(callee, [])]
+            if not rule(passes):
+                found.append(f"{path.stem}.{label}({param}=)")
+    return sorted(found)
 
 
 def test_every_defaulted_parameter_is_set_somewhere():
@@ -111,18 +130,18 @@ def test_every_defaulted_parameter_is_set_somewhere():
     position, is a setting nothing sets: delete it.  Calls are matched by
     the callee's name alone, so a name shared by two functions counts the
     calls of both."""
-    passed = _passed_arguments()
-    unset = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for label, callee, param, position in _defaulted_parameters(
-                ast.parse(path.read_text())):
-            keywords, count = passed.get(callee, (set(), 0))
-            if "*" in keywords or param in keywords:
-                continue
-            if position is not None and count > position:
-                continue
-            unset.append(f"{path.stem}.{label}({param}=)")
-    assert not unset, "defaulted but never set: " + ", ".join(sorted(unset))
+    unset = _defaults_failing(lambda passes: any(p is not False
+                                                 for p in passes))
+    assert not unset, "defaulted but never set: " + ", ".join(unset)
+
+
+def test_every_default_is_used_somewhere():
+    """A parameter with a default that every call passes is a default
+    nothing uses: make it required.  Calls are matched as above; a call
+    through *args or **kwargs counts as one that omits it."""
+    unused = _defaults_failing(lambda passes: any(p is not True
+                                                  for p in passes))
+    assert not unused, "default never used: " + ", ".join(unused)
 
 
 def _private(name: str) -> bool:

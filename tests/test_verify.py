@@ -64,7 +64,7 @@ def test_plan_stable_under_hash_randomization():
 
 def test_plan_rejects_empty():
     with pytest.raises(ValueError):
-        SamplePlan(count=0)
+        SamplePlan(seed=0, count=0)
 
 
 def test_check_zero_trig_identity():

@@ -16,6 +16,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import ladders2d, osc3d, su2
 from .opalg import DiffOp, OpTerm, commutator
@@ -269,9 +270,9 @@ def _chk_reconstruction(cfg):
 
 def _chk_annihilation(cfg):
     plan = _plan(cfg, "annihilate")
-    states = [qn for twol in range(min(cfg.twol_max, 4) + 1)
-              for qn in ladders2d.valid_states(twol)
-              if ladders2d.annihilation_ops(qn)][:6]
+    states = list(islice((qn for twol in range(min(cfg.twol_max, 4) + 1)
+                          for qn in ladders2d.valid_states(twol)
+                          if ladders2d.annihilation_ops(qn)), 6))
     reports = [rep for qn in states for rep in
                ladders2d.annihilation_reports(qn, plan, cfg.tol_eigen)]
     if not reports:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial
 from operator import add, mul
 
-from .rationals import GaussRat, I as IUNIT
+from .rationals import GaussRat, I as IUNIT, qadd, qmul
 
 COORDINATES = ("theta", "psi", "phi", "r")
 
@@ -476,7 +476,7 @@ def _simplify_node(e: Expr) -> Expr:
         expmap: dict = {}
         order: list = []
         for p in flat:
-            base, exp = (p.base, p.exponent) if isinstance(p, Pow) else (p, Fraction(1))
+            base, exp = (p.base, p.exponent) if isinstance(p, Pow) else (p, 1)
             k = base.key()
             if k in expmap:
                 expmap[k] = (expmap[k][0], expmap[k][1] + exp)
@@ -533,7 +533,9 @@ def _simplify_node(e: Expr) -> Expr:
 # Canonical normal form
 #
 # CF ("canonical form") = dict mapping monomial keys to GaussRat coefficients.
-# A monomial key is a sorted tuple of (atom_key, (exp_num, exp_den)) pairs.
+# A monomial key is a sorted tuple of (atom_key, (exp_num, exp_den)) pairs;
+# the exponent is a reduced int pair, and the atom maps that build monomials
+# keep it in that form (rationals.qadd / qmul), so no Fraction is made.
 # Atom keys:
 #   ('sym', name)
 #   ('sin', argkey) / ('cos', argkey)
@@ -552,7 +554,7 @@ def _cf_key(cf: dict) -> tuple:
 
 
 def _key_to_cf(key: tuple) -> dict:
-    return {m: GaussRat(Fraction(a, b), Fraction(c, d)) for m, (a, b, c, d) in key}
+    return {m: GaussRat.from_key(c) for m, c in key}
 
 
 def _cf_const(c: GaussRat) -> dict:
@@ -578,28 +580,28 @@ def _cf_scale(a: dict, c: GaussRat) -> dict:
 
 
 def _atoms_to_mono(atoms: dict) -> tuple:
-    return tuple(sorted((k, (p.numerator, p.denominator)) for k, p in atoms.items()))
+    return tuple(sorted(atoms.items()))
 
 
-def _insert_atom(atoms: dict, coeff_box: list, key, exp: Fraction):
-    """Add base^exp into an atom map, folding where exact arithmetic allows."""
-    if exp == 0:
+def _insert_atom(atoms: dict, coeff_box: list, key, exp: tuple):
+    """Add base^exp, exp an exponent pair, into an atom map, folding where
+    exact arithmetic allows."""
+    n, d = exp
+    if n == 0:
         return
     if key[0] == "exp":
         # exp atoms always carry exponent 1: scale the argument instead
         argcf = _key_to_cf(key[1])
-        argcf = _cf_scale(argcf, GaussRat(exp))
+        argcf = _cf_scale(argcf, GaussRat.from_key((n, d, 0, 1)))
         _merge_exp_atom(atoms, argcf)
         return
-    cur = atoms.get(key, Fraction(0))
-    new = cur + exp
-    if new == 0:
+    cur = atoms.get(key)
+    new = exp if cur is None else qadd(*cur, n, d)
+    if new[0] == 0:
         atoms.pop(key, None)
         return
-    if key[0] == "cpow" and new.denominator == 1:
-        a, b, c, d = key[1]
-        base = GaussRat(Fraction(a, b), Fraction(c, d))
-        coeff_box[0] = coeff_box[0] * (base ** new.numerator)
+    if key[0] == "cpow" and new[1] == 1:
+        coeff_box[0] = coeff_box[0] * (GaussRat.from_key(key[1]) ** new[0])
         atoms.pop(key, None)
         return
     atoms[key] = new
@@ -618,15 +620,15 @@ def _merge_exp_atom(atoms: dict, argcf: dict):
     else:
         combined = argcf
     if combined:
-        atoms[("exp", _cf_key(combined))] = Fraction(1)
+        atoms[("exp", _cf_key(combined))] = (1, 1)
 
 
 def _mono_mul(m1: tuple, c1: GaussRat, m2: tuple, c2: GaussRat) -> dict:
     coeff_box = [c1 * c2]
     atoms: dict = {}
     for mono in (m1, m2):
-        for k, (n, d) in mono:
-            _insert_atom(atoms, coeff_box, k, Fraction(n, d))
+        for k, p in mono:
+            _insert_atom(atoms, coeff_box, k, p)
     return _pythagoras(atoms, coeff_box[0])
 
 
@@ -635,22 +637,22 @@ def _pythagoras(atoms: dict, coeff: GaussRat) -> dict:
     if coeff.is_zero():
         return {}
     todo = [(k, p) for k, p in atoms.items()
-            if k[0] == "cos" and p.denominator == 1 and p >= 2]
+            if k[0] == "cos" and p[1] == 1 and p[0] >= 2]
     if not todo:
         return {_atoms_to_mono(atoms): coeff}
     out: dict = {}
     key, p = todo[0]
-    h, rem = divmod(p.numerator, 2)
+    h, rem = divmod(p[0], 2)
     base_atoms = dict(atoms)
     del base_atoms[key]
     if rem:
-        base_atoms[key] = Fraction(1)
+        base_atoms[key] = (1, 1)
     sin_key = ("sin", key[1])
     for j in range(h + 1):
         cb = [coeff * GaussRat((-1) ** j * math.comb(h, j))]
         at = dict(base_atoms)
         if j:
-            _insert_atom(at, cb, sin_key, Fraction(2 * j))
+            _insert_atom(at, cb, sin_key, (2 * j, 1))
         for m, c in _pythagoras(at, cb[0]).items():
             out = _cf_add(out, {m: c})
     return out
@@ -664,13 +666,15 @@ def _cf_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _cf_pow(a: dict, p: Fraction) -> dict:
-    if p == 0:
+def _cf_pow(a: dict, p: tuple) -> dict:
+    """a^(pn/pd) for the reduced exponent pair p = (pn, pd)."""
+    pn, pd = p
+    if pn == 0:
         return _cf_const(GaussRat(1))
-    if p == 1:
+    if p == (1, 1):
         return a
     if not a:
-        if p < 0:
+        if pn < 0:
             raise EvalError("singular: negative power of the zero expression")
         return {}
     if len(a) == 1:
@@ -678,19 +682,19 @@ def _cf_pow(a: dict, p: Fraction) -> dict:
         coeff_box = [GaussRat(1)]
         atoms: dict = {}
         for k, (n, d) in mono:
-            _insert_atom(atoms, coeff_box, k, Fraction(n, d) * p)
+            _insert_atom(atoms, coeff_box, k, qmul(n, d, pn, pd))
         # constant part
-        if p.denominator == 1:
-            coeff_box[0] = coeff_box[0] * (coeff ** p.numerator)
+        if pd == 1:
+            coeff_box[0] = coeff_box[0] * (coeff ** pn)
         elif coeff.is_one():
             pass
         else:
             _insert_atom(atoms, coeff_box, ("cpow", coeff.key()), p)
         return _pythagoras(atoms, coeff_box[0])
-    if p.denominator == 1 and p > 0:
+    if pd == 1 and pn > 0:
         out = _cf_const(GaussRat(1))
         base = a
-        k = p.numerator
+        k = pn
         while k:
             if k & 1:
                 out = _cf_mul(out, base)
@@ -718,7 +722,8 @@ def _canon_cf(e: Expr) -> dict:
         for f in e.factors:
             cf = _cf_mul(cf, _canon_cf(f))
     elif isinstance(e, Pow):
-        cf = _cf_pow(_canon_cf(e.base), e.exponent)
+        p = e.exponent
+        cf = _cf_pow(_canon_cf(e.base), (p.numerator, p.denominator))
     elif isinstance(e, Sin):
         acf = _canon_cf(e.arg)
         cf = {} if not acf else {((("sin", _cf_key(acf)), (1, 1)),): GaussRat(1)}
@@ -762,8 +767,7 @@ def _atom_to_expr(key) -> Expr:
     if kind == "hermite":
         return Hermite(key[1], cf_to_expr(_key_to_cf(key[2])))
     if kind == "cpow":
-        a, b, c, d = key[1]
-        return Const(GaussRat(Fraction(a, b), Fraction(c, d)))
+        return Const(GaussRat.from_key(key[1]))
     raise TypeError(f"unknown atom {kind}")
 
 
@@ -778,8 +782,7 @@ def cf_to_expr(cf: dict) -> Expr:
             factors.append(Const(coeff))
         for akey, (n, d) in mono:
             base = _atom_to_expr(akey)
-            p = Fraction(n, d)
-            factors.append(base if p == 1 else Pow(base, p))
+            factors.append(base if n == 1 and d == 1 else Pow(base, Fraction(n, d)))
         terms.append(factors[0] if len(factors) == 1 else Mul(*factors))
     return terms[0] if len(terms) == 1 else Add(*terms)
 

@@ -83,12 +83,38 @@ def test_pythagoras_is_exactly_zero():
     assert canonical(e) is ZERO or is_zero_expr(canonical(e))
 
 
-def test_exponent_merge():
-    e = Mul(Exp(Mul(IMAG, PHI)), Exp(Mul(Const(2), IMAG, PHI)))
-    assert equivalent(e, Exp(Mul(Const(3), IMAG, PHI)))
-    # and the inverse pair collapses to one
-    f = Mul(Exp(Mul(IMAG, PHI)), Exp(Mul(Const(-1), IMAG, PHI)))
-    assert equivalent(f, ONE)
+_exponents = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((R, Exp(R))), _exponents, _exponents)
+@example(R, Fraction(1, 2), Fraction(-1, 2))
+@example(Exp(R), Fraction(2, 3), Fraction(1, 3))
+def test_exponent_merge(base, p, q):
+    """base^p * base^q has the canonical form of base^(p+q): exponents of a
+    symbol add, and an exp atom folds its power into the argument."""
+    product = canonical_key(Mul(Pow(base, p), Pow(base, q)))
+    assert product == canonical_key(ONE if p + q == 0 else Pow(base, p + q))
+
+
+def _pythagoras_expansion(k: int):
+    """cos(theta)^k written as (1 - sin(theta)^2)^(k//2) * cos(theta)^(k%2)."""
+    h, rem = divmod(k, 2)
+    one_minus = Add(ONE, Mul(Const(-1), Pow(Sin(THETA), 2)))
+    return Mul(*([one_minus] * h), *([Cos(THETA)] * rem))
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    (Mul(Exp(Mul(IMAG, PHI)), Exp(Mul(Const(2), IMAG, PHI))),
+     Exp(Mul(Const(3), IMAG, PHI))),
+    (Mul(Exp(Mul(IMAG, PHI)), Exp(Mul(Const(-1), IMAG, PHI))), ONE),
+    (Pow(Exp(R), Fraction(3, 2)), Exp(Mul(Const(Fraction(3, 2)), R))),
+    (Mul(Pow(Const(2), Fraction(1, 2)), Pow(Const(2), Fraction(3, 2))), Const(4)),
+] + [(Pow(Cos(THETA), k), _pythagoras_expansion(k)) for k in range(2, 6)])
+def test_exponent_folds(lhs, rhs):
+    """Exp atoms merge, a constant's power folds once it is an integer, and
+    cos^k is rewritten through sin^2 = 1 - cos^2."""
+    assert equivalent(lhs, rhs)
 
 
 def test_rational_power_arithmetic_is_exact():

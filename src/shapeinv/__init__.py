@@ -53,9 +53,12 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every process-wide memo: the symbolic kernel memos of `symx`
-    and `opalg` and the `lru_cache` tables of `ladders2d` and `osc3d`."""
+    (`_DIFF_MEMO`, `_SUBST_MEMO`, `_SIMPLIFY_MEMO`, `_CANON_MEMO`) and of
+    `opalg` (`_DERIV_MEMO`), and the `lru_cache` tables of `ladders2d` and
+    `osc3d`."""
     from . import ladders2d, opalg, osc3d, symx
-    for table in (symx._CANON_MEMO, symx._SIMPLIFY_MEMO, opalg._DERIV_MEMO):
+    for table in (symx._DIFF_MEMO, symx._SUBST_MEMO, symx._SIMPLIFY_MEMO,
+                  symx._CANON_MEMO, opalg._DERIV_MEMO):
         table.clear()
     for module in (ladders2d, osc3d):
         for obj in vars(module).values():

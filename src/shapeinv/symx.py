@@ -228,6 +228,29 @@ def csc(x) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Memo tables
+#
+# The pure tree kernels are memoized by node: `diff` by (node, coordinate) in
+# _DIFF_MEMO, `substitute` by (tree, name, replacement) in _SUBST_MEMO,
+# `simplify_basic` in _SIMPLIFY_MEMO and the canonical form in _CANON_MEMO.
+# Nodes hash and compare by their full structural key, so a memo keyed by
+# node is hash-consing in the sense of Filliatre & Conchon ("Type-Safe
+# Modular Hash-Consing", 2006): a hit returns a tree with the same key the
+# computation would have built, and equal inputs share one result object, so
+# the memos downstream of a kernel mostly hit by identity.  Every table holds
+# at most MEMO_CAP entries and is emptied when it is full.
+# ---------------------------------------------------------------------------
+
+MEMO_CAP = 100_000
+
+
+def memo_put(table: dict, key, value) -> None:
+    if len(table) >= MEMO_CAP:
+        table.clear()
+    table[key] = value
+
+
+# ---------------------------------------------------------------------------
 # Structure queries
 # ---------------------------------------------------------------------------
 
@@ -267,16 +290,24 @@ def rebuild(e: Expr, kids) -> Expr:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
+_SUBST_MEMO: dict = {}
+
+
 def substitute(e: Expr, name: str, repl) -> Expr:
     """Replace every occurrence of symbol `name` by `repl` (capture-free)."""
     repl = as_expr(repl)
+    key = (e, name, repl)
+    out = _SUBST_MEMO.get(key)
+    if out is None:
+        out = _substitute(e, name, repl)
+        memo_put(_SUBST_MEMO, key, out)
+    return out
 
-    def go(x: Expr) -> Expr:
-        if isinstance(x, Sym) and x.name == name:
-            return repl
-        return rebuild(x, [go(c) for c in children(x)])
 
-    return go(e)
+def _substitute(x: Expr, name: str, repl: Expr) -> Expr:
+    if isinstance(x, Sym) and x.name == name:
+        return repl
+    return rebuild(x, [_substitute(c, name, repl) for c in children(x)])
 
 
 def trig_to_exp(e: Expr, name: str) -> Expr:
@@ -300,44 +331,57 @@ def trig_to_exp(e: Expr, name: str) -> Expr:
 # Differentiation
 # ---------------------------------------------------------------------------
 
+_DIFF_MEMO: dict = {}
+
+
 def diff(e: Expr, coord) -> Expr:
     if isinstance(coord, Sym):
         coord = coord.name
     if coord not in COORDINATES:
         raise DiffError(f"cannot differentiate with respect to parameter {coord!r}; "
                         f"coordinates are {COORDINATES}")
+    return _diff(e, coord)
 
-    def d(x: Expr) -> Expr:
-        if isinstance(x, Const):
+
+def _diff(x: Expr, coord: str) -> Expr:
+    if isinstance(x, Const):
+        return ZERO
+    if isinstance(x, Sym):
+        return ONE if x.name == coord else ZERO
+    key = (x, coord)
+    out = _DIFF_MEMO.get(key)
+    if out is None:
+        out = _diff_node(x, coord)
+        memo_put(_DIFF_MEMO, key, out)
+    return out
+
+
+def _diff_node(x: Expr, coord: str) -> Expr:
+    if isinstance(x, Add):
+        return Add(*(_diff(t, coord) for t in x.terms))
+    if isinstance(x, Mul):
+        terms = []
+        fs = x.factors
+        for i in range(len(fs)):
+            terms.append(Mul(*fs[:i], _diff(fs[i], coord), *fs[i + 1:]))
+        return Add(*terms) if terms else ZERO
+    if isinstance(x, Pow):
+        p = x.exponent
+        if p == 0:
             return ZERO
-        if isinstance(x, Sym):
-            return ONE if x.name == coord else ZERO
-        if isinstance(x, Add):
-            return Add(*(d(t) for t in x.terms))
-        if isinstance(x, Mul):
-            terms = []
-            fs = x.factors
-            for i in range(len(fs)):
-                terms.append(Mul(*fs[:i], d(fs[i]), *fs[i + 1:]))
-            return Add(*terms) if terms else ZERO
-        if isinstance(x, Pow):
-            p = x.exponent
-            if p == 0:
-                return ZERO
-            return Mul(Const(GaussRat(p)), Pow(x.base, p - 1), d(x.base))
-        if isinstance(x, Sin):
-            return Mul(Cos(x.arg), d(x.arg))
-        if isinstance(x, Cos):
-            return Mul(Const(-1), Sin(x.arg), d(x.arg))
-        if isinstance(x, Exp):
-            return Mul(x, d(x.arg))
-        if isinstance(x, Hermite):
-            if x.degree == 0:
-                return ZERO
-            return Mul(Const(2 * x.degree), Hermite(x.degree - 1, x.arg), d(x.arg))
-        raise TypeError(f"unknown node {type(x).__name__}")
-
-    return d(e)
+        return Mul(Const(GaussRat(p)), Pow(x.base, p - 1), _diff(x.base, coord))
+    if isinstance(x, Sin):
+        return Mul(Cos(x.arg), _diff(x.arg, coord))
+    if isinstance(x, Cos):
+        return Mul(Const(-1), Sin(x.arg), _diff(x.arg, coord))
+    if isinstance(x, Exp):
+        return Mul(x, _diff(x.arg, coord))
+    if isinstance(x, Hermite):
+        if x.degree == 0:
+            return ZERO
+        return Mul(Const(2 * x.degree), Hermite(x.degree - 1, x.arg),
+                   _diff(x.arg, coord))
+    raise TypeError(f"unknown node {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -360,63 +404,40 @@ def evaluate(e: Expr, binding: dict) -> complex:
     Raises EvalError for unbound symbols and for singular points
     (negative/fractional powers of zero).
     """
-
-    def ev(x: Expr) -> complex:
-        if isinstance(x, Const):
-            return complex(x.value)
-        if isinstance(x, Sym):
-            try:
-                v = binding[x.name]
-            except KeyError:
-                raise EvalError(f"unbound symbol {x.name!r}") from None
-            return complex(v)
-        if isinstance(x, Add):
-            return sum((ev(t) for t in x.terms), 0j)
-        if isinstance(x, Mul):
-            out = 1.0 + 0j
-            for f in x.factors:
-                out *= ev(f)
-            return out
-        if isinstance(x, Pow):
-            b = ev(x.base)
-            p = x.exponent
-            if b == 0:
-                if p < 0:
-                    raise EvalError("singular evaluation: zero base with negative power")
-                return 0j if p > 0 else 1.0 + 0j
-            if p.denominator == 1:
-                return b ** p.numerator
-            return b ** (p.numerator / p.denominator)
-        if isinstance(x, Sin):
-            return cmath.sin(ev(x.arg))
-        if isinstance(x, Cos):
-            return cmath.cos(ev(x.arg))
-        if isinstance(x, Exp):
-            return cmath.exp(ev(x.arg))
-        if isinstance(x, Hermite):
-            return _hermite_value(x.degree, ev(x.arg))
-        raise TypeError(f"unknown node {type(x).__name__}")
-
-    return ev(e)
-
-
-# ---------------------------------------------------------------------------
-# Memo tables
-#
-# The pure tree kernels are memoized by node.  Nodes hash and compare by
-# their full structural key, so a memo keyed by node is hash-consing in the
-# sense of Filliatre & Conchon ("Type-Safe Modular Hash-Consing", 2006): a
-# hit returns a tree with the same key the computation would have built.
-# Every table holds at most MEMO_CAP entries and is emptied when it is full.
-# ---------------------------------------------------------------------------
-
-MEMO_CAP = 100_000
-
-
-def memo_put(table: dict, key, value) -> None:
-    if len(table) >= MEMO_CAP:
-        table.clear()
-    table[key] = value
+    if isinstance(e, Const):
+        return complex(e.value)
+    if isinstance(e, Sym):
+        try:
+            v = binding[e.name]
+        except KeyError:
+            raise EvalError(f"unbound symbol {e.name!r}") from None
+        return complex(v)
+    if isinstance(e, Add):
+        return sum((evaluate(t, binding) for t in e.terms), 0j)
+    if isinstance(e, Mul):
+        out = 1.0 + 0j
+        for f in e.factors:
+            out *= evaluate(f, binding)
+        return out
+    if isinstance(e, Pow):
+        b = evaluate(e.base, binding)
+        p = e.exponent
+        if b == 0:
+            if p < 0:
+                raise EvalError("singular evaluation: zero base with negative power")
+            return 0j if p > 0 else 1.0 + 0j
+        if p.denominator == 1:
+            return b ** p.numerator
+        return b ** (p.numerator / p.denominator)
+    if isinstance(e, Sin):
+        return cmath.sin(evaluate(e.arg, binding))
+    if isinstance(e, Cos):
+        return cmath.cos(evaluate(e.arg, binding))
+    if isinstance(e, Exp):
+        return cmath.exp(evaluate(e.arg, binding))
+    if isinstance(e, Hermite):
+        return _hermite_value(e.degree, evaluate(e.arg, binding))
+    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -876,21 +897,20 @@ class Program:
     """
 
     def __init__(self, exprs):
+        self.steps = []  # per slot: (node type, node, child slots)
+        self.symbols = set()
         slots: dict = {}
-        steps = self.steps = []  # per slot: (node type, node, child slots)
-        symbols = self.symbols = set()
+        self.outputs = [self._walk(e, slots) for e in exprs]
 
-        def walk(e: Expr) -> int:
-            i = slots.get(e)
-            if i is None:
-                kids = [walk(c) for c in children(e)]
-                if isinstance(e, Sym):
-                    symbols.add(e.name)
-                i = slots[e] = len(steps)
-                steps.append((type(e), e, kids))
-            return i
-
-        self.outputs = [walk(e) for e in exprs]
+    def _walk(self, e: Expr, slots: dict) -> int:
+        i = slots.get(e)
+        if i is None:
+            kids = [self._walk(c, slots) for c in children(e)]
+            if isinstance(e, Sym):
+                self.symbols.add(e.name)
+            i = slots[e] = len(self.steps)
+            self.steps.append((type(e), e, kids))
+        return i
 
     def __call__(self, points: list):
         vals, bad, n = [], set(), len(points)
@@ -929,37 +949,39 @@ def _rank(e: Expr) -> int:
 
 
 def render(e: Expr) -> str:
-    def paren(s: str, need: bool) -> str:
-        return f"({s})" if need else s
+    return _render(e, 0)
 
-    def go(x: Expr, prec: int) -> str:
-        if isinstance(x, Const):
-            s = x.value.render()
-            need = prec >= 2 and (s.startswith("-") or "/" in s) and not s.startswith("(")
-            return paren(s, need)
-        if isinstance(x, Sym):
-            return x.name
-        if isinstance(x, Add):
-            parts = sorted((go(t, 1) for t in x.terms), key=lambda s: s)
-            joined = " + ".join(parts).replace("+ -", "- ")
-            return paren(joined, prec >= 2)
-        if isinstance(x, Mul):
-            fs = sorted(x.factors, key=lambda f: (_rank(f), f.key()))
-            return paren("*".join(go(f, 2) for f in fs), prec >= 3)
-        if isinstance(x, Pow):
-            p = x.exponent
-            ps = str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
-            if p < 0 or p.denominator != 1:
-                ps = f"({ps})"
-            return f"{go(x.base, 3)}^{ps}"
-        if isinstance(x, Sin):
-            return f"sin({go(x.arg, 0)})"
-        if isinstance(x, Cos):
-            return f"cos({go(x.arg, 0)})"
-        if isinstance(x, Exp):
-            return f"exp({go(x.arg, 0)})"
-        if isinstance(x, Hermite):
-            return f"hermite({x.degree}, {go(x.arg, 0)})"
-        raise TypeError(f"unknown node {type(x).__name__}")
 
-    return go(e, 0)
+def _paren(s: str, need: bool) -> str:
+    return f"({s})" if need else s
+
+
+def _render(x: Expr, prec: int) -> str:
+    if isinstance(x, Const):
+        s = x.value.render()
+        need = prec >= 2 and (s.startswith("-") or "/" in s) and not s.startswith("(")
+        return _paren(s, need)
+    if isinstance(x, Sym):
+        return x.name
+    if isinstance(x, Add):
+        parts = sorted(_render(t, 1) for t in x.terms)
+        joined = " + ".join(parts).replace("+ -", "- ")
+        return _paren(joined, prec >= 2)
+    if isinstance(x, Mul):
+        fs = sorted(x.factors, key=lambda f: (_rank(f), f.key()))
+        return _paren("*".join(_render(f, 2) for f in fs), prec >= 3)
+    if isinstance(x, Pow):
+        p = x.exponent
+        ps = str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
+        if p < 0 or p.denominator != 1:
+            ps = f"({ps})"
+        return f"{_render(x.base, 3)}^{ps}"
+    if isinstance(x, Sin):
+        return f"sin({_render(x.arg, 0)})"
+    if isinstance(x, Cos):
+        return f"cos({_render(x.arg, 0)})"
+    if isinstance(x, Exp):
+        return f"exp({_render(x.arg, 0)})"
+    if isinstance(x, Hermite):
+        return f"hermite({x.degree}, {_render(x.arg, 0)})"
+    raise TypeError(f"unknown node {type(x).__name__}")

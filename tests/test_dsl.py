@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shapeinv import clear_caches
 from shapeinv.dsl import (
-    Bracket, DslError, Gen, GENERATOR_NAMES, ImagLit, IntLit, MAX_DEPTH, Neg,
-    OpDslAst, Prod, Sum, build_operator, parse_and_build, parse_op_expr,
-    render_ast,
+    Bracket, DslError, Gen, GENERATOR_NAMES, ImagLit, IntLit, MAX_DEPTH,
+    MAX_PRODUCT_SIZE, Neg, OpDslAst, Prod, Sum, _coefficient_nodes,
+    build_operator, parse_and_build, parse_op_expr, render_ast,
 )
 from shapeinv.opalg import apply_canonical
+from shapeinv.suite import SuiteConfig, run_suite
 from shapeinv.symx import ONE, evaluate
 
 
@@ -212,3 +214,25 @@ def test_build_operator_accepts_a_prebuilt_ast():
     ast = Bracket(Gen("Rp"), Gen("Rm"))
     diff = build_operator(ast) + build_operator(Prod((IntLit(2), Gen("R3"))))
     assert diff.normalized().is_zero()
+
+
+# -- the product work bound ----------------------------------------------------
+
+POWERS = {"Lp": 54, "Lp*Lp": 320, "Lp*Lp*Lp": 1265, "Lp*Lp*Lp*Lp": 3589}
+
+
+def _power_nodes():
+    return {text: _coefficient_nodes(parse_and_build(text)) for text in POWERS}
+
+
+def test_coefficient_node_counts_do_not_depend_on_memo_warmth():
+    # The bound counts distinct node objects, and memo hits return shared
+    # trees; the counts must be the same cold and after a full battery.
+    # With them, Lp^5 (3589 * 54 = 193 806 pairs) stays refused and Lp^4
+    # (1265 * 54 = 68 310) allowed under MAX_PRODUCT_SIZE.
+    clear_caches()
+    assert _power_nodes() == POWERS
+    run_suite(SuiteConfig(seed=7))
+    assert _power_nodes() == POWERS
+    assert POWERS["Lp*Lp*Lp*Lp"] * POWERS["Lp"] > MAX_PRODUCT_SIZE
+    assert POWERS["Lp*Lp*Lp"] * POWERS["Lp"] <= MAX_PRODUCT_SIZE

@@ -7,11 +7,13 @@ Layers, bottom to top:
 * rationals  - exact Gaussian-rational scalars
 * symx       - symbolic expression trees with a canonical normal form
 * opalg      - partial differential operators with parameter shifts
+* verify     - randomized high-precision identity checking primitives
 * su2        - two commuting angular-momentum realizations and the derived
                two-dimensional Hamiltonian family
+* lattice    - the ladder lattice both sectors share: a move table, the
+               chain walker and the one-step actions loop
 * ladders2d  - parameter-shift ladder states and coefficient identities
 * osc3d      - oscillator creation/annihilation factorization in 3-D form
-* verify     - randomized high-precision identity checking primitives
 * suite      - the full battery of positive checks and fault injections
 * cli        - command-line front end with a small operator-expression DSL
 """
@@ -54,13 +56,13 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every process-wide memo: the symbolic kernel memos of `symx`
     (`_DIFF_MEMO`, `_SUBST_MEMO`, `_SIMPLIFY_MEMO`, `_CANON_MEMO`) and of
-    `opalg` (`_DERIV_MEMO`), and the `lru_cache` tables of `ladders2d` and
-    `osc3d`."""
-    from . import ladders2d, opalg, osc3d, symx
+    `opalg` (`_DERIV_MEMO`), and the `lru_cache` tables of `lattice` (the
+    chain walker's), `ladders2d` and `osc3d`."""
+    from . import ladders2d, lattice, opalg, osc3d, symx
     for table in (symx._DIFF_MEMO, symx._SUBST_MEMO, symx._SIMPLIFY_MEMO,
                   symx._CANON_MEMO, opalg._DERIV_MEMO):
         table.clear()
-    for module in (ladders2d, osc3d):
+    for module in (lattice, ladders2d, osc3d):
         for obj in vars(module).values():
             if hasattr(obj, "cache_clear"):
                 obj.cache_clear()

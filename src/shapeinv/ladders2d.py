@@ -5,6 +5,8 @@ application of concrete one-step lowering operators to the top state,
 provides the one-step ladder coefficients, the in-level (m +- 2) and
 cross-level (q +- 2) pair ladders with their scalar eigenvalues, degeneracy
 bookkeeping, and chain reconstruction with measured normalization products.
+The one-step moves form this sector's `lattice.Lattice`: its chain states
+are walks on that table, and its one-step check is the shared actions loop.
 
 The one-step operators are not transcribed here: each is the closed form of
 a reduced generator (`su2.reduced_ladder_reference`) pinned to an incoming
@@ -19,26 +21,21 @@ Conventions established by measurement (see the decisions ledger):
 * on the coefficient-normalized family the four one-step actions are
       R+(q) -> A-(q,m),  R-(q) -> A+(q,m),  L+(q) -> B+(q,m),  L-(q) -> B-(q,m)
   i.e. the A-labels attach to the opposite sign of the R-move relative to
-  the reference closed forms, while the B-labels attach as stated.  All
-  scalar products below are offered both ways: `*_reference` keeps the
-  reference labelling, the plain function carries the measured one.
+  the reference closed forms, while the B-labels attach as stated.  The
+  pair products come both ways: `E` and `N` keep the reference labelling,
+  `E_measured` carries the measured one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .symx import (
     Add,
     Const,
-    Exp,
     Expr,
-    IMAG,
     Mul,
-    ONE,
-    PHI,
     PSI,
     Pow,
     Sin,
@@ -48,6 +45,7 @@ from .symx import (
 )
 from .opalg import DiffOp, apply_canonical
 from . import su2
+from .lattice import Lattice, Move, check_moves, walk
 from .verify import (
     TOL_EIGEN,
     IdentityReport,
@@ -177,34 +175,18 @@ def reorder_identity_holds() -> bool:
 # Eigenfunctions
 # ---------------------------------------------------------------------------
 
-def highest_weight(twol: int) -> Expr:
-    """Top state in all three angles: e^{i 2l phi} (sin ps sin th)^{2l}."""
-    if twol < 0:
-        raise ValueError("quantum numbers out of range: twol >= 0")
-    body = Mul(Pow(Sin(PSI), twol), Pow(Sin(THETA), twol))
-    if twol == 0:
-        return ONE
-    return canonical(Mul(Exp(Mul(Const(twol), IMAG, PHI)), body))
-
-
-@lru_cache(maxsize=None)
-def _chain(twol: int, q: int, m: int) -> Expr:
-    if q == twol and m == 0:
-        return canonical(Mul(Pow(Sin(PSI), twol), Pow(Sin(THETA), twol)))
-    l_steps = (twol - q - m) // 2
-    if l_steps > 0:
-        return canonical(Lminus_of(q + 1).apply(_chain(twol, q + 1, m + 1)))
-    return canonical(Rminus_of(q + 1).apply(_chain(twol, q + 1, m - 1)))
+def _walk(qn: QNum2D):
+    """The lowering chain from the top state (2l, 2l, 0): R-steps to the
+    corner state, then L-steps down to (q, m), every state on the way valid."""
+    word = (("R-",) * ((qn.twol - qn.q + qn.m) // 2)
+            + ("L-",) * ((qn.twol - qn.q - qn.m) // 2))
+    return walk(_LATTICE, QNum2D(qn.twol, qn.twol, 0), word)
 
 
 def chi_reduced(qn: QNum2D) -> Expr:
-    """Unnormalized eigenfunction built by the lowering chain from the seed.
-
-    The chain applies, reading right to left, the R-steps R-(2l)...down to
-    the corner state, then the L-steps down to (q, m) -- the same operator
-    string as the closed chain formula, with every intermediate state valid.
-    """
-    return _chain(qn.twol, qn.q, qn.m)
+    """Unnormalized eigenfunction built by the lowering chain from the top
+    state (sin ps sin th)^{2l}."""
+    return _walk(qn).state
 
 
 def chi_tilde(qn: QNum2D) -> Expr:
@@ -216,15 +198,10 @@ def chi_tilde(qn: QNum2D) -> Expr:
 # Ladder coefficients
 # ---------------------------------------------------------------------------
 
-def _rad_pair(sign: int, twol: int, diff: int):
-    # radicand factors of 1/2 sqrt((2l -+ d)(2l +- d + 2)) for sign = +-1
-    return (twol - sign * diff, twol + sign * diff + 2)
-
-
 def _coeff_sq(kind_sign: int, twol: int, q: int, m: int, use_sum: bool) -> Fraction:
     d = (m + q) if use_sum else (m - q)
-    r1, r2 = _rad_pair(kind_sign, twol, d)
-    prod = r1 * r2
+    # radicand of 1/2 sqrt((2l -+ d)(2l +- d + 2)) for sign = +-1
+    prod = (twol - kind_sign * d) * (twol + kind_sign * d + 2)
     if prod < 0:
         name = ("B" if use_sum else "A") + ("+" if kind_sign > 0 else "-")
         raise ValueError(
@@ -240,100 +217,72 @@ def _B(sign: int, twol: int, q: int, m: int) -> float:
     return math.sqrt(_coeff_sq(sign, twol, q, m, use_sum=True))
 
 
-# measured one-step assignment on the coefficient-normalized family
-_MEASURED_STEP = {
-    "R+": lambda twol, q, m: _A(-1, twol, q, m),
-    "R-": lambda twol, q, m: _A(+1, twol, q, m),
-    "L+": lambda twol, q, m: _B(+1, twol, q, m),
-    "L-": lambda twol, q, m: _B(-1, twol, q, m),
+# the one-step moves with the measured label assignment; each operator is
+# looked up when the move is made, so a constructor rebound on the module
+# is the one used
+_MOVES = {
+    "R+": Move(lambda qn: Rplus_of(qn.q), {"q": +1, "m": -1},
+               lambda qn: _coeff_sq(-1, qn.twol, qn.q, qn.m, use_sum=False)),
+    "R-": Move(lambda qn: Rminus_of(qn.q), {"q": -1, "m": +1},
+               lambda qn: _coeff_sq(+1, qn.twol, qn.q, qn.m, use_sum=False)),
+    "L+": Move(lambda qn: Lplus_of(qn.q), {"q": +1, "m": +1},
+               lambda qn: _coeff_sq(+1, qn.twol, qn.q, qn.m, use_sum=True)),
+    "L-": Move(lambda qn: Lminus_of(qn.q), {"q": -1, "m": -1},
+               lambda qn: _coeff_sq(-1, qn.twol, qn.q, qn.m, use_sum=True)),
 }
-# labels as stated by the reference closed forms (negative control for A)
-_REFERENCE_STEP = {
-    "R+": lambda twol, q, m: _A(+1, twol, q, m),
-    "R-": lambda twol, q, m: _A(-1, twol, q, m),
-    "L+": lambda twol, q, m: _B(+1, twol, q, m),
-    "L-": lambda twol, q, m: _B(-1, twol, q, m),
-}
-_STEP_TARGET = {
-    "R+": lambda q, m: (q + 1, m - 1),
-    "R-": lambda q, m: (q - 1, m + 1),
-    "L+": lambda q, m: (q + 1, m + 1),
-    "L-": lambda q, m: (q - 1, m - 1),
-}
+# the move whose coefficient the reference closed forms state for each move
+_STATED = {"R+": "R-", "R-": "R+", "L+": "L+", "L-": "L-"}
 
 
-@lru_cache(maxsize=None)
-def _gnorm(twol: int, q: int, m: int) -> float:
-    """Scale of the chain state against the coefficient-normalized family.
+def _scale(qn: QNum2D) -> float:
+    """Scale of the chain state against the coefficient-normalized family:
+    the product of its steps' coefficients, in floats, in chain order."""
+    return math.prod(map(math.sqrt, _walk(qn).steps), start=1.0)
 
-    Every chain step lowers with measured coefficient 1 while the normalized
-    family lowers with the B-/A+ coefficient of that step, so the chain state
-    accumulates the inverse product along its construction path.
-    """
-    if q == twol and m == 0:
-        return 1.0
-    l_steps = (twol - q - m) // 2
-    if l_steps > 0:
-        return _gnorm(twol, q + 1, m + 1) * _B(-1, twol, q + 1, m + 1)
-    return _gnorm(twol, q + 1, m - 1) * _A(+1, twol, q + 1, m - 1)
+
+def _judge(kind, qn, moved, target, coeff_sq, plan, tol) -> IdentityReport:
+    """|ratio g_t/g_s - c|/c on unit scale for one interior move, no better
+    than the ratio's dispersion nor, past tolerance, its imaginary part; the
+    data keep the deviation from the stated coefficient."""
+    rep = check_proportional(moved, chi_reduced(target), plan, tol=tol,
+                             name=f"{kind} {qn}")
+    # chain state = (chain scale) x (normalized state), so the
+    # normalized-family coefficient rescales by target/source
+    measured = rep.data["ratio"] * _scale(target) / _scale(qn)
+    coeff = math.sqrt(coeff_sq)
+    rel = max(abs(measured - coeff) / max(abs(coeff), 1e-300), rep.relative)
+    if abs(measured.imag) > tol * max(abs(coeff), 1.0):
+        rel = max(rel, abs(measured.imag))
+    stated = math.sqrt(_MOVES[_STATED[kind]].coeff_sq(qn))
+    return IdentityReport(f"{kind} at {qn}", rel, 1.0, tol,
+                          data={"stated_deviation": abs(measured - stated)})
+
+
+_LATTICE = Lattice(
+    _MOVES,
+    lambda qn: canonical(Mul(Pow(Sin(PSI), qn.twol), Pow(Sin(THETA), qn.twol))),
+    "{kind} edge {label}", _judge)
 
 
 def verify_ladder_actions(twol: int, plan: SamplePlan,
                           tol: float = TOL_EIGEN) -> IdentityReport:
     """Measure every one-step ladder ratio on the full grid at this level.
 
-    The measured pointwise ratio (converted to the normalized family via the
-    chain scales) is compared against the closed coefficient formulas with
-    the measured label assignment; annihilating edge steps must give the
-    zero function together with a zero coefficient.  The deviation of the
-    reference (as-stated) A-label assignment is recorded in the data.
+    Interior moves are judged by `_judge`; edge moves must give the zero
+    function together with a zero coefficient.  The data count both, and
+    keep the largest deviation of the reference (as-stated) A-labels.
     """
-    # built per call, so a constructor rebound on the module is the one used
-    step_ops = {"R+": Rplus_of, "R-": Rminus_of, "L+": Lplus_of, "L-": Lminus_of}
-    reports = []
-    ref_label_dev = 0.0
-    checked = 0
-    annihilated = 0
-    for qn in valid_states(twol):
-        src = chi_reduced(qn)
-        for kind, op_of in step_ops.items():
-            tq, tm = _STEP_TARGET[kind](qn.q, qn.m)
-            coeff = _MEASURED_STEP[kind](qn.twol, qn.q, qn.m)
-            applied = op_of(qn.q).apply(src)
-            valid_target = (abs(tq) <= twol and abs(tm) <= twol - abs(tq))
-            if not valid_target or coeff == 0.0:
-                # edge: both the coefficient and the function must vanish
-                if coeff != 0.0:
-                    return IdentityReport(
-                        f"ladder actions 2l={twol}", 1.0, 1.0, tol,
-                        notes=f"zero target with nonzero coefficient at "
-                              f"{kind} {qn}")
-                name = f"{kind} edge {qn}"
-                rel = check_zero(applied, plan, reference=[src], tol=tol,
-                                 name=name).relative
-                reports.append(IdentityReport(name, rel, 1.0, tol))
-                annihilated += 1
-                continue
-            target = chi_reduced(QNum2D(twol, tq, tm))
-            rep = check_proportional(applied, target, plan, tol=tol,
-                                     name=f"{kind} {qn}")
-            ratio = rep.data["ratio"]
-            # chain state = (chain scale) x (normalized state), so the
-            # normalized-family coefficient rescales by target/source
-            measured = ratio * _gnorm(twol, tq, tm) / _gnorm(twol, qn.q, qn.m)
-            rel = abs(measured - coeff) / max(abs(coeff), 1e-300)
-            rel = max(rel, rep.relative)  # ratio must also be constant
-            if abs(measured.imag) > tol * max(abs(coeff), 1.0):
-                rel = max(rel, abs(measured.imag))
-            reports.append(IdentityReport(f"{kind} at {qn}", rel, 1.0, tol))
-            ref_coeff = _REFERENCE_STEP[kind](qn.twol, qn.q, qn.m)
-            ref_label_dev = max(ref_label_dev, abs(measured - ref_coeff))
-            checked += 1
-    rep = worst_of(f"ladder actions 2l={twol}", reports, tol,
+    members, edges = check_moves(
+        _LATTICE, ((qn, chi_reduced(qn)) for qn in valid_states(twol)),
+        plan, tol)
+    rep = worst_of(f"ladder actions 2l={twol}", members, tol,
                    notes="A-labels verified with the measured (sign-swapped) "
                          "assignment")
-    rep.data.update(steps_checked=checked, edge_annihilations=annihilated,
-                    reference_label_max_deviation=ref_label_dev)
+    rep.max_abs, rep.scale = rep.relative, 1.0  # on unit scale, as `_judge`
+    rep.data.update(
+        steps_checked=len(members) - edges, edge_annihilations=edges,
+        reference_label_max_deviation=max(
+            r.data.get("stated_deviation", 0.0) for r in members))
     return rep
 
 
@@ -387,16 +336,6 @@ def N_closed(twol: int, q: int, m: int) -> float:
     return Fraction((twol - m - q) * (twol + m + q + 2), 16) * math.sqrt(rad)
 
 
-def N_measured(twol: int, q: int, m: int) -> float:
-    """Cross-level pair eigenvalue with the measured A-label assignment.
-
-    Collapses to A-(q,m)^2 B+(q,m)^2 through the index identities
-    A+(q+2,m)=A-(q,m), B+(q+1,m-1)=B+(q,m), B-(q+1,m+1)=B+(q,m).
-    """
-    return float(_coeff_sq(-1, twol, q, m, use_sum=False)
-                 * _coeff_sq(+1, twol, q, m, use_sum=True))
-
-
 # ---------------------------------------------------------------------------
 # Chain reconstruction
 # ---------------------------------------------------------------------------
@@ -443,33 +382,6 @@ def _reconstruct_x(qn: QNum2D):
     return expr
 
 
-def chain_norm_products(qn: QNum2D) -> dict:
-    """Normalization strings of both reconstruction routes, all variants.
-
-    'y_chain'  : product of measured per-step scalars on the chain family
-                 (these make reconstruct_chain ratio exactly 1),
-    'y_normalized': per-step product on the coefficient-normalized family
-                 (measured A-label assignment),
-    'y_reference': the same string with the reference A-labels (as stated),
-    'x_*'      : likewise for the q-lowering route (chain value is 1).
-    """
-    twol, q, m = qn.twol, qn.q, qn.m
-    y_chain = 1.0
-    y_norm = 1.0
-    y_ref = 1.0
-    for m_cur in range(_m_top(twol, q), m, -2):
-        y_chain *= float(_coeff_sq(-1, twol, q, m_cur, use_sum=False))
-        y_norm *= _A(-1, twol, q, m_cur) * _B(-1, twol, q + 1, m_cur - 1)
-        y_ref *= _A(+1, twol, q, m_cur) * _B(-1, twol, q + 1, m_cur - 1)
-    x_norm = 1.0
-    x_ref = 1.0
-    for q_cur in range(twol - abs(m) - 2, q - 2, -2):
-        x_norm *= _A(+1, twol, q_cur + 2, m) * _B(-1, twol, q_cur + 1, m + 1)
-        x_ref *= _A(-1, twol, q_cur + 2, m) * _B(-1, twol, q_cur + 1, m + 1)
-    return {"y_chain": y_chain, "y_normalized": y_norm, "y_reference": y_ref,
-            "x_chain": 1.0, "x_normalized": x_norm, "x_reference": x_ref}
-
-
 def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
                               tol: float = TOL_EIGEN) -> list:
     """Ratio-constancy reports for both reconstruction routes."""
@@ -509,6 +421,12 @@ def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float = TOL_EIGEN) -> list:
         out.append(check_eigen(op_of(qn.q), chi, val, plan, tol,
                                f"{name} weight {qn}", reference=chi))
     return out
+
+
+def at_raising_edge(qn: QNum2D) -> bool:
+    """Whether a pair ladder raises qn off the lattice, read from the label
+    alone: the states `annihilation_ops` has operators for."""
+    return qn.m == _m_top(qn.twol, qn.q) or qn.q == qn.twol - abs(qn.m)
 
 
 def annihilation_ops(qn: QNum2D) -> dict:

@@ -63,6 +63,7 @@ from .opalg import (
     fourier_reduce,
 )
 from . import su2
+from .lattice import Lattice, Move, check_moves, walk
 from .verify import (
     TOL_EIGEN,
     IdentityReport,
@@ -70,7 +71,6 @@ from .verify import (
     SamplePlan,
     check_eigen,
     check_proportional,
-    check_zero,
     structural,
     worst_of,
 )
@@ -682,36 +682,30 @@ def psi_closed_printed(qn: QNum3D) -> Expr:
         Exp(Mul(Const(Fraction(-1, 2)), Pow(R, 2)))))
 
 
-@lru_cache(maxsize=None)
+def _ladder_chain(qn: QNum3D):
+    """The walk to qn and the length of its raising part: up to the m = n
+    corner with the second raising combo, the two single-oscillator
+    factors, then m down two at a time with the paired descent."""
+    up = ("A2d",) * qn.n + ("a4d",) * qn.n4 + ("a3d",) * qn.n3
+    down = ("A1d", "A2") * ((qn.n - qn.m) // 2)
+    return walk(_LATTICE, QNum3D(0, 0, omega=qn.omega), up + down), len(up)
+
+
 def psi_ladder(qn: QNum3D) -> Expr:
-    """Eigenfunction by operator chains: raise to the m = n corner with the
-    second raising combo, add the two single-oscillator factors, then step
-    m down two at a time with the paired descent, dividing by the exact
-    per-step normalization product."""
-    w = qn.omega
-    s = build_oscillators(w)
-    f = _gaussian(w)
-    for k in range(qn.n):
-        f = apply_canonical(s.A2d.at_incoming(k), f)
-    for _ in range(qn.n4):
-        f = apply_canonical(s.a4d.at_incoming(0), f)
-    for _ in range(qn.n3):
-        f = apply_canonical(s.a3d.at_incoming(0), f)
-    for k in range(qn.n, qn.m, -2):
-        f = apply_canonical(s.A1d.at_incoming(k), f)
-        f = apply_canonical(s.A2.at_incoming(k - 1), f)
-    c_sq = c_squared(qn.n, qn.m)
+    """Eigenfunction by operator chains over the square root of the
+    descent's normalization product, `c_squared`."""
+    chain, up = _ladder_chain(qn)
+    c_sq = math.prod(chain.steps[up:])
     if c_sq != 1:
-        f = canonical(Mul(Pow(Const(c_sq), Fraction(-1, 2)), f))
-    return f
+        return canonical(Mul(Pow(Const(c_sq), Fraction(-1, 2)), chain.state))
+    return chain.state
 
 
-@lru_cache(maxsize=None)
 def state_normalized(qn: QNum3D) -> Expr:
     """Ladder eigenfunction scaled so the one-step actions carry exactly
-    the square-root occupation coefficients."""
-    scale = (math.factorial(qn.n) * math.factorial(qn.n3)
-             * math.factorial(qn.n4))
+    the square-root occupation coefficients: over sqrt(n! n3! n4!)."""
+    chain, up = _ladder_chain(qn)
+    scale = math.prod(chain.steps[:up])
     if scale == 1:
         return psi_ladder(qn)
     return canonical(Mul(Pow(Const(Fraction(1, scale)), Fraction(1, 2)),
@@ -743,17 +737,23 @@ def c_squared_printed(n: int, m: int) -> Fraction:
 # Ladder actions, pair ladders, eigen checks
 # ---------------------------------------------------------------------------
 
-# op name -> (dn, dm, dn3, dn4, squared coefficient); a move is invalid
-# exactly when the squared coefficient vanishes.
-_ACTIONS = {
-    "A1d": (+1, -1, 0, 0, lambda qn: qn.n1 + 1),
-    "A2d": (+1, +1, 0, 0, lambda qn: qn.n2 + 1),
-    "A1": (-1, +1, 0, 0, lambda qn: qn.n1),
-    "A2": (-1, -1, 0, 0, lambda qn: qn.n2),
-    "a3d": (0, 0, +1, 0, lambda qn: qn.n3 + 1),
-    "a3": (0, 0, -1, 0, lambda qn: qn.n3),
-    "a4d": (0, 0, 0, +1, lambda qn: qn.n4 + 1),
-    "a4": (0, 0, 0, -1, lambda qn: qn.n4),
+def _oscillator(kind: str, delta: dict, coeff_sq) -> Move:
+    """The move made by the reduced operator `kind` at the label's frequency
+    and incoming lattice label, looked up when the move is made."""
+    return Move(lambda qn: getattr(build_oscillators(qn.omega), kind)
+                .at_incoming(qn.m), delta, coeff_sq)
+
+
+# each squared coefficient is the occupation raised into or lowered from
+_MOVES = {
+    "A1d": _oscillator("A1d", {"n": +1, "m": -1}, lambda qn: qn.n1 + 1),
+    "A2d": _oscillator("A2d", {"n": +1, "m": +1}, lambda qn: qn.n2 + 1),
+    "A1": _oscillator("A1", {"n": -1, "m": +1}, lambda qn: qn.n1),
+    "A2": _oscillator("A2", {"n": -1, "m": -1}, lambda qn: qn.n2),
+    "a3d": _oscillator("a3d", {"n3": +1}, lambda qn: qn.n3 + 1),
+    "a3": _oscillator("a3", {"n3": -1}, lambda qn: qn.n3),
+    "a4d": _oscillator("a4d", {"n4": +1}, lambda qn: qn.n4 + 1),
+    "a4": _oscillator("a4", {"n4": -1}, lambda qn: qn.n4),
 }
 
 
@@ -766,6 +766,13 @@ def _coefficient_report(moved: Expr, target: Expr, coeff: float,
     return IdentityReport(name, max(rep.relative, dev), 1.0, tol, data=rep.data)
 
 
+_LATTICE = Lattice(
+    _MOVES, lambda qn: _gaussian(qn.omega), "edge {kind} {label}",
+    lambda kind, qn, moved, target, coeff_sq, plan, tol: _coefficient_report(
+        canonical(moved), state_normalized(target), math.sqrt(coeff_sq),
+        plan, tol, f"{kind} on {qn}"))
+
+
 def verify_ladder_actions(n_max: int, plan: SamplePlan,
                           tol: float = TOL_EIGEN,
                           radial_states=((0, 0), (1, 0), (0, 1))) -> IdentityReport:
@@ -773,36 +780,11 @@ def verify_ladder_actions(n_max: int, plan: SamplePlan,
     unit frequency).
 
     Valid moves must land on the target state with the square-root
-    occupation coefficient; edge moves must annihilate.  Any nonzero
-    coefficient attached to an invalid target is reported as an error."""
-    s = build_oscillators(1)
-    reports, edges = [], 0
-    for n in range(n_max + 1):
-        for m in range(-n, n + 1, 2):
-            for n3, n4 in radial_states:
-                qn = QNum3D(n, m, n3, n4)
-                src = state_normalized(qn)
-                for kind, (dn, dm, d3, d4, sq) in _ACTIONS.items():
-                    op = getattr(s, kind).at_incoming(m)
-                    coeff_sq = sq(qn)
-                    tn, tm = n + dn, m + dm
-                    valid = (tn >= abs(tm) and tn >= 0
-                             and n3 + d3 >= 0 and n4 + d4 >= 0)
-                    if coeff_sq == 0 or not valid:
-                        if coeff_sq != 0:
-                            return IdentityReport(
-                                "ladder actions", 1.0, 1.0, tol,
-                                notes=f"zero target with nonzero coefficient "
-                                      f"({kind} at {qn})")
-                        reports.append(check_zero(
-                            op.apply(src), plan, reference=[src], tol=tol,
-                            name=f"edge {kind} {qn}"))
-                        edges += 1
-                    else:
-                        tgt = state_normalized(QNum3D(tn, tm, n3 + d3, n4 + d4))
-                        reports.append(_coefficient_report(
-                            apply_canonical(op, src), tgt, math.sqrt(coeff_sq),
-                            plan, tol, f"{kind} on {qn}"))
+    occupation coefficient; edge moves must annihilate."""
+    labels = [QNum3D(n, m, n3, n4) for n in range(n_max + 1)
+              for m in range(-n, n + 1, 2) for n3, n4 in radial_states]
+    reports, edges = check_moves(
+        _LATTICE, ((qn, state_normalized(qn)) for qn in labels), plan, tol)
     rep = worst_of("ladder actions", reports, tol,
                    notes="; ".join(r.name for r in reports if not r.passed))
     rep.data.update(steps_checked=len(reports), edge_annihilations=edges)
@@ -888,12 +870,12 @@ def ladder_closed_ratio(qn: QNum3D, plan: SamplePlan,
 
 
 def ground_annihilation(omega) -> bool:
-    """Every lowering operator kills the Gaussian ground state exactly."""
-    w = Fraction(omega)
-    s = build_oscillators(w)
-    g = _gaussian(w)
-    return all(is_zero_expr(apply_canonical(getattr(s, k).at_incoming(0), g))
-               for k in ("a3", "a4", "A1", "A2"))
+    """Every move whose coefficient vanishes on the Gaussian ground state
+    -- each lowering operator -- kills it exactly."""
+    ground = QNum3D(0, 0, omega=omega)
+    g = _LATTICE.seed_state(ground)
+    return all(is_zero_expr(apply_canonical(move.op(ground), g))
+               for move in _MOVES.values() if move.coeff_sq(ground) == 0)
 
 
 def cartesian_crosscheck(plan: SamplePlan,

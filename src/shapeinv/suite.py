@@ -272,7 +272,7 @@ def _chk_annihilation(cfg):
     plan = _plan(cfg, "annihilate")
     states = list(islice((qn for twol in range(min(cfg.twol_max, 4) + 1)
                           for qn in ladders2d.valid_states(twol)
-                          if ladders2d.annihilation_ops(qn)), 6))
+                          if ladders2d.at_raising_edge(qn)), 6))
     reports = [rep for qn in states for rep in
                ladders2d.annihilation_reports(qn, plan, cfg.tol_eigen)]
     if not reports:

@@ -1,4 +1,5 @@
 """Command-line frontend: exit codes, formats, seeding, determinism."""
+import hashlib
 import json
 import os
 import subprocess
@@ -189,6 +190,33 @@ def test_shape2d_negative_level(capsys):
     code, _, err = run_cli(["shape2d", "--twol", "-2"], capsys)
     assert code == 2
     assert "nonnegative" in err
+
+
+# The shape2d report is the one output that shows the 2-D ladder actions'
+# member names and data, so its bytes are pinned per level and for one state.
+SHAPE2D_DIGESTS = {
+    ("--twol", "0"):
+        "bffc71406581622ac883e4319d7dbe7343195421ab9446920eaff5bc685867c9",
+    ("--twol", "1"):
+        "aac0326ec563f35e08b0fe18a9a4f5037d505e934827016ff99d62a6d5c73dcc",
+    ("--twol", "2"):
+        "72072b043e243aea2152b35b3e113ee091c16b3bede00c4e60618848e5715536",
+    ("--twol", "3"):
+        "125a1e48e354f1d5056c2051aa0f4fa235fb4713dd9325f993ac45d5f6fb0447",
+    ("--twol", "4"):
+        "b546c62bbae874408069012ccf803e0e8bfa2e0dfa30a3a4fd49646fcacbb730",
+    ("--twol", "4", "--q", "2", "--m", "0"):
+        "07fe0891f7b4bee0e2fe0f9431a028ded06066b9fc8bb75ea2f3039e28d8ea72",
+}
+
+
+@pytest.mark.parametrize("args", list(SHAPE2D_DIGESTS), ids=" ".join)
+def test_shape2d_report_digest(args, capsys):
+    """The digests were recorded on Python 3.11.7 with the x86-64 libm;
+    another libm may round the last bits of a residual differently."""
+    code, out, _ = run_cli(["shape2d", *args, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SHAPE2D_DIGESTS[args]
 
 
 # -- osc3d --------------------------------------------------------------------

@@ -1,0 +1,299 @@
+"""The shared ladder lattice against the per-sector code it replaces.
+
+`ladders2d` and `osc3d` each used to carry their own move table, chain
+builder and one-step actions loop.  Both now supply a `lattice.Lattice`
+and use its one walker and its one actions loop.  The replaced code is
+kept here, as it was, as the oracle: each sector's actions report must
+have the same `as_dict()`, and each chain state must be the same tree.
+"""
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+
+from shapeinv import ladders2d as ld, osc3d
+from shapeinv.ladders2d import (
+    QNum2D, Lminus_of, Lplus_of, Rminus_of, Rplus_of, valid_states,
+)
+from shapeinv.opalg import apply_canonical
+from shapeinv.osc3d import QNum3D, build_oscillators, c_squared
+from shapeinv.symx import Const, Expr, Mul, PSI, Pow, Sin, THETA, canonical
+from shapeinv.verify import (
+    TOL_EIGEN, IdentityReport, SamplePlan, check_proportional, check_zero,
+    worst_of,
+)
+
+PLANS = [SamplePlan(seed=31, count=8), SamplePlan(seed=32, count=12)]
+
+
+# -- the replaced 2-D code ------------------------------------------------------
+
+def _A(sign: int, twol: int, q: int, m: int) -> float:
+    return math.sqrt(ld._coeff_sq(sign, twol, q, m, use_sum=False))
+
+
+def _B(sign: int, twol: int, q: int, m: int) -> float:
+    return math.sqrt(ld._coeff_sq(sign, twol, q, m, use_sum=True))
+
+
+@lru_cache(maxsize=None)
+def _chain(twol: int, q: int, m: int) -> Expr:
+    if q == twol and m == 0:
+        return canonical(Mul(Pow(Sin(PSI), twol), Pow(Sin(THETA), twol)))
+    l_steps = (twol - q - m) // 2
+    if l_steps > 0:
+        return canonical(Lminus_of(q + 1).apply(_chain(twol, q + 1, m + 1)))
+    return canonical(Rminus_of(q + 1).apply(_chain(twol, q + 1, m - 1)))
+
+
+def chi_reduced(qn: QNum2D) -> Expr:
+    return _chain(qn.twol, qn.q, qn.m)
+
+
+# measured one-step assignment on the coefficient-normalized family
+_MEASURED_STEP = {
+    "R+": lambda twol, q, m: _A(-1, twol, q, m),
+    "R-": lambda twol, q, m: _A(+1, twol, q, m),
+    "L+": lambda twol, q, m: _B(+1, twol, q, m),
+    "L-": lambda twol, q, m: _B(-1, twol, q, m),
+}
+# labels as stated by the reference closed forms (negative control for A)
+_REFERENCE_STEP = {
+    "R+": lambda twol, q, m: _A(+1, twol, q, m),
+    "R-": lambda twol, q, m: _A(-1, twol, q, m),
+    "L+": lambda twol, q, m: _B(+1, twol, q, m),
+    "L-": lambda twol, q, m: _B(-1, twol, q, m),
+}
+_STEP_TARGET = {
+    "R+": lambda q, m: (q + 1, m - 1),
+    "R-": lambda q, m: (q - 1, m + 1),
+    "L+": lambda q, m: (q + 1, m + 1),
+    "L-": lambda q, m: (q - 1, m - 1),
+}
+
+
+@lru_cache(maxsize=None)
+def _gnorm(twol: int, q: int, m: int) -> float:
+    if q == twol and m == 0:
+        return 1.0
+    l_steps = (twol - q - m) // 2
+    if l_steps > 0:
+        return _gnorm(twol, q + 1, m + 1) * _B(-1, twol, q + 1, m + 1)
+    return _gnorm(twol, q + 1, m - 1) * _A(+1, twol, q + 1, m - 1)
+
+
+def verify_ladder_actions_2d(twol: int, plan: SamplePlan,
+                             tol: float = TOL_EIGEN) -> IdentityReport:
+    # built per call, so a constructor rebound on the module is the one used
+    step_ops = {"R+": Rplus_of, "R-": Rminus_of, "L+": Lplus_of, "L-": Lminus_of}
+    reports = []
+    ref_label_dev = 0.0
+    checked = 0
+    annihilated = 0
+    for qn in valid_states(twol):
+        src = chi_reduced(qn)
+        for kind, op_of in step_ops.items():
+            tq, tm = _STEP_TARGET[kind](qn.q, qn.m)
+            coeff = _MEASURED_STEP[kind](qn.twol, qn.q, qn.m)
+            applied = op_of(qn.q).apply(src)
+            valid_target = (abs(tq) <= twol and abs(tm) <= twol - abs(tq))
+            if not valid_target or coeff == 0.0:
+                # edge: both the coefficient and the function must vanish
+                if coeff != 0.0:
+                    return IdentityReport(
+                        f"ladder actions 2l={twol}", 1.0, 1.0, tol,
+                        notes=f"zero target with nonzero coefficient at "
+                              f"{kind} {qn}")
+                name = f"{kind} edge {qn}"
+                rel = check_zero(applied, plan, reference=[src], tol=tol,
+                                 name=name).relative
+                reports.append(IdentityReport(name, rel, 1.0, tol))
+                annihilated += 1
+                continue
+            target = chi_reduced(QNum2D(twol, tq, tm))
+            rep = check_proportional(applied, target, plan, tol=tol,
+                                     name=f"{kind} {qn}")
+            ratio = rep.data["ratio"]
+            # chain state = (chain scale) x (normalized state), so the
+            # normalized-family coefficient rescales by target/source
+            measured = ratio * _gnorm(twol, tq, tm) / _gnorm(twol, qn.q, qn.m)
+            rel = abs(measured - coeff) / max(abs(coeff), 1e-300)
+            rel = max(rel, rep.relative)  # ratio must also be constant
+            if abs(measured.imag) > tol * max(abs(coeff), 1.0):
+                rel = max(rel, abs(measured.imag))
+            reports.append(IdentityReport(f"{kind} at {qn}", rel, 1.0, tol))
+            ref_coeff = _REFERENCE_STEP[kind](qn.twol, qn.q, qn.m)
+            ref_label_dev = max(ref_label_dev, abs(measured - ref_coeff))
+            checked += 1
+    rep = worst_of(f"ladder actions 2l={twol}", reports, tol,
+                   notes="A-labels verified with the measured (sign-swapped) "
+                         "assignment")
+    rep.data.update(steps_checked=checked, edge_annihilations=annihilated,
+                    reference_label_max_deviation=ref_label_dev)
+    return rep
+
+
+# -- the replaced 3-D code ------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def psi_ladder(qn: QNum3D) -> Expr:
+    w = qn.omega
+    s = build_oscillators(w)
+    f = osc3d._gaussian(w)
+    for k in range(qn.n):
+        f = apply_canonical(s.A2d.at_incoming(k), f)
+    for _ in range(qn.n4):
+        f = apply_canonical(s.a4d.at_incoming(0), f)
+    for _ in range(qn.n3):
+        f = apply_canonical(s.a3d.at_incoming(0), f)
+    for k in range(qn.n, qn.m, -2):
+        f = apply_canonical(s.A1d.at_incoming(k), f)
+        f = apply_canonical(s.A2.at_incoming(k - 1), f)
+    c_sq = c_squared(qn.n, qn.m)
+    if c_sq != 1:
+        f = canonical(Mul(Pow(Const(c_sq), Fraction(-1, 2)), f))
+    return f
+
+
+@lru_cache(maxsize=None)
+def state_normalized(qn: QNum3D) -> Expr:
+    scale = (math.factorial(qn.n) * math.factorial(qn.n3)
+             * math.factorial(qn.n4))
+    if scale == 1:
+        return psi_ladder(qn)
+    return canonical(Mul(Pow(Const(Fraction(1, scale)), Fraction(1, 2)),
+                         psi_ladder(qn)))
+
+
+# op name -> (dn, dm, dn3, dn4, squared coefficient); a move is invalid
+# exactly when the squared coefficient vanishes.
+_ACTIONS = {
+    "A1d": (+1, -1, 0, 0, lambda qn: qn.n1 + 1),
+    "A2d": (+1, +1, 0, 0, lambda qn: qn.n2 + 1),
+    "A1": (-1, +1, 0, 0, lambda qn: qn.n1),
+    "A2": (-1, -1, 0, 0, lambda qn: qn.n2),
+    "a3d": (0, 0, +1, 0, lambda qn: qn.n3 + 1),
+    "a3": (0, 0, -1, 0, lambda qn: qn.n3),
+    "a4d": (0, 0, 0, +1, lambda qn: qn.n4 + 1),
+    "a4": (0, 0, 0, -1, lambda qn: qn.n4),
+}
+
+
+def _coefficient_report(moved: Expr, target: Expr, coeff: float,
+                        plan: SamplePlan, tol: float, name: str) -> IdentityReport:
+    rep = check_proportional(moved, target, plan, tol=tol, name=name)
+    dev = abs(rep.data["ratio"] - coeff) / coeff
+    return IdentityReport(name, max(rep.relative, dev), 1.0, tol, data=rep.data)
+
+
+def verify_ladder_actions_3d(n_max: int, plan: SamplePlan,
+                             tol: float = TOL_EIGEN,
+                             radial_states=((0, 0), (1, 0), (0, 1))) -> IdentityReport:
+    s = build_oscillators(1)
+    reports, edges = [], 0
+    for n in range(n_max + 1):
+        for m in range(-n, n + 1, 2):
+            for n3, n4 in radial_states:
+                qn = QNum3D(n, m, n3, n4)
+                src = state_normalized(qn)
+                for kind, (dn, dm, d3, d4, sq) in _ACTIONS.items():
+                    op = getattr(s, kind).at_incoming(m)
+                    coeff_sq = sq(qn)
+                    tn, tm = n + dn, m + dm
+                    valid = (tn >= abs(tm) and tn >= 0
+                             and n3 + d3 >= 0 and n4 + d4 >= 0)
+                    if coeff_sq == 0 or not valid:
+                        if coeff_sq != 0:
+                            return IdentityReport(
+                                "ladder actions", 1.0, 1.0, tol,
+                                notes=f"zero target with nonzero coefficient "
+                                      f"({kind} at {qn})")
+                        reports.append(check_zero(
+                            op.apply(src), plan, reference=[src], tol=tol,
+                            name=f"edge {kind} {qn}"))
+                        edges += 1
+                    else:
+                        tgt = state_normalized(QNum3D(tn, tm, n3 + d3, n4 + d4))
+                        reports.append(_coefficient_report(
+                            apply_canonical(op, src), tgt, math.sqrt(coeff_sq),
+                            plan, tol, f"{kind} on {qn}"))
+    rep = worst_of("ladder actions", reports, tol,
+                   notes="; ".join(r.name for r in reports if not r.passed))
+    rep.data.update(steps_checked=len(reports), edge_annihilations=edges)
+    return rep
+
+
+# -- the one loop gives the replaced loops' reports -------------------------------
+
+@pytest.mark.parametrize("plan", PLANS, ids=["plan31", "plan32"])
+@pytest.mark.parametrize("twol", range(5))
+def test_2d_actions_match_the_replaced_loop(twol, plan):
+    got = ld.verify_ladder_actions(twol, plan)
+    assert got.as_dict() == verify_ladder_actions_2d(twol, plan).as_dict()
+
+
+@pytest.mark.parametrize("plan", PLANS, ids=["plan31", "plan32"])
+@pytest.mark.parametrize("radial", [((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 1))],
+                         ids=["default", "suite"])
+def test_3d_actions_match_the_replaced_loop(radial, plan):
+    got = osc3d.verify_ladder_actions(2, plan, radial_states=radial)
+    want = verify_ladder_actions_3d(2, plan, radial_states=radial)
+    assert got.as_dict() == want.as_dict()
+
+
+# -- the one walker gives the replaced chains' trees ------------------------------
+
+def test_walker_builds_the_replaced_2d_chain_states():
+    for twol in range(7):
+        for qn in valid_states(twol):
+            assert ld.chi_reduced(qn) == chi_reduced(qn), qn
+            # the float scale keeps its per-step product, bit for bit
+            assert ld._scale(qn) == _gnorm(qn.twol, qn.q, qn.m), qn
+
+
+@pytest.mark.parametrize("omega", [1, 2])
+def test_walker_builds_the_replaced_3d_ladder_states(omega):
+    for n in range(4):
+        for n3 in range(4 - n):
+            for n4 in range(4 - n - n3):
+                for m in range(-n, n + 1, 2):
+                    qn = QNum3D(n, m, n3, n4, omega)
+                    assert osc3d.psi_ladder(qn) == psi_ladder(qn), qn
+                    assert osc3d.state_normalized(qn) == state_normalized(qn), qn
+
+
+# -- the tables -------------------------------------------------------------------
+
+def _word_product(moves, label, word) -> Fraction:
+    """Exact product of the squared coefficients along a word, from labels
+    alone."""
+    prod = Fraction(1)
+    for kind in word:
+        prod *= moves[kind].coeff_sq(label)
+        label = moves[kind].target(label)
+    return prod
+
+
+def test_3d_normalizations_are_word_products():
+    """c_squared is the product over the paired descent, and n! over the
+    raising chain, exactly through n = 8."""
+    moves = osc3d._MOVES
+    for n in range(9):
+        top = QNum3D(n, n)
+        assert _word_product(moves, QNum3D(0, 0), ("A2d",) * n) \
+            == math.factorial(n)
+        for m in range(-n, n + 1, 2):
+            assert _word_product(moves, top, ("A1d", "A2") * ((n - m) // 2)) \
+                == c_squared(n, m), (n, m)
+
+
+def test_every_move_leaves_the_lattice_exactly_where_its_coefficient_vanishes():
+    labels = [(ld._MOVES, qn) for twol in range(7) for qn in valid_states(twol)]
+    labels += [(osc3d._MOVES, QNum3D(n, m, n3, n4))
+               for n in range(5) for m in range(-n, n + 1, 2)
+               for n3 in range(3) for n4 in range(3)]
+    for moves, label in labels:
+        for kind, move in moves.items():
+            assert (move.target(label) is None) == (move.coeff_sq(label) == 0), \
+                (kind, label)

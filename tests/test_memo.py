@@ -111,14 +111,14 @@ def test_memoized_route_matches_uncached_past_the_cap(uncached_keys,
 
 
 def test_clear_caches_empties_the_lru_tables():
-    from shapeinv import ladders2d, osc3d
+    from shapeinv import ladders2d, lattice, osc3d
     osc3d.build_H4()
-    ladders2d._chain(2, 2, 0)
+    ladders2d.chi_reduced(ladders2d.QNum2D(2, 1, 1))
     assert osc3d.build_H4.cache_info().currsize
-    assert ladders2d._chain.cache_info().currsize
+    assert lattice.walk.cache_info().currsize
     clear_caches()
     assert osc3d.build_H4.cache_info().currsize == 0
-    assert ladders2d._chain.cache_info().currsize == 0
+    assert lattice.walk.cache_info().currsize == 0
 
 
 def test_one_cache_entry_per_frequency():

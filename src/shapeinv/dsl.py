@@ -284,10 +284,6 @@ def parse_op_expr(text: str) -> OpDslAst:
     return _Parser(text).parse()
 
 
-def render_ast(node: OpDslAst) -> str:
-    return node.render()
-
-
 # ---------------------------------------------------------------------------
 # Operator construction
 # ---------------------------------------------------------------------------

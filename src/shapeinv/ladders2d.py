@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from .symx import (
     Add,
@@ -45,7 +46,7 @@ from .symx import (
 )
 from .opalg import DiffOp, apply_canonical
 from . import su2
-from .lattice import Lattice, Move, check_moves, walk
+from .lattice import Lattice, Move, check_moves
 from .verify import (
     TOL_EIGEN,
     IdentityReport,
@@ -175,18 +176,10 @@ def reorder_identity_holds() -> bool:
 # Eigenfunctions
 # ---------------------------------------------------------------------------
 
-def _walk(qn: QNum2D):
-    """The lowering chain from the top state (2l, 2l, 0): R-steps to the
-    corner state, then L-steps down to (q, m), every state on the way valid."""
-    word = (("R-",) * ((qn.twol - qn.q + qn.m) // 2)
-            + ("L-",) * ((qn.twol - qn.q - qn.m) // 2))
-    return walk(_LATTICE, QNum2D(qn.twol, qn.twol, 0), word)
-
-
 def chi_reduced(qn: QNum2D) -> Expr:
     """Unnormalized eigenfunction built by the lowering chain from the top
     state (sin ps sin th)^{2l}."""
-    return _walk(qn).state
+    return _LATTICE.chain(qn).state
 
 
 def chi_tilde(qn: QNum2D) -> Expr:
@@ -234,55 +227,42 @@ _MOVES = {
 _STATED = {"R+": "R-", "R-": "R+", "L+": "L+", "L-": "L-"}
 
 
-def _scale(qn: QNum2D) -> float:
-    """Scale of the chain state against the coefficient-normalized family:
-    the product of its steps' coefficients, in floats, in chain order."""
-    return math.prod(map(math.sqrt, _walk(qn).steps), start=1.0)
-
-
-def _judge(kind, qn, moved, target, coeff_sq, plan, tol) -> IdentityReport:
-    """|ratio g_t/g_s - c|/c on unit scale for one interior move, no better
-    than the ratio's dispersion nor, past tolerance, its imaginary part; the
-    data keep the deviation from the stated coefficient."""
-    rep = check_proportional(moved, chi_reduced(target), plan, tol=tol,
-                             name=f"{kind} {qn}")
-    # chain state = (chain scale) x (normalized state), so the
-    # normalized-family coefficient rescales by target/source
-    measured = rep.data["ratio"] * _scale(target) / _scale(qn)
-    coeff = math.sqrt(coeff_sq)
-    rel = max(abs(measured - coeff) / max(abs(coeff), 1e-300), rep.relative)
-    if abs(measured.imag) > tol * max(abs(coeff), 1.0):
-        rel = max(rel, abs(measured.imag))
-    stated = math.sqrt(_MOVES[_STATED[kind]].coeff_sq(qn))
-    return IdentityReport(f"{kind} at {qn}", rel, 1.0, tol,
-                          data={"stated_deviation": abs(measured - stated)})
+def _path(qn: QNum2D):
+    """The lowering chain from the top state (2l, 2l, 0): R-steps to the
+    corner state, then L-steps down to (q, m), every state on the way valid."""
+    return QNum2D(qn.twol, qn.twol, 0), (
+        ("R-",) * ((qn.twol - qn.q + qn.m) // 2)
+        + ("L-",) * ((qn.twol - qn.q - qn.m) // 2))
 
 
 _LATTICE = Lattice(
     _MOVES,
     lambda qn: canonical(Mul(Pow(Sin(PSI), qn.twol), Pow(Sin(THETA), qn.twol))),
-    "{kind} edge {label}", _judge)
+    _path)
 
 
 def verify_ladder_actions(twol: int, plan: SamplePlan,
                           tol: float = TOL_EIGEN) -> IdentityReport:
     """Measure every one-step ladder ratio on the full grid at this level.
 
-    Interior moves are judged by `_judge`; edge moves must give the zero
-    function together with a zero coefficient.  The data count both, and
-    keep the largest deviation of the reference (as-stated) A-labels.
+    Interior moves must carry their table coefficient; edge moves must give
+    the zero function together with a zero coefficient.  The data count
+    both, and keep the largest deviation of the measured coefficients from
+    the reference (as-stated) labels.
     """
-    members, edges = check_moves(
-        _LATTICE, ((qn, chi_reduced(qn)) for qn in valid_states(twol)),
-        plan, tol)
+    labels = list(valid_states(twol))
+    members, edges = check_moves(_LATTICE, labels, plan, tol)
     rep = worst_of(f"ladder actions 2l={twol}", members, tol,
                    notes="A-labels verified with the measured (sign-swapped) "
                          "assignment")
-    rep.max_abs, rep.scale = rep.relative, 1.0  # on unit scale, as `_judge`
+    rep.max_abs, rep.scale = rep.relative, 1.0  # on unit scale, as the members
     rep.data.update(
         steps_checked=len(members) - edges, edge_annihilations=edges,
         reference_label_max_deviation=max(
-            r.data.get("stated_deviation", 0.0) for r in members))
+            (abs(r.data["coefficient"]
+                 - math.sqrt(_MOVES[_STATED[kind]].coeff_sq(qn)))
+             for r, (qn, kind) in zip(members, product(labels, _MOVES))
+             if "coefficient" in r.data), default=0.0))
     return rep
 
 

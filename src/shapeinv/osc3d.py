@@ -63,7 +63,7 @@ from .opalg import (
     fourier_reduce,
 )
 from . import su2
-from .lattice import Lattice, Move, check_moves, walk
+from .lattice import Lattice, Move, check_moves
 from .verify import (
     TOL_EIGEN,
     IdentityReport,
@@ -625,6 +625,17 @@ def _gaussian(w: Fraction) -> Expr:
     return Exp(Mul(Const(Fraction(-1, 2) * w), Pow(R, 2)))
 
 
+def _finite_sum(n1: int, n2: int, u: Expr, sign: int) -> Expr:
+    """sum_i (-1)^i i! C(n1,i) C(n2,i) u^(n + sign 2i), n = n1 + n2."""
+    pieces = []
+    for i in range(min(n1, n2) + 1):
+        c = Fraction((-1) ** i * math.factorial(i)
+                     * math.comb(n1, i) * math.comb(n2, i))
+        k = n1 + n2 + sign * 2 * i
+        pieces.append(Const(c) if k == 0 else Mul(Const(c), Pow(u, Fraction(k))))
+    return pieces[0] if len(pieces) == 1 else Add(*pieces)
+
+
 def closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
                phase: bool, hermite_scaled: bool = True) -> Expr:
     """The finite closed-form sum for the joint eigenfunction.
@@ -633,16 +644,8 @@ def closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
     times Hermite factors in sqrt(w) x3, sqrt(w) x4 and the Gaussian.
     hermite_scaled=False drops the sqrt(w) from the Hermite arguments (the
     frequency-blind variant; detectably wrong unless w = 1)."""
-    n = n1 + n2
     sqw = Pow(Const(w), Fraction(1, 2))
-    u = Mul(sqw, R, Sin(PSI), Sin(THETA))
-    pieces = []
-    for i in range(min(n1, n2) + 1):
-        c = Fraction((-1) ** i * math.factorial(i)
-                     * math.comb(n1, i) * math.comb(n2, i))
-        k = n - 2 * i
-        pieces.append(Const(c) if k == 0 else Mul(Const(c), Pow(u, Fraction(k))))
-    body = pieces[0] if len(pieces) == 1 else Add(*pieces)
+    body = _finite_sum(n1, n2, Mul(sqw, R, Sin(PSI), Sin(THETA)), -1)
     hsc = sqw if hermite_scaled else ONE
     out = Mul(body,
               Hermite(n3, Mul(hsc, R, Sin(PSI), Cos(THETA))),
@@ -666,36 +669,18 @@ def psi_closed_printed(qn: QNum3D) -> Expr:
     frequency, and the sum carries u^(n+2i) in place of u^(n-2i).  It
     coincides with the corrected form only where the garbled terms are
     absent (n <= 1, w = 1, n3 = n4 = 0)."""
-    n, n1, n2 = qn.n, qn.n1, qn.n2
-    u = Mul(R, Sin(PSI), Sin(THETA))
-    pieces = []
-    for i in range(min(n1, n2) + 1):
-        c = Fraction((-1) ** i * math.factorial(i)
-                     * math.comb(n1, i) * math.comb(n2, i))
-        k = n + 2 * i
-        pieces.append(Const(c) if k == 0 else Mul(Const(c), Pow(u, Fraction(k))))
-    body = pieces[0] if len(pieces) == 1 else Add(*pieces)
     return canonical(Mul(
-        body,
+        _finite_sum(qn.n1, qn.n2, Mul(R, Sin(PSI), Sin(THETA)), +1),
         Hermite(qn.n3, Mul(Sin(PSI), Sin(THETA))),
         Hermite(qn.n4, Mul(R, Cos(PSI))),
         Exp(Mul(Const(Fraction(-1, 2)), Pow(R, 2)))))
 
 
-def _ladder_chain(qn: QNum3D):
-    """The walk to qn and the length of its raising part: up to the m = n
-    corner with the second raising combo, the two single-oscillator
-    factors, then m down two at a time with the paired descent."""
-    up = ("A2d",) * qn.n + ("a4d",) * qn.n4 + ("a3d",) * qn.n3
-    down = ("A1d", "A2") * ((qn.n - qn.m) // 2)
-    return walk(_LATTICE, QNum3D(0, 0, omega=qn.omega), up + down), len(up)
-
-
 def psi_ladder(qn: QNum3D) -> Expr:
     """Eigenfunction by operator chains over the square root of the
     descent's normalization product, `c_squared`."""
-    chain, up = _ladder_chain(qn)
-    c_sq = math.prod(chain.steps[up:])
+    chain = _LATTICE.chain(qn)
+    c_sq = math.prod(chain.steps[qn.n + qn.n3 + qn.n4:])
     if c_sq != 1:
         return canonical(Mul(Pow(Const(c_sq), Fraction(-1, 2)), chain.state))
     return chain.state
@@ -704,8 +689,7 @@ def psi_ladder(qn: QNum3D) -> Expr:
 def state_normalized(qn: QNum3D) -> Expr:
     """Ladder eigenfunction scaled so the one-step actions carry exactly
     the square-root occupation coefficients: over sqrt(n! n3! n4!)."""
-    chain, up = _ladder_chain(qn)
-    scale = math.prod(chain.steps[:up])
+    scale = math.prod(_LATTICE.chain(qn).steps[:qn.n + qn.n3 + qn.n4])
     if scale == 1:
         return psi_ladder(qn)
     return canonical(Mul(Pow(Const(Fraction(1, scale)), Fraction(1, 2)),
@@ -766,11 +750,16 @@ def _coefficient_report(moved: Expr, target: Expr, coeff: float,
     return IdentityReport(name, max(rep.relative, dev), 1.0, tol, data=rep.data)
 
 
-_LATTICE = Lattice(
-    _MOVES, lambda qn: _gaussian(qn.omega), "edge {kind} {label}",
-    lambda kind, qn, moved, target, coeff_sq, plan, tol: _coefficient_report(
-        canonical(moved), state_normalized(target), math.sqrt(coeff_sq),
-        plan, tol, f"{kind} on {qn}"))
+def _path(qn: QNum3D):
+    """The ground state and the word that reaches qn: up to the m = n
+    corner with the second raising combo, the two single-oscillator
+    factors, then m down two at a time with the paired descent."""
+    return QNum3D(0, 0, omega=qn.omega), (
+        ("A2d",) * qn.n + ("a4d",) * qn.n4 + ("a3d",) * qn.n3
+        + ("A1d", "A2") * ((qn.n - qn.m) // 2))
+
+
+_LATTICE = Lattice(_MOVES, lambda qn: _gaussian(qn.omega), _path)
 
 
 def verify_ladder_actions(n_max: int, plan: SamplePlan,
@@ -783,8 +772,7 @@ def verify_ladder_actions(n_max: int, plan: SamplePlan,
     occupation coefficient; edge moves must annihilate."""
     labels = [QNum3D(n, m, n3, n4) for n in range(n_max + 1)
               for m in range(-n, n + 1, 2) for n3, n4 in radial_states]
-    reports, edges = check_moves(
-        _LATTICE, ((qn, state_normalized(qn)) for qn in labels), plan, tol)
+    reports, edges = check_moves(_LATTICE, labels, plan, tol)
     rep = worst_of("ladder actions", reports, tol,
                    notes="; ".join(r.name for r in reports if not r.passed))
     rep.data.update(steps_checked=len(reports), edge_annihilations=edges)

@@ -245,4 +245,4 @@ def test_suite_report_digest_seed_7(full_suite_runs):
     first, _, _ = full_suite_runs
     digest = hashlib.sha256(report_json(first).encode()).hexdigest()
     assert digest == (
-        "e5a19fd8bd75f34dd228d58acdf626a57b8cf4e70048cc2c716e012b5f59950a")
+        "625dc1e236b6e70d1e150745507d442b8650d52fa294ce81631cfd1160f4cde8")

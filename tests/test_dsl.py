@@ -8,7 +8,7 @@ from shapeinv import clear_caches
 from shapeinv.dsl import (
     Bracket, DslError, Gen, GENERATOR_NAMES, ImagLit, IntLit, MAX_DEPTH,
     MAX_PRODUCT_SIZE, Neg, OpDslAst, Prod, Sum, _coefficient_nodes,
-    build_operator, parse_and_build, parse_op_expr, render_ast,
+    build_operator, parse_and_build, parse_op_expr,
 )
 from shapeinv.opalg import apply_canonical
 from shapeinv.suite import SuiteConfig, run_suite
@@ -51,8 +51,8 @@ def test_parentheses_group_without_leaving_a_node():
 ])
 def test_render_parse_text_fixed_point(text):
     # after one normalizing round, the rendered text is a parse fixed point
-    once = render_ast(parse_op_expr(text))
-    assert render_ast(parse_op_expr(once)) == once
+    once = parse_op_expr(text).render()
+    assert parse_op_expr(once).render() == once
 
 
 # -- error reporting ----------------------------------------------------------
@@ -154,7 +154,7 @@ def _canonical(depth: int):
 @settings(max_examples=120, deadline=None)
 @given(_canonical(2))
 def test_parse_inverts_render(ast):
-    assert parse_op_expr(render_ast(ast)) == ast
+    assert parse_op_expr(ast.render()) == ast
 
 
 # -- operator construction ----------------------------------------------------

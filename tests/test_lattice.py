@@ -1,18 +1,22 @@
 """The shared ladder lattice against the per-sector code it replaces.
 
 `ladders2d` and `osc3d` each used to carry their own move table, chain
-builder and one-step actions loop.  Both now supply a `lattice.Lattice`
-and use its one walker and its one actions loop.  The replaced code is
-kept here, as it was, as the oracle: each sector's actions report must
-have the same `as_dict()`, and each chain state must be the same tree.
+builder, one-step actions loop and residual rule.  Both now supply a
+`lattice.Lattice` and use its one walker, its one actions loop and its one
+rule.  The replaced code is kept here, as it was, as the oracle: the 2-D
+actions report must have the same `as_dict()`, the 3-D one the same
+verdicts and counts with residuals at rounding level, and each chain state
+must be the same tree.
 """
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
 from shapeinv import ladders2d as ld, osc3d
+from shapeinv.lattice import check_moves, walk
 from shapeinv.ladders2d import (
     QNum2D, Lminus_of, Lplus_of, Rminus_of, Rplus_of, valid_states,
 )
@@ -237,9 +241,17 @@ def test_2d_actions_match_the_replaced_loop(twol, plan):
 @pytest.mark.parametrize("radial", [((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 1))],
                          ids=["default", "suite"])
 def test_3d_actions_match_the_replaced_loop(radial, plan):
-    got = osc3d.verify_ladder_actions(2, plan, radial_states=radial)
-    want = verify_ladder_actions_3d(2, plan, radial_states=radial)
-    assert got.as_dict() == want.as_dict()
+    """The 3-D sector is judged by the one rule now, which measures against
+    the chain states and rescales; the verdicts and counts are the replaced
+    loop's, and both residuals stay at rounding level."""
+    got = osc3d.verify_ladder_actions(2, plan, radial_states=radial).as_dict()
+    want = verify_ladder_actions_3d(2, plan, radial_states=radial).as_dict()
+    for key in ("pass", "notes", "tolerance"):
+        assert got[key] == want[key], key
+    for key in ("steps_checked", "edge_annihilations"):
+        assert got["data"][key] == want["data"][key], key
+    assert got["relative_residual"] <= 1e-13
+    assert want["relative_residual"] <= 1e-13
 
 
 # -- the one walker gives the replaced chains' trees ------------------------------
@@ -249,7 +261,7 @@ def test_walker_builds_the_replaced_2d_chain_states():
         for qn in valid_states(twol):
             assert ld.chi_reduced(qn) == chi_reduced(qn), qn
             # the float scale keeps its per-step product, bit for bit
-            assert ld._scale(qn) == _gnorm(qn.twol, qn.q, qn.m), qn
+            assert ld._LATTICE.scale(qn) == _gnorm(qn.twol, qn.q, qn.m), qn
 
 
 @pytest.mark.parametrize("omega", [1, 2])
@@ -261,6 +273,64 @@ def test_walker_builds_the_replaced_3d_ladder_states(omega):
                     qn = QNum3D(n, m, n3, n4, omega)
                     assert osc3d.psi_ladder(qn) == psi_ladder(qn), qn
                     assert osc3d.state_normalized(qn) == state_normalized(qn), qn
+
+
+# -- the one rule ----------------------------------------------------------------
+
+_GRIDS = {
+    "2d": (ld, list(valid_states(2))),
+    "3d": (osc3d, [QNum3D(n, m, n3, n4) for n in range(3)
+                   for m in range(-n, n + 1, 2) for n3, n4 in ((0, 0), (1, 1))]),
+}
+
+
+def _warm_moves(sector: str, plan: SamplePlan):
+    """The sector's lattice and labels, every chain the actions loop reads
+    walked with the true table, and the loop's members there, which pass."""
+    module, labels = _GRIDS[sector]
+    members, _ = check_moves(module._LATTICE, labels, plan, TOL_EIGEN)
+    assert all(r.passed for r in members), sector
+    return module._LATTICE, labels
+
+
+@pytest.mark.parametrize("sector, kind", [("2d", "R-"), ("3d", "A2d")])
+def test_the_rule_fails_exactly_the_moves_with_a_wrong_coefficient(
+        sector, kind, monkeypatch):
+    """One table entry claims four times the true squared coefficient.  The
+    chains were walked with the true table, so only the rule reads the wrong
+    entry: each interior member of that move fails by |c - 2c|/2c = 1/2,
+    and every other member still passes."""
+    plan = SamplePlan(seed=33, count=8)
+    lat, labels = _warm_moves(sector, plan)
+    move = lat.moves[kind]
+    monkeypatch.setitem(lat.moves, kind, move._replace(
+        coeff_sq=lambda label: 4 * move.coeff_sq(label)))
+    walked = walk.cache_info().currsize
+    members, _ = check_moves(lat, labels, plan, TOL_EIGEN)
+    assert walk.cache_info().currsize == walked  # no chain read the fault
+    failed = 0
+    for r, (label, k) in zip(members, product(labels, lat.moves)):
+        wrong = k == kind and "coefficient" in r.data
+        assert r.passed != wrong, r.name
+        if wrong:
+            assert r.name == f"{kind} at {label}"
+            assert r.relative == pytest.approx(0.5, rel=1e-9)
+            failed += 1
+    assert failed > 0
+
+
+@pytest.mark.parametrize("sector, kind", [("2d", "R-"), ("3d", "A2")])
+def test_a_nonzero_coefficient_off_the_lattice_is_an_error(
+        sector, kind, monkeypatch):
+    plan = SamplePlan(seed=33, count=8)
+    lat, labels = _warm_moves(sector, plan)
+    move = lat.moves[kind]
+    monkeypatch.setitem(lat.moves, kind, move._replace(
+        coeff_sq=lambda label: move.coeff_sq(label) + 1))
+    walked = walk.cache_info().currsize
+    with pytest.raises(ValueError, match="zero target with nonzero coefficient"):
+        check_moves(lat, labels, plan, TOL_EIGEN)
+    assert walk.cache_info().currsize == walked
 
 
 # -- the tables -------------------------------------------------------------------

@@ -6,14 +6,17 @@ transcribed (as-printed) variants retained as negative controls.
 """
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from shapeinv import osc3d
 from shapeinv.osc3d import QNum3D
 from shapeinv.opalg import apply_canonical, commutator
+from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
-    Add, Const, Mul, canonical, is_zero_expr, render,
+    Add, Const, Cos, Exp, Hermite, Mul, ONE, PHI, PSI, Pow, R, Sin, THETA,
+    canonical, is_zero_expr, render,
 )
 from shapeinv.verify import (
     PlanDegenerate, SamplePlan, check_op_zero, check_zero, worst_of,
@@ -184,6 +187,42 @@ def test_printed_closed_form_fails_eigen():
     qn0 = QNum3D(1, 1)
     assert is_zero_expr(Add(osc3d.psi_closed_printed(qn0),
                             Mul(Const(-1), osc3d.psi_closed(qn0))))
+
+
+def _replaced_sum(n1, n2, u, sign):
+    """The finite sum as each closed form once wrote it out."""
+    pieces = []
+    for i in range(min(n1, n2) + 1):
+        c = Fraction((-1) ** i * math.factorial(i)
+                     * math.comb(n1, i) * math.comb(n2, i))
+        k = n1 + n2 + sign * 2 * i
+        pieces.append(Const(c) if k == 0 else Mul(Const(c), Pow(u, Fraction(k))))
+    return pieces[0] if len(pieces) == 1 else Add(*pieces)
+
+
+def test_closed_forms_keep_their_replaced_trees():
+    """Both closed forms build their sums through one helper now; each tree
+    is the one the separately written sums gave."""
+    for w, n1, n2, (n3, n4) in product((Fraction(1), Fraction(2)), range(4),
+                                       range(4), ((0, 0), (1, 0), (0, 2))):
+        sqw = Pow(Const(w), Fraction(1, 2))
+        for phase, scaled in product((False, True), repeat=2):
+            hsc = sqw if scaled else ONE
+            want = Mul(_replaced_sum(n1, n2, Mul(sqw, R, Sin(PSI), Sin(THETA)), -1),
+                       Hermite(n3, Mul(hsc, R, Sin(PSI), Cos(THETA))),
+                       Hermite(n4, Mul(hsc, R, Cos(PSI))),
+                       osc3d._gaussian(w))
+            if phase:
+                want = Mul(Exp(Mul(Const(GaussRat(0, Fraction(n2 - n1))), PHI)),
+                           want)
+            assert osc3d.closed_sum(n1, n2, n3, n4, w, phase=phase,
+                                    hermite_scaled=scaled) == canonical(want)
+        assert osc3d.psi_closed_printed(
+            QNum3D(n1 + n2, n2 - n1, n3, n4, w)) == canonical(Mul(
+                _replaced_sum(n1, n2, Mul(R, Sin(PSI), Sin(THETA)), +1),
+                Hermite(n3, Mul(Sin(PSI), Sin(THETA))),
+                Hermite(n4, Mul(R, Cos(PSI))),
+                Exp(Mul(Const(Fraction(-1, 2)), Pow(R, 2)))))
 
 
 def test_frequency_blind_hermite_arguments():

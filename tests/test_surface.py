@@ -6,8 +6,10 @@ Each module-level `def`, `class` and assignment target in `src/shapeinv`
 `tests` or `perfbench` outside the statements that define it.  A name that
 nothing mentions is dead code: delete it or use it.  Likewise each defaulted
 parameter of a module-level function or method must be passed by some call
-there, and omitted by some other.  A `_`-prefixed name belongs to its
-module: no other package module imports it or reads it as an attribute.
+there, and omitted by some other.  Each method and annotated field of a
+package class must be reached as an attribute (`.name`) there too.  A
+`_`-prefixed name belongs to its module: no other package module imports
+it or reads it as an attribute.
 """
 import ast
 import re
@@ -54,6 +56,33 @@ def test_every_top_level_name_is_used():
                     for name, (modules, own) in defined.items()
                     if mentions[name] <= own)
     assert not unused, "defined but never used: " + ", ".join(unused)
+
+
+def test_every_class_member_is_reached():
+    """A method or a field that no `.name` anywhere reaches is dead: a hook
+    left on a table type after its last caller went, say.  Dunders are
+    exempt; the language calls them."""
+    attributes = set()
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            attributes.update(re.findall(r"\.([A-Za-z_]\w*)", path.read_text()))
+    unreached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = node.name
+                elif (isinstance(node, ast.AnnAssign)
+                      and isinstance(node.target, ast.Name)):
+                    name = node.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")) \
+                        and name not in attributes:
+                    unreached.append(f"{path.stem}.{cls.name}.{name}")
+    assert not unreached, "class members never reached: " + ", ".join(unreached)
 
 
 def _defaulted_parameters(tree: ast.Module):

@@ -11,7 +11,7 @@ Layers, bottom to top:
 * su2        - two commuting angular-momentum realizations and the derived
                two-dimensional Hamiltonian family
 * lattice    - the ladder lattice both sectors share: a move table, the
-               chain walker and the one-step actions loop
+               chain walker and the one actions loop over words of moves
 * ladders2d  - parameter-shift ladder states and coefficient identities
 * osc3d      - oscillator creation/annihilation factorization in 3-D form
 * suite      - the full battery of positive checks and fault injections

@@ -6,7 +6,9 @@ provides the one-step ladder coefficients, the in-level (m +- 2) and
 cross-level (q +- 2) pair ladders with their scalar eigenvalues, degeneracy
 bookkeeping, and chain reconstruction with measured normalization products.
 The one-step moves form this sector's `lattice.Lattice`: its chain states
-are walks on that table, and its one-step check is the shared actions loop.
+are walks on that table, and the pair ladders are words of two moves on it,
+so the one-step actions, the pair edges and the reconstructions all read
+that one table.
 
 The one-step operators are not transcribed here: each is the closed form of
 a reduced generator (`su2.reduced_ladder_reference`) pinned to an incoming
@@ -21,9 +23,11 @@ Conventions established by measurement (see the decisions ledger):
 * on the coefficient-normalized family the four one-step actions are
       R+(q) -> A-(q,m),  R-(q) -> A+(q,m),  L+(q) -> B+(q,m),  L-(q) -> B-(q,m)
   i.e. the A-labels attach to the opposite sign of the R-move relative to
-  the reference closed forms, while the B-labels attach as stated.  The
-  pair products come both ways: `E` and `N` keep the reference labelling,
-  `E_measured` carries the measured one.
+  the reference closed forms, while the B-labels attach as stated.  A pair
+  scalar squared is the exact product of the squared coefficients along a
+  round-trip word: the in-level one (`E_measured_closed`) reads the measured
+  table, the cross-level one (`N_closed`) the stated table, which swaps the
+  R-moves' coefficients.
 """
 from __future__ import annotations
 
@@ -44,16 +48,15 @@ from .symx import (
     THETA,
     canonical,
 )
-from .opalg import DiffOp, apply_canonical
+from .opalg import DiffOp
 from . import su2
-from .lattice import Lattice, Move, check_moves
+from .lattice import Lattice, Move, check_words, reach, walk
 from .verify import (
     TOL_EIGEN,
     IdentityReport,
     SamplePlan,
     check_eigen,
     check_proportional,
-    check_zero,
     worst_of,
 )
 
@@ -202,14 +205,6 @@ def _coeff_sq(kind_sign: int, twol: int, q: int, m: int, use_sum: bool) -> Fract
     return Fraction(prod, 4)
 
 
-def _A(sign: int, twol: int, q: int, m: int) -> float:
-    return math.sqrt(_coeff_sq(sign, twol, q, m, use_sum=False))
-
-
-def _B(sign: int, twol: int, q: int, m: int) -> float:
-    return math.sqrt(_coeff_sq(sign, twol, q, m, use_sum=True))
-
-
 # the one-step moves with the measured label assignment; each operator is
 # looked up when the move is made, so a constructor rebound on the module
 # is the one used
@@ -223,8 +218,10 @@ _MOVES = {
     "L-": Move(lambda qn: Lminus_of(qn.q), {"q": -1, "m": -1},
                lambda qn: _coeff_sq(-1, qn.twol, qn.q, qn.m, use_sum=True)),
 }
-# the move whose coefficient the reference closed forms state for each move
-_STATED = {"R+": "R-", "R-": "R+", "L+": "L+", "L-": "L-"}
+# the table the reference closed forms state: the R-moves' coefficients swap
+_STATED = {kind: move._replace(
+               coeff_sq=_MOVES[{"R+": "R-", "R-": "R+"}.get(kind, kind)].coeff_sq)
+           for kind, move in _MOVES.items()}
 
 
 def _path(qn: QNum2D):
@@ -251,7 +248,8 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
     the reference (as-stated) labels.
     """
     labels = list(valid_states(twol))
-    members, edges = check_moves(_LATTICE, labels, plan, tol)
+    members, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
+                                 tol)
     rep = worst_of(f"ladder actions 2l={twol}", members, tol,
                    notes="A-labels verified with the measured (sign-swapped) "
                          "assignment")
@@ -260,7 +258,7 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
         steps_checked=len(members) - edges, edge_annihilations=edges,
         reference_label_max_deviation=max(
             (abs(r.data["coefficient"]
-                 - math.sqrt(_MOVES[_STATED[kind]].coeff_sq(qn)))
+                 - math.sqrt(_STATED[kind].coeff_sq(qn)))
              for r, (qn, kind) in zip(members, product(labels, _MOVES))
              if "coefficient" in r.data), default=0.0))
     return rep
@@ -270,115 +268,76 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
 # Pair ladders
 # ---------------------------------------------------------------------------
 
-def Y_ladder(q: int) -> tuple:
-    """In-level pair ladders at fixed q: (m-raising, m-lowering)."""
-    return (Lplus_of(q - 1) @ Rminus_of(q), Lminus_of(q + 1) @ Rplus_of(q))
+# the pair ladders as round-trip words: m up two sites and back down, and
+# q up two sites and back down
+M_ROUND_TRIP = ("R-", "L+", "R+", "L-")
+Q_ROUND_TRIP = ("R+", "L+", "R-", "L-")
 
 
-def X_ladder(q: int) -> tuple:
-    """Cross-level pair ladders: (q-raising from q, q-lowering into q)."""
-    return (Lplus_of(q + 1) @ Rplus_of(q), Lminus_of(q + 1) @ Rminus_of(q + 2))
-
-
-def E(twol: int, q: int, m: int) -> float:
-    """In-level pair eigenvalue, reference labelling of the A factors."""
-    return (_A(-1, twol, q, m) * _A(+1, twol, q, m + 2)
-            * _B(-1, twol, q + 1, m + 1) * _B(+1, twol, q - 1, m + 1))
-
-
-def E_measured(twol: int, q: int, m: int) -> float:
-    """In-level pair eigenvalue with the measured A-label assignment.
-
-    Equals 1/16 (2l-m+q)(2l+m-q+2)(2l-m-q)(2l+m+q+2).
-    """
-    return (_A(+1, twol, q, m) * _A(-1, twol, q, m + 2)
-            * _B(+1, twol, q - 1, m + 1) * _B(-1, twol, q + 1, m + 1))
+def pair_scalar_sq(qn: QNum2D, word: tuple, stated: bool) -> Fraction:
+    """Exact squared pair scalar: the product of the squared coefficients
+    along a round-trip word from qn, read from the measured move table or,
+    if `stated`, from the one the reference closed forms state."""
+    return reach(_STATED if stated else _MOVES, qn, word)[2]
 
 
 def E_measured_closed(twol: int, q: int, m: int) -> Fraction:
+    """In-level pair scalar with the measured A-label assignment."""
     return Fraction((twol - m + q) * (twol + m - q + 2)
                     * (twol - m - q) * (twol + m + q + 2), 16)
 
 
-def N(twol: int, q: int, m: int) -> float:
-    """Cross-level pair eigenvalue, reference 4-factor product."""
-    return (_A(+1, twol, q, m) * _A(-1, twol, q + 2, m)
-            * _B(+1, twol, q + 1, m - 1) * _B(-1, twol, q + 1, m + 1))
-
-
-def N_closed(twol: int, q: int, m: int) -> float:
-    """Cross-level pair eigenvalue, reference 1/16 closed form."""
+def N_closed(twol: int, q: int, m: int) -> Fraction:
+    """Square of the cross-level pair scalar's reference 1/16 closed form
+    ((2l-m-q)(2l+m+q+2)/16) sqrt(R), exact: the form carries a square
+    root."""
     rad = ((twol - m + q) * (twol - m + q + 4)
            * (twol + m - q + 2) * (twol + m - q - 2))
     if rad < 0:
         raise ValueError(f"invalid ladder move: N radicand at "
                          f"(2l={twol}, q={q}, m={m})")
-    return Fraction((twol - m - q) * (twol + m + q + 2), 16) * math.sqrt(rad)
+    return Fraction((twol - m - q) * (twol + m + q + 2), 16) ** 2 * rad
 
 
 # ---------------------------------------------------------------------------
 # Chain reconstruction
 # ---------------------------------------------------------------------------
 
-def _m_top(twol: int, q: int) -> int:
-    return twol - abs(q)
-
-
-def reconstruct_chain(qn: QNum2D) -> Expr:
-    """Rebuild chi by the in-level pair chain from the m-top state.
-
-    Applies the m-lowering pair (2l-|q|-m)/2 times to chi at m = 2l-|q| and
-    divides by the product of measured per-step scalars (exact rationals:
-    each step contributes the square of a single coefficient), so the result
-    is pointwise equal (ratio 1) to chi_reduced(qn).
-    """
-    expr, scale = _reconstruct_y(qn)
-    if scale != 1:
-        return canonical(Mul(Const(1 / scale), expr))
-    return canonical(expr)
-
-
-def _reconstruct_y(qn: QNum2D):
-    top = _m_top(qn.twol, qn.q)
-    expr = chi_reduced(QNum2D(qn.twol, qn.q, top))
-    scale = Fraction(1)
-    ylow = Y_ladder(qn.q)[1]
-    for m_cur in range(top, qn.m, -2):
-        expr = apply_canonical(ylow, expr)
-        scale *= _coeff_sq(-1, qn.twol, qn.q, m_cur, use_sum=False)  # A-(q,m)^2
-    return expr, scale
-
-
-def _reconstruct_x(qn: QNum2D):
-    """q-lowering pair chain from the q-top state at fixed m.
-
-    On chain states both factors of each step are lowering operators, so the
-    measured per-step scalar is exactly 1 and no normalization is needed.
-    """
-    q_top = qn.twol - abs(qn.m)
-    expr = chi_reduced(QNum2D(qn.twol, q_top, qn.m))
-    for q_cur in range(q_top - 2, qn.q - 2, -2):
-        expr = apply_canonical(X_ladder(q_cur)[1], expr)
-    return expr
+def _reconstruction(top: QNum2D, pair: tuple, k: int, qn: QNum2D) -> Expr:
+    """The walk from `top` down k pair words to qn, over the exact square
+    root of its coefficient product against qn's chain: the walk and the
+    chain reach one label, so the result is chi_reduced(qn) itself."""
+    seed, path = _LATTICE.path(top)
+    rec = walk(_LATTICE, seed, path + pair * k)
+    ratio = Fraction(math.prod(rec.steps),
+                     math.prod(_LATTICE.chain(qn).steps))
+    if ratio == 1:
+        return rec.state
+    root = Fraction(math.isqrt(ratio.numerator), math.isqrt(ratio.denominator))
+    over = (Const(1 / root) if root * root == ratio
+            else Pow(Const(ratio), Fraction(-1, 2)))
+    return canonical(Mul(over, rec.state))
 
 
 def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
                               tol: float = TOL_EIGEN) -> list:
-    """Ratio-constancy reports for both reconstruction routes."""
+    """Ratio-constancy reports for both reconstruction routes: in-level
+    pairs (R+ then L-) down from the m-top state, and cross-level pairs
+    (R- then L-) down from the q-top state."""
+    chi = chi_reduced(qn)
+    m_top, q_top = qn.twol - abs(qn.q), qn.twol - abs(qn.m)
     out = []
-    rec = reconstruct_chain(qn)
-    base = chi_reduced(qn)
-    rep = check_proportional(rec, base, plan, tol=tol,
-                             name=f"m-chain reconstruction {qn}")
-    if abs(rep.data["ratio"] - 1.0) > 1e-6:
-        rep = rep.fail(f"ratio {rep.data['ratio']:.6g} != 1")
-    out.append(rep)
-    xrec = _reconstruct_x(qn)
-    repx = check_proportional(xrec, base, plan, tol=tol,
-                              name=f"q-chain reconstruction {qn}")
-    if abs(repx.data["ratio"] - 1.0) > 1e-6:
-        repx = repx.fail(f"ratio {repx.data['ratio']:.6g} != 1")
-    out.append(repx)
+    for route, top, pair, k in (
+            ("m", QNum2D(qn.twol, qn.q, m_top), ("R+", "L-"),
+             (m_top - qn.m) // 2),
+            ("q", QNum2D(qn.twol, q_top, qn.m), ("R-", "L-"),
+             (q_top - qn.q) // 2)):
+        rep = check_proportional(_reconstruction(top, pair, k, qn), chi,
+                                 plan, tol=tol,
+                                 name=f"{route}-chain reconstruction {qn}")
+        if abs(rep.data["ratio"] - 1.0) > 1e-6:
+            rep = rep.fail(f"ratio {rep.data['ratio']:.6g} != 1")
+        out.append(rep)
     return out
 
 
@@ -403,29 +362,26 @@ def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float = TOL_EIGEN) -> list:
     return out
 
 
-def at_raising_edge(qn: QNum2D) -> bool:
-    """Whether a pair ladder raises qn off the lattice, read from the label
-    alone: the states `annihilation_ops` has operators for."""
-    return qn.m == _m_top(qn.twol, qn.q) or qn.q == qn.twol - abs(qn.m)
-
-
 def annihilation_ops(qn: QNum2D) -> dict:
-    """Operators that must kill chi at the edges of its ladders."""
+    """The raising words that must kill chi at the edges of its ladders,
+    by name: each one's coefficient vanishes at qn."""
     out = {}
-    if qn.m == _m_top(qn.twol, qn.q):
-        out["m-raising pair"] = Y_ladder(qn.q)[0]
+    if qn.m == qn.twol - abs(qn.q):
+        out["m-raising pair"] = ("R-", "L+")
     if qn.q == qn.twol - abs(qn.m):
-        out["q-raising pair"] = X_ladder(qn.q)[0]
+        out["q-raising pair"] = ("R+", "L+")
     if qn.q == qn.twol and qn.m == 0:
-        out["left-raising"] = Lplus_of(qn.q)
-        out["right-raising"] = Rplus_of(qn.q)
+        out["left-raising"] = ("L+",)
+        out["right-raising"] = ("R+",)
     return out
 
 
 def annihilation_reports(qn: QNum2D, plan: SamplePlan, tol: float) -> list:
-    """One sampled check that each of `annihilation_ops(qn)` kills chi,
-    scaled by chi itself, in label order."""
-    chi = chi_reduced(qn)
-    return [check_zero(op.apply(chi), plan, reference=[chi], tol=tol,
-                       name=f"{label} annihilates the state")
-            for label, op in sorted(annihilation_ops(qn).items())]
+    """One sampled check that each of `annihilation_ops(qn)` kills chi at
+    its first zero letter, scaled by chi itself, in name order."""
+    ops = sorted(annihilation_ops(qn).items())
+    members = check_words(_LATTICE, [qn], [word for _, word in ops], plan,
+                          tol)[0]
+    for (name, _), rep in zip(ops, members):
+        rep.name = f"{name} annihilates the state"
+    return members

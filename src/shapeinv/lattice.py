@@ -2,12 +2,16 @@
 
 A `Lattice` is a sector's move table: each `Move` gives the operator at a
 label, the label it leads to (None off the lattice) and its exact squared
-coefficient, which vanishes exactly at an edge.  The lattice also owns each
-label's chain: `path` names the seed and the word of moves that reach it,
-`walk` builds the state, and `scale` is the chain state's size against the
-coefficient-normalized family.  `check_moves` is the one-step actions loop
-of both sectors: an edge move must annihilate, a nonzero coefficient on an
-off-lattice target is an error, and one rule judges every interior move.
+coefficient, which vanishes exactly at an edge.  A word is a tuple of move
+names, applied left to right at their running labels; its coefficient is
+the product of its letters', and it is an edge when that product vanishes.
+The lattice also owns each label's chain: `path` names the seed and the
+word that reach it, `walk` builds the state, and `scale` is the chain
+state's size against the coefficient-normalized family.  `check_words` is
+the one actions loop of both sectors, for one-step moves and for the pair
+ladders alike: an edge word must annihilate at its first zero letter, a
+nonzero coefficient on an off-lattice target is an error, and one rule
+judges every other word.
 """
 from __future__ import annotations
 
@@ -82,23 +86,45 @@ def walk(lattice: Lattice, seed, word: tuple) -> Chain:
                  prev.steps + (move.coeff_sq(prev.label),))
 
 
-def check_moves(lattice: Lattice, labels, plan, tol) -> tuple:
-    """Every move of the table on every label's chain state: the member
-    reports, in label then table order, and the number of edge moves.
+def reach(moves: dict, label, word: tuple) -> tuple:
+    """`(stop, target, coeff_sq)` for `word` read from `label` in the move
+    table: the exact product of its letters' squared coefficients and the
+    label it leads to, or 0 and None at an edge; `stop` counts the letters
+    up to the first whose coefficient vanishes, all of them if none does."""
+    coeff_sq = 1
+    for stop, letter in enumerate(word, 1):
+        move = moves[letter]
+        step, target = move.coeff_sq(label), move.target(label)
+        if step == 0:
+            return stop, None, 0
+        if target is None:
+            raise ValueError(f"zero target with nonzero coefficient: "
+                             f"{letter} at {label}")
+        coeff_sq, label = coeff_sq * step, target
+    return len(word), label, coeff_sq
 
-    An edge move's report is its residual against zero, scaled by the
-    state.  An interior move's is |measured - c|/c on unit scale, no better
-    than the dispersion of the ratio to the target's chain state; the chain
-    states are the normalized ones times their scales, so the measured
-    coefficient is that ratio rescaled by target over source scale, and the
-    data keep it."""
+
+def check_words(lattice: Lattice, labels, words, plan, tol) -> tuple:
+    """Every word on every label's chain state: the member reports, in
+    label then word order, and the number of edge words.  The letters before
+    the last one applied (the first zero letter at an edge) are walked.
+
+    An edge word's report is its residual against zero, scaled by the
+    state.  Any other word's is |measured - c|/c on unit scale, c the square
+    root of the word's coefficient, no better than the dispersion of the
+    ratio to the target's chain state; the chain states are the normalized
+    ones times their scales, so the measured coefficient is that ratio
+    rescaled by target over source scale, and the data keep it."""
     members, edges = [], 0
     for label in labels:
-        state = lattice.chain(label).state
-        for kind, move in lattice.moves.items():
-            moved = move.op(label).apply(state)
-            target, coeff_sq = move.target(label), move.coeff_sq(label)
-            if target is not None and coeff_sq != 0:
+        seed, path = lattice.path(label)
+        for word in words:
+            kind = " ".join(word)
+            stop, target, coeff_sq = reach(lattice.moves, label, word)
+            before = walk(lattice, seed, path + word[:stop - 1])
+            moved = (lattice.moves[word[stop - 1]].op(before.label)
+                     .apply(before.state))
+            if coeff_sq:
                 name = f"{kind} at {label}"
                 rep = check_proportional(moved, lattice.chain(target).state,
                                          plan, tol=tol, name=name)
@@ -109,10 +135,8 @@ def check_moves(lattice: Lattice, labels, plan, tol) -> tuple:
                     name, max(abs(measured - coeff) / coeff, rep.relative),
                     1.0, tol, data={"coefficient": measured}))
                 continue
-            if coeff_sq != 0:
-                raise ValueError(f"zero target with nonzero coefficient: "
-                                 f"{kind} at {label}")
-            members.append(check_zero(moved, plan, reference=[state], tol=tol,
-                                      name=f"{kind} edge {label}"))
+            members.append(check_zero(
+                moved, plan, reference=[lattice.chain(label).state], tol=tol,
+                name=f"{kind} edge {label}"))
             edges += 1
     return members, edges

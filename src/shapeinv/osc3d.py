@@ -27,7 +27,7 @@ exact rational value for eigenfunction work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, wraps
 from typing import NamedTuple
@@ -63,7 +63,7 @@ from .opalg import (
     fourier_reduce,
 )
 from . import su2
-from .lattice import Lattice, Move, check_moves
+from .lattice import Lattice, Move, check_words, reach, walk
 from .verify import (
     TOL_EIGEN,
     IdentityReport,
@@ -741,15 +741,6 @@ _MOVES = {
 }
 
 
-def _coefficient_report(moved: Expr, target: Expr, coeff: float,
-                        plan: SamplePlan, tol: float, name: str) -> IdentityReport:
-    """moved must be coeff times target: the ratio's dispersion and its
-    relative deviation from coeff, whichever is worse."""
-    rep = check_proportional(moved, target, plan, tol=tol, name=name)
-    dev = abs(rep.data["ratio"] - coeff) / coeff
-    return IdentityReport(name, max(rep.relative, dev), 1.0, tol, data=rep.data)
-
-
 def _path(qn: QNum3D):
     """The ground state and the word that reaches qn: up to the m = n
     corner with the second raising combo, the two single-oscillator
@@ -772,23 +763,12 @@ def verify_ladder_actions(n_max: int, plan: SamplePlan,
     occupation coefficient; edge moves must annihilate."""
     labels = [QNum3D(n, m, n3, n4) for n in range(n_max + 1)
               for m in range(-n, n + 1, 2) for n3, n4 in radial_states]
-    reports, edges = check_moves(_LATTICE, labels, plan, tol)
+    reports, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
+                                 tol)
     rep = worst_of("ladder actions", reports, tol,
                    notes="; ".join(r.name for r in reports if not r.passed))
     rep.data.update(steps_checked=len(reports), edge_annihilations=edges)
     return rep
-
-
-def pair_minus(omega) -> DiffOp:
-    """Paired descent: second lowering after first raising (m -> m - 2)."""
-    s = build_oscillators(omega)
-    return (s.A2 @ s.A1d).normalized()
-
-
-def pair_plus(omega) -> DiffOp:
-    """Paired ascent: second raising after first lowering (m -> m + 2)."""
-    s = build_oscillators(omega)
-    return (s.A2d @ s.A1).normalized()
 
 
 def pair_energy(n: int, m: int) -> Fraction:
@@ -798,46 +778,44 @@ def pair_energy(n: int, m: int) -> Fraction:
 
 def verify_pair_eigen(qn: QNum3D, plan: SamplePlan,
                       tol: float = TOL_EIGEN) -> list:
-    """Reports for plus-after-minus on the state and minus-after-plus on
-    the state two sites down; both carry the same scalar."""
-    w = qn.omega
-    lam = pair_energy(qn.n, qn.m)
-    up_down = (pair_plus(w) @ pair_minus(w)).at_incoming(qn.m)
-    out = [check_eigen(up_down, state_normalized(qn), lam, plan, tol,
-                       f"pair plus-after-minus {qn}")]
+    """The two round trips of the pair ladders, each of which must carry
+    `pair_energy` as its coefficient: the descent (A1d then A2) and back up
+    (A1 then A2d) from qn, and the ascent and back down from the state two
+    sites below."""
+    trips = [(qn, ("A1d", "A2", "A1", "A2d"))]
     if qn.m - 2 >= -qn.n:
-        low = QNum3D(qn.n, qn.m - 2, qn.n3, qn.n4, w)
-        down_up = (pair_minus(w) @ pair_plus(w)).at_incoming(qn.m - 2)
-        out.append(check_eigen(down_up, state_normalized(low), lam, plan, tol,
-                               f"pair minus-after-plus {qn}"))
+        trips.append((replace(qn, m=qn.m - 2), ("A1", "A2d", "A1d", "A2")))
+    out = []
+    for label, word in trips:
+        rep, = check_words(_LATTICE, [label], [word], plan, tol)[0]
+        if reach(_MOVES, label, word)[2] != pair_energy(qn.n, qn.m) ** 2:
+            rep.fail(f"coefficient is not {pair_energy(qn.n, qn.m)}")
+        out.append(rep)
     return out
 
 
 def raising_pair_reports(qn: QNum3D, plan: SamplePlan,
                          tol: float = TOL_EIGEN) -> dict:
-    """The ascent pair lands on m + 2 (the transcription labels the target
-    m - 2; the coefficient (1/2)sqrt((n-m)(n+m+2)) is correct).
+    """The ascent pair (A1 then A2d) lands on m + 2 (the transcription
+    labels the target m - 2; the coefficient (1/2)sqrt((n-m)(n+m+2)) is
+    correct).
 
-    Returns proportionality reports against both candidate targets.  The
-    reduced chart identifies the states at +-m (the phase that separates
-    them is divided out), so the two candidates only differ for m != 0;
-    start the demonstration off-center."""
-    w = qn.omega
-    moved = apply_canonical(pair_plus(w).at_incoming(qn.m),
-                            state_normalized(qn))
-    coeff = 0.5 * math.sqrt((qn.n - qn.m) * (qn.n + qn.m + 2))
-    up = QNum3D(qn.n, qn.m + 2, qn.n3, qn.n4, w)
-    out = {"corrected": _coefficient_report(moved, state_normalized(up), coeff,
-                                            plan, tol, f"ascent target m+2 {qn}")}
+    Returns the word's report and a proportionality report against the
+    stated target.  The reduced chart identifies the states at +-m (the
+    phase that separates them is divided out), so the two candidates only
+    differ for m != 0; start the demonstration off-center."""
+    word = ("A1", "A2d")
+    out = {"corrected": check_words(_LATTICE, [qn], [word], plan, tol)[0][0]}
     if qn.m - 2 >= -qn.n:
-        down = QNum3D(qn.n, qn.m - 2, qn.n3, qn.n4, w)
+        seed, path = _LATTICE.path(qn)
+        moved = walk(_LATTICE, seed, path + word).state
+        name = f"ascent target m-2 {qn}"
         try:
             out["stated"] = check_proportional(
-                moved, state_normalized(down), plan, tol=tol,
-                name=f"ascent target m-2 {qn}")
+                moved, _LATTICE.chain(replace(qn, m=qn.m - 2)).state, plan,
+                tol=tol, name=name)
         except PlanDegenerate as exc:  # degenerate ratios: also a mismatch
-            out["stated"] = IdentityReport(
-                f"ascent target m-2 {qn}", 1.0, 1.0, tol, notes=str(exc))
+            out["stated"] = IdentityReport(name, 1.0, 1.0, tol, notes=str(exc))
     return out
 
 

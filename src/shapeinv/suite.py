@@ -211,31 +211,25 @@ def _chk_ladders2d(cfg):
 
 
 def _chk_pair_scalars(cfg):
-    dev_e = 0.0
-    dev_n = 0.0
-    label_diff = 0
+    dev, label_diff = 0, 0
     for twol in range(2, min(cfg.twol_max, 6) + 1):
         for qn in ladders2d.valid_states(twol):
             q, m = qn.q, qn.m
             if abs(m + 2) <= twol - abs(q):
-                em = ladders2d.E_measured(twol, q, m)
-                ec = float(ladders2d.E_measured_closed(twol, q, m))
-                dev_e = max(dev_e, abs(em - ec))
+                want = ladders2d.E_measured_closed(twol, q, m) ** 2
+                dev = max(dev, abs(ladders2d.pair_scalar_sq(
+                    qn, ladders2d.M_ROUND_TRIP, False) - want))
                 try:
-                    er = ladders2d.E(twol, q, m)
-                    if abs(er - ec) > 1e-9:
-                        label_diff += 1
+                    label_diff += ladders2d.pair_scalar_sq(
+                        qn, ladders2d.M_ROUND_TRIP, True) != want
                 except ValueError:
                     label_diff += 1
             if q + 2 <= twol - abs(m):
-                try:
-                    nn = ladders2d.N(twol, q, m)
-                    nc = float(ladders2d.N_closed(twol, q, m))
-                    dev_n = max(dev_n, abs(nn - nc))
-                except ValueError:
-                    pass
+                dev = max(dev, abs(ladders2d.pair_scalar_sq(
+                    qn, ladders2d.Q_ROUND_TRIP, True)
+                    - ladders2d.N_closed(twol, q, m)))
     return IdentityReport(
-        "pair-ladder scalars", max(dev_e, dev_n), 1.0, cfg.tol_eigen,
+        "pair-ladder scalars", dev, 1.0, cfg.tol_eigen,
         notes=f"products equal their closed forms; the as-stated label "
               f"assignment deviates at {label_diff} states")
 
@@ -272,7 +266,7 @@ def _chk_annihilation(cfg):
     plan = _plan(cfg, "annihilate")
     states = list(islice((qn for twol in range(min(cfg.twol_max, 4) + 1)
                           for qn in ladders2d.valid_states(twol)
-                          if ladders2d.at_raising_edge(qn)), 6))
+                          if ladders2d.annihilation_ops(qn)), 6))
     reports = [rep for qn in states for rep in
                ladders2d.annihilation_reports(qn, plan, cfg.tol_eigen)]
     if not reports:

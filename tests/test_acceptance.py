@@ -14,8 +14,8 @@ from shapeinv import clear_caches, ladders2d, osc3d, su2
 from shapeinv.ladders2d import QNum2D
 from shapeinv.osc3d import QNum3D
 from shapeinv.suite import FAULT_PREFIX, SuiteConfig, report_json, run_suite
-from shapeinv.verify import (SamplePlan, check_op_zero, check_zero,
-                             default_battery, worst_of)
+from shapeinv.verify import (SamplePlan, check_op_zero, default_battery,
+                             worst_of)
 
 
 def _verdict(capsys, num: int, ok: bool, text: str):
@@ -131,22 +131,16 @@ def test_criterion_5_two_angle_ladders(capsys):
     for twol in range(7):
         for qn in ladders2d.valid_states(twol):
             if qn.q + 2 <= twol - abs(qn.m):
-                diff = abs(ladders2d.N(twol, qn.q, qn.m)
-                           - float(ladders2d.N_closed(twol, qn.q, qn.m)))
-                product_ok = product_ok and diff <= 1e-9
+                product_ok = product_ok and (
+                    ladders2d.pair_scalar_sq(qn, ladders2d.Q_ROUND_TRIP, True)
+                    == ladders2d.N_closed(twol, qn.q, qn.m))
             if abs(qn.m + 2) <= twol - abs(qn.q):
-                diff = abs(ladders2d.E_measured(twol, qn.q, qn.m)
-                           - float(ladders2d.E_measured_closed(
-                               twol, qn.q, qn.m)))
-                product_ok = product_ok and diff <= 1e-9
+                product_ok = product_ok and (
+                    ladders2d.pair_scalar_sq(qn, ladders2d.M_ROUND_TRIP, False)
+                    == ladders2d.E_measured_closed(twol, qn.q, qn.m) ** 2)
     top = QNum2D(6, 6, 0)
-    chi = ladders2d.chi_reduced(top)
-    ann = ladders2d.annihilation_ops(top)
-    edge_ok = bool(ann)
-    for label, op in ann.items():
-        rep = check_zero(op.apply(chi), plan, reference=[chi], tol=1e-8,
-                         name=label)
-        edge_ok = edge_ok and rep.passed
+    edges = ladders2d.annihilation_reports(top, plan, 1e-8)
+    edge_ok = len(edges) == 4 and all(rep.passed for rep in edges)
     ok = ladder_ok and product_ok and edge_ok
     _verdict(capsys, 5, ok,
              f"one-step ratios at 1e-8 through doubled level 4 (worst "
@@ -245,4 +239,4 @@ def test_suite_report_digest_seed_7(full_suite_runs):
     first, _, _ = full_suite_runs
     digest = hashlib.sha256(report_json(first).encode()).hexdigest()
     assert digest == (
-        "625dc1e236b6e70d1e150745507d442b8650d52fa294ce81631cfd1160f4cde8")
+        "302dbaf590ba5f651afc9a476a5ad812d0b560173d5e80cf5582551d5ca1e181")

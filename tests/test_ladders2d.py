@@ -78,12 +78,19 @@ def test_axis_weights_are_half_sums():
 
 
 def test_annihilation_at_the_edges():
+    """Each edge word's coefficient vanishes, and the state after its first
+    zero letter is the zero function, decided structurally."""
     qn = QNum2D(3, 3, 0)  # q at its maximum, m at its maximum for that q
-    ops = ld.annihilation_ops(qn)
-    chi = ld.chi_reduced(qn)
-    assert ops, "edge state must expose annihilating operators"
-    for label, op in ops.items():
-        assert is_zero_expr(apply_canonical(op, chi)), label
+    words = ld.annihilation_ops(qn)
+    assert words, "edge state must expose annihilating words"
+    seed, path = ld._LATTICE.path(qn)
+    for word in words.values():
+        stop, target, coeff_sq = lattice.reach(ld._MOVES, qn, word)
+        assert (target, coeff_sq) == (None, 0), word
+        before = lattice.walk(ld._LATTICE, seed, path + word[:stop - 1])
+        move = ld._MOVES[word[stop - 1]]
+        assert is_zero_expr(apply_canonical(move.op(before.label),
+                                            before.state)), word
 
 
 # -- ladder actions and coefficients ----------------------------------------
@@ -176,16 +183,19 @@ def test_reorder_identity_true_and_stated_forms():
 
 
 def test_pair_scalar_measured_equals_closed():
+    """The round trip m up and back, read from the measured table, is the
+    square of the closed in-level scalar, exactly."""
     for twol in range(0, 7):
         for qn in ld.valid_states(twol):
-            got = ld.E_measured(twol, qn.q, qn.m)
-            want = ld.E_measured_closed(twol, qn.q, qn.m)
-            assert abs(got - float(want)) <= 1e-9, qn
+            got = ld.pair_scalar_sq(qn, ld.M_ROUND_TRIP, False)
+            assert got == ld.E_measured_closed(twol, qn.q, qn.m) ** 2, qn
 
 
 def test_pair_scalar_printed_form_vanishes_degenerately():
     # the as-printed scalar gives 0 on a state where the measured one is 4
-    assert ld.E(2, 0, 0) == 0.0
+    qn = QNum2D(2, 0, 0)
+    assert ld.pair_scalar_sq(qn, ld.M_ROUND_TRIP, True) == 0
+    assert ld.pair_scalar_sq(qn, ld.M_ROUND_TRIP, False) == 16
     assert ld.E_measured_closed(2, 0, 0) == Fraction(4)
 
 
@@ -197,8 +207,8 @@ def test_norm_product_matches_closed_form():
             q, m = qn.q, qn.m
             if q + 2 > twol - abs(m):
                 continue
-            nc = float(ld.N_closed(twol, q, m))
-            assert abs(ld.N(twol, q, m) - nc) <= 1e-9
+            assert ld.pair_scalar_sq(qn, ld.Q_ROUND_TRIP, True) \
+                == ld.N_closed(twol, q, m), qn
 
 
 @pytest.mark.parametrize("qn", [

@@ -280,8 +280,8 @@ def test_ascent_pair_lands_on_m_plus_two():
     assert reports["corrected"].passed
     assert not reports["stated"].passed
     # coefficient (1/2) sqrt((n-m)(n+m+2)) at (3, 1): sqrt(12)/2 = sqrt(3)
-    ratio = reports["corrected"].data["ratio"]
-    assert abs(abs(ratio) - math.sqrt(3)) <= 1e-8
+    coeff = reports["corrected"].data["coefficient"]
+    assert abs(abs(coeff) - math.sqrt(3)) <= 1e-8
 
 
 def test_ground_annihilation():

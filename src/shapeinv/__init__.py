@@ -28,6 +28,7 @@ from .symx import (
     Exp,
     Expr,
     Hermite,
+    MEMOS,
     Mul,
     Pow,
     Sin,
@@ -54,15 +55,7 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every process-wide memo: the symbolic kernel memos of `symx`
-    (`_DIFF_MEMO`, `_SUBST_MEMO`, `_SIMPLIFY_MEMO`, `_CANON_MEMO`) and of
-    `opalg` (`_DERIV_MEMO`), and the `lru_cache` tables of `lattice` (the
-    chain walker's), `ladders2d` and `osc3d`."""
-    from . import ladders2d, lattice, opalg, osc3d, symx
-    for table in (symx._DIFF_MEMO, symx._SUBST_MEMO, symx._SIMPLIFY_MEMO,
-                  symx._CANON_MEMO, opalg._DERIV_MEMO):
+    """Empty every process-wide cache: each is a `symx.memo` table, and
+    `symx.MEMOS` lists them all."""
+    for table in MEMOS:
         table.clear()
-    for module in (lattice, ladders2d, osc3d):
-        for obj in vars(module).values():
-            if hasattr(obj, "cache_clear"):
-                obj.cache_clear()

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .opalg import apply_canonical
-from .symx import Expr
+from .symx import Expr, memo
 from .verify import IdentityReport, check_proportional, check_zero
 
 
@@ -70,7 +69,7 @@ class Lattice:
         return math.prod(map(math.sqrt, self.chain(label).steps), start=1.0)
 
 
-@lru_cache(maxsize=None)
+@memo({})
 def walk(lattice: Lattice, seed, word: tuple) -> Chain:
     """The state reached from `seed` by the moves of `word`, applied left
     to right and each recanonicalized; every prefix is a memoized walk of

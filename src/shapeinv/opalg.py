@@ -31,7 +31,7 @@ from .symx import (
     diff,
     fourier_modes,
     is_zero_expr,
-    memo_put,
+    memo,
     render,
     simplify_basic,
     substitute,
@@ -69,24 +69,22 @@ class OpTerm:
         return f"OpTerm({render(self.coeff)}, derivs={self.derivs}, shift={self.shift})"
 
 
+def _deriv_multi(f: Expr, derivs: tuple) -> Expr:
+    """Differentiate coordinate by coordinate (theta first), simplifying after
+    every single derivative; memoized by (node, multi-index) in `_deriv`."""
+    return _deriv(f, derivs) if any(derivs) else f
+
+
 _DERIV_MEMO: dict = {}
 
 
-def _deriv_multi(f: Expr, derivs: tuple) -> Expr:
-    """Differentiate coordinate by coordinate (theta first), simplifying after
-    every single derivative.  Memoized by (node, multi-index); each entry is
-    built from the entry one derivative lower in the last differentiated
-    coordinate, so lower derivatives are shared between multi-indices."""
-    last = next((i for i in reversed(range(_NDIM)) if derivs[i]), None)
-    if last is None:
-        return f
-    key = (f, derivs)
-    g = _DERIV_MEMO.get(key)
-    if g is None:
-        lower = derivs[:last] + (derivs[last] - 1,) + derivs[last + 1:]
-        g = simplify_basic(diff(_deriv_multi(f, lower), COORDINATES[last]))
-        memo_put(_DERIV_MEMO, key, g)
-    return g
+@memo(_DERIV_MEMO)
+def _deriv(f: Expr, derivs: tuple) -> Expr:
+    # built from the entry one derivative lower in the last differentiated
+    # coordinate, so lower derivatives are shared between multi-indices
+    last = max(i for i in range(_NDIM) if derivs[i])
+    lower = derivs[:last] + (derivs[last] - 1,) + derivs[last + 1:]
+    return simplify_basic(diff(_deriv_multi(f, lower), COORDINATES[last]))
 
 
 class DiffOp:

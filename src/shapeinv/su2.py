@@ -304,27 +304,19 @@ def _corr_fn(sign_im: int) -> Expr:
                    Mul(Const(GaussRat(0, Fraction(sign_im))), cot(PSI), csc(THETA))))
 
 
-def primed_reference(resolved: bool) -> GeneratorSet:
-    """Closed forms: reduced generators plus scalar shift corrections.
-
-    With resolved=True each correction term rides the same lattice shift as
-    the generator it corrects (the form the conjugation actually produces).
-    With resolved=False all four corrections carry the forward shift
-    uniformly, which is the other reading of the corrections as stated; it
-    disagrees with the conjugation for the two raising generators and is
-    kept as a negative control.
-    """
+def primed_reference() -> GeneratorSet:
+    """Closed forms: reduced generators plus scalar shift corrections, each
+    riding the same lattice shift as the generator it corrects (the form
+    the conjugation actually produces)."""
     def corr(fn_sign: int, coeff_sign: int, shift: int) -> DiffOp:
         term = OpTerm(Mul(Const(coeff_sign), _corr_fn(fn_sign)),
                       (0, 0, 0, 0), shift)
         return DiffOp((term,), "q")
 
-    shifts = {"Lp": +1, "Rp": +1, "Lm": -1, "Rm": -1} if resolved else \
-             {"Lp": -1, "Rp": -1, "Lm": -1, "Rm": -1}
-    Lp = (reduced_ladder_reference("Lp") + corr(-1, +1, shifts["Lp"])).normalized()
-    Rp = (reduced_ladder_reference("Rp") + corr(+1, -1, shifts["Rp"])).normalized()
-    Lm = (reduced_ladder_reference("Lm") + corr(+1, -1, shifts["Lm"])).normalized()
-    Rm = (reduced_ladder_reference("Rm") + corr(-1, +1, shifts["Rm"])).normalized()
+    Lp = (reduced_ladder_reference("Lp") + corr(-1, +1, +1)).normalized()
+    Rp = (reduced_ladder_reference("Rp") + corr(+1, -1, +1)).normalized()
+    Lm = (reduced_ladder_reference("Lm") + corr(+1, -1, -1)).normalized()
+    Rm = (reduced_ladder_reference("Rm") + corr(-1, +1, -1)).normalized()
     L3 = reduced_ladder_reference("L3")
     R3 = reduced_ladder_reference("R3")
     return GeneratorSet(Lp, Lm, L3, Rp, Rm, R3)

@@ -160,7 +160,7 @@ def _chk_hq(cfg):
 
 def _chk_primed(cfg):
     got = su2.build_primed_generators().pairs()
-    ref = su2.primed_reference(resolved=True)
+    ref = su2.primed_reference()
     bad = [n for (n, a), b in zip(got, ref) if not a.same_operator(b)]
     return structural("weight-conjugated generators", not bad,
                       notes="scalar corrections ride the generator's own "
@@ -407,7 +407,7 @@ def _chk_ladder_actions3d(cfg):
         tol=cfg.tol_eigen, radial_states=((0, 0), (1, 1)))
     return IdentityReport(
         "3-D one-step ladder coefficients", rep.relative, 1.0, cfg.tol_eigen,
-        notes=(f"{rep.data.get('steps_checked', 0)} steps, "
+        notes=(f"{rep.data.get('steps_checked', 0)} interior steps, "
                f"{rep.data.get('edge_annihilations', 0)} edge annihilations"
                + ("; " + rep.notes if rep.notes else "")))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import partial
+from functools import partial, wraps
 from operator import add, mul
 
 from .rationals import GaussRat, I as IUNIT, qadd, qmul
@@ -230,24 +230,55 @@ def csc(x) -> Expr:
 # ---------------------------------------------------------------------------
 # Memo tables
 #
-# The pure tree kernels are memoized by node: `diff` by (node, coordinate) in
-# _DIFF_MEMO, `substitute` by (tree, name, replacement) in _SUBST_MEMO,
-# `simplify_basic` in _SIMPLIFY_MEMO and the canonical form in _CANON_MEMO.
-# Nodes hash and compare by their full structural key, so a memo keyed by
-# node is hash-consing in the sense of Filliatre & Conchon ("Type-Safe
-# Modular Hash-Consing", 2006): a hit returns a tree with the same key the
-# computation would have built, and equal inputs share one result object, so
-# the memos downstream of a kernel mostly hit by identity.  Every table holds
-# at most MEMO_CAP entries and is emptied when it is full.
+# Every cache in the package is a `memo` table, listed in MEMOS, which
+# `clear_caches()` empties.  Each holds at most MEMO_CAP entries and is
+# emptied when it is full.  The tree kernels here are memoized by node:
+# `diff` by (node, coordinate) in _DIFF_MEMO, `substitute` by (tree, name,
+# replacement) in _SUBST_MEMO, `simplify_basic` in _SIMPLIFY_MEMO and the
+# canonical form in _CANON_MEMO.  Nodes hash and compare by their full
+# structural key, so a memo keyed by node is hash-consing in the sense of
+# Filliatre & Conchon ("Type-Safe Modular Hash-Consing", 2006): a hit returns
+# a tree with the same key the computation would have built, and equal inputs
+# share one result object, so the memos downstream of a kernel mostly hit by
+# identity.
 # ---------------------------------------------------------------------------
 
 MEMO_CAP = 100_000
+MEMOS: list = []
 
 
-def memo_put(table: dict, key, value) -> None:
-    if len(table) >= MEMO_CAP:
-        table.clear()
-    table[key] = value
+def memo(table: dict):
+    """Decorator: memoize a pure function that never returns None in
+    `table`, keyed by its one argument or by the tuple of its arguments.
+    The table joins MEMOS and is the wrapper's `table` attribute."""
+    MEMOS.append(table)
+
+    def decorate(fn):
+        if fn.__code__.co_argcount == 1:
+            def cached(x):
+                out = table.get(x)
+                if out is None:
+                    out = fn(x)
+                    if len(table) < MEMO_CAP:
+                        table[x] = out
+                    else:
+                        table.clear()
+                return out
+        else:
+            def cached(*args):
+                out = table.get(args)
+                if out is None:
+                    out = fn(*args)
+                    if len(table) < MEMO_CAP:
+                        table[args] = out
+                    else:
+                        table.clear()
+                return out
+        cached = wraps(fn)(cached)
+        cached.table = table
+        return cached
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +321,23 @@ def rebuild(e: Expr, kids) -> Expr:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
+def substitute(e: Expr, name: str, repl) -> Expr:
+    """Replace every occurrence of symbol `name` by `repl` (capture-free)."""
+    return _substitute(e, name, as_expr(repl))
+
+
 _SUBST_MEMO: dict = {}
 
 
-def substitute(e: Expr, name: str, repl) -> Expr:
-    """Replace every occurrence of symbol `name` by `repl` (capture-free)."""
-    repl = as_expr(repl)
-    key = (e, name, repl)
-    out = _SUBST_MEMO.get(key)
-    if out is None:
-        out = _substitute(e, name, repl)
-        memo_put(_SUBST_MEMO, key, out)
-    return out
+@memo(_SUBST_MEMO)
+def _substitute(e: Expr, name: str, repl: Expr) -> Expr:
+    return _replace(e, name, repl)
 
 
-def _substitute(x: Expr, name: str, repl: Expr) -> Expr:
+def _replace(x: Expr, name: str, repl: Expr) -> Expr:
     if isinstance(x, Sym) and x.name == name:
         return repl
-    return rebuild(x, [_substitute(c, name, repl) for c in children(x)])
+    return rebuild(x, [_replace(c, name, repl) for c in children(x)])
 
 
 def trig_to_exp(e: Expr, name: str) -> Expr:
@@ -348,14 +378,10 @@ def _diff(x: Expr, coord: str) -> Expr:
         return ZERO
     if isinstance(x, Sym):
         return ONE if x.name == coord else ZERO
-    key = (x, coord)
-    out = _DIFF_MEMO.get(key)
-    if out is None:
-        out = _diff_node(x, coord)
-        memo_put(_DIFF_MEMO, key, out)
-    return out
+    return _diff_node(x, coord)
 
 
+@memo(_DIFF_MEMO)
 def _diff_node(x: Expr, coord: str) -> Expr:
     if isinstance(x, Add):
         return Add(*(_diff(t, coord) for t in x.terms))
@@ -450,13 +476,10 @@ _SIMPLIFY_MEMO: dict = {}
 def simplify_basic(e: Expr) -> Expr:
     if isinstance(e, (Const, Sym)):
         return e
-    out = _SIMPLIFY_MEMO.get(e)
-    if out is None:
-        out = _simplify_node(e)
-        memo_put(_SIMPLIFY_MEMO, e, out)
-    return out
+    return _simplify_node(e)
 
 
+@memo(_SIMPLIFY_MEMO)
 def _simplify_node(e: Expr) -> Expr:
     if isinstance(e, Add):
         flat = []
@@ -725,11 +748,8 @@ def _cf_pow(a: dict, p: tuple) -> dict:
     raise SymxError("unsupported: non-positive-integer power of a multi-term sum")
 
 
+@memo(_CANON_MEMO)
 def _canon_cf(e: Expr) -> dict:
-    memo = _CANON_MEMO.get(e)
-    if memo is not None:
-        return memo
-
     if isinstance(e, Const):
         cf = _cf_const(e.value)
     elif isinstance(e, Sym):
@@ -770,8 +790,6 @@ def _canon_cf(e: Expr) -> dict:
             cf = {((("hermite", e.degree, _cf_key(acf)), (1, 1)),): GaussRat(1)}
     else:
         raise TypeError(f"unknown node {type(e).__name__}")
-
-    memo_put(_CANON_MEMO, e, cf)
     return cf
 
 

@@ -239,4 +239,4 @@ def test_suite_report_digest_seed_7(full_suite_runs):
     first, _, _ = full_suite_runs
     digest = hashlib.sha256(report_json(first).encode()).hexdigest()
     assert digest == (
-        "302dbaf590ba5f651afc9a476a5ad812d0b560173d5e80cf5582551d5ca1e181")
+        "61bea8953c5e4f2f00df4e93e0a24b9d4050ecddb9eb0d6a6645c80672a3e4f6")

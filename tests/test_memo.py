@@ -1,24 +1,28 @@
-"""The node memos of the apply layer, pinned against the uncached route.
+"""Every cache of the package is a `symx.memo` table, pinned against the
+uncached route.
 
-`symx.diff`, `symx.substitute`, `symx.simplify_basic` and
-`opalg._deriv_multi` are memoized by node.  Each test below recomputes the
-same trees with memo tables that keep nothing, which is the plain recursion
-the memos replace, and asks for equal keys: first from warm tables, then
-after `clear_caches()`, then with a cap small enough that the tables are
-emptied many times over during the computation.  The trees are the
-derivatives and applications of the default battery and the su(2) bracket
-table, for the raw generators and for their lattice-shift reduction, whose
-applications and compositions substitute p - k for the shift parameter.
+`symx.memo` lists each table in `symx.MEMOS`: the node memos of the tree
+kernels (`diff`, `substitute`, `simplify_basic`, the canonical form and
+`opalg._deriv_multi`), the lattice's chain walker and the `osc3d`
+builders.  Each test below recomputes the same results with MEMO_CAP = 0, a
+cap that keeps nothing, which is the plain recursion the memos replace, and
+asks for equal keys: first from warm tables, then after `clear_caches()`,
+then with caps small enough that the tables are emptied many times over
+during the computation.  The trees are the derivatives and applications of
+the default battery and the su(2) bracket table, for the raw generators and
+for their lattice-shift reduction, whose applications and compositions
+substitute p - k for the shift parameter; the 3-D Hamiltonian at symbolic
+and unit frequency; and one chain state of each ladder sector.
 """
+import ast
 import importlib
-import pkgutil
-import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import shapeinv
-from shapeinv import clear_caches, opalg, su2, symx
+from shapeinv import clear_caches, ladders2d, opalg, osc3d, su2, symx
 from shapeinv.symx import Add, Mul
 from shapeinv.verify import default_battery
 
@@ -30,13 +34,7 @@ MULTI_INDICES = sorted({t.derivs
                         for _, res, _ in su2.commutator_residuals(
                             su2.build_raw_generators())
                         for t in res.terms})
-
-
-class _NoMemo(dict):
-    """A memo table that keeps no entry: every lookup misses."""
-
-    def __setitem__(self, key, value):
-        pass
+PACKAGE = Path(shapeinv.__file__).parent
 
 
 def _raw_apply(op, f):
@@ -58,23 +56,20 @@ def _keys():
     brackets = [(label, _term_keys(res))
                 for gens in (su2.build_raw_generators(), SHIFT_GENS)
                 for label, res, _ in su2.commutator_residuals(gens)]
-    return derivs, simplified, shifted, brackets
-
-
-TABLES = ((symx, "_DIFF_MEMO"), (symx, "_SUBST_MEMO"),
-          (symx, "_SIMPLIFY_MEMO"), (opalg, "_DERIV_MEMO"))
-
-
-def _tables():
-    return [getattr(module, name) for module, name in TABLES]
+    hamiltonians = [_term_keys(osc3d.build_Hm(w)) for w in (None, 1)]
+    chains = [ladders2d.chi_reduced(ladders2d.QNum2D(2, 1, 1)).key(),
+              osc3d.psi_ladder(osc3d.QNum3D(1, 1)).key()]
+    return derivs, simplified, shifted, brackets, hamiltonians, chains
 
 
 @pytest.fixture(scope="module")
 def uncached_keys():
     with pytest.MonkeyPatch.context() as mp:
-        for module, name in TABLES:
-            mp.setattr(module, name, _NoMemo())
-        return _keys()
+        mp.setattr(symx, "MEMO_CAP", 0)
+        clear_caches()
+        keys = _keys()
+        assert not any(symx.MEMOS), "a table kept an entry at cap 0"
+    return keys
 
 
 def test_multi_indices_cover_second_order_and_mixed():
@@ -86,13 +81,14 @@ def test_memoized_route_matches_uncached(uncached_keys):
     clear_caches()
     assert _keys() == uncached_keys  # filling the tables
     assert _keys() == uncached_keys  # served from the tables
-    assert all(_tables())
+    assert all(symx.MEMOS), "a table stayed empty: fill it in _keys"
 
 
 def test_memoized_route_matches_uncached_after_clear(uncached_keys):
     _keys()
+    assert all(symx.MEMOS)
     clear_caches()
-    assert not any(_tables() + [symx._CANON_MEMO])
+    assert not any(symx.MEMOS)
     assert _keys() == uncached_keys
 
 
@@ -100,29 +96,31 @@ def test_memoized_route_matches_uncached_past_the_cap(uncached_keys,
                                                       monkeypatch):
     clear_caches()
     _keys()
-    filled = len(symx._SIMPLIFY_MEMO)
-    cap = 16
-    assert filled > 10 * cap
-    monkeypatch.setattr(symx, "MEMO_CAP", cap)
-    clear_caches()
-    assert _keys() == uncached_keys
-    assert all(len(table) <= cap for table in _tables())
+    assert len(symx._SIMPLIFY_MEMO) > 10 * 16
+    # at cap 1 every table that holds more than one entry wraps as well
+    for cap in (16, 1):
+        monkeypatch.setattr(symx, "MEMO_CAP", cap)
+        clear_caches()
+        assert _keys() == uncached_keys
+        assert all(len(table) <= cap for table in symx.MEMOS)
     clear_caches()
 
 
 def test_clear_caches_empties_the_lru_tables():
-    from shapeinv import ladders2d, lattice, osc3d
+    # the builder and chain-walker tables that were functools.lru_cache
+    # tables before they became symx.memo tables
+    from shapeinv import lattice
+    clear_caches()
     osc3d.build_H4()
     ladders2d.chi_reduced(ladders2d.QNum2D(2, 1, 1))
-    assert osc3d.build_H4.cache_info().currsize
-    assert lattice.walk.cache_info().currsize
+    assert len(osc3d.build_H4.table)
+    assert len(lattice.walk.table)
     clear_caches()
-    assert osc3d.build_H4.cache_info().currsize == 0
-    assert lattice.walk.cache_info().currsize == 0
+    assert len(osc3d.build_H4.table) == 0
+    assert len(lattice.walk.table) == 0
 
 
 def test_one_cache_entry_per_frequency():
-    from shapeinv import osc3d
     builders = (osc3d.cartesian_ladders, osc3d.build_combos,
                 osc3d.build_oscillators, osc3d.build_H4, osc3d.build_Hm)
     clear_caches()
@@ -130,27 +128,52 @@ def test_one_cache_entry_per_frequency():
         assert build() is build(None)
         assert build(1) is build(Fraction(1)) is build(omega=Fraction(2, 2))
     # one entry for the symbolic frequency, one for omega = 1
-    assert [b.cache_info().currsize for b in builders] == [2] * 5
+    assert [len(b.table) for b in builders] == [2] * 5
     clear_caches()
 
 
-def _package_memos():
-    """Every module-level dict named `_*_MEMO` in the package modules."""
-    found = {}
-    for info in pkgutil.iter_modules(shapeinv.__path__):
-        module = importlib.import_module(f"shapeinv.{info.name}")
-        for name, value in vars(module).items():
-            if re.fullmatch(r"_\w+_MEMO", name) and isinstance(value, dict):
-                found[f"{info.name}.{name}"] = value
-    return found
+def _module_tables():
+    """(module.name, value) for every module-level name that the package
+    source binds to an empty dict, `{}` or `dict()`."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(
+            "shapeinv" if path.stem == "__init__" else f"shapeinv.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.Assign, ast.AnnAssign)):
+                continue
+            value = node.value
+            empty = (isinstance(value, ast.Dict) and not value.keys
+                     or isinstance(value, ast.Call) and not value.args
+                     and isinstance(value.func, ast.Name)
+                     and value.func.id == "dict")
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for target in targets if empty else ():
+                yield (f"{path.stem}.{target.id}",
+                       getattr(module, target.id))
 
 
 def test_clear_caches_empties_every_memo_table():
-    memos = _package_memos()
-    assert "symx._CANON_MEMO" in memos
+    caches = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else None)
+            if name in ("lru_cache", "cache", "cached_property"):
+                caches.append(f"{path.stem}.{name}")
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                caches += [f"{path.stem} imports {alias.name}"
+                           for alias in node.names
+                           if alias.name in ("lru_cache", "cache",
+                                             "cached_property")]
+    assert not caches, "caches outside symx.memo: " + ", ".join(caches)
+    tables = dict(_module_tables())
+    assert "symx._CANON_MEMO" in tables and "opalg._DERIV_MEMO" in tables
+    stray = [name for name, table in tables.items()
+             if not any(table is memo for memo in symx.MEMOS)]
+    assert not stray, "tables outside symx.MEMOS: " + ", ".join(stray)
     _keys()
-    symx.canonical_key(PROBES[0])
-    assert all(memos.values()), "a table stayed empty: fill it above"
+    assert all(symx.MEMOS), "a table stayed empty: fill it in _keys"
     clear_caches()
-    kept = sorted(name for name, table in memos.items() if table)
-    assert not kept, "clear_caches() leaves " + ", ".join(kept)
+    assert not any(symx.MEMOS)

@@ -257,7 +257,7 @@ def _structural_pairs():
     hq = su2.build_Hq(SamplePlan(seed=11, count=60))
     yield "Hq", hq.reference, hq.derived
     for (name, a), b in zip(su2.build_primed_generators().pairs(),
-                            su2.primed_reference(resolved=True)):
+                            su2.primed_reference()):
         yield f"primed {name}", a, b
 
     cart = osc3d.cartesian_ladders()

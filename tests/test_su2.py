@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from shapeinv import su2
-from shapeinv.opalg import DiffOp, commutator, fourier_reduce
+from shapeinv.opalg import DiffOp, OpTerm, commutator, fourier_reduce
 from shapeinv.symx import Const, Mul, Sym, render
 from shapeinv.verify import SamplePlan, check_op_zero
 
@@ -99,19 +99,28 @@ def test_schrodinger_form_potential_structure():
 
 def test_primed_generators_resolved(plan):
     gs = su2.build_primed_generators()
-    ref = su2.primed_reference(resolved=True)
+    ref = su2.primed_reference()
     for name in ("Lp", "Lm", "Rp", "Rm"):
         diff = (getattr(gs, name) - getattr(ref, name)).normalized()
         assert diff.is_zero(), name
+
+
+def uniform_shift_reading(name: str) -> DiffOp:
+    """The other reading of the stated corrections: each generator's scalar
+    correction carries the forward shift -1, whatever its own shift."""
+    base = su2.reduced_ladder_reference(name)
+    corr = (getattr(su2.primed_reference(), name) - base).normalized()
+    moved = DiffOp(tuple(OpTerm(t.coeff, t.derivs, -1) for t in corr.terms),
+                   "q")
+    return (base + moved).normalized()
 
 
 def test_primed_generators_negative_control():
     # the uniform-forward-shift reading only disturbs the two raising
     # corrections; the lowering ones coincide in both conventions
     gs = su2.build_primed_generators()
-    bad = su2.primed_reference(resolved=False)
     matches = {
-        n: (getattr(gs, n) - getattr(bad, n)).normalized().is_zero()
+        n: (getattr(gs, n) - uniform_shift_reading(n)).normalized().is_zero()
         for n in ("Lp", "Lm", "Rp", "Rm")}
     assert matches == {"Lp": False, "Rp": False, "Lm": True, "Rm": True}
 

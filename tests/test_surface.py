@@ -180,8 +180,7 @@ def _private(name: str) -> bool:
 
 def _private_reads(stem: str, tree: ast.Module):
     """'<stem> imports|reads <module>.<name>' for each `_`-prefixed name of
-    another package module that this module imports or reads.  The body of
-    `__init__.clear_caches`, which empties the modules' memos, is exempt."""
+    another package module that this module imports or reads."""
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     bound = set()            # local names bound to package modules
     for node in ast.walk(tree):
@@ -191,13 +190,8 @@ def _private_reads(stem: str, tree: ast.Module):
                     bound.add(alias.asname or alias.name)
                 elif node.module is not None and _private(alias.name):
                     yield f"{stem} imports {node.module}.{alias.name}"
-    exempt = set()
-    if stem == "__init__":
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and node.name == "clear_caches":
-                exempt = {id(sub) for sub in ast.walk(node)}
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and id(node) not in exempt
+        if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id in bound and _private(node.attr)):
             yield f"{stem} reads {node.value.id}.{node.attr}"

@@ -56,6 +56,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every process-wide cache: each is a `symx.memo` table, and
-    `symx.MEMOS` lists them all."""
+    `symx.MEMOS` lists them all.  They are the tree kernels' node memos and
+    the canonical trees, the chain walker, and the pure builders: the su2
+    generator sets and closed forms, the ladders2d one-step operators, the
+    osc3d operator sets and the CLI parser."""
     for table in MEMOS:
         table.clear()

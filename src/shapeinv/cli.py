@@ -31,7 +31,7 @@ from .ladders2d import QNum2D
 from .osc3d import QNum3D
 from .suite import (SuiteConfig, render_text, report_json, run_suite,
                     summary_line)
-from .symx import render
+from .symx import collector_paused, memo, render
 from .verify import (TOL_EIGEN, TOL_OPERATOR, DegenerateBattery,
                      PlanDegenerate, SamplePlan, check_op_zero, structural)
 
@@ -329,7 +329,10 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
+@memo({})
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once: argparse leaves a parser in reference
+    cycles, and parsing does not change it."""
     parser = _Parser(
         prog="shapeinv",
         description="symbolic-numeric verification of a pair of "
@@ -396,6 +399,13 @@ def _config_from(args: argparse.Namespace) -> CliConfig:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand with the cyclic collector paused
+    (`symx.collector_paused`); its state is restored on return."""
+    with collector_paused():
+        return _dispatch(argv)
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:

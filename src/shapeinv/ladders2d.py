@@ -47,6 +47,7 @@ from .symx import (
     Sym,
     THETA,
     canonical,
+    memo,
 )
 from .opalg import DiffOp
 from . import su2
@@ -128,28 +129,34 @@ def valid_states(twol: int):
 # Concrete one-step operators
 # ---------------------------------------------------------------------------
 
+@memo({})
 def Lminus_of(mm) -> DiffOp:
     """One-step lowering operator of the left sector at incoming label mm."""
     return su2.reduced_ladder_reference("Lm").at_incoming(mm).normalized()
 
 
+@memo({})
 def Rminus_of(mm) -> DiffOp:
     """One-step lowering operator of the right sector at incoming label mm."""
     return su2.reduced_ladder_reference("Rm").at_incoming(mm).normalized()
 
 
+@memo({})
 def Lplus_of(mm) -> DiffOp:
     return su2.reduced_ladder_reference("Lp").at_incoming(mm).normalized()
 
 
+@memo({})
 def Rplus_of(mm) -> DiffOp:
     return su2.reduced_ladder_reference("Rp").at_incoming(mm).normalized()
 
 
+@memo({})
 def L3_of(mm) -> DiffOp:
     return su2.reduced_ladder_reference("L3").subs_param(mm)
 
 
+@memo({})
 def R3_of(mm) -> DiffOp:
     return su2.reduced_ladder_reference("R3").subs_param(mm)
 

@@ -557,16 +557,19 @@ def intertwining_residuals(oscillators: OscillatorSet = None) -> list:
     return out
 
 
+@memo({})
 def gradient_flipped_oscillators() -> OscillatorSet:
     """The reduced set with the first cartesian lowering operator's
     gradient sign flipped (its adjoint left intact): the flipped a1 is a1d.
 
     The fault corrupts both reduced lowering combos but neither raising
-    one, so exactly the two lowering intertwining relations must break."""
+    one, so exactly the two lowering intertwining relations must break.
+    The faulted combos are reduced as `build_combos` reduces the healthy
+    ones."""
     c = cartesian_ladders()
     return build_oscillators()._replace(
-        A1=fourier_reduce(_combo(c.a1d, c.a2, +1).normalized(), "m"),
-        A2=fourier_reduce(_combo(c.a1d, c.a2, -1).normalized(), "m"))
+        A1=fourier_reduce(_phi_exponential(_combo(c.a1d, c.a2, +1)), "m"),
+        A2=fourier_reduce(_phi_exponential(_combo(c.a1d, c.a2, -1)), "m"))
 
 
 # ---------------------------------------------------------------------------

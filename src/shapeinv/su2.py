@@ -34,6 +34,7 @@ from .symx import (
     canonical,
     cot,
     csc,
+    memo,
 )
 from .opalg import DiffOp, OpTerm, commutator, fourier_reduce as _fourier_reduce
 from .verify import IdentityReport, SamplePlan, measure_constant
@@ -84,6 +85,7 @@ def _axis_gen(phi_sign: int) -> DiffOp:
     return op.normalized()
 
 
+@memo({})
 def build_raw_generators() -> GeneratorSet:
     """Left/right invariant vector fields in the three angles."""
     return GeneratorSet(
@@ -146,6 +148,7 @@ def casimir(gs: GeneratorSet) -> DiffOp:
     return (4 * quadratic(gs)).normalized()
 
 
+@memo({})
 def casimir_reference() -> DiffOp:
     """Closed second-order form of the invariant in the three angles."""
     s2p_inv = Pow(Sin(PSI), Fraction(-2))
@@ -164,11 +167,13 @@ def fourier_reduce(op: DiffOp, param: str = "q") -> DiffOp:
     return _fourier_reduce(op, param)
 
 
+@memo({})
 def build_reduced_generators() -> GeneratorSet:
     gs = build_raw_generators()
     return GeneratorSet(*(fourier_reduce(op) for op in gs))
 
 
+@memo({})
 def reduced_ladder_reference(which: str) -> DiffOp:
     """Closed forms of the reduced ladder generators (shift operators).
 
@@ -201,6 +206,7 @@ def reduced_ladder_reference(which: str) -> DiffOp:
     return DiffOp(terms, "q")
 
 
+@memo({})
 def casimir_reduced_reference() -> DiffOp:
     """Closed form of the invariant after reduction: q^2 replaces -d_phi^2."""
     s2p_inv = Pow(Sin(PSI), Fraction(-2))
@@ -229,6 +235,7 @@ def conjugate(op: DiffOp, w: Expr) -> DiffOp:
     return (_P(canonical(w), op.param) @ op @ _P(w_inv, op.param)).normalized()
 
 
+@memo({})
 def weighted_reduced_reference() -> DiffOp:
     """Reduced invariant conjugated by sin(psi)^(1/2): closed form."""
     sp_inv = Pow(Sin(PSI), Fraction(-1))
@@ -241,6 +248,7 @@ def weighted_reduced_reference() -> DiffOp:
     return op.normalized()
 
 
+@memo({})
 def hq_reference() -> DiffOp:
     """Schrodinger-type closed form after the full angular weight.
 
@@ -290,6 +298,7 @@ def build_Hq(plan: SamplePlan) -> HqBundle:
 # Weight-conjugated (primed) generators
 # ---------------------------------------------------------------------------
 
+@memo({})
 def build_primed_generators() -> GeneratorSet:
     """Reduced generators conjugated by the full angular weight."""
     gs = build_reduced_generators()
@@ -304,6 +313,7 @@ def _corr_fn(sign_im: int) -> Expr:
                    Mul(Const(GaussRat(0, Fraction(sign_im))), cot(PSI), csc(THETA))))
 
 
+@memo({})
 def primed_reference() -> GeneratorSet:
     """Closed forms: reduced generators plus scalar shift corrections, each
     riding the same lattice shift as the generator it corrects (the form

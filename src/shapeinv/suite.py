@@ -20,7 +20,7 @@ from itertools import islice
 
 from . import ladders2d, osc3d, su2
 from .opalg import DiffOp, OpTerm, commutator
-from .symx import Const, Mul, is_zero_expr
+from .symx import Const, Mul, collector_paused, is_zero_expr
 from .verify import (
     TOL_CONSTANT,
     TOL_EIGEN,
@@ -676,7 +676,8 @@ def run_suite(config: SuiteConfig, sectors=None) -> dict:
     ``sectors`` restricts the run to a subset of ``SECTORS`` (the angular
     algebra, the two-angle eigenproblem, the three-coordinate oscillator);
     ``None`` runs everything.  Raises TypeError when ``config`` is not a
-    ``SuiteConfig``.
+    ``SuiteConfig``.  The checks run with the cyclic collector paused
+    (`symx.collector_paused`), and its state is restored on return.
     """
     if not isinstance(config, SuiteConfig):
         raise TypeError(f"unsupported suite config: {config!r}")
@@ -686,21 +687,11 @@ def run_suite(config: SuiteConfig, sectors=None) -> dict:
         if unknown:
             raise ValueError(f"unknown suite sectors: {sorted(unknown)}")
     entries = []
-    for name, ref, sector, fn in _registry():
-        if sectors is not None and sector not in sectors:
-            continue
-        try:
-            rep = fn(config)
-            passed, relative, notes = bool(rep.passed), float(rep.relative), rep.notes
-        except (PlanDegenerate, DegenerateBattery, ValueError) as exc:
-            passed, relative, notes = False, 1.0, f"error: {exc}"
-        except Exception as exc:  # a fault in one check must not end the battery
-            import logging  # here, not at the top: it adds 5 ms to start-up
-            logging.getLogger(__name__).exception("suite check %r raised", name)
-            passed, relative = False, 1.0
-            notes = f"error: {type(exc).__name__}: {exc}"
-        entries.append({"name": name, "paper_ref": ref, "pass": passed,
-                        "relative_residual": relative, "notes": notes})
+    with collector_paused():
+        for name, ref, sector, fn in _registry():
+            if sectors is not None and sector not in sectors:
+                continue
+            entries.append(_run_check(name, ref, fn, config))
     label = "shapeinv"
     if sectors is not None:
         label += "[" + "+".join(s for s in SECTORS if s in sectors) + "]"
@@ -715,6 +706,22 @@ def run_suite(config: SuiteConfig, sectors=None) -> dict:
         "checks": entries,
         "summary": summary_line(e["pass"] for e in entries),
     }
+
+
+def _run_check(name: str, ref: str, fn, config: SuiteConfig) -> dict:
+    """One report entry; an exception in the check becomes a failed entry."""
+    try:
+        rep = fn(config)
+        passed, relative, notes = bool(rep.passed), float(rep.relative), rep.notes
+    except (PlanDegenerate, DegenerateBattery, ValueError) as exc:
+        passed, relative, notes = False, 1.0, f"error: {exc}"
+    except Exception as exc:  # a fault in one check must not end the battery
+        import logging  # here, not at the top: it adds 5 ms to start-up
+        logging.getLogger(__name__).exception("suite check %r raised", name)
+        passed, relative = False, 1.0
+        notes = f"error: {type(exc).__name__}: {exc}"
+    return {"name": name, "paper_ref": ref, "pass": passed,
+            "relative_residual": relative, "notes": notes}
 
 
 def summary_line(passes) -> str:

@@ -20,7 +20,9 @@ Two simplifiers are provided:
 from __future__ import annotations
 
 import cmath
+import gc
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial, wraps
 from operator import add, mul
@@ -234,13 +236,21 @@ def csc(x) -> Expr:
 # `clear_caches()` empties.  Each holds at most MEMO_CAP entries and is
 # emptied when it is full.  The tree kernels here are memoized by node:
 # `diff` by (node, coordinate) in _DIFF_MEMO, `substitute` by (tree, name,
-# replacement) in _SUBST_MEMO, `simplify_basic` in _SIMPLIFY_MEMO and the
-# canonical form in _CANON_MEMO.  Nodes hash and compare by their full
-# structural key, so a memo keyed by node is hash-consing in the sense of
-# Filliatre & Conchon ("Type-Safe Modular Hash-Consing", 2006): a hit returns
-# a tree with the same key the computation would have built, and equal inputs
-# share one result object, so the memos downstream of a kernel mostly hit by
-# identity.
+# replacement) in _SUBST_MEMO, `simplify_basic` in _SIMPLIFY_MEMO, the
+# canonical form in _CANON_MEMO and its tree in `canonical.table`.  Nodes
+# hash and compare by their full structural key, so a memo keyed by node is
+# hash-consing in the sense of Filliatre & Conchon ("Type-Safe Modular
+# Hash-Consing", 2006): a hit returns a tree with the same key the
+# computation would have built, and equal inputs share one result object, so
+# the memos downstream of a kernel mostly hit by identity.  The other tables
+# hold the pure builders upstream of the checks: the su2 generator sets and
+# closed forms, the ladders2d one-step operators by label, the osc3d
+# operator sets by frequency, the lattice's chain walker and the CLI parser.
+#
+# Every table entry is live data, and the package leaves no reference cycles
+# behind (tests/test_cycles.py), so the cyclic collector frees nothing during
+# a run; it only walks the tables on each full pass.  `collector_paused`
+# turns it off for the length of a run.
 # ---------------------------------------------------------------------------
 
 MEMO_CAP = 100_000
@@ -279,6 +289,20 @@ def memo(table: dict):
         return cached
 
     return decorate
+
+
+@contextmanager
+def collector_paused():
+    """Run the block with the cyclic collector disabled, and enable it
+    again on exit only if it was enabled on entry.  Thresholds, the freeze
+    count and the debug flags are left alone."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -826,8 +850,10 @@ def cf_to_expr(cf: dict) -> Expr:
     return terms[0] if len(terms) == 1 else Add(*terms)
 
 
+@memo({})
 def canonical(e: Expr) -> Expr:
-    """Full normal form; identically-zero trig combinations become Const(0)."""
+    """Full normal form; identically-zero trig combinations become Const(0).
+    Equal inputs share one tree."""
     return cf_to_expr(_canon_cf(e))
 
 

@@ -2,17 +2,20 @@
 uncached route.
 
 `symx.memo` lists each table in `symx.MEMOS`: the node memos of the tree
-kernels (`diff`, `substitute`, `simplify_basic`, the canonical form and
-`opalg._deriv_multi`), the lattice's chain walker and the `osc3d`
-builders.  Each test below recomputes the same results with MEMO_CAP = 0, a
-cap that keeps nothing, which is the plain recursion the memos replace, and
-asks for equal keys: first from warm tables, then after `clear_caches()`,
-then with caps small enough that the tables are emptied many times over
-during the computation.  The trees are the derivatives and applications of
-the default battery and the su(2) bracket table, for the raw generators and
-for their lattice-shift reduction, whose applications and compositions
-substitute p - k for the shift parameter; the 3-D Hamiltonian at symbolic
-and unit frequency; and one chain state of each ladder sector.
+kernels (`diff`, `substitute`, `simplify_basic`, the canonical form and its
+tree, `opalg._deriv_multi`), the lattice's chain walker, the `su2` and
+`osc3d` builders, the `ladders2d` one-step operators and the CLI parser.
+Each test below recomputes the same results with MEMO_CAP = 0, a cap that
+keeps nothing, which is the plain recursion the memos replace, and asks for
+equal keys: first from warm tables, then after `clear_caches()`, then with
+caps small enough that the tables are emptied many times over during the
+computation.  The trees are the derivatives and applications of the default
+battery and the su(2) bracket table, for the raw generators and for their
+lattice-shift reduction, whose applications and compositions substitute
+p - k for the shift parameter; the 3-D Hamiltonian at symbolic and unit
+frequency; one chain state of each ladder sector; every su(2) closed form,
+the weighted generators and the one-step operators at one label; the
+gradient-flipped oscillator set; and the CLI's parse of one command line.
 """
 import ast
 import importlib
@@ -22,19 +25,20 @@ from pathlib import Path
 import pytest
 
 import shapeinv
-from shapeinv import clear_caches, ladders2d, opalg, osc3d, su2, symx
+from shapeinv import cli, clear_caches, ladders2d, opalg, osc3d, su2, symx
 from shapeinv.symx import Add, Mul
 from shapeinv.verify import default_battery
 
 PROBES = default_battery("q")
 GENS = su2.build_raw_generators().pairs()
-SHIFT_GENS = su2.build_reduced_generators()
 # every multi-index the su(2) bracket table differentiates by
 MULTI_INDICES = sorted({t.derivs
                         for _, res, _ in su2.commutator_residuals(
                             su2.build_raw_generators())
                         for t in res.terms})
 PACKAGE = Path(shapeinv.__file__).parent
+STEP_OPS = (ladders2d.Lminus_of, ladders2d.Rminus_of, ladders2d.Lplus_of,
+            ladders2d.Rplus_of, ladders2d.L3_of, ladders2d.R3_of)
 
 
 def _raw_apply(op, f):
@@ -52,14 +56,23 @@ def _keys():
               for f in PROBES for d in MULTI_INDICES]
     simplified = [symx.simplify_basic(_raw_apply(op, f)).key()
                   for _, op in GENS for f in PROBES]
-    shifted = [op.apply(f).key() for op in SHIFT_GENS for f in PROBES]
+    shift_gens = su2.build_reduced_generators()
+    shifted = [op.apply(f).key() for op in shift_gens for f in PROBES]
     brackets = [(label, _term_keys(res))
-                for gens in (su2.build_raw_generators(), SHIFT_GENS)
+                for gens in (su2.build_raw_generators(), shift_gens)
                 for label, res, _ in su2.commutator_residuals(gens)]
     hamiltonians = [_term_keys(osc3d.build_Hm(w)) for w in (None, 1)]
     chains = [ladders2d.chi_reduced(ladders2d.QNum2D(2, 1, 1)).key(),
               osc3d.psi_ladder(osc3d.QNum3D(1, 1)).key()]
-    return derivs, simplified, shifted, brackets, hamiltonians, chains
+    builders = [_term_keys(op) for op in (
+        su2.casimir_reference(), su2.casimir_reduced_reference(),
+        su2.weighted_reduced_reference(), su2.hq_reference(),
+        *su2.build_primed_generators(), *su2.primed_reference(),
+        *(step(2) for step in STEP_OPS),
+        *osc3d.gradient_flipped_oscillators())]
+    parsed = sorted(vars(cli.build_parser().parse_args(["suite"])).items())
+    return (derivs, simplified, shifted, brackets, hamiltonians, chains,
+            builders, parsed)
 
 
 @pytest.fixture(scope="module")
@@ -177,3 +190,47 @@ def test_clear_caches_empties_every_memo_table():
     assert all(symx.MEMOS), "a table stayed empty: fill it in _keys"
     clear_caches()
     assert not any(symx.MEMOS)
+
+
+def test_canonical_shares_one_tree():
+    x = osc3d.psi_ladder(osc3d.QNum3D(2, -2, 1, 1))
+    assert symx.canonical(x) is symx.canonical(x)
+    clear_caches()
+    assert symx.canonical(x) is symx.canonical(x)
+    clear_caches()
+
+
+COLLECTOR_SWITCHES = ("disable", "enable", "set_threshold", "freeze")
+
+
+def _collector_switches():
+    """(module.function, name) for each use of a collector switch in the
+    package source, named by its outermost enclosing function."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # breadth first: outer functions first
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in COLLECTOR_SWITCHES
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "gc"):
+                yield f"{path.stem}.{owner.get(node, '<module>')}", node.attr
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                yield f"{path.stem} imports from gc", "*"
+            if isinstance(node, ast.Import):
+                yield from ((f"{path.stem} imports gc as {a.asname}", "*")
+                            for a in node.names
+                            if a.name == "gc" and a.asname)
+
+
+def test_only_collector_paused_switches_the_collector():
+    uses = list(_collector_switches())
+    assert ("symx.collector_paused", "disable") in uses
+    stray = [f"{owner}: gc.{name}" for owner, name in uses
+             if owner != "symx.collector_paused"]
+    assert not stray, "collector switched outside symx.collector_paused: " \
+        + ", ".join(stray)

@@ -18,11 +18,9 @@ explicit ``--seed`` always wins.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ladders2d, osc3d, su2
@@ -36,34 +34,14 @@ from .verify import (TOL_EIGEN, TOL_OPERATOR, DegenerateBattery,
                      PlanDegenerate, SamplePlan, check_op_zero, structural)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated flag bundle shared by the subcommands.
+def _plan_of(args: argparse.Namespace, default_count: int) -> SamplePlan:
+    """The sample plan of `--seed`, with `--points` or `default_count`."""
+    return SamplePlan(seed=args.seed, count=args.points or default_count)
 
-    Quantum-number flags stay ``None`` unless the subcommand defines them;
-    each command constructs its QNum value (which enforces the invariants)
-    before any other computation runs.
-    """
 
-    command: str
-    seed: int = 0
-    points: int | None = None
-    tol: float | None = None
-    format: str = "text"
-    out: str | None = None
-    omega: Fraction = Fraction(1)
-    twol: int | None = None
-    q: int | None = None
-    m: int | None = None
-    n: int | None = None
-    n3: int = 0
-    n4: int = 0
-
-    def plan(self, default_count: int) -> SamplePlan:
-        return SamplePlan(seed=self.seed, count=self.points or default_count)
-
-    def tolerance(self, default: float) -> float:
-        return self.tol if self.tol is not None else default
+def _tol_of(args: argparse.Namespace, default: float) -> float:
+    """`--tol` when given, else `default`."""
+    return args.tol if args.tol is not None else default
 
 
 def _usage_error(command: str, message: str) -> int:
@@ -71,65 +49,72 @@ def _usage_error(command: str, message: str) -> int:
     return 2
 
 
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(args: argparse.Namespace, text: str, code: int) -> int:
+    """Write `text` to `--out` (stdout when absent) and return `code`; a
+    path that cannot be written is a usage error."""
+    if not args.out:
         sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _usage_error(args.command, f"cannot write the report to "
+                            f"{args.out!r}: {exc.strerror or exc}")
+    return code
 
 
-def _finish(cfg: CliConfig, header: list, payload: dict, reports: list) -> int:
+def _finish(args: argparse.Namespace, header: list, payload: dict,
+            reports: list) -> int:
     """Emit the per-command report in the requested format; exit by pass/fail."""
     summary = summary_line(r.passed for r in reports)
-    if cfg.format == "json":
+    if args.format == "json":
         doc = dict(payload)
         doc["checks"] = [r.as_dict() for r in reports]
         doc["summary"] = summary
-        _emit(report_json(doc), cfg.out)
+        text = report_json(doc)
     else:
         lines = list(header) + [str(r) for r in reports] + [summary]
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return 0 if all(r.passed for r in reports) else 1
+        text = "\n".join(lines) + "\n"
+    return _emit(args, text, 0 if all(r.passed for r in reports) else 1)
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check(cfg: CliConfig, expr: str) -> int:
+def cmd_check(args: argparse.Namespace) -> int:
     """Parse an operator expression and verify it vanishes on the battery."""
+    expr = args.expr.strip()
     try:
-        op = parse_and_build(expr, omega=cfg.omega)
+        op = parse_and_build(args.expr, omega=args.omega)
     except DslError as exc:
         return _usage_error("check", str(exc))
     try:
-        rep = check_op_zero(op, cfg.plan(32), tol=cfg.tolerance(TOL_OPERATOR),
-                            name=expr.strip())
+        rep = check_op_zero(op, _plan_of(args, 32),
+                            tol=_tol_of(args, TOL_OPERATOR), name=expr)
     except (PlanDegenerate, DegenerateBattery) as exc:
         return _usage_error("check", str(exc))
-    payload = {"expression": expr.strip(), "lattice": op.param}
-    return _finish(cfg, [], payload, [rep])
+    payload = {"expression": expr, "lattice": op.param}
+    return _finish(args, [], payload, [rep])
 
 
-def cmd_suite(cfg: CliConfig, sectors=None) -> int:
-    overrides = {"seed": cfg.seed}
-    if cfg.points is not None:
-        overrides["points"] = cfg.points
-    if cfg.tol is not None:
-        overrides["tol_eigen"] = cfg.tol
-    report = run_suite(SuiteConfig(**overrides), sectors=sectors)
-    text = report_json(report) if cfg.format == "json" else render_text(report)
-    _emit(text, cfg.out)
-    return 0 if all(e["pass"] for e in report["checks"]) else 1
+def cmd_suite(args: argparse.Namespace, sectors=None) -> int:
+    config = SuiteConfig(seed=args.seed,
+                         points=args.points or SuiteConfig.points,
+                         tol_eigen=_tol_of(args, SuiteConfig.tol_eigen))
+    report = run_suite(config, sectors=sectors)
+    text = report_json(report) if args.format == "json" else render_text(report)
+    passed = all(e["pass"] for e in report["checks"])
+    return _emit(args, text, 0 if passed else 1)
 
 
-def cmd_eigen2d(cfg: CliConfig) -> int:
+def cmd_eigen2d(args: argparse.Namespace) -> int:
     try:
-        qn = QNum2D(cfg.twol, cfg.q, cfg.m)
+        qn = QNum2D(args.twol, args.q, args.m)
     except ValueError as exc:
         return _usage_error("eigen2d", str(exc))
-    plan, tol = cfg.plan(32), cfg.tolerance(TOL_EIGEN)
+    plan, tol = _plan_of(args, 32), _tol_of(args, TOL_EIGEN)
     chi = ladders2d.chi_reduced(qn)
     reports = ladders2d.verify_eigen(qn, plan, tol=tol)
     header = [
@@ -142,45 +127,45 @@ def cmd_eigen2d(cfg: CliConfig) -> int:
         "eigenvalue": str(qn.eigenvalue()),
         "eigenfunction": render(chi),
     }
-    return _finish(cfg, header, payload, reports)
+    return _finish(args, header, payload, reports)
 
 
-def cmd_shape2d(cfg: CliConfig) -> int:
-    if cfg.twol < 0:
+def cmd_shape2d(args: argparse.Namespace) -> int:
+    if args.twol < 0:
         return _usage_error("shape2d", "level label --twol must be nonnegative")
-    if (cfg.q is None) != (cfg.m is None):
+    if (args.q is None) != (args.m is None):
         return _usage_error("shape2d", "--q and --m must be given together")
-    plan, tol = cfg.plan(24), cfg.tolerance(TOL_EIGEN)
-    reports = [ladders2d.verify_ladder_actions(cfg.twol, plan, tol=tol)]
+    plan, tol = _plan_of(args, 24), _tol_of(args, TOL_EIGEN)
+    reports = [ladders2d.verify_ladder_actions(args.twol, plan, tol=tol)]
     ok = ladders2d.reorder_identity_holds()
     reports.append(structural(
         "lowering-pair exchange identity", ok,
         notes="the two descending compositions agree exactly once the "
               "leading label sits one site down"))
-    header = [f"level: 2l={cfg.twol}"]
-    payload = {"level": {"twol": cfg.twol}}
-    if cfg.q is not None:
+    header = [f"level: 2l={args.twol}"]
+    payload = {"level": {"twol": args.twol}}
+    if args.q is not None:
         try:
-            qn = QNum2D(cfg.twol, cfg.q, cfg.m)
+            qn = QNum2D(args.twol, args.q, args.m)
         except ValueError as exc:
             return _usage_error("shape2d", str(exc))
         reports.extend(ladders2d.reconstruct_chain_reports(qn, plan, tol=tol))
         reports.extend(ladders2d.annihilation_reports(qn, plan, tol))
-        header[0] += f"  (state q={cfg.q} m={cfg.m})"
-        payload["level"].update(q=cfg.q, m=cfg.m)
-    return _finish(cfg, header, payload, reports)
+        header[0] += f"  (state q={args.q} m={args.m})"
+        payload["level"].update(q=args.q, m=args.m)
+    return _finish(args, header, payload, reports)
 
 
-def cmd_osc3d(cfg: CliConfig, suite_flag: bool) -> int:
-    if suite_flag:
-        return cmd_suite(cfg, sectors=("3d",))
-    if cfg.n is None or cfg.m is None:
+def cmd_osc3d(args: argparse.Namespace) -> int:
+    if args.run_suite:
+        return cmd_suite(args, sectors=("3d",))
+    if args.n is None or args.m is None:
         return _usage_error("osc3d", "--n and --m are required (or use --suite)")
     try:
-        qn = QNum3D(cfg.n, cfg.m, cfg.n3, cfg.n4, cfg.omega)
+        qn = QNum3D(args.n, args.m, args.n3, args.n4, args.omega)
     except ValueError as exc:
         return _usage_error("osc3d", str(exc))
-    plan, tol = cfg.plan(32), cfg.tolerance(TOL_EIGEN)
+    plan, tol = _plan_of(args, 32), _tol_of(args, TOL_EIGEN)
     closed = osc3d.psi_closed(qn)
     ladder = osc3d.psi_ladder(qn)
     reports = [
@@ -204,7 +189,7 @@ def cmd_osc3d(cfg: CliConfig, suite_flag: bool) -> int:
         "closed_form": render(closed),
         "ladder_form": render(ladder),
     }
-    return _finish(cfg, header, payload, reports)
+    return _finish(args, header, payload, reports)
 
 
 def _dump_entry(name: str, omega, plan: SamplePlan):
@@ -249,14 +234,15 @@ def _dump_entry(name: str, omega, plan: SamplePlan):
         "separately transcribed closed form is tracked"), {}
 
 
-def cmd_dump(cfg: CliConfig, name: str) -> int:
-    derived, printed, notes, extra = _dump_entry(name, cfg.omega,
-                                                 cfg.plan(120))
+def cmd_dump(args: argparse.Namespace) -> int:
+    name = args.name
+    derived, printed, notes, extra = _dump_entry(name, args.omega,
+                                                 _plan_of(args, 120))
     match = derived.same_operator(printed) if printed is not None else None
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "name": name,
-            "omega": str(cfg.omega),
+            "omega": str(args.omega),
             "derived": {"form": derived.render(), **derived.to_json()},
             "printed": (None if printed is None else
                         {"form": printed.render(), **printed.to_json()}),
@@ -264,17 +250,17 @@ def cmd_dump(cfg: CliConfig, name: str) -> int:
             "notes": notes,
         }
         payload.update(extra)
-        _emit(report_json(payload), cfg.out)
+        text = report_json(payload)
     else:
-        lines = [f"operator: {name} (omega = {cfg.omega})"]
+        lines = [f"operator: {name} (omega = {args.omega})"]
         lines += [f"{k.replace('_', ' ')}: {v}" for k, v in extra.items()]
         lines.append(f"derived: {derived.render()}")
         if printed is not None:
             lines.append(f"printed: {printed.render()}")
             lines.append(f"match: {'yes' if match else 'no'}")
         lines.append(f"notes: {notes}")
-        _emit("\n".join(lines) + "\n", cfg.out)
-    return 0
+        text = "\n".join(lines) + "\n"
+    return _emit(args, text, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    names = {f.name for f in dataclasses.fields(CliConfig)}
-    return CliConfig(**{k: v for k, v in vars(args).items() if k in names})
-
-
 def main(argv=None) -> int:
     """Run one subcommand with the cyclic collector paused
     (`symx.collector_paused`); its state is restored on return."""
@@ -414,18 +395,17 @@ def _dispatch(argv) -> int:
             args.seed = int(raw)
         except ValueError:
             parser.error(f"SHAPEINV_SEED must be an integer (got {raw!r})")
-    cfg = _config_from(args)
     if args.command == "check":
-        return cmd_check(cfg, args.expr)
+        return cmd_check(args)
     if args.command == "suite":
-        return cmd_suite(cfg)
+        return cmd_suite(args)
     if args.command == "eigen2d":
-        return cmd_eigen2d(cfg)
+        return cmd_eigen2d(args)
     if args.command == "shape2d":
-        return cmd_shape2d(cfg)
+        return cmd_shape2d(args)
     if args.command == "osc3d":
-        return cmd_osc3d(cfg, suite_flag=args.run_suite)
-    return cmd_dump(cfg, args.name)
+        return cmd_osc3d(args)
+    return cmd_dump(args)
 
 
 if __name__ == "__main__":

@@ -41,19 +41,16 @@ from .verify import (
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    """Knobs for the registered battery.
+    """Run settings of the registered battery.
 
     seed derives every sample plan; points is the per-plan sample count;
-    twol_max caps the 2-D grid (level doubled), n_max caps n + n3 + n4 on
-    the 3-D grid; tol_eigen is the tolerance of the eigen and ladder checks.
-    Setting a cap to 0 leaves a degenerate-but-passing trivial subset.
-    Operator identities use `verify.TOL_OPERATOR` and the measured constant
-    `verify.TOL_CONSTANT`.
+    tol_eigen is the tolerance of the eigen and ladder checks.  Operator
+    identities use `verify.TOL_OPERATOR` and the measured constant
+    `verify.TOL_CONSTANT`.  The state grids are fixed, each at the check
+    that walks it: 2-D levels 2l <= 6 and 3-D n + n3 + n4 <= 4.
     """
     seed: int = 0
     points: int = 10
-    twol_max: int = 6
-    n_max: int = 4
     tol_eigen: float = TOL_EIGEN
 
 
@@ -173,8 +170,8 @@ def _chk_primed(cfg):
 # ---------------------------------------------------------------------------
 
 def _chk_degeneracy(cfg):
-    bad = []
-    for twol in range(cfg.twol_max + 1):
+    cap, bad = 6, []
+    for twol in range(cap + 1):
         table = ladders2d.degeneracy_enumeration(twol)
         for q in range(-twol, twol + 1):
             ms = ladders2d.degeneracy(twol, q)
@@ -183,12 +180,12 @@ def _chk_degeneracy(cfg):
     return structural(
         "level degeneracies", not bad,
         notes=f"counts match the weight-pair enumeration for levels "
-              f"<= {cfg.twol_max}/2" if not bad else f"mismatches: {bad}")
+              f"<= {cap}/2" if not bad else f"mismatches: {bad}")
 
 
 def _chk_eigen2d(cfg):
     plan = _plan(cfg, "eigen2d", count=max(4, cfg.points // 2))
-    states = [qn for twol in range(cfg.twol_max + 1)
+    states = [qn for twol in range(6 + 1)
               for qn in ladders2d.valid_states(twol)]
     rep = worst_of("2-D eigen grid",
                    [r for qn in states
@@ -199,7 +196,7 @@ def _chk_eigen2d(cfg):
 
 def _chk_ladders2d(cfg):
     plan = _plan(cfg, "ladders2d", count=max(4, cfg.points // 2))
-    cap = min(cfg.twol_max, 4)
+    cap = 4
     reports = [ladders2d.verify_ladder_actions(twol, plan, tol=cfg.tol_eigen)
                for twol in range(cap + 1)]
     steps = sum(r.data.get("steps_checked", 0) for r in reports)
@@ -212,7 +209,7 @@ def _chk_ladders2d(cfg):
 
 def _chk_pair_scalars(cfg):
     dev, label_diff = 0, 0
-    for twol in range(2, min(cfg.twol_max, 6) + 1):
+    for twol in range(2, 6 + 1):
         for qn in ladders2d.valid_states(twol):
             q, m = qn.q, qn.m
             if abs(m + 2) <= twol - abs(q):
@@ -234,24 +231,10 @@ def _chk_pair_scalars(cfg):
               f"assignment deviates at {label_diff} states")
 
 
-def _suite_reconstruction_states(cfg):
-    out = []
-    for twol in range(min(cfg.twol_max, 5), 1, -1):
-        for qn in ladders2d.valid_states(twol):
-            if qn.q >= 0 and qn.m < twol - abs(qn.q):
-                out.append(qn)
-                break
-        if len(out) >= 3:
-            break
-    return out
-
-
 def _chk_reconstruction(cfg):
-    states = _suite_reconstruction_states(cfg)
-    if not states:
-        return structural("chain reconstructions", True,
-                          notes="no multi-step states at this cap; "
-                                "trivially satisfied")
+    # the first off-top state with q >= 0 at levels 5/2, 2 and 3/2
+    states = (ladders2d.QNum2D(5, 0, -5), ladders2d.QNum2D(4, 0, -4),
+              ladders2d.QNum2D(3, 0, -3))
     plan = _plan(cfg, "reconstruct")
     reports = []
     for qn in states:
@@ -264,14 +247,11 @@ def _chk_reconstruction(cfg):
 
 def _chk_annihilation(cfg):
     plan = _plan(cfg, "annihilate")
-    states = list(islice((qn for twol in range(min(cfg.twol_max, 4) + 1)
+    states = list(islice((qn for twol in range(4 + 1)
                           for qn in ladders2d.valid_states(twol)
                           if ladders2d.annihilation_ops(qn)), 6))
     reports = [rep for qn in states for rep in
                ladders2d.annihilation_reports(qn, plan, cfg.tol_eigen)]
-    if not reports:
-        return structural("edge annihilations", True,
-                          notes="no edge states at this cap")
     return worst_of("edge annihilations", reports, cfg.tol_eigen,
                     notes=f"{len(reports)} raising edges annihilate")
 
@@ -379,7 +359,7 @@ def _grid3d(cap: int):
 def _chk_eigen3d(cfg):
     plan = _plan(cfg, "eigen3d", count=max(4, cfg.points // 2))
     states = [osc3d.QNum3D(n, m, n3, n4, w) for w in (Fraction(1), Fraction(2))
-              for n, m, n3, n4 in _grid3d(cfg.n_max)]
+              for n, m, n3, n4 in _grid3d(4)]
     rep = worst_of("3-D eigen grid (closed form)",
                    [osc3d.verify_eigen(qn, plan, closed=True, tol=cfg.tol_eigen)
                     for qn in states],
@@ -389,12 +369,9 @@ def _chk_eigen3d(cfg):
 
 def _chk_ladder_ratio3d(cfg):
     plan = _plan(cfg, "ratio3d")
-    cap = min(cfg.n_max, 3)
-    states = [osc3d.QNum3D(n, m) for n in range(cap + 1)
+    states = [osc3d.QNum3D(n, m) for n in range(3 + 1)
               for m in range(-n, n + 1, 2)]
-    if cap >= 2:
-        states.append(osc3d.QNum3D(2, 0, 1, 1))
-        states.append(osc3d.QNum3D(2, 2, omega=Fraction(2)))
+    states += [osc3d.QNum3D(2, 0, 1, 1), osc3d.QNum3D(2, 2, omega=Fraction(2))]
     return worst_of("3-D ladder vs closed form",
                     [osc3d.ladder_closed_ratio(qn, plan, tol=cfg.tol_eigen)
                      for qn in states],
@@ -403,7 +380,7 @@ def _chk_ladder_ratio3d(cfg):
 
 def _chk_ladder_actions3d(cfg):
     rep = osc3d.verify_ladder_actions(
-        n_max=min(cfg.n_max, 2), plan=_plan(cfg, "steps3d"),
+        n_max=2, plan=_plan(cfg, "steps3d"),
         tol=cfg.tol_eigen, radial_states=((0, 0), (1, 1)))
     return IdentityReport(
         "3-D one-step ladder coefficients", rep.relative, 1.0, cfg.tol_eigen,

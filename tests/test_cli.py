@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from shapeinv.cli import CliConfig, main
+from shapeinv.cli import _plan_of, _tol_of, build_parser, main
 from shapeinv.dsl import GENERATOR_NAMES, MAX_PRODUCT_SIZE, parse_and_build
+from shapeinv.suite import SuiteConfig, report_json, run_suite
 
 
 def run_cli(argv, capsys):
@@ -311,6 +312,17 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert doc["checks"][0]["pass"] is False
 
 
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
+    path = tmp_path if where == "directory" else tmp_path / "no" / "r.json"
+    code, out, err = run_cli(["check", "[Lp, Lm] - 2*L3", "--points", "8",
+                              "--out", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("shapeinv check: ") and repr(str(path)) in err
+
+
 def test_seed_env_matches_explicit_flag(monkeypatch, capsys):
     argv = ["check", "Lp - Rp", "--points", "8", "--format", "json"]
     monkeypatch.setenv("SHAPEINV_SEED", "5")
@@ -332,12 +344,23 @@ def test_seed_env_must_be_integer(monkeypatch, capsys):
 
 
 def test_config_helpers():
-    cfg = CliConfig(command="check", seed=4, points=9, tol=1e-6)
-    assert cfg.plan(32).count == 9
-    assert cfg.tolerance(1e-10) == 1e-6
-    bare = CliConfig(command="check")
-    assert bare.plan(32).count == 32
-    assert bare.tolerance(1e-10) == 1e-10
+    parse = build_parser().parse_args
+    args = parse(["check", "Lp", "--seed", "4", "--points", "9",
+                  "--tol", "1e-6"])
+    assert (_plan_of(args, 32).seed, _plan_of(args, 32).count) == (4, 9)
+    assert _tol_of(args, 1e-10) == 1e-6
+    bare = parse(["check", "Lp", "--seed", "4"])
+    assert _plan_of(bare, 32).count == 32
+    assert _tol_of(bare, 1e-10) == 1e-10
+
+
+def test_suite_flags_map_onto_the_suite_config(capsys):
+    code, out, _ = run_cli(["osc3d", "--suite", "--seed", "5", "--points", "4",
+                            "--tol", "1e-6", "--format", "json"], capsys)
+    direct = run_suite(SuiteConfig(seed=5, points=4, tol_eigen=1e-6),
+                       sectors=("3d",))
+    assert out == report_json(direct)
+    assert code == (0 if all(e["pass"] for e in direct["checks"]) else 1)
 
 
 def test_reports_do_not_depend_on_hash_randomization():

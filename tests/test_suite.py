@@ -11,7 +11,7 @@ from shapeinv.suite import (
     _registry,
 )
 
-SMALL = SuiteConfig(seed=3, points=4, twol_max=2, n_max=1)
+SMALL = SuiteConfig(seed=3, points=4)
 
 
 @pytest.fixture(scope="module")
@@ -82,22 +82,15 @@ def test_unknown_sector_rejected():
 
 
 def test_same_config_reports_are_byte_identical():
-    cfg = SuiteConfig(seed=11, points=4, twol_max=2, n_max=1)
+    cfg = SuiteConfig(seed=11, points=4)
     a = report_json(run_suite(cfg, sectors=("2d",)))
     b = report_json(run_suite(cfg, sectors=("2d",)))
     assert a == b
 
 
-def test_zero_caps_leave_a_passing_trivial_subset():
-    report = run_suite(SuiteConfig(seed=1, points=4, twol_max=0, n_max=0))
-    bad = [e["name"] for e in report["checks"] if not e["pass"]]
-    assert not bad, bad
-
-
 def test_config_coercion():
     with pytest.raises(TypeError):
-        run_suite({"seed": 2, "points": 4, "twol_max": 0, "n_max": 0},
-                  sectors=("2d",))
+        run_suite({"seed": 2, "points": 4}, sectors=("2d",))
     with pytest.raises(TypeError):
         run_suite(42)
 

@@ -26,7 +26,6 @@ from .verify import (
     TOL_EIGEN,
     TOL_EXACT,
     TOL_OPERATOR,
-    DegenerateBattery,
     IdentityReport,
     PlanDegenerate,
     SamplePlan,
@@ -690,7 +689,7 @@ def _run_check(name: str, ref: str, fn, config: SuiteConfig) -> dict:
     try:
         rep = fn(config)
         passed, relative, notes = bool(rep.passed), float(rep.relative), rep.notes
-    except (PlanDegenerate, DegenerateBattery, ValueError) as exc:
+    except (PlanDegenerate, ValueError) as exc:
         passed, relative, notes = False, 1.0, f"error: {exc}"
     except Exception as exc:  # a fault in one check must not end the battery
         import logging  # here, not at the top: it adds 5 ms to start-up

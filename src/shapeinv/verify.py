@@ -13,6 +13,9 @@ Conventions
 * proportionality checks report the pointwise-ratio dispersion stddev/|mean|;
 * points where evaluation hits a singularity are skipped, but more than 20%
   skipped points invalidates the plan;
+* a plan that cannot decide raises PlanDegenerate: too many points
+  skipped, a divisor that vanishes, or an operator comparison whose every
+  probe is annihilated;
 * expressions are sampled as the trees that were built, never through their
   canonical forms, so an exact cancellation samples to rounding level, not 0;
 * an operator comparison passes over a probe f whose reference scale is at
@@ -93,11 +96,9 @@ TOL_EXACT = 1e-12
 
 
 class PlanDegenerate(RuntimeError):
-    """Too many sample points skipped or no usable reference scale."""
-
-
-class DegenerateBattery(RuntimeError):
-    """Operator comparison where every probe is annihilated: inconclusive."""
+    """The plan cannot decide: too many sample points skipped, no usable
+    reference scale, or an operator comparison whose every probe is
+    annihilated (an inconclusive battery)."""
 
 
 class SamplePlan:
@@ -394,6 +395,6 @@ def check_op_zero(op, plan: SamplePlan, reference_ops=(), testfns=None,
         if op.is_zero():
             return IdentityReport(name, 0.0, 1.0, tol,
                                   notes="operator structurally zero")
-        raise DegenerateBattery(f"{name}: inconclusive: degenerate test battery")
+        raise PlanDegenerate(f"{name}: inconclusive: degenerate test battery")
     worst_rel, worst_info = found
     return IdentityReport(name, worst_rel, 1.0, tol, worst=worst_info)

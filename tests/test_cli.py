@@ -1,4 +1,6 @@
-"""Command-line frontend: exit codes, formats, seeding, determinism."""
+"""Command-line frontend: exit codes, formats, seeding, determinism, and the
+one usage-error boundary in `cli._dispatch`."""
+import ast
 import hashlib
 import json
 import os
@@ -7,9 +9,12 @@ import sys
 
 import pytest
 
-from shapeinv.cli import _plan_of, _tol_of, build_parser, main
+from shapeinv import cli, ladders2d, osc3d
+from shapeinv.cli import (EIGEN2D_MAX_TWOL, SHAPE2D_MAX_TWOL, _plan_of,
+                          _tol_of, build_parser, main)
 from shapeinv.dsl import GENERATOR_NAMES, MAX_PRODUCT_SIZE, parse_and_build
 from shapeinv.suite import SuiteConfig, report_json, run_suite
+from shapeinv.verify import PlanDegenerate
 
 
 def run_cli(argv, capsys):
@@ -321,6 +326,93 @@ def test_unwritable_out_is_a_usage_error(where, tmp_path, capsys):
     assert out == ""
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("shapeinv check: ") and repr(str(path)) in err
+
+
+# -- the usage-error boundary --------------------------------------------------
+
+def assert_usage_error(command, code, out, err):
+    """Exit 2 with one stderr line from the boundary and no report."""
+    assert code == 2
+    assert not out
+    assert err.count("\n") == 1 and err.startswith(f"shapeinv {command}: ")
+    assert "Traceback" not in err
+
+
+def _must_not_run(*args, **kwargs):
+    pytest.fail("a check ran before the inputs were checked")
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["shape2d", "--twol", str(SHAPE2D_MAX_TWOL + 1), "--q", "9", "--m", "0"],
+     f"--twol must be at most {SHAPE2D_MAX_TWOL}"),
+    (["shape2d", "--twol", "4", "--q", "9", "--m", "0"], "|q| <= 4"),
+    (["shape2d", "--twol", "4", "--q", "0", "--m", "1"], "parity"),
+    (["eigen2d", "--twol", str(EIGEN2D_MAX_TWOL + 1), "--q", "0",
+      "--m", str((EIGEN2D_MAX_TWOL + 1) % 2)],
+     f"--twol must be at most {EIGEN2D_MAX_TWOL}"),
+], ids=["shape2d above its bound", "q out of range", "parity",
+        "eigen2d above its bound"])
+def test_bad_labels_are_refused_before_any_check(argv, fragment, monkeypatch,
+                                                 capsys):
+    for check in ("verify_eigen", "verify_ladder_actions"):
+        monkeypatch.setattr(ladders2d, check, _must_not_run)
+    code, out, err = run_cli(argv, capsys)
+    assert_usage_error(argv[0], code, out, err)
+    assert fragment in err
+
+
+def test_out_is_opened_before_the_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_suite", _must_not_run)
+    path = tmp_path / "no" / "r.json"
+    code, out, err = run_cli(["suite", "--out", str(path)], capsys)
+    assert_usage_error("suite", code, out, err)
+    assert f"cannot write the report to {str(path)!r}" in err
+
+
+def _inconclusive(*args, **kwargs):
+    raise PlanDegenerate("probe: divisor vanishes at 2/2 points")
+
+
+@pytest.mark.parametrize("module,check,argv", [
+    (ladders2d, "verify_eigen",
+     ["eigen2d", "--twol", "2", "--q", "0", "--m", "0"]),
+    (ladders2d, "verify_ladder_actions", ["shape2d", "--twol", "2"]),
+    (osc3d, "verify_eigen", ["osc3d", "--n", "2", "--m", "0"]),
+], ids=["eigen2d", "shape2d", "osc3d"])
+def test_an_inconclusive_plan_is_a_usage_error(module, check, argv,
+                                               monkeypatch, capsys):
+    monkeypatch.setattr(module, check, _inconclusive)
+    code, out, err = run_cli(argv, capsys)
+    assert_usage_error(argv[0], code, out, err)
+    assert "divisor vanishes at 2/2 points" in err
+
+
+def _is_usage_error(node) -> bool:
+    return (isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "_usage_error")
+
+
+def test_the_cli_has_one_error_boundary():
+    """Only `_dispatch` and the argparse type `_checked` catch exceptions,
+    and every usage error comes from the handlers of one `try` there."""
+    tree = ast.parse(open(cli.__file__, encoding="utf-8").read())
+    owner = {}
+    for fn in ast.walk(tree):  # breadth first: outer functions first
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owner.setdefault(node, fn.name)
+    stray = sorted({owner.get(node, "<module>") for node in ast.walk(tree)
+                    if isinstance(node, ast.ExceptHandler)}
+                   - {"_dispatch", "_checked"})
+    assert not stray, "exceptions caught outside cli._dispatch: " \
+        + ", ".join(stray)
+    sites = [node for node in ast.walk(tree) if isinstance(node, ast.Try)
+             and any(map(_is_usage_error, ast.walk(node)))]
+    assert len(sites) == 1 and owner[sites[0]] == "_dispatch"
+    in_handlers = {node for handler in sites[0].handlers
+                   for node in ast.walk(handler)}
+    assert all(node in in_handlers for node in ast.walk(tree)
+               if _is_usage_error(node))
 
 
 def test_seed_env_matches_explicit_flag(monkeypatch, capsys):

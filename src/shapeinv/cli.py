@@ -36,11 +36,13 @@ from .symx import collector_paused, memo, render
 from .verify import (TOL_EIGEN, TOL_OPERATOR, PlanDegenerate, SamplePlan,
                      check_op_zero, structural)
 
-# highest --twol of eigen2d and shape2d: the sampled checks lose float
-# precision with the level, and up to these every check stays within
-# TOL_EIGEN/10 over seeds 0-9 at the default points
+# highest --twol of eigen2d and shape2d, and highest n + n3 + n4 of osc3d
+# (at frequencies 1 and 2): the sampled checks lose float precision with
+# the level, and up to these every check stays within TOL_EIGEN/10 over
+# seeds 0-9 at the default points
 EIGEN2D_MAX_TWOL = 14
 SHAPE2D_MAX_TWOL = 7
+OSC3D_MAX_LEVEL = 9
 
 
 def _plan_of(args: argparse.Namespace, default_count: int) -> SamplePlan:
@@ -129,9 +131,9 @@ def cmd_shape2d(args: argparse.Namespace) -> tuple:
     reports = [ladders2d.verify_ladder_actions(args.twol, plan, tol=tol)]
     ok = ladders2d.reorder_identity_holds()
     reports.append(structural(
-        "lowering-pair exchange identity", ok,
-        notes="the two descending compositions agree exactly once the "
-              "leading label sits one site down"))
+        ok, notes="the two descending compositions agree exactly once the "
+                  "leading label sits one site down",
+        name="lowering-pair exchange identity"))
     header = [f"level: 2l={args.twol}"]
     payload = {"level": {"twol": args.twol}}
     if qn is not None:
@@ -148,6 +150,8 @@ def cmd_osc3d(args: argparse.Namespace) -> tuple:
     if args.n is None or args.m is None:
         raise ValueError("--n and --m are required (or use --suite)")
     qn = QNum3D(args.n, args.m, args.n3, args.n4, args.omega)
+    if qn.n + qn.n3 + qn.n4 > OSC3D_MAX_LEVEL:
+        raise ValueError(f"level n + n3 + n4 must be at most {OSC3D_MAX_LEVEL}")
     plan, tol = _plan_of(args, 32), _tol_of(args, TOL_EIGEN)
     closed = osc3d.psi_closed(qn)
     ladder = osc3d.psi_ladder(qn)

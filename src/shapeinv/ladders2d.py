@@ -257,9 +257,9 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
     labels = list(valid_states(twol))
     members, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
                                  tol)
-    rep = worst_of(f"ladder actions 2l={twol}", members, tol,
+    rep = worst_of(members, tol,
                    notes="A-labels verified with the measured (sign-swapped) "
-                         "assignment")
+                         "assignment", name=f"ladder actions 2l={twol}")
     rep.max_abs, rep.scale = rep.relative, 1.0  # on unit scale, as the members
     rep.data.update(
         steps_checked=len(members) - edges, edge_annihilations=edges,

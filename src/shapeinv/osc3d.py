@@ -517,11 +517,11 @@ def angular_prefactor_deviation() -> IdentityReport:
     expected = _P(scale, "m") @ _angular_block(reduced=True)
     ok = diff.same_operator(expected) and not diff.is_zero()
     return structural(
-        "angular prefactor deviation", ok,
-        notes="the transcribed full Hamiltonian carries 1/r on the angular "
-              "block where the cartesian Laplacian requires 1/r^2; the "
-              "residual is confined to the angular derivatives and the "
-              "centrifugal scalar")
+        ok, notes="the transcribed full Hamiltonian carries 1/r on the angular "
+                  "block where the cartesian Laplacian requires 1/r^2; the "
+                  "residual is confined to the angular derivatives and the "
+                  "centrifugal scalar",
+        name="angular prefactor deviation")
 
 
 def factorization(reduced: bool, zero_pt: int) -> tuple:
@@ -766,8 +766,9 @@ def verify_ladder_actions(n_max: int, plan: SamplePlan,
               for m in range(-n, n + 1, 2) for n3, n4 in radial_states]
     reports, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
                                  tol)
-    rep = worst_of("ladder actions", reports, tol,
-                   notes="; ".join(r.name for r in reports if not r.passed))
+    rep = worst_of(reports, tol,
+                   notes="; ".join(r.name for r in reports if not r.passed),
+                   name="ladder actions")
     rep.data.update(steps_checked=len(reports) - edges,
                     edge_annihilations=edges)
     return rep
@@ -881,86 +882,84 @@ def _only_derivs(diff: DiffOp, allowed: set) -> bool:
 
 def transcription_reports() -> dict:
     """Structural comparison of every closed transcription against the
-    derived operators: exact matches must match, and each known deviation
-    must be nonzero and confined to its offending slot."""
+    derived operators, keyed by report name: exact matches must match, and
+    each known deviation must be nonzero and confined to its offending
+    slot."""
     cart = cartesian_ladders()
     comb = build_combos()
     s = build_oscillators()
-    out = {}
 
     diff = cart.a1 - cartesian_a1_printed()
-    out["cartesian a1 psi slot"] = structural(
-        "cartesian a1 psi slot", _only_derivs(diff, {_DPS}),
+    out = [structural(
+        _only_derivs(diff, {_DPS}), name="cartesian a1 psi slot",
         notes="the transcribed first cartesian operator carries cos(phi) in "
               "its psi slot where the gradient has sin(phi); all other "
-              "slots agree")
+              "slots agree")]
 
     derived = {"A1": comb.A1, "A1d": comb.A1d, "A2": comb.A2, "A2d": comb.A2d}
     for name in ("A2", "A2d"):
         ok = derived[name].same_operator(combo_reference(name, printed=True))
-        out[f"full {name} transcription"] = structural(
-            f"full {name} transcription", ok,
-            notes="printed and derived forms agree exactly")
+        out.append(structural(
+            ok, name=f"full {name} transcription",
+            notes="printed and derived forms agree exactly"))
     diff = comb.A1 - combo_reference("A1", printed=True)
-    out["full A1 psi slot"] = structural(
-        "full A1 psi slot", _only_derivs(diff, {_DPS}),
+    out.append(structural(
+        _only_derivs(diff, {_DPS}), name="full A1 psi slot",
         notes="the transcribed first lowering combo flips only the "
-              "psi-derivative sign")
+              "psi-derivative sign"))
     diff = comb.A1d - combo_reference("A1d", printed=True)
-    out["full A1d derivative group"] = structural(
-        "full A1d derivative group",
+    out.append(structural(
         _only_derivs(diff, {_DR, _DPS, _DTH, _DPH}),
+        name="full A1d derivative group",
         notes="the transcribed first raising combo flips the sign of its "
-              "whole derivative group; the multiplicative term agrees")
-    out["printed A1d collapses onto A2"] = structural(
-        "printed A1d collapses onto A2",
+              "whole derivative group; the multiplicative term agrees"))
+    out.append(structural(
         combo_reference("A1d", printed=True).same_operator(
             combo_reference("A2", printed=True)),
+        name="printed A1d collapses onto A2",
         notes="as transcribed, the first raising combo and the second "
               "lowering combo are the same operator; the corrected "
-              "derivative-group sign separates them")
+              "derivative-group sign separates them"))
 
     reduced = {"A1": s.A1, "A1d": s.A1d, "A2": s.A2, "A2d": s.A2d}
     for name in ("A1d", "A2", "A2d"):
         ok = reduced[name].same_operator(reduced_reference(name, printed=True))
-        out[f"reduced {name} transcription"] = structural(
-            f"reduced {name} transcription", ok,
+        out.append(structural(
+            ok, name=f"reduced {name} transcription",
             notes="printed and derived reduced forms agree exactly "
-                  "(incoming-label scalar slot included)")
+                  "(incoming-label scalar slot included)"))
     diff = s.A1 - reduced_reference("A1", printed=True)
-    out["reduced A1 psi slot"] = structural(
-        "reduced A1 psi slot", _only_derivs(diff, {_DPS}),
+    out.append(structural(
+        _only_derivs(diff, {_DPS}), name="reduced A1 psi slot",
         notes="the reduced transcription inherits the psi-slot sign flip "
-              "of the phi-full form; the incoming-label scalar is correct")
+              "of the phi-full form; the incoming-label scalar is correct"))
     for name in ("A1", "A1d", "A2", "A2d"):
         ok = reduced[name].same_operator(reduced_reference(name))
-        out[f"reduced {name} corrected"] = structural(
-            f"reduced {name} corrected", ok,
-            notes="corrected transcription matches the derived reduction")
+        out.append(structural(
+            ok, name=f"reduced {name} corrected",
+            notes="corrected transcription matches the derived reduction"))
 
-    out["full Hamiltonian"] = structural(
-        "full Hamiltonian",
-        build_H4().same_operator(h4_reference()),
+    out.append(structural(
+        build_H4().same_operator(h4_reference()), name="full Hamiltonian",
         notes="derived Laplacian route matches the corrected transcription "
-              "(angular prefactor 1/r^2)")
-    out["angular block is the invariant"] = structural(
-        "angular block is the invariant", angular_matches_invariant(),
+              "(angular prefactor 1/r^2)"))
+    out.append(structural(
+        angular_matches_invariant(), name="angular block is the invariant",
         notes="the angular block equals minus the two-angle quadratic "
-              "invariant operator")
-    out["reduced Hamiltonian"] = structural(
-        "reduced Hamiltonian",
-        build_Hm().same_operator(hm_reference()),
-        notes="the reduced transcription is correct as printed")
-    out["radial similarity"] = structural(
-        "radial similarity", radial_similarity_matches(),
+              "invariant operator"))
+    out.append(structural(
+        build_Hm().same_operator(hm_reference()), name="reduced Hamiltonian",
+        notes="the reduced transcription is correct as printed"))
+    out.append(structural(
+        radial_similarity_matches(), name="radial similarity",
         notes="r^(1/2)-conjugation reproduces the weighted form including "
-              "the +3/(8 r^2) residue")
-    out["angular prefactor deviation"] = angular_prefactor_deviation()
+              "the +3/(8 r^2) residue"))
+    out.append(angular_prefactor_deviation())
 
     ok = all(c_squared(n, m) == c_squared_printed(n, m)
              for n in range(0, 9) for m in range(-n, n + 1, 2))
-    out["descent normalization closed form"] = structural(
-        "descent normalization closed form", ok,
+    out.append(structural(
+        ok, name="descent normalization closed form",
         notes="the transcribed closed form of the descent constant equals "
-              "the per-step product exactly (n <= 8)")
-    return out
+              "the per-step product exactly (n <= 8)"))
+    return {rep.name: rep for rep in out}

@@ -5,6 +5,14 @@ order, followed by deliberate-fault controls that prove the verifier can
 fail.  A fault entry *passes* when the mutation is detected (the underlying
 identity check fails); its notes record the observed residual.
 
+Each check is declared once, by an `_check` line over its function: the
+entry's name, its sector, its route (what decides the verdict:
+"structural", "sampled" or "both") and its paper_ref, a neutral
+description of what is verified.  Declaration order is report order.  The
+fault entries share one paper_ref, `FAULT_REF`.  A check function returns
+only a verdict: pass, relative residual and notes; the entry's name comes
+from its declaration.
+
 The aggregated report is a plain dictionary rendered to JSON with sorted
 keys; all sampling derives from the configured seed through content-stable
 hashes, so identical configurations produce byte-identical reports even
@@ -79,73 +87,118 @@ def _op_reports(plan: SamplePlan, param: str, residuals) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Declarations
+# ---------------------------------------------------------------------------
+
+FAULT_PREFIX = "fault: "
+
+FAULT_REF = "negative control: deliberate mutation must be detected"
+
+SECTORS = ("su2", "2d", "3d")
+
+# (name, paper_ref, sector, route, function name) per check, in report order
+_CHECKS = []
+
+
+def _check(name: str, sector: str, route: str, paper_ref: str):
+    """Declare the decorated function as the suite check `name` (see the
+    module notes).  The table keeps the function's name, so `_registry`
+    runs whatever the module binds to it: a test's stub, a tracer's
+    wrapper."""
+    def declare(fn):
+        _CHECKS.append((name, paper_ref, sector, route, fn.__name__))
+        return fn
+    return declare
+
+
+def _registry():
+    """(name, paper_ref, sector, check) per declared check, in report
+    order; each check is read from the module when this is called."""
+    return [(name, ref, sector, globals()[fn])
+            for name, ref, sector, _, fn in _CHECKS]
+
+
+# ---------------------------------------------------------------------------
 # Positive checks: angular-momentum sector
 # ---------------------------------------------------------------------------
 
+@_check("su2 bracket table (structural)", "su2", "structural",
+        "bracket closure of the two commuting angular realizations")
 def _chk_su2_structural(cfg):
     gs = su2.build_raw_generators()
     bad = [lbl for lbl, res, _ in su2.commutator_residuals(gs)
            if not res.is_zero()]
     return structural(
-        "su2 bracket table (structural)", not bad,
-        notes="all 15 residual operators normalize to zero" if not bad
-        else "nonzero residuals: " + ", ".join(bad))
+        not bad, notes="all 15 residual operators normalize to zero"
+        if not bad else "nonzero residuals: " + ", ".join(bad))
 
 
+@_check("su2 bracket table (sampled)", "su2", "sampled",
+        "bracket closure of the two commuting angular realizations")
 def _chk_su2_sampled(cfg):
     residuals = su2.commutator_residuals(su2.build_raw_generators())
-    rep = worst_of("su2 bracket table (sampled)",
-                   _op_reports(_plan(cfg, "su2-comm"), "q", residuals),
+    rep = worst_of(_op_reports(_plan(cfg, "su2-comm"), "q", residuals),
                    TOL_OPERATOR)
     return rep.note(f"worst: {rep.worst}")
 
 
+@_check("invariant from either sector", "su2", "structural",
+        "quadratic invariant built from left or right generators")
 def _chk_invariant_routes(cfg):
     gs = su2.build_raw_generators()
     ok = su2.quadratic(gs).same_operator(su2.quadratic_right(gs))
-    return structural("invariant from either sector", ok,
+    return structural(ok,
                       notes="left-built and right-built quadratic forms "
                             "are the same operator")
 
 
+@_check("invariant closed form", "su2", "both",
+        "quadratic invariant against its closed second-order form")
 def _chk_invariant_closed(cfg):
     gs = su2.build_raw_generators()
     built = su2.casimir(gs)
     ref = su2.casimir_reference()
     rep = check_op_zero(built - ref, _plan(cfg, "casimir"),
                         reference_ops=(built, ref),
-                        testfns=_light_battery("q"), tol=TOL_EXACT,
-                        name="invariant closed form")
+                        testfns=_light_battery("q"), tol=TOL_EXACT)
     if not built.same_operator(ref):
         return rep.fail("structural mismatch against the closed form")
     return rep.note("structural match is exact")
 
 
+@_check("invariant lattice reduction", "su2", "structural",
+        "periodic coordinate reduced to an integer lattice label")
 def _chk_invariant_reduction(cfg):
     red = su2.fourier_reduce(su2.casimir(su2.build_raw_generators()))
     ref = su2.casimir_reduced_reference()
     ok = red.same_operator(ref)
-    return structural("invariant lattice reduction", ok,
+    return structural(ok,
                       notes="reduction agrees term-for-term with the "
                             "closed reduced form")
 
 
+@_check("reduced generators closed forms", "su2", "structural",
+        "shift-operator closed forms of the six reduced generators")
 def _chk_reduced_generators(cfg):
     bad = [n for n, op in su2.build_reduced_generators().pairs()
            if not op.same_operator(su2.reduced_ladder_reference(n))]
-    return structural("reduced generators closed forms", not bad,
+    return structural(not bad,
                       notes="all six reduced generators match" if not bad
                       else "mismatch: " + ", ".join(bad))
 
 
+@_check("half-power weight similarity", "su2", "structural",
+        "similarity transform by the single-angle half-power weight")
 def _chk_weight_similarity(cfg):
     der = su2.conjugate(su2.casimir_reduced_reference(), su2.weight_psi())
     ok = der.same_operator(su2.weighted_reduced_reference())
-    return structural("half-power weight similarity", ok,
+    return structural(ok,
                       notes="single-angle weight conjugation matches its "
                             "closed form")
 
 
+@_check("Schrodinger-form agreement", "su2", "both",
+        "full-weight similarity against the potential-form Hamiltonian")
 def _chk_hq(cfg):
     bundle = su2.build_Hq(_plan(cfg, "hq", count=max(cfg.points, 100)))
     rep = bundle.offset
@@ -154,11 +207,13 @@ def _chk_hq(cfg):
     return rep.fail("closed form is not structurally identical")
 
 
+@_check("weight-conjugated generators", "su2", "structural",
+        "scalar corrections acquired by conjugated generators")
 def _chk_primed(cfg):
     got = su2.build_primed_generators().pairs()
     ref = su2.primed_reference()
     bad = [n for (n, a), b in zip(got, ref) if not a.same_operator(b)]
-    return structural("weight-conjugated generators", not bad,
+    return structural(not bad,
                       notes="scalar corrections ride the generator's own "
                             "lattice shift" if not bad
                       else "mismatch: " + ", ".join(bad))
@@ -168,6 +223,8 @@ def _chk_primed(cfg):
 # Positive checks: 2-D ladder sector
 # ---------------------------------------------------------------------------
 
+@_check("level degeneracies", "2d", "structural",
+        "degeneracy counting against weight-pair enumeration")
 def _chk_degeneracy(cfg):
     cap, bad = 6, []
     for twol in range(cap + 1):
@@ -177,22 +234,24 @@ def _chk_degeneracy(cfg):
             if ms != table.get(q, []) or len(ms) != twol + 1 - abs(q):
                 bad.append((twol, q))
     return structural(
-        "level degeneracies", not bad,
-        notes=f"counts match the weight-pair enumeration for levels "
-              f"<= {cap}/2" if not bad else f"mismatches: {bad}")
+        not bad, notes=f"counts match the weight-pair enumeration for levels "
+                       f"<= {cap}/2" if not bad else f"mismatches: {bad}")
 
 
+@_check("2-D eigen grid", "2d", "sampled",
+        "joint eigenfunctions of the reduced two-angle operators")
 def _chk_eigen2d(cfg):
     plan = _plan(cfg, "eigen2d", count=max(4, cfg.points // 2))
     states = [qn for twol in range(6 + 1)
               for qn in ladders2d.valid_states(twol)]
-    rep = worst_of("2-D eigen grid",
-                   [r for qn in states
+    rep = worst_of([r for qn in states
                     for r in ladders2d.verify_eigen(qn, plan, tol=cfg.tol_eigen)],
                    cfg.tol_eigen, notes=f"{len(states)} states x 4 relations")
     return rep.note(f"worst: {rep.worst}")
 
 
+@_check("2-D one-step ladder coefficients", "2d", "sampled",
+        "measured one-step ladder ratios against closed coefficients")
 def _chk_ladders2d(cfg):
     plan = _plan(cfg, "ladders2d", count=max(4, cfg.points // 2))
     cap = 4
@@ -201,11 +260,13 @@ def _chk_ladders2d(cfg):
     steps = sum(r.data.get("steps_checked", 0) for r in reports)
     edges = sum(r.data.get("edge_annihilations", 0) for r in reports)
     return worst_of(
-        "2-D one-step ladder coefficients", reports, cfg.tol_eigen,
+        reports, cfg.tol_eigen,
         notes=f"{steps} interior steps, {edges} edge annihilations, "
               f"levels <= {cap}/2; measured label assignment")
 
 
+@_check("pair-ladder scalars", "2d", "structural",
+        "in-level and cross-level pair products and closed forms")
 def _chk_pair_scalars(cfg):
     dev, label_diff = 0, 0
     for twol in range(2, 6 + 1):
@@ -225,11 +286,13 @@ def _chk_pair_scalars(cfg):
                     qn, ladders2d.Q_ROUND_TRIP, True)
                     - ladders2d.N_closed(twol, q, m)))
     return IdentityReport(
-        "pair-ladder scalars", dev, 1.0, cfg.tol_eigen,
+        "closed-form deviation", dev, 1.0, cfg.tol_eigen,
         notes=f"products equal their closed forms; the as-stated label "
               f"assignment deviates at {label_diff} states")
 
 
+@_check("chain reconstructions", "2d", "sampled",
+        "pair-chain rebuilds of eigenfunctions, ratio one")
 def _chk_reconstruction(cfg):
     # the first off-top state with q >= 0 at levels 5/2, 2 and 3/2
     states = (ladders2d.QNum2D(5, 0, -5), ladders2d.QNum2D(4, 0, -4),
@@ -240,10 +303,12 @@ def _chk_reconstruction(cfg):
         reports += ladders2d.reconstruct_chain_reports(qn, plan,
                                                        tol=cfg.tol_eigen)
     return worst_of(
-        "chain reconstructions", reports, cfg.tol_eigen,
+        reports, cfg.tol_eigen,
         notes=f"both pair-chain routes, ratio 1, {len(states)} states")
 
 
+@_check("edge annihilations", "2d", "sampled",
+        "raising operators vanish on extremal states")
 def _chk_annihilation(cfg):
     plan = _plan(cfg, "annihilate")
     states = list(islice((qn for twol in range(4 + 1)
@@ -251,13 +316,15 @@ def _chk_annihilation(cfg):
                           if ladders2d.annihilation_ops(qn)), 6))
     reports = [rep for qn in states for rep in
                ladders2d.annihilation_reports(qn, plan, cfg.tol_eigen)]
-    return worst_of("edge annihilations", reports, cfg.tol_eigen,
+    return worst_of(reports, cfg.tol_eigen,
                     notes=f"{len(reports)} raising edges annihilate")
 
 
+@_check("pair-order exchange identity", "2d", "structural",
+        "commuting the two lowering sectors across the lattice")
 def _chk_reorder(cfg):
     return structural(
-        "pair-order exchange identity", ladders2d.reorder_identity_holds(),
+        ladders2d.reorder_identity_holds(),
         notes="label-consistent placement vanishes identically; the "
               "as-stated index placement does not (kept as control)")
 
@@ -266,59 +333,71 @@ def _chk_reorder(cfg):
 # Positive checks: oscillator sector
 # ---------------------------------------------------------------------------
 
+@_check("cartesian gradient duality", "3d", "structural",
+        "chart gradients against the coordinate functions")
 def _chk_gradients(cfg):
     ok = all(is_zero_expr(res)
              for _, res in osc3d.gradient_duality_residuals())
-    return structural("cartesian gradient duality", ok,
+    return structural(ok,
                       notes="all 16 pairings collapse to the identity "
                             "pattern exactly")
 
 
+@_check("oscillator brackets (structural)", "3d", "structural",
+        "canonical commutation relations of the ladder set")
 def _chk_osc_comm_structural(cfg):
     bad = []
     for reduced in (True, False):
         for lbl, res, _ in osc3d.commutator_residuals(reduced=reduced):
             if not res.is_zero():
                 bad.append(("reduced" if reduced else "full") + " " + lbl)
-    return structural("oscillator brackets (structural)", not bad,
+    return structural(not bad,
                       notes="56 residuals (both algebras) normalize to zero"
                       if not bad else "nonzero: " + ", ".join(bad))
 
 
+@_check("oscillator brackets (sampled)", "3d", "sampled",
+        "canonical commutation relations of the ladder set")
 def _chk_osc_comm_sampled(cfg):
     reports = _op_reports(_plan(cfg, "osc-comm"), "m",
                           osc3d.commutator_residuals())
-    return worst_of("oscillator brackets (sampled)", reports, TOL_OPERATOR,
+    return worst_of(reports, TOL_OPERATOR,
                     notes="; ".join(r.name for r in reports if not r.passed))
 
 
+@_check("oscillator angular block", "3d", "structural",
+        "angular part of the oscillator Hamiltonian")
 def _chk_angular_invariant(cfg):
-    return structural("oscillator angular block", osc3d.angular_matches_invariant(),
+    return structural(osc3d.angular_matches_invariant(),
                       notes="equals minus the two-angle quadratic invariant")
 
 
+@_check("oscillator Hamiltonian forms", "3d", "structural",
+        "derived Hamiltonian against closed and reduced forms")
 def _chk_hamiltonian_forms(cfg):
     ok_full = osc3d.build_H4().same_operator(osc3d.h4_reference())
     ok_red = osc3d.build_Hm().same_operator(osc3d.hm_reference())
     ok_sim = osc3d.radial_similarity_matches()
     ok = ok_full and ok_red and ok_sim
     return structural(
-        "oscillator Hamiltonian forms", ok,
-        notes="derived Laplacian, lattice reduction and half-power radial "
-              "similarity all match their closed forms" if ok else
+        ok, notes="derived Laplacian, lattice reduction and half-power radial "
+                  "similarity all match their closed forms" if ok else
         f"full={ok_full} reduced={ok_red} similarity={ok_sim}")
 
 
+@_check("transcription deviations isolated", "3d", "structural",
+        "closed transcriptions against derived operators")
 def _chk_transcriptions(cfg):
     reports = osc3d.transcription_reports()
     bad = [k for k, r in reports.items() if not r.passed]
     return structural(
-        "transcription deviations isolated", not bad,
-        notes=f"{len(reports)} comparisons: exact matches match, each "
-              "known deviation is confined to its offending slot"
-        if not bad else "unexpected: " + ", ".join(bad))
+        not bad, notes=f"{len(reports)} comparisons: exact matches match, "
+                       "each known deviation is confined to its offending "
+                       "slot" if not bad else "unexpected: " + ", ".join(bad))
 
 
+@_check("oscillator factorization", "3d", "both",
+        "number-operator factorization of the Hamiltonian")
 def _chk_factorization(cfg):
     full, full_ham = osc3d.factorization(False, 2)
     fact, ham = osc3d.factorization(True, 2)
@@ -330,19 +409,22 @@ def _chk_factorization(cfg):
     return rep.note("structural match in both algebras, uniformly in the label")
 
 
+@_check("intertwining relations", "3d", "both",
+        "ladder intertwining across neighboring lattice Hamiltonians")
 def _chk_intertwining(cfg):
     residuals = osc3d.intertwining_residuals()
-    rep = worst_of("intertwining relations",
-                   _op_reports(_plan(cfg, "intertwine"), "m", residuals),
+    rep = worst_of(_op_reports(_plan(cfg, "intertwine"), "m", residuals),
                    TOL_OPERATOR)
     if all(res.is_zero() for _, res, _ in residuals):
         return rep.note("all four relations vanish structurally")
     return rep.fail("a relation failed to vanish structurally")
 
 
+@_check("ground-state annihilation", "3d", "structural",
+        "lowering operators on the Gaussian ground state")
 def _chk_ground(cfg):
     ok = osc3d.ground_annihilation(1) and osc3d.ground_annihilation(2)
-    return structural("ground-state annihilation", ok,
+    return structural(ok,
                       notes="all four lowering operators kill the Gaussian "
                             "exactly at both frequencies")
 
@@ -355,71 +437,80 @@ def _grid3d(cap: int):
                     yield n, m, n3, n4
 
 
+@_check("3-D eigen grid (closed form)", "3d", "sampled",
+        "closed-form eigenfunctions of the reduced Hamiltonian")
 def _chk_eigen3d(cfg):
     plan = _plan(cfg, "eigen3d", count=max(4, cfg.points // 2))
     states = [osc3d.QNum3D(n, m, n3, n4, w) for w in (Fraction(1), Fraction(2))
               for n, m, n3, n4 in _grid3d(4)]
-    rep = worst_of("3-D eigen grid (closed form)",
-                   [osc3d.verify_eigen(qn, plan, closed=True, tol=cfg.tol_eigen)
+    rep = worst_of([osc3d.verify_eigen(qn, plan, closed=True, tol=cfg.tol_eigen)
                     for qn in states],
                    cfg.tol_eigen, notes=f"{len(states)} states over two frequencies")
     return rep.note(f"worst: {rep.worst}")
 
 
+@_check("3-D ladder vs closed form", "3d", "sampled",
+        "operator-chain eigenfunctions against closed forms")
 def _chk_ladder_ratio3d(cfg):
     plan = _plan(cfg, "ratio3d")
     states = [osc3d.QNum3D(n, m) for n in range(3 + 1)
               for m in range(-n, n + 1, 2)]
     states += [osc3d.QNum3D(2, 0, 1, 1), osc3d.QNum3D(2, 2, omega=Fraction(2))]
-    return worst_of("3-D ladder vs closed form",
-                    [osc3d.ladder_closed_ratio(qn, plan, tol=cfg.tol_eigen)
+    return worst_of([osc3d.ladder_closed_ratio(qn, plan, tol=cfg.tol_eigen)
                      for qn in states],
                     cfg.tol_eigen, notes=f"constant ratio on {len(states)} states")
 
 
+@_check("3-D one-step ladder coefficients", "3d", "sampled",
+        "square-root occupation coefficients of single steps")
 def _chk_ladder_actions3d(cfg):
     rep = osc3d.verify_ladder_actions(
         n_max=2, plan=_plan(cfg, "steps3d"),
         tol=cfg.tol_eigen, radial_states=((0, 0), (1, 1)))
-    return IdentityReport(
-        "3-D one-step ladder coefficients", rep.relative, 1.0, cfg.tol_eigen,
-        notes=(f"{rep.data.get('steps_checked', 0)} interior steps, "
-               f"{rep.data.get('edge_annihilations', 0)} edge annihilations"
-               + ("; " + rep.notes if rep.notes else "")))
+    rep.notes = (f"{rep.data['steps_checked']} interior steps, "
+                 f"{rep.data['edge_annihilations']} edge annihilations"
+                 + ("; " + rep.notes if rep.notes else ""))
+    return rep
 
 
+@_check("3-D pair-ladder scalars", "3d", "both",
+        "paired ascent/descent products and their scalar")
 def _chk_pair3d(cfg):
     plan = _plan(cfg, "pair3d")
     reports = []
     for qn in (osc3d.QNum3D(2, 0), osc3d.QNum3D(3, 1), osc3d.QNum3D(2, -2)):
         reports += osc3d.verify_pair_eigen(qn, plan, tol=cfg.tol_eigen)
     return worst_of(
-        "3-D pair-ladder scalars", reports, cfg.tol_eigen,
+        reports, cfg.tol_eigen,
         notes=f"{len(reports)} product relations carry (n+m)(n-m+2)/4")
 
 
+@_check("ascent pair target", "3d", "sampled",
+        "landing site of the paired ascent on the lattice")
 def _chk_ascent_target(cfg):
     reps = osc3d.raising_pair_reports(osc3d.QNum3D(3, 1),
                                       _plan(cfg, "ascent"),
                                       tol=cfg.tol_eigen)
     ok = reps["corrected"].passed and not reps["stated"].passed
     return structural(
-        "ascent pair target", ok,
-        notes="the ascent product lands two lattice sites up; the "
-              "as-stated down-target fails (its coefficient is correct)")
+        ok, notes="the ascent product lands two lattice sites up; the "
+                  "as-stated down-target fails (its coefficient is correct)")
 
 
+@_check("spectrum bookkeeping", "3d", "structural",
+        "energy bookkeeping of the oscillator labels")
 def _chk_spectrum(cfg):
     ok = (osc3d.spectrum(osc3d.QNum3D(0, 0)) == 2
           and osc3d.spectrum(osc3d.QNum3D(2, 0, 1, 1)) == 6
           and osc3d.QNum3D(3, -1, omega=Fraction(2)).energy() == 10)
-    return structural("spectrum bookkeeping", ok,
+    return structural(ok,
                       notes="(n + n3 + n4 + 2) w at spot-checked labels")
 
 
+@_check("cartesian crosschecks", "3d", "sampled",
+        "chart-native states against separable cartesian products")
 def _chk_cartesian_crosscheck(cfg):
     return worst_of(
-        "cartesian crosschecks",
         osc3d.cartesian_crosscheck(_plan(cfg, "cartesian"), tol=cfg.tol_eigen),
         cfg.tol_eigen,
         notes="chart-native states match separable cartesian products")
@@ -435,28 +526,31 @@ def _flip_term_sign(op: DiffOp, derivs: tuple) -> DiffOp:
     return DiffOp(terms, op.param).normalized()
 
 
+@_check("fault: generator sign flip", "su2", "sampled", FAULT_REF)
 def _flt_su2_sign(cfg):
     gs = su2.build_raw_generators()
     bad = _flip_term_sign(gs.Lp, (1, 0, 0, 0))
     res = commutator(bad, gs.Lm) - 2 * gs.L3
     rep, = _op_reports(_plan(cfg, "flt-sign"), "q",
                        [("mutated bracket", res, (bad, gs.Lm, gs.L3))])
-    return structural("fault: generator sign flip", not rep.passed,
+    return structural(not rep.passed,
                       notes=f"polar-slot sign flip breaks bracket closure "
                             f"(relative {rep.relative:.3e})")
 
 
+@_check("fault: invariant scale dropped", "su2", "sampled", FAULT_REF)
 def _flt_invariant_scale(cfg):
     gs = su2.build_raw_generators()
     quad, ref = su2.quadratic(gs), su2.casimir_reference()
     rep = check_op_zero(quad - ref, _plan(cfg, "flt-scale"),
                         reference_ops=(quad, ref), testfns=_light_battery("q"),
                         tol=TOL_EXACT, name="mutated invariant scale")
-    return structural("fault: invariant scale dropped", not rep.passed,
+    return structural(not rep.passed,
                       notes=f"undoing the factor-4 normalization is caught "
                             f"(relative {rep.relative:.3e})")
 
 
+@_check("fault: reversed lattice shift", "su2", "sampled", FAULT_REF)
 def _flt_reversed_shift(cfg):
     red = su2.build_reduced_generators()
     bad = DiffOp(tuple(OpTerm(t.coeff, t.derivs, -t.shift)
@@ -464,11 +558,12 @@ def _flt_reversed_shift(cfg):
     res = commutator(bad, red.Lm) - 2 * red.L3
     rep, = _op_reports(_plan(cfg, "flt-shift"), "q", [
         ("mutated reduced bracket", res, (bad, red.Lm, red.L3))])
-    return structural("fault: reversed lattice shift", not rep.passed,
+    return structural(not rep.passed,
                       notes=f"flipping the shift direction breaks reduced "
                             f"closure (relative {rep.relative:.3e})")
 
 
+@_check("fault: ladder coefficient off by one", "2d", "sampled", FAULT_REF)
 def _flt_coeff_off_by_one(cfg):
     qn = ladders2d.QNum2D(4, 1, 1)
     applied = ladders2d.Lminus_of(1).apply(ladders2d.chi_reduced(qn))
@@ -477,31 +572,35 @@ def _flt_coeff_off_by_one(cfg):
                              tol=cfg.tol_eigen, name="chain one-step ratio")
     claimed = 2.0  # the true chain coefficient is exactly 1; mutate by +1
     detected = rep.passed and abs(rep.data["ratio"] - claimed) > cfg.tol_eigen
-    return structural("fault: ladder coefficient off by one", detected,
+    return structural(detected,
                       notes=f"measured chain ratio {rep.data['ratio'].real:.6g} "
                             f"rejects the off-by-one claim {claimed:g}")
 
 
+@_check("fault: zero-point constant dropped", "3d", "sampled", FAULT_REF)
 def _flt_zero_point(cfg):
     fact, ham = osc3d.factorization(True, 0)
     rep, = _op_reports(_plan(cfg, "flt-zp"), "m",
                        [("factorization without +2", fact - ham, (fact, ham))])
-    return structural("fault: zero-point constant dropped", not rep.passed,
+    return structural(not rep.passed,
                       notes=f"factorization without the +2 fails "
                             f"(relative {rep.relative:.3e})")
 
 
+@_check("fault: lowering-gradient sign flip", "3d", "sampled", FAULT_REF)
 def _flt_gradient_sign(cfg):
     residuals = osc3d.intertwining_residuals(
         osc3d.gradient_flipped_oscillators())
     pattern = [rep.passed for rep in
                _op_reports(_plan(cfg, "flt-grad"), "m", residuals)]
     detected = pattern == [True, True, False, False]
-    return structural("fault: lowering-gradient sign flip", detected,
+    return structural(detected,
                       notes="exactly the two lowering intertwinings break "
                             f"(pattern {pattern})")
 
 
+@_check("fault: frequency-blind polynomial arguments", "3d", "sampled",
+        FAULT_REF)
 def _flt_frequency_blind(cfg):
     w = Fraction(2)
     qn = osc3d.QNum3D(0, 0, 2, 0, w)
@@ -509,142 +608,14 @@ def _flt_frequency_blind(cfg):
     rep = check_eigen(osc3d.build_Hm(w).at_incoming(0), psi, qn.energy(),
                       _plan(cfg, "flt-blind"), cfg.tol_eigen,
                       "frequency-blind eigencheck")
-    return structural("fault: frequency-blind polynomial arguments", not rep.passed,
+    return structural(not rep.passed,
                       notes=f"unscaled polynomial arguments fail off the unit "
                             f"frequency (relative {rep.relative:.3e})")
 
 
 # ---------------------------------------------------------------------------
-# Registry and report assembly
+# Report assembly
 # ---------------------------------------------------------------------------
-
-# (name, neutral description of what is verified, sector, callable)
-def _registry():
-    return [
-        ("su2 bracket table (structural)",
-         "bracket closure of the two commuting angular realizations",
-         "su2", _chk_su2_structural),
-        ("su2 bracket table (sampled)",
-         "bracket closure of the two commuting angular realizations",
-         "su2", _chk_su2_sampled),
-        ("invariant from either sector",
-         "quadratic invariant built from left or right generators",
-         "su2", _chk_invariant_routes),
-        ("invariant closed form",
-         "quadratic invariant against its closed second-order form",
-         "su2", _chk_invariant_closed),
-        ("invariant lattice reduction",
-         "periodic coordinate reduced to an integer lattice label",
-         "su2", _chk_invariant_reduction),
-        ("reduced generators closed forms",
-         "shift-operator closed forms of the six reduced generators",
-         "su2", _chk_reduced_generators),
-        ("half-power weight similarity",
-         "similarity transform by the single-angle half-power weight",
-         "su2", _chk_weight_similarity),
-        ("Schrodinger-form agreement",
-         "full-weight similarity against the potential-form Hamiltonian",
-         "su2", _chk_hq),
-        ("weight-conjugated generators",
-         "scalar corrections acquired by conjugated generators",
-         "su2", _chk_primed),
-        ("level degeneracies",
-         "degeneracy counting against weight-pair enumeration",
-         "2d", _chk_degeneracy),
-        ("2-D eigen grid",
-         "joint eigenfunctions of the reduced two-angle operators",
-         "2d", _chk_eigen2d),
-        ("2-D one-step ladder coefficients",
-         "measured one-step ladder ratios against closed coefficients",
-         "2d", _chk_ladders2d),
-        ("pair-ladder scalars",
-         "in-level and cross-level pair products and closed forms",
-         "2d", _chk_pair_scalars),
-        ("chain reconstructions",
-         "pair-chain rebuilds of eigenfunctions, ratio one",
-         "2d", _chk_reconstruction),
-        ("edge annihilations",
-         "raising operators vanish on extremal states",
-         "2d", _chk_annihilation),
-        ("pair-order exchange identity",
-         "commuting the two lowering sectors across the lattice",
-         "2d", _chk_reorder),
-        ("cartesian gradient duality",
-         "chart gradients against the coordinate functions",
-         "3d", _chk_gradients),
-        ("oscillator brackets (structural)",
-         "canonical commutation relations of the ladder set",
-         "3d", _chk_osc_comm_structural),
-        ("oscillator brackets (sampled)",
-         "canonical commutation relations of the ladder set",
-         "3d", _chk_osc_comm_sampled),
-        ("oscillator angular block",
-         "angular part of the oscillator Hamiltonian",
-         "3d", _chk_angular_invariant),
-        ("oscillator Hamiltonian forms",
-         "derived Hamiltonian against closed and reduced forms",
-         "3d", _chk_hamiltonian_forms),
-        ("transcription deviations isolated",
-         "closed transcriptions against derived operators",
-         "3d", _chk_transcriptions),
-        ("oscillator factorization",
-         "number-operator factorization of the Hamiltonian",
-         "3d", _chk_factorization),
-        ("intertwining relations",
-         "ladder intertwining across neighboring lattice Hamiltonians",
-         "3d", _chk_intertwining),
-        ("ground-state annihilation",
-         "lowering operators on the Gaussian ground state",
-         "3d", _chk_ground),
-        ("3-D eigen grid (closed form)",
-         "closed-form eigenfunctions of the reduced Hamiltonian",
-         "3d", _chk_eigen3d),
-        ("3-D ladder vs closed form",
-         "operator-chain eigenfunctions against closed forms",
-         "3d", _chk_ladder_ratio3d),
-        ("3-D one-step ladder coefficients",
-         "square-root occupation coefficients of single steps",
-         "3d", _chk_ladder_actions3d),
-        ("3-D pair-ladder scalars",
-         "paired ascent/descent products and their scalar",
-         "3d", _chk_pair3d),
-        ("ascent pair target",
-         "landing site of the paired ascent on the lattice",
-         "3d", _chk_ascent_target),
-        ("spectrum bookkeeping",
-         "energy bookkeeping of the oscillator labels",
-         "3d", _chk_spectrum),
-        ("cartesian crosschecks",
-         "chart-native states against separable cartesian products",
-         "3d", _chk_cartesian_crosscheck),
-        ("fault: generator sign flip",
-         "negative control: deliberate mutation must be detected",
-         "su2", _flt_su2_sign),
-        ("fault: invariant scale dropped",
-         "negative control: deliberate mutation must be detected",
-         "su2", _flt_invariant_scale),
-        ("fault: reversed lattice shift",
-         "negative control: deliberate mutation must be detected",
-         "su2", _flt_reversed_shift),
-        ("fault: ladder coefficient off by one",
-         "negative control: deliberate mutation must be detected",
-         "2d", _flt_coeff_off_by_one),
-        ("fault: zero-point constant dropped",
-         "negative control: deliberate mutation must be detected",
-         "3d", _flt_zero_point),
-        ("fault: lowering-gradient sign flip",
-         "negative control: deliberate mutation must be detected",
-         "3d", _flt_gradient_sign),
-        ("fault: frequency-blind polynomial arguments",
-         "negative control: deliberate mutation must be detected",
-         "3d", _flt_frequency_blind),
-    ]
-
-
-FAULT_PREFIX = "fault: "
-
-SECTORS = ("su2", "2d", "3d")
-
 
 def run_suite(config: SuiteConfig, sectors=None) -> dict:
     """Execute the registered battery; returns the JSON-ready report.

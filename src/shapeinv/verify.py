@@ -248,13 +248,13 @@ def _worst_point(kept, values):
     return max_abs, worst
 
 
-def structural(name: str, ok: bool, notes: str) -> IdentityReport:
+def structural(ok: bool, notes: str, name="structural") -> IdentityReport:
     """Report for an exact (symbolic) comparison: relative 0 or 1."""
     return IdentityReport(name, 0.0 if ok else 1.0, 1.0, TOL_EXACT,
                           notes=notes)
 
 
-def worst_of(name: str, reports, tol, notes: str = "") -> IdentityReport:
+def worst_of(reports, tol, notes: str = "", name="worst-of") -> IdentityReport:
     """One report for a battery of checks: its worst member's residual.
 
     The aggregate keeps the worst member's max-abs residual and scale, so

@@ -152,9 +152,9 @@ def test_criterion_6_oscillator_algebra(capsys):
     plan = SamplePlan(seed=106, count=16)
 
     def worst(name, residuals):
-        return worst_of(name, [
+        return worst_of([
             check_op_zero(res, plan, reference_ops=refs, tol=1e-10, name=label)
-            for label, res, refs in residuals], 1e-10)
+            for label, res, refs in residuals], 1e-10, name=name)
 
     comm = worst("canonical commutators", osc3d.commutator_residuals())
     structural = all(res.normalized().is_zero()

@@ -10,8 +10,8 @@ import sys
 import pytest
 
 from shapeinv import cli, ladders2d, osc3d
-from shapeinv.cli import (EIGEN2D_MAX_TWOL, SHAPE2D_MAX_TWOL, _plan_of,
-                          _tol_of, build_parser, main)
+from shapeinv.cli import (EIGEN2D_MAX_TWOL, OSC3D_MAX_LEVEL, SHAPE2D_MAX_TWOL,
+                          _plan_of, _tol_of, build_parser, main)
 from shapeinv.dsl import GENERATOR_NAMES, MAX_PRODUCT_SIZE, parse_and_build
 from shapeinv.suite import SuiteConfig, report_json, run_suite
 from shapeinv.verify import PlanDegenerate
@@ -350,12 +350,24 @@ def _must_not_run(*args, **kwargs):
     (["eigen2d", "--twol", str(EIGEN2D_MAX_TWOL + 1), "--q", "0",
       "--m", str((EIGEN2D_MAX_TWOL + 1) % 2)],
      f"--twol must be at most {EIGEN2D_MAX_TWOL}"),
+    (["osc3d", "--n", "0", "--m", "0", "--n4", str(OSC3D_MAX_LEVEL + 1)],
+     f"n + n3 + n4 must be at most {OSC3D_MAX_LEVEL}"),
+    (["osc3d", "--n", "256", "--m", "0"],
+     f"n + n3 + n4 must be at most {OSC3D_MAX_LEVEL}"),
+    (["osc3d", "--n", "0", "--m", "0", "--n3", "300"],
+     f"n + n3 + n4 must be at most {OSC3D_MAX_LEVEL}"),
+    (["osc3d", "--n", "0", "--m", "0", "--n4", "300"],
+     f"n + n3 + n4 must be at most {OSC3D_MAX_LEVEL}"),
 ], ids=["shape2d above its bound", "q out of range", "parity",
-        "eigen2d above its bound"])
+        "eigen2d above its bound", "osc3d above its bound", "osc3d n 256",
+        "osc3d n3 300", "osc3d n4 300"])
 def test_bad_labels_are_refused_before_any_check(argv, fragment, monkeypatch,
                                                  capsys):
     for check in ("verify_eigen", "verify_ladder_actions"):
         monkeypatch.setattr(ladders2d, check, _must_not_run)
+    for builder in ("psi_closed", "psi_ladder", "verify_eigen",
+                    "ladder_closed_ratio", "verify_pair_eigen"):
+        monkeypatch.setattr(osc3d, builder, _must_not_run)
     code, out, err = run_cli(argv, capsys)
     assert_usage_error(argv[0], code, out, err)
     assert fragment in err

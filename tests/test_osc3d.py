@@ -73,8 +73,8 @@ def test_canonical_commutators_structural(reduced):
 
 
 def test_canonical_commutators_sampled():
-    rep = worst_of("canonical commutators",
-                   _sampled(osc3d.commutator_residuals()), 1e-10)
+    rep = worst_of(_sampled(osc3d.commutator_residuals()), 1e-10,
+                   name="canonical commutators")
     assert rep.passed, str(rep)
 
 
@@ -119,8 +119,8 @@ def test_intertwining_structural():
 
 
 def test_intertwining_sampled():
-    rep = worst_of("intertwining relations",
-                   _sampled(osc3d.intertwining_residuals()), 1e-10)
+    rep = worst_of(_sampled(osc3d.intertwining_residuals()), 1e-10,
+                   name="intertwining relations")
     assert rep.passed, str(rep)
 
 

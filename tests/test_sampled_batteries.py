@@ -25,8 +25,8 @@ def verify_canonical_commutators(plan, testfns=None, tol=1e-10):
                                     testfns=testfns, name=f"commutator {label}")
                for label, res, refs in osc3d.commutator_residuals()}
     failures = [label for label, rep in reports.items() if not rep.passed]
-    return worst_of("canonical commutators (reduced)", reports.values(), tol,
-                    notes="; ".join(failures))
+    return worst_of(reports.values(), tol, notes="; ".join(failures),
+                    name="canonical commutators (reduced)")
 
 
 def verify_factorization(plan, drop_constant=False, testfns=None, tol=1e-10):
@@ -48,10 +48,11 @@ def factorization_matches(reduced=True):
 
 def verify_intertwining(plan, testfns=None, tol=1e-10):
     """Single report over the four intertwining relations (worst case)."""
-    return worst_of("intertwining relations", [
+    return worst_of([
         check_op_zero(res, plan, reference_ops=refs, tol=tol, testfns=testfns,
                       name=f"intertwining {name}")
-        for name, res, refs in osc3d.intertwining_residuals()], tol)
+        for name, res, refs in osc3d.intertwining_residuals()], tol,
+        name="intertwining relations")
 
 
 def intertwining_fault_pattern(plan, testfns=None, tol=1e-10):
@@ -106,16 +107,18 @@ def old_intertwining(cfg):
 def old_zero_point(cfg):
     rep = verify_factorization(drop_constant=True, **_light(cfg, "flt-zp"))
     return structural(
-        "fault: zero-point constant dropped", not rep.passed,
-        notes=f"factorization without the +2 fails (relative {rep.relative:.3e})")
+        not rep.passed,
+        notes=f"factorization without the +2 fails (relative {rep.relative:.3e})",
+        name="fault: zero-point constant dropped")
 
 
 def old_gradient_sign(cfg):
     pattern = intertwining_fault_pattern(**_light(cfg, "flt-grad"))
     assert pattern == [True, True, False, False]
     return structural(
-        "fault: lowering-gradient sign flip", True,
-        notes=f"exactly the two lowering intertwinings break (pattern {pattern})")
+        True,
+        notes=f"exactly the two lowering intertwinings break (pattern {pattern})",
+        name="fault: lowering-gradient sign flip")
 
 
 PAIRS = [

@@ -1,8 +1,13 @@
 """Registered battery: registry hygiene, sector filters, reproducibility."""
+import ast
 import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import shapeinv
 from shapeinv import suite
 from shapeinv.opalg import OpError
 from shapeinv.symx import SymxError
@@ -19,16 +24,84 @@ def small_report():
     return run_suite(SMALL)
 
 
-def test_registry_hygiene():
+ROUTES = ("structural", "sampled", "both")
+
+
+def test_registry_hygiene(monkeypatch):
     entries = _registry()
     names = [name for name, _, _, _ in entries]
     assert len(names) == len(set(names))
     assert all(sector in SECTORS for _, _, sector, _ in entries)
+    assert all(route in ROUTES for _, _, _, route, _ in suite._CHECKS)
     faults = [(name, sector) for name, _, sector, _ in entries
               if name.startswith(FAULT_PREFIX)]
     assert len(faults) >= 6
     # every sector carries at least one negative control
     assert {sector for _, sector in faults} == set(SECTORS)
+    # a fault entry is one that carries the shared paper_ref, and only one
+    assert all(name.startswith(FAULT_PREFIX) == (ref == suite.FAULT_REF)
+               for name, ref, _, _ in entries)
+    # each check is the suite attribute its function's name names, read
+    # when `_registry` is called: a stub or a tracer bound there runs
+    for index, (_, _, _, fn) in enumerate(entries):
+        assert getattr(suite, fn.__name__) is fn
+
+        def stub(cfg):
+            return None
+
+        monkeypatch.setattr(suite, fn.__name__, stub)
+        assert _registry()[index][3] is stub
+
+
+def _string_literals(path: Path) -> Counter:
+    return Counter(node.value for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str))
+
+
+def test_each_check_name_is_written_once():
+    """A check's name and the fault entries' shared paper_ref occur once
+    in the package, as declared: no check function names its own entry."""
+    found = Counter()
+    for path in Path(shapeinv.__file__).parent.glob("*.py"):
+        found += _string_literals(path)
+    names = [name for name, _, _, _ in _registry()]
+    assert len(names) == 39
+    assert {name: found[name] for name in names} == dict.fromkeys(names, 1)
+    assert found[suite.FAULT_REF] == 1
+
+
+# objects that only one route decides, a bracket table's two entries taken
+# as one object; this set may shrink, never grow
+ONE_ROUTE = frozenset({
+    # exact comparisons only
+    "invariant from either sector", "invariant lattice reduction",
+    "reduced generators closed forms", "half-power weight similarity",
+    "weight-conjugated generators", "level degeneracies",
+    "pair-ladder scalars", "pair-order exchange identity",
+    "cartesian gradient duality", "oscillator angular block",
+    "oscillator Hamiltonian forms", "transcription deviations isolated",
+    "ground-state annihilation", "spectrum bookkeeping",
+    # sampled residuals only
+    "2-D eigen grid", "2-D one-step ladder coefficients",
+    "chain reconstructions", "edge annihilations",
+    "3-D eigen grid (closed form)", "3-D ladder vs closed form",
+    "3-D one-step ladder coefficients", "ascent pair target",
+    "cartesian crosschecks",
+})
+
+
+def test_objects_with_one_route_are_pinned():
+    routes = {}
+    for name, _, _, route, _ in suite._CHECKS:
+        if not name.startswith(FAULT_PREFIX):
+            obj = re.sub(r" \((structural|sampled)\)$", "", name)
+            routes.setdefault(obj, set()).update(
+                ("structural", "sampled") if route == "both" else (route,))
+    assert ONE_ROUTE <= set(routes)
+    assert routes["su2 bracket table"] == {"structural", "sampled"}
+    one_route = {obj for obj, found in routes.items() if len(found) == 1}
+    assert one_route <= ONE_ROUTE, sorted(one_route - ONE_ROUTE)
 
 
 def test_reduced_run_all_pass(small_report):

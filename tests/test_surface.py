@@ -3,8 +3,9 @@ every default is used, and no module reaches into another's private names.
 
 Each module-level `def`, `class` and assignment target in `src/shapeinv`
 (dunders exempt) must be mentioned, as a whole word, somewhere in `src`,
-`tests` or `perfbench` outside the statements that define it.  A name that
-nothing mentions is dead code: delete it or use it.  Likewise each defaulted
+`tests` or `perfbench` outside the statements that define it; a suite check
+function is used by its `@_check(...)` declaration.  A name that nothing
+mentions is dead code: delete it or use it.  Likewise each defaulted
 parameter of a module-level function or method must be passed by some call
 there, and omitted by some other.  Each method and annotated field of a
 package class must be reached as an attribute (`.name`) there too.  A
@@ -37,6 +38,17 @@ def _definitions(tree: ast.Module):
                         yield sub.id, node.lineno, node.end_lineno
 
 
+def _declared_checks(tree: ast.Module) -> set:
+    """Functions declared as suite checks by an `@_check(...)` line: the
+    suite's registry reaches each one by its name, so that line is its
+    use."""
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(d, ast.Call)
+                    and getattr(d.func, "id", None) == "_check"
+                    for d in node.decorator_list)}
+
+
 def test_every_top_level_name_is_used():
     mentions = Counter()
     for top in SEARCHED:
@@ -46,8 +58,10 @@ def test_every_top_level_name_is_used():
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
-        for name, first, last in _definitions(ast.parse(text)):
-            if name.startswith("__") and name.endswith("__"):
+        tree = ast.parse(text)
+        declared = _declared_checks(tree)
+        for name, first, last in _definitions(tree):
+            if (name.startswith("__") and name.endswith("__")) or name in declared:
                 continue
             own = WORD.findall("\n".join(lines[first - 1:last])).count(name)
             modules, count = defined.get(name, ((), 0))

@@ -27,7 +27,6 @@ from .symx import (
     EvalError,
     Exp,
     Expr,
-    Hermite,
     MEMOS,
     Mul,
     Pow,
@@ -45,7 +44,7 @@ from .symx import (
 __all__ = [
     "GaussRat",
     "COORDINATES",
-    "Expr", "Const", "Sym", "Add", "Mul", "Pow", "Sin", "Cos", "Exp", "Hermite",
+    "Expr", "Const", "Sym", "Add", "Mul", "Pow", "Sin", "Cos", "Exp",
     "DiffError", "EvalError",
     "diff", "evaluate", "substitute", "simplify_basic", "canonical",
     "free_symbols", "render", "clear_caches",

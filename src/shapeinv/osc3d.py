@@ -39,7 +39,6 @@ from .symx import (
     Cos,
     Expr,
     Exp,
-    Hermite,
     IMAG,
     Mul,
     ONE,
@@ -54,6 +53,7 @@ from .symx import (
     canonical,
     is_zero_expr,
     memo,
+    simplify_basic,
     trig_to_exp,
 )
 from .opalg import (
@@ -625,15 +625,26 @@ def _gaussian(w: Fraction) -> Expr:
     return Exp(Mul(Const(Fraction(-1, 2) * w), Pow(R, 2)))
 
 
+def _poly(u: Expr, terms) -> Expr:
+    """sum c u^k over the (c, k) pairs; a k = 0 term is the bare constant."""
+    pieces = [Const(c) if k == 0 else Mul(Const(c), Pow(u, Fraction(k)))
+              for c, k in terms]
+    return pieces[0] if len(pieces) == 1 else Add(*pieces)
+
+
 def _finite_sum(n1: int, n2: int, u: Expr, sign: int) -> Expr:
     """sum_i (-1)^i i! C(n1,i) C(n2,i) u^(n + sign 2i), n = n1 + n2."""
-    pieces = []
-    for i in range(min(n1, n2) + 1):
-        c = Fraction((-1) ** i * math.factorial(i)
-                     * math.comb(n1, i) * math.comb(n2, i))
-        k = n1 + n2 + sign * 2 * i
-        pieces.append(Const(c) if k == 0 else Mul(Const(c), Pow(u, Fraction(k))))
-    return pieces[0] if len(pieces) == 1 else Add(*pieces)
+    return _poly(u, [((-1) ** i * math.factorial(i)
+                      * math.comb(n1, i) * math.comb(n2, i), n1 + n2 + sign * 2 * i)
+                     for i in range(min(n1, n2) + 1)])
+
+
+def _hermite(n: int, x: Expr) -> Expr:
+    """The Hermite polynomial H_n(x) = n! sum_k (-1)^k (2x)^(n-2k) / (k! (n-2k)!),
+    written out over x."""
+    return _poly(x, [((-1) ** k * 2 ** (n - 2 * k) * math.factorial(n)
+                      // (math.factorial(k) * math.factorial(n - 2 * k)), n - 2 * k)
+                     for k in range(n // 2 + 1)])
 
 
 def closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
@@ -641,19 +652,21 @@ def closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
     """The finite closed-form sum for the joint eigenfunction.
 
     sum_i (-1)^i i! C(n1,i) C(n2,i) u^(n-2i) with u = sqrt(w) r sin sin,
-    times Hermite factors in sqrt(w) x3, sqrt(w) x4 and the Gaussian.
-    hermite_scaled=False drops the sqrt(w) from the Hermite arguments (the
-    frequency-blind variant; detectably wrong unless w = 1)."""
+    times the Hermite polynomials H_n3(sqrt(w) x3) and H_n4(sqrt(w) x4),
+    written out by `_hermite`, and the Gaussian.  The tree is returned as
+    built, through `simplify_basic` only: its users apply operators to it and
+    sample it.  hermite_scaled=False drops the sqrt(w) from the Hermite
+    arguments (the frequency-blind variant; detectably wrong unless w = 1)."""
     sqw = Pow(Const(w), Fraction(1, 2))
     body = _finite_sum(n1, n2, Mul(sqw, R, Sin(PSI), Sin(THETA)), -1)
     hsc = sqw if hermite_scaled else ONE
     out = Mul(body,
-              Hermite(n3, Mul(hsc, R, Sin(PSI), Cos(THETA))),
-              Hermite(n4, Mul(hsc, R, Cos(PSI))),
+              _hermite(n3, Mul(hsc, R, Sin(PSI), Cos(THETA))),
+              _hermite(n4, Mul(hsc, R, Cos(PSI))),
               _gaussian(w))
     if phase:
         out = Mul(Exp(Mul(Const(GaussRat(0, Fraction(n2 - n1))), PHI)), out)
-    return canonical(out)
+    return simplify_basic(out)
 
 
 def psi_closed(qn: QNum3D, reduced: bool = True) -> Expr:
@@ -671,8 +684,8 @@ def psi_closed_printed(qn: QNum3D) -> Expr:
     absent (n <= 1, w = 1, n3 = n4 = 0)."""
     return canonical(Mul(
         _finite_sum(qn.n1, qn.n2, Mul(R, Sin(PSI), Sin(THETA)), +1),
-        Hermite(qn.n3, Mul(Sin(PSI), Sin(THETA))),
-        Hermite(qn.n4, Mul(R, Cos(PSI))),
+        _hermite(qn.n3, Mul(Sin(PSI), Sin(THETA))),
+        _hermite(qn.n4, Mul(R, Cos(PSI))),
         Exp(Mul(Const(Fraction(-1, 2)), Pow(R, 2)))))
 
 
@@ -860,7 +873,7 @@ def cartesian_crosscheck(plan: SamplePlan,
     sqw = Pow(Const(w), Fraction(1, 2))
     x1, x2, x3, _ = cartesian_coords()
     out = []
-    cart3 = canonical(Mul(Hermite(1, Mul(sqw, x3)), _gaussian(w)))
+    cart3 = canonical(Mul(_hermite(1, Mul(sqw, x3)), _gaussian(w)))
     out.append(check_proportional(
         psi_ladder(QNum3D(0, 0, 1, 0, w)), cart3, plan, tol=tol,
         name="cartesian crosscheck (0,0,1,0)"))

@@ -1,8 +1,8 @@
 """Exact symbolic expression trees for trigonometric/Gaussian operator algebra.
 
 Nodes: constants (Gaussian rationals), symbols, sums, products, rational
-powers, sin, cos, exp, and Hermite polynomials.  Trees are immutable; all
-arithmetic stays exact until `evaluate` is called with a numeric binding.
+powers, sin, cos and exp.  Trees are immutable; all arithmetic stays exact
+until `evaluate` is called with a numeric binding.
 
 Coordinates are the four fixed names in COORDINATES; every other symbol is a
 parameter (quantum numbers, frequency).  Differentiation is only defined with
@@ -24,7 +24,7 @@ import gc
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import partial, wraps
+from functools import wraps
 from operator import add, mul
 
 from .rationals import GaussRat, I as IUNIT, qadd, qmul
@@ -191,18 +191,6 @@ class Exp(Expr):
         self._set_key(("exp", a.key()))
 
 
-class Hermite(Expr):
-    __slots__ = ("degree", "arg")
-
-    def __init__(self, degree: int, arg):
-        if not isinstance(degree, int) or degree < 0:
-            raise TypeError("Hermite degree must be a non-negative integer")
-        a = as_expr(arg)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "arg", a)
-        self._set_key(("hermite", degree, a.key()))
-
-
 def as_expr(x) -> Expr:
     if isinstance(x, Expr):
         return x
@@ -318,8 +306,6 @@ def children(e: Expr):
         return (e.base,)
     if isinstance(e, (Sin, Cos, Exp)):
         return (e.arg,)
-    if isinstance(e, Hermite):
-        return (e.arg,)
     return ()
 
 
@@ -338,8 +324,6 @@ def rebuild(e: Expr, kids) -> Expr:
         return type(e)(*kids)
     if isinstance(e, Pow):
         return Pow(kids[0], e.exponent)
-    if isinstance(e, Hermite):
-        return Hermite(e.degree, kids[0])
     if isinstance(e, (Const, Sym)):
         return e
     raise TypeError(f"unknown node {type(e).__name__}")
@@ -426,27 +410,12 @@ def _diff_node(x: Expr, coord: str) -> Expr:
         return Mul(Const(-1), Sin(x.arg), _diff(x.arg, coord))
     if isinstance(x, Exp):
         return Mul(x, _diff(x.arg, coord))
-    if isinstance(x, Hermite):
-        if x.degree == 0:
-            return ZERO
-        return Mul(Const(2 * x.degree), Hermite(x.degree - 1, x.arg),
-                   _diff(x.arg, coord))
     raise TypeError(f"unknown node {type(x).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-def _hermite_value(n: int, x: complex) -> complex:
-    # three-term recurrence H_{k+1} = 2 x H_k - 2 k H_{k-1}
-    if n == 0:
-        return 1.0 + 0.0j
-    hk_1, hk = 1.0 + 0.0j, 2.0 * x
-    for k in range(1, n):
-        hk_1, hk = hk, 2.0 * x * hk - 2.0 * k * hk_1
-    return hk
-
 
 def evaluate(e: Expr, binding: dict) -> complex:
     """Numerically evaluate with all free symbols bound.
@@ -485,8 +454,6 @@ def evaluate(e: Expr, binding: dict) -> complex:
         return cmath.cos(evaluate(e.arg, binding))
     if isinstance(e, Exp):
         return cmath.exp(evaluate(e.arg, binding))
-    if isinstance(e, Hermite):
-        return _hermite_value(e.degree, evaluate(e.arg, binding))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -570,7 +537,7 @@ def _simplify_node(e: Expr) -> Expr:
             return ONE
         if p == 1:
             return b
-        if isinstance(b, Const) and p.denominator == 1:
+        if isinstance(b, Const) and (p.denominator == 1 or b.value.is_one()):
             return Const(b.value ** p.numerator)
         if isinstance(b, Pow):
             # (u^a)^n with integer n is branch-safe
@@ -592,8 +559,6 @@ def _simplify_node(e: Expr) -> Expr:
         if isinstance(a, Const) and a.value.is_zero():
             return ONE
         return Exp(a)
-    if isinstance(e, Hermite):
-        return Hermite(e.degree, simplify_basic(e.arg))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -609,7 +574,6 @@ def _simplify_node(e: Expr) -> Expr:
 #   ('sin', argkey) / ('cos', argkey)
 #   ('exp', argkey)            -- always exponent 1; scalar multiples folded
 #                                 into the argument
-#   ('hermite', n, argkey)
 #   ('cpow', gauss_key)        -- a constant raised to a non-integer power
 # argkey = cf_key(argument CF), a nested tuple of primitives.
 # ---------------------------------------------------------------------------
@@ -804,14 +768,6 @@ def _canon_cf(e: Expr) -> dict:
             cf = _cf_const(GaussRat(1))
         else:
             cf = {((("exp", _cf_key(acf)), (1, 1)),): GaussRat(1)}
-    elif isinstance(e, Hermite):
-        acf = _canon_cf(e.arg)
-        if e.degree == 0:
-            cf = _cf_const(GaussRat(1))
-        elif e.degree == 1:
-            cf = _cf_scale(acf, GaussRat(2))
-        else:
-            cf = {((("hermite", e.degree, _cf_key(acf)), (1, 1)),): GaussRat(1)}
     else:
         raise TypeError(f"unknown node {type(e).__name__}")
     return cf
@@ -827,8 +783,6 @@ def _atom_to_expr(key) -> Expr:
         return Cos(cf_to_expr(_key_to_cf(key[1])))
     if kind == "exp":
         return Exp(cf_to_expr(_key_to_cf(key[1])))
-    if kind == "hermite":
-        return Hermite(key[1], cf_to_expr(_key_to_cf(key[2])))
     if kind == "cpow":
         return Const(GaussRat.from_key(key[1]))
     raise TypeError(f"unknown atom {kind}")
@@ -972,8 +926,6 @@ class Program:
                 p = e.exponent
                 p = p.numerator if p.denominator == 1 else p.numerator / p.denominator
                 col = _each(lambda b: b ** p, vals[kids[0]], bad)
-            elif kind is Hermite:
-                col = _each(partial(_hermite_value, e.degree), vals[kids[0]], bad)
             else:
                 col = _each(_FUNCS[kind], vals[kids[0]], bad)
             vals.append(col)
@@ -1026,6 +978,4 @@ def _render(x: Expr, prec: int) -> str:
         return f"cos({_render(x.arg, 0)})"
     if isinstance(x, Exp):
         return f"exp({_render(x.arg, 0)})"
-    if isinstance(x, Hermite):
-        return f"hermite({x.degree}, {_render(x.arg, 0)})"
     raise TypeError(f"unknown node {type(x).__name__}")

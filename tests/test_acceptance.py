@@ -239,4 +239,4 @@ def test_suite_report_digest_seed_7(full_suite_runs):
     first, _, _ = full_suite_runs
     digest = hashlib.sha256(report_json(first).encode()).hexdigest()
     assert digest == (
-        "61bea8953c5e4f2f00df4e93e0a24b9d4050ecddb9eb0d6a6645c80672a3e4f6")
+        "7f4817f95d6bbf0848fe262da060cba30f9079a66b1cb1d95574b7a68cee7e0b")

@@ -15,7 +15,7 @@ from shapeinv.opalg import (
     DiffOp, OpError, OpTerm, apply_canonical, commutator, fourier_reduce,
 )
 from shapeinv.symx import (
-    Add, Const, Cos, Exp, Hermite, Mul, Pow, Sin, Sym,
+    Add, Const, Cos, Exp, Mul, Pow, Sin, Sym,
     IMAG, ONE, PHI, PSI, R, THETA,
     canonical_key, cf_to_expr, diff, is_zero_expr, render, simplify_basic,
     trig_to_exp, _canon_cf, _cf_key, _key_to_cf,
@@ -335,9 +335,6 @@ def _oracle_cf_mentions(cf, name):
             if kind in ("sin", "cos", "exp") and _oracle_cf_mentions(
                     _key_to_cf(akey[1]), name):
                 return True
-            if kind == "hermite" and _oracle_cf_mentions(
-                    _key_to_cf(akey[2]), name):
-                return True
     return False
 
 
@@ -387,9 +384,6 @@ def _oracle_fourier_reduce(op, param):
                 if kind in ("sin", "cos") and _oracle_cf_mentions(
                         _key_to_cf(akey[1]), "phi"):
                     raise OpError("unreduced trigonometric phi factor")
-                if kind == "hermite" and _oracle_cf_mentions(
-                        _key_to_cf(akey[2]), "phi"):
-                    raise OpError("phi inside a Hermite argument")
                 atoms.append((akey, exp))
             base = cf_to_expr({tuple(sorted(atoms)): coeff})
             if n:
@@ -427,8 +421,7 @@ def test_fourier_reduce_matches_cf_walking_oracle():
     Mul(PHI, Sin(THETA)),
     Exp(Mul(Const(Fraction(3, 2)), IMAG, PHI)),
     Exp(Mul(Const(2), PHI)),
-    Hermite(2, Mul(R, PHI)),
-], ids=["outside-exponent", "half-integer", "real-exponent", "hermite"])
+], ids=["outside-exponent", "half-integer", "real-exponent"])
 def test_fourier_reduce_rejects_like_the_oracle(coeff):
     op = DiffOp.from_expr(coeff) @ DiffOp.partial("phi")
     for reduce in (fourier_reduce, _oracle_fourier_reduce):

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from shapeinv import su2
+from shapeinv.osc3d import _hermite
 from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
-    Add, Const, Cos, EvalError, Exp, Hermite, Mul, Pow, Program, Sin, Sym,
+    Add, Const, Cos, EvalError, Exp, Mul, Pow, Program, Sin, Sym,
     IMAG, ONE, PHI, PSI, R, THETA, ZERO,
     canonical, canonical_key, children, cot, csc, diff,
     evaluate, free_symbols, is_zero_expr, render,
@@ -43,7 +44,7 @@ DIFF_CASES = [
     Exp(Mul(Const(Fraction(-1, 2)), Pow(R, Fraction(2)))),
     Mul(cot(PSI), csc(THETA)),
     Add(Pow(R, Fraction(1, 2)), Mul(IMAG, Sin(PHI))),
-    Hermite(3, Mul(R, Sin(PSI))),
+    _hermite(3, Mul(R, Sin(PSI))),
     Exp(Mul(IMAG, PHI)),
     Mul(Pow(R, Fraction(-2)), Cos(Mul(Const(2), THETA))),
 ]
@@ -58,22 +59,24 @@ def test_diff_matches_finite_difference(e, coord):
 
 
 def test_hermite_three_term_recurrence():
-    # H_{n+1}(x) = 2x H_n(x) - 2n H_{n-1}(x), checked by evaluation
-    for n in range(1, 7):
-        for x in (-1.3, 0.2, 0.9, 2.4):
-            b = dict(B0, r=x)
-            left = evaluate(Hermite(n + 1, R), b)
-            right = (2 * x * evaluate(Hermite(n, R), b)
-                     - 2 * n * evaluate(Hermite(n - 1, R), b))
-            assert abs(left - right) <= 1e-9 * (abs(left) + 1)
+    # the written-out polynomials obey H_{n+1} = 2x H_n - 2n H_{n-1} exactly,
+    # and evaluate to the values the recurrence gives in floats
+    for n in range(1, 13):
+        assert is_zero_expr(_hermite(n + 1, R) - 2 * R * _hermite(n, R)
+                            + 2 * n * _hermite(n - 1, R))
+    for x in (-1.3, 0.2, 0.9, 2.4):
+        prev, cur = 1.0, 2.0 * x
+        for n in range(13):
+            got = evaluate(_hermite(n, R), dict(B0, r=x))
+            assert abs(got - prev) <= 1e-12 * (abs(prev) + 1), (n, x)
+            prev, cur = cur, 2.0 * x * cur - 2.0 * (n + 1) * prev
 
 
 def test_hermite_derivative_rule():
-    # d/dx H_n(x) = 2n H_{n-1}(x)
-    for n in range(1, 6):
-        d = diff(Hermite(n, R), "r")
-        ref = Mul(Const(2 * n), Hermite(n - 1, R))
-        assert equivalent(d, ref)
+    # d/dx H_n(x) = 2n H_{n-1}(x), decided exactly
+    for n in range(1, 13):
+        assert is_zero_expr(diff(_hermite(n, R), "r")
+                            - 2 * n * _hermite(n - 1, R))
 
 
 def test_pythagoras_is_exactly_zero():
@@ -150,7 +153,6 @@ _leaves = st.sampled_from([
     THETA, PSI, R, ONE, Const(2), Const(Fraction(1, 2)), IMAG,
     Sin(THETA), Cos(PSI), Pow(R, Fraction(2)),
     Exp(Mul(Const(Fraction(-1, 3)), Pow(R, Fraction(2)))),
-    Hermite(2, R),
 ])
 
 
@@ -355,8 +357,6 @@ def _arg_keys(mono):
     for akey, _ in mono:
         if akey[0] in ("sin", "cos", "exp"):
             yield akey[1]
-        elif akey[0] == "hermite":
-            yield akey[2]
 
 
 def _pooled_sort_inputs(cfs):

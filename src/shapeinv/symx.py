@@ -25,9 +25,10 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import wraps
-from operator import add, mul
+from operator import add, attrgetter, mul
 
-from .rationals import GaussRat, I as IUNIT, qadd, qmul
+from .rationals import (GaussRat, I as IUNIT, ONE as QONE, ZERO as QZERO,
+                        qadd, qmul)
 
 COORDINATES = ("theta", "psi", "phi", "r")
 
@@ -57,13 +58,13 @@ def _as_fraction(p) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class Expr:
+    """A node.  Its `_key` is its full structural key, which holds the
+    children's keys; its `_hashv` is hashed from the node's tag and the
+    children's `_hashv` (and a power's exponent), so a node hashes in time
+    proportional to its arity, not to the size of its subtree."""
     __slots__ = ("_key", "_hashv")
 
-    def _set_key(self, key):
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hashv", hash(key))
-
-    def __setattr__(self, *a):  # pragma: no cover - defensive
+    def __setattr__(self, *a):
         raise AttributeError("Expr nodes are immutable")
 
     def key(self):
@@ -113,14 +114,43 @@ class Expr:
         return render(self)
 
 
+# The constructors set the slots through their member descriptors, past the
+# `__setattr__` that keeps the nodes immutable.
+_set_key = Expr._key.__set__
+_set_hash = Expr._hashv.__set__
+_KEY = attrgetter("_key")
+_HASH = attrgetter("_hashv")
+
+
+def _nodes(args: tuple) -> tuple:
+    """`args` as nodes, each coerced by `as_expr` only if one is not."""
+    for a in args:
+        if not isinstance(a, Expr):
+            return tuple(map(as_expr, args))
+    return args
+
+
+def _set_branch(node: Expr, tag: str, kids: tuple):
+    _set_key(node, (tag, *map(_KEY, kids)))
+    _set_hash(node, hash((tag, *map(_HASH, kids))))
+
+
+def _set_unary(node: Expr, tag: str, arg: Expr):
+    _set_key(node, (tag, arg._key))
+    _set_hash(node, hash((tag, arg._hashv)))
+
+
 class Const(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value):
         if isinstance(value, float) or isinstance(value, complex):
             raise TypeError("floating-point constants are not allowed in trees")
-        object.__setattr__(self, "value", GaussRat.of(value))
-        self._set_key(("const", self.value.key()))
+        v = GaussRat.of(value)
+        Const.value.__set__(self, v)
+        key = ("const", v.key())
+        _set_key(self, key)
+        _set_hash(self, hash(key))
 
 
 class Sym(Expr):
@@ -129,26 +159,28 @@ class Sym(Expr):
     def __init__(self, name: str):
         if not isinstance(name, str) or not name:
             raise TypeError("symbol name must be a non-empty string")
-        object.__setattr__(self, "name", name)
-        self._set_key(("sym", name))
+        Sym.name.__set__(self, name)
+        key = ("sym", name)
+        _set_key(self, key)
+        _set_hash(self, hash(key))
 
 
 class Add(Expr):
     __slots__ = ("terms",)
 
     def __init__(self, *terms):
-        ts = tuple(as_expr(t) for t in terms)
-        object.__setattr__(self, "terms", ts)
-        self._set_key(("add",) + tuple(t.key() for t in ts))
+        ts = _nodes(terms)
+        Add.terms.__set__(self, ts)
+        _set_branch(self, "add", ts)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)
 
     def __init__(self, *factors):
-        fs = tuple(as_expr(f) for f in factors)
-        object.__setattr__(self, "factors", fs)
-        self._set_key(("mul",) + tuple(f.key() for f in fs))
+        fs = _nodes(factors)
+        Mul.factors.__set__(self, fs)
+        _set_branch(self, "mul", fs)
 
 
 class Pow(Expr):
@@ -159,9 +191,11 @@ class Pow(Expr):
         p = _as_fraction(exponent)
         if isinstance(b, Const) and b.value.is_zero() and p < 0:
             raise EvalError("singular: negative power of the zero constant")
-        object.__setattr__(self, "base", b)
-        object.__setattr__(self, "exponent", p)
-        self._set_key(("pow", b.key(), (p.numerator, p.denominator)))
+        Pow.base.__set__(self, b)
+        Pow.exponent.__set__(self, p)
+        n, d = p.numerator, p.denominator
+        _set_key(self, ("pow", b._key, (n, d)))
+        _set_hash(self, hash(("pow", b._hashv, n, d)))
 
 
 class Sin(Expr):
@@ -169,8 +203,8 @@ class Sin(Expr):
 
     def __init__(self, arg):
         a = as_expr(arg)
-        object.__setattr__(self, "arg", a)
-        self._set_key(("sin", a.key()))
+        Sin.arg.__set__(self, a)
+        _set_unary(self, "sin", a)
 
 
 class Cos(Expr):
@@ -178,8 +212,8 @@ class Cos(Expr):
 
     def __init__(self, arg):
         a = as_expr(arg)
-        object.__setattr__(self, "arg", a)
-        self._set_key(("cos", a.key()))
+        Cos.arg.__set__(self, a)
+        _set_unary(self, "cos", a)
 
 
 class Exp(Expr):
@@ -187,8 +221,8 @@ class Exp(Expr):
 
     def __init__(self, arg):
         a = as_expr(arg)
-        object.__setattr__(self, "arg", a)
-        self._set_key(("exp", a.key()))
+        Exp.arg.__set__(self, a)
+        _set_unary(self, "exp", a)
 
 
 def as_expr(x) -> Expr:
@@ -225,15 +259,17 @@ def csc(x) -> Expr:
 # emptied when it is full.  The tree kernels here are memoized by node:
 # `diff` by (node, coordinate) in _DIFF_MEMO, `substitute` by (tree, name,
 # replacement) in _SUBST_MEMO, `simplify_basic` in _SIMPLIFY_MEMO, the
-# canonical form in _CANON_MEMO and its tree in `canonical.table`.  Nodes
-# hash and compare by their full structural key, so a memo keyed by node is
-# hash-consing in the sense of Filliatre & Conchon ("Type-Safe Modular
-# Hash-Consing", 2006): a hit returns a tree with the same key the
-# computation would have built, and equal inputs share one result object, so
-# the memos downstream of a kernel mostly hit by identity.  The other tables
-# hold the pure builders upstream of the checks: the su2 generator sets and
-# closed forms, the ladders2d one-step operators by label, the osc3d
-# operator sets by frequency, the lattice's chain walker and the CLI parser.
+# canonical form in _CANON_MEMO and its tree in `canonical.table`.  A node
+# hashes from its children's cached hashes, as in Filliatre & Conchon
+# ("Type-Safe Modular Hash-Consing", 2006), and compares by its full
+# structural key, so a memo keyed by node costs one O(arity) hash per node
+# built, and a hit returns a tree with the same key the computation would
+# have built.  Nodes are not interned, but equal inputs share one result
+# object, so the memos downstream of a kernel mostly hit by identity.  The
+# other tables hold the pure builders upstream of the checks: the su2
+# generator sets and closed forms, the ladders2d one-step operators by
+# label, the osc3d operator sets by frequency, the lattice's chain walker
+# and the CLI parser.
 #
 # Every table entry is live data, and the package leaves no reference cycles
 # behind (tests/test_cycles.py), so the cyclic collector frees nothing during
@@ -282,14 +318,23 @@ def memo(table: dict):
 @contextmanager
 def collector_paused():
     """Run the block with the cyclic collector disabled, and enable it
-    again on exit only if it was enabled on entry.  Thresholds, the freeze
-    count and the debug flags are left alone."""
+    again on exit only if it was enabled on entry.
+
+    Nothing is collected during the pause, so every object the block made
+    is still in the youngest generation at its end, and the first
+    collection after it would walk them all.  When nothing is frozen, the
+    exit moves them to the oldest generation instead, by a freeze and an
+    unfreeze, which also resets the youngest generation's count.  The
+    freeze count, the thresholds and the debug flags end as they began."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         yield
     finally:
         if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -389,27 +434,42 @@ def _diff(x: Expr, coord: str) -> Expr:
     return _diff_node(x, coord)
 
 
+def _sum(terms) -> Expr:
+    """The sum of the `terms` that are not ZERO: ZERO, the one term left,
+    or their Add."""
+    ts = [t for t in terms if t is not ZERO]
+    if len(ts) < 2:
+        return ts[0] if ts else ZERO
+    return Add(*ts)
+
+
 @memo(_DIFF_MEMO)
 def _diff_node(x: Expr, coord: str) -> Expr:
+    """The chain rule, building no term that a ZERO derivative makes zero
+    and no sum of one term.  `simplify_basic` deletes both, so the
+    simplified derivative is the same tree as with them."""
     if isinstance(x, Add):
-        return Add(*(_diff(t, coord) for t in x.terms))
+        return _sum(_diff(t, coord) for t in x.terms)
     if isinstance(x, Mul):
-        terms = []
         fs = x.factors
-        for i in range(len(fs)):
-            terms.append(Mul(*fs[:i], _diff(fs[i], coord), *fs[i + 1:]))
-        return Add(*terms) if terms else ZERO
+        return _sum(Mul(*fs[:i], d, *fs[i + 1:])
+                    for i, d in enumerate(_diff(f, coord) for f in fs)
+                    if d is not ZERO)
     if isinstance(x, Pow):
         p = x.exponent
-        if p == 0:
+        d = ZERO if p == 0 else _diff(x.base, coord)
+        if d is ZERO:
             return ZERO
-        return Mul(Const(GaussRat(p)), Pow(x.base, p - 1), _diff(x.base, coord))
-    if isinstance(x, Sin):
-        return Mul(Cos(x.arg), _diff(x.arg, coord))
-    if isinstance(x, Cos):
-        return Mul(Const(-1), Sin(x.arg), _diff(x.arg, coord))
-    if isinstance(x, Exp):
-        return Mul(x, _diff(x.arg, coord))
+        return Mul(Const(GaussRat(p)), Pow(x.base, p - 1), d)
+    if isinstance(x, (Sin, Cos, Exp)):
+        d = _diff(x.arg, coord)
+        if d is ZERO:
+            return ZERO
+        if isinstance(x, Sin):
+            return Mul(Cos(x.arg), d)
+        if isinstance(x, Cos):
+            return Mul(Const(-1), Sin(x.arg), d)
+        return Mul(x, d)
     raise TypeError(f"unknown node {type(x).__name__}")
 
 
@@ -474,7 +534,7 @@ def simplify_basic(e: Expr) -> Expr:
 def _simplify_node(e: Expr) -> Expr:
     if isinstance(e, Add):
         flat = []
-        const = GaussRat(0)
+        const = QZERO
         for t in e.terms:
             s = simplify_basic(t)
             if isinstance(s, Add):
@@ -495,7 +555,7 @@ def _simplify_node(e: Expr) -> Expr:
         return Add(*flat)
     if isinstance(e, Mul):
         flat = []
-        const = GaussRat(1)
+        const = QONE
         for f in e.factors:
             s = simplify_basic(f)
             parts = s.factors if isinstance(s, Mul) else (s,)
@@ -506,23 +566,20 @@ def _simplify_node(e: Expr) -> Expr:
                     flat.append(p)
         if const.is_zero():
             return ZERO
-        # merge powers with structurally identical bases
+        # merge powers with structurally identical bases; a factor whose base
+        # occurs once is kept as it is, since a simplified power never has
+        # exponent 0 or 1
         merged: list = []
-        expmap: dict = {}
-        order: list = []
+        expmap: dict = {}  # base -> (exponent, the factor if unmerged)
         for p in flat:
             base, exp = (p.base, p.exponent) if isinstance(p, Pow) else (p, 1)
-            k = base.key()
-            if k in expmap:
-                expmap[k] = (expmap[k][0], expmap[k][1] + exp)
-            else:
-                expmap[k] = (base, exp)
-                order.append(k)
-        for k in order:
-            base, exp = expmap[k]
-            if exp == 0:
-                continue
-            merged.append(base if exp == 1 else Pow(base, exp))
+            seen = expmap.get(base)
+            expmap[base] = (exp, p) if seen is None else (seen[0] + exp, None)
+        for base, (exp, factor) in expmap.items():
+            if factor is not None:
+                merged.append(factor)
+            elif exp != 0:
+                merged.append(base if exp == 1 else Pow(base, exp))
         if not merged:
             return Const(const)
         if not const.is_one():

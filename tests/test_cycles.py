@@ -19,7 +19,7 @@ import pytest
 
 from shapeinv import cli, clear_caches, su2, suite
 from shapeinv.suite import SuiteConfig, run_suite
-from shapeinv.symx import Const, Mul, render
+from shapeinv.symx import Const, Mul, collector_paused, render
 from shapeinv.verify import (IdentityReport, SamplePlan, check_proportional,
                              default_battery)
 
@@ -112,21 +112,53 @@ RUNS = {
 }
 
 
-@pytest.mark.parametrize("enabled", [True, False],
-                         ids=["from enabled", "from disabled"])
+@pytest.mark.parametrize("enabled, frozen",
+                         [(True, False), (False, False), (True, True)],
+                         ids=["from enabled", "from disabled", "from frozen"])
 @pytest.mark.parametrize("name", RUNS)
-def test_runs_leave_the_collector_as_they_found_it(name, enabled,
+def test_runs_leave_the_collector_as_they_found_it(name, enabled, frozen,
                                                    su2_registry, capsys):
     run, expected = RUNS[name]
     was = gc.isenabled()
-    settings = gc.get_threshold(), gc.get_freeze_count()
-    gc.enable() if enabled else gc.disable()
+    if frozen:
+        gc.freeze()
     try:
+        settings = gc.get_threshold(), gc.get_freeze_count()
+        gc.enable() if enabled else gc.disable()
         result = run()
         after = gc.isenabled(), (gc.get_threshold(), gc.get_freeze_count())
     finally:
         gc.enable() if was else gc.disable()
+        if frozen:
+            gc.unfreeze()
     assert result == expected
     assert after == (enabled, settings)
+    assert (settings[1] > 0) == frozen
     # the checks ran with the collector paused
     assert su2_registry == ([False] if "suite" in name else [])
+
+
+def test_the_pause_ends_without_a_collection():
+    """Objects made during the pause leave it in the oldest generation, so
+    neither its end nor the next few allocations start a collection."""
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    threshold = gc.get_threshold()[0]
+    was = gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    gc.enable()
+    gc.collect()  # the youngest generation's count starts at 0
+    gc.callbacks.append(record)
+    try:
+        with collector_paused():
+            made = [[] for _ in range(3 * threshold)]
+        more = [[] for _ in range(threshold // 4)]
+    finally:
+        gc.callbacks.remove(record)
+        gc.enable() if was else gc.disable()
+    assert len(made) > threshold > len(more)
+    assert not starts, f"collections of generations {starts}"

@@ -26,6 +26,7 @@ import pytest
 
 import shapeinv
 from shapeinv import cli, clear_caches, ladders2d, opalg, osc3d, su2, symx
+from shapeinv.suite import SuiteConfig, run_suite
 from shapeinv.symx import Add, Mul
 from shapeinv.verify import default_battery
 
@@ -198,6 +199,20 @@ def test_canonical_shares_one_tree():
     clear_caches()
     assert symx.canonical(x) is symx.canonical(x)
     clear_caches()
+
+
+# `simplify_basic` results after a cold seed-7 suite (the count is the same
+# for every seed): 58 995 while `diff` built a product-rule term for every
+# factor and a chain-rule product for every function, zero or not
+COLD_SUITE_SIMPLIFY_ENTRIES = 44_549
+
+
+def test_cold_suite_simplify_work_can_only_shrink():
+    clear_caches()
+    run_suite(SuiteConfig(seed=7))
+    entries = len(symx._SIMPLIFY_MEMO)
+    clear_caches()
+    assert entries <= COLD_SUITE_SIMPLIFY_ENTRIES
 
 
 COLLECTOR_SWITCHES = ("disable", "enable", "set_threshold", "freeze")

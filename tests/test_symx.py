@@ -14,10 +14,10 @@ from shapeinv import su2
 from shapeinv.osc3d import _hermite
 from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
-    Add, Const, Cos, EvalError, Exp, Mul, Pow, Program, Sin, Sym,
-    IMAG, ONE, PHI, PSI, R, THETA, ZERO,
+    Add, Const, Cos, EvalError, Exp, Expr, Mul, Pow, Program, Sin, Sym,
+    COORDINATES, IMAG, ONE, PHI, PSI, R, THETA, ZERO,
     canonical, canonical_key, children, cot, csc, diff,
-    evaluate, free_symbols, is_zero_expr, render,
+    evaluate, free_symbols, is_zero_expr, rebuild, render,
     simplify_basic, substitute, trig_to_exp, _canon_cf, _key_to_cf, _rank,
 )
 from shapeinv.verify import default_battery
@@ -98,6 +98,15 @@ def test_exponent_merge(base, p, q):
     symbol add, and an exp atom folds its power into the argument."""
     product = canonical_key(Mul(Pow(base, p), Pow(base, q)))
     assert product == canonical_key(ONE if p + q == 0 else Pow(base, p + q))
+
+
+def test_simplify_keeps_the_factors_it_does_not_merge():
+    kept = (Pow(R, Fraction(1, 2)), Sin(THETA), Pow(PSI, -2))
+    out = simplify_basic(Mul(Const(3), kept[0], THETA, kept[1], THETA,
+                             kept[2], Pow(THETA, -2)))
+    assert out.key() == Mul(Const(3), *kept).key()
+    # the simplified factors themselves, not rebuilt copies
+    assert all(a is simplify_basic(b) for a, b in zip(out.factors[1:], kept))
 
 
 def _pythagoras_expansion(k: int):
@@ -231,6 +240,97 @@ def test_product_rule(a, b):
     left = diff(Mul(a, b), "r")
     right = Add(Mul(diff(a, "r"), b), Mul(a, diff(b, "r")))
     assert canonical_key(left) == canonical_key(right)
+
+
+def _full_chain_rule(e, coord):
+    """Oracle: the chain rule with every term built, one product-rule term
+    per factor and a chain-rule product per function, zero or not."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Sym):
+        return ONE if e.name == coord else ZERO
+    if isinstance(e, Add):
+        return Add(*(_full_chain_rule(t, coord) for t in e.terms))
+    if isinstance(e, Mul):
+        fs = e.factors
+        return Add(*(Mul(*fs[:i], _full_chain_rule(fs[i], coord), *fs[i + 1:])
+                     for i in range(len(fs))))
+    inner = _full_chain_rule(e.base if isinstance(e, Pow) else e.arg, coord)
+    if isinstance(e, Pow):
+        p = e.exponent
+        return Mul(Const(p), Pow(e.base, p - 1), inner)
+    if isinstance(e, Sin):
+        return Mul(Cos(e.arg), inner)
+    if isinstance(e, Cos):
+        return Mul(Const(-1), Sin(e.arg), inner)
+    return Mul(e, inner)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_exprs, st.sampled_from(COORDINATES))
+@example(Mul(Sin(THETA), Cos(PSI), R), "psi")
+@example(Add(Sin(THETA), Mul(Const(2), Exp(Pow(R, Fraction(2))))), "theta")
+@example(Mul(Add(THETA, R), Add(PSI, ONE)), "phi")
+def test_diff_matches_the_full_chain_rule(e, coord):
+    got = simplify_basic(diff(e, coord))
+    assert got.key() == simplify_basic(_full_chain_rule(e, coord)).key()
+
+
+# ---------------------------------------------------------------------------
+# Node invariants: a node hashes from its children's hashes and compares by
+# its full key
+# ---------------------------------------------------------------------------
+
+def _fresh(e):
+    """A copy of `e` that shares no node with it."""
+    if isinstance(e, Const):
+        return Const(e.value)
+    if isinstance(e, Sym):
+        return Sym(e.name)
+    return rebuild(e, [_fresh(c) for c in children(e)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exprs)
+def test_rebuilt_nodes_are_equal_with_equal_hashes(e):
+    same = rebuild(e, children(e))
+    assert same == e and hash(same) == hash(e)
+    twin = _fresh(e)
+    assert twin == e and hash(twin) == hash(e) and twin.key() == e.key()
+
+
+_UNARY = (Sin, Cos, Exp)
+
+
+@pytest.mark.parametrize("value",
+                         [1, Fraction(1, 2), GaussRat(2, Fraction(-1, 3))],
+                         ids=["int", "Fraction", "GaussRat"])
+@pytest.mark.parametrize("node", [Add, Mul, *_UNARY],
+                         ids=lambda n: n.__name__)
+def test_coerced_arguments_build_the_same_node(value, node):
+    rest = () if node in _UNARY else (R,)
+    x, y = node(value, *rest), node(Const(value), *rest)
+    assert x == y and hash(x) == hash(y) and x.key() == y.key()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Add(1.5, R), lambda: Mul(object(), R), lambda: Add(R, 2j),
+    lambda: Mul(R, ONE, "theta"), lambda: Sin(0.5),
+], ids=["Add float", "Mul object", "Add complex", "Mul str", "Sin float"])
+def test_arguments_that_are_not_exact_still_raise(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@pytest.mark.parametrize("e", [ONE, R, Add(R, ONE), Mul(R, THETA),
+                               Pow(R, Fraction(1, 2)), Sin(R), Cos(R), Exp(R)],
+                         ids=render)
+def test_nodes_are_immutable(e):
+    key, h = e.key(), hash(e)
+    for name in Expr.__slots__ + type(e).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(e, name, ZERO)
+    assert e.key() == key and hash(e) == h
 
 
 @settings(max_examples=40, deadline=None)

@@ -18,13 +18,14 @@ freely and promote to multiples of the identity when combined with
 operators.  A product or bracket of two operators whose coefficient-node
 counts multiply past ``MAX_PRODUCT_SIZE`` is refused before it is composed.
 
-The AST is a tree of frozen dataclasses; ``parse(render(ast))`` returns an
-equal tree, so rendered forms are stable fixed points.
+The parser builds each rule's value -- a scalar or an operator -- as it
+recognizes the rule, in one pass over the text, so an error while building
+(a lattice clash, an oversized product) is reported before a syntax error
+that comes later in the text.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .rationals import GaussRat
@@ -46,90 +47,6 @@ class DslError(ValueError):
         self.pos = pos
         super().__init__(
             message if pos is None else f"{message} (at position {pos})")
-
-
-# ---------------------------------------------------------------------------
-# AST
-# ---------------------------------------------------------------------------
-
-class OpDslAst:
-    """Base of every expression node; renders back to parseable source."""
-
-    __slots__ = ()
-
-    def render(self) -> str:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Gen(OpDslAst):
-    name: str
-    arg: int | None = None
-
-    def render(self) -> str:
-        return self.name if self.arg is None else f"{self.name}({self.arg})"
-
-
-@dataclass(frozen=True)
-class IntLit(OpDslAst):
-    value: int
-
-    def render(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class ImagLit(OpDslAst):
-    def render(self) -> str:
-        return "i"
-
-
-@dataclass(frozen=True)
-class Neg(OpDslAst):
-    item: object
-
-    def render(self) -> str:
-        inner = self.item.render()
-        if isinstance(self.item, Sum):
-            inner = f"({inner})"
-        return f"-{inner}"
-
-
-@dataclass(frozen=True)
-class Sum(OpDslAst):
-    items: tuple
-
-    def render(self) -> str:
-        bits = [self.items[0].render()]
-        for it in self.items[1:]:
-            if isinstance(it, Neg) and not isinstance(it.item, Sum):
-                bits.append(f" - {it.item.render()}")
-            else:
-                bits.append(f" + {it.render()}")
-        return "".join(bits)
-
-
-@dataclass(frozen=True)
-class Prod(OpDslAst):
-    items: tuple
-
-    def render(self) -> str:
-        bits = []
-        for it in self.items:
-            s = it.render()
-            if isinstance(it, Sum):
-                s = f"({s})"
-            bits.append(s)
-        return "*".join(bits)
-
-
-@dataclass(frozen=True)
-class Bracket(OpDslAst):
-    left: object
-    right: object
-
-    def render(self) -> str:
-        return f"[{self.left.render()}, {self.right.render()}]"
 
 
 # ---------------------------------------------------------------------------
@@ -161,14 +78,21 @@ def _tokenize(text: str) -> list:
 
 
 # Each nesting level costs up to four parser frames ('(' and '[' go through
-# atom -> expr -> term -> unary), so this bound keeps the parser and the
-# recursive evaluation of the AST well inside the default recursion limit.
+# atom -> expr -> term -> unary), so this bound keeps the parser, which
+# builds the operator as it recurses, well inside the default recursion limit.
 MAX_DEPTH = 100
+
+_MINUS_ONE = GaussRat(Fraction(-1))
+_IMAG_UNIT = GaussRat(0, Fraction(1))
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """Recursive descent whose rules return their values: a GaussRat scalar
+    or a DiffOp."""
+
+    def __init__(self, text: str, omega):
         self.text = text
+        self.omega = omega
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -192,6 +116,11 @@ class _Parser:
         kind, val, _ = self.peek()
         return kind == "sym" and val in symbols
 
+    def source_from(self, start: int) -> str:
+        """The text from `start` to the end of the last consumed token."""
+        _, val, pos = self.toks[self.i - 1]
+        return self.text[start:pos + len(val)]
+
     def nested(self, parse):
         """Consume an opening '(', '[' or unary '-' and run `parse` one
         nesting level deeper."""
@@ -200,65 +129,70 @@ class _Parser:
             raise DslError(f"expression nested deeper than {MAX_DEPTH} levels "
                            f"at {val!r}", pos)
         self.depth += 1
-        node = parse()
+        value = parse()
         self.depth -= 1
-        return node
+        return value
 
     def parse(self):
-        node = self.expr()
+        value = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise DslError(f"unexpected trailing input {val!r}", pos)
-        return node
+        return value
 
     def expr(self):
-        items = [self.term()]
+        acc = self.term()
         while self.at_sym("+", "-"):
             _, sign, _ = self.next()
             t = self.term()
-            items.append(Neg(t) if sign == "-" else t)
-        return items[0] if len(items) == 1 else Sum(tuple(items))
+            if sign == "-":
+                t = _mul(_MINUS_ONE, t)
+            acc = _add(acc, t)
+        return acc
 
     def term(self):
-        items = [self.unary()]
+        start = self.peek()[2]
+        acc = self.unary()
         while self.at_sym("*"):
             self.next()
-            items.append(self.unary())
-        return items[0] if len(items) == 1 else Prod(tuple(items))
+            right = self.unary()
+            _check_size(acc, right, self.source_from(start))
+            acc = _mul(acc, right)
+        return acc
 
     def unary(self):
         if self.at_sym("-"):
-            return Neg(self.nested(self.unary))
+            return _mul(_MINUS_ONE, self.nested(self.unary))
         return self.atom()
 
     def atom(self):
         kind, val, pos = self.peek()
         if kind == "int":
             self.next()
-            return IntLit(int(val))
+            return GaussRat(Fraction(int(val)))
         if kind == "name":
             self.next()
             if val == "i":
                 if self.at_sym("("):
                     raise DslError("the imaginary unit takes no argument", pos)
-                return ImagLit()
+                return _IMAG_UNIT
             if val not in GENERATOR_NAMES:
                 raise DslError(
                     f"unknown generator {val!r}; valid names: "
                     + ", ".join(GENERATOR_NAMES), pos)
-            if self.at_sym("("):
+            if not self.at_sym("("):
+                return _resolve(val, None, self.omega)
+            self.next()
+            sign = 1
+            if self.at_sym("-"):
                 self.next()
-                sign = 1
-                if self.at_sym("-"):
-                    self.next()
-                    sign = -1
-                akind, aval, apos = self.peek()
-                if akind != "int":
-                    raise DslError("expected an integer label", apos)
-                self.next()
-                self.expect(")")
-                return Gen(val, sign * int(aval))
-            return Gen(val)
+                sign = -1
+            akind, aval, apos = self.peek()
+            if akind != "int":
+                raise DslError("expected an integer label", apos)
+            self.next()
+            self.expect(")")
+            return _resolve(val, sign * int(aval), self.omega)
         if kind == "sym" and val == "(":
             return self.nested(self.group)
         if kind == "sym" and val == "[":
@@ -267,21 +201,23 @@ class _Parser:
         raise DslError(f"expected an operand, found {got}", pos)
 
     def group(self):
-        node = self.expr()
+        value = self.expr()
         self.expect(")")
-        return node
+        return value
 
     def bracket(self):
+        start = self.toks[self.i - 1][2]
         left = self.expr()
         self.expect(",")
         right = self.expr()
         self.expect("]")
-        return Bracket(left, right)
-
-
-def parse_op_expr(text: str) -> OpDslAst:
-    """Parse to an AST; raises DslError with a source position on failure."""
-    return _Parser(text).parse()
+        _check_size(left, right, self.source_from(start))
+        param = None
+        for v in (left, right):
+            if isinstance(v, DiffOp):
+                param = v.param or param
+        return commutator(_promote(left, param),
+                          _promote(right, param)).normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +244,17 @@ def _resolve(name: str, arg: int | None, omega):
         if arg is None:
             return getattr(osc3d.build_combos(omega), name)
         return getattr(osc3d.build_oscillators(omega), name).at_incoming(arg)
-    if name in ("a3", "a3d", "a4", "a4d"):
-        if arg is None:
-            return getattr(osc3d.cartesian_ladders(omega), name)
-        return getattr(osc3d.build_oscillators(omega), name).at_incoming(arg)
-    raise DslError(f"unknown generator {name!r}")
+    # a3, a3d, a4 or a4d: the parser admits no other name
+    if arg is None:
+        return getattr(osc3d.cartesian_ladders(omega), name)
+    return getattr(osc3d.build_oscillators(omega), name).at_incoming(arg)
 
 
-def _promote(value, param):
+def _promote(value, param) -> DiffOp:
     """Scalar -> scalar multiple of the identity on the given lattice."""
-    kind, payload = value
-    if kind == "op":
-        return payload
-    return DiffOp.from_expr(Const(payload), param)
+    if isinstance(value, DiffOp):
+        return value
+    return DiffOp.from_expr(Const(value), param)
 
 
 # Composing two operators pairs every coefficient of one with every
@@ -342,14 +276,15 @@ def _coefficient_nodes(op: DiffOp) -> int:
     return len(seen)
 
 
-def _check_size(a, b, node: OpDslAst):
-    """Refuse to compose the operator values a and b of `node` when their
-    coefficient-node counts multiply past MAX_PRODUCT_SIZE."""
-    if a[0] == "op" and b[0] == "op":
-        na, nb = _coefficient_nodes(a[1]), _coefficient_nodes(b[1])
+def _check_size(a, b, source: str):
+    """Refuse to compose the values a and b of the product or bracket
+    `source` when both are operators whose coefficient-node counts multiply
+    past MAX_PRODUCT_SIZE."""
+    if isinstance(a, DiffOp) and isinstance(b, DiffOp):
+        na, nb = _coefficient_nodes(a), _coefficient_nodes(b)
         if na * nb > MAX_PRODUCT_SIZE:
             raise DslError(
-                f"operator product {node.render()} too large to compose: "
+                f"operator product {source} too large to compose: "
                 f"{na} x {nb} = {na * nb} coefficient-node pairs "
                 f"(bound {MAX_PRODUCT_SIZE})")
 
@@ -358,70 +293,27 @@ def _mul(a, b):
     """Product of two values.  Operator products are normalized, because
     composition does not merge like terms and repeated products would
     otherwise grow geometrically."""
-    if a[0] == "sc" and b[0] == "sc":
-        return ("sc", a[1] * b[1])
-    if a[0] == "sc":
-        prod = DiffOp.from_expr(Const(a[1]), b[1].param) @ b[1]
-    elif b[0] == "sc":
-        prod = DiffOp.from_expr(Const(b[1]), a[1].param) @ a[1]
-    else:
-        prod = a[1] @ b[1]
-    return ("op", prod.normalized())
+    if not isinstance(b, DiffOp):
+        if not isinstance(a, DiffOp):
+            return a * b
+        a, b = b, a  # a scalar factor commutes; compose it from the left
+    return (_promote(a, b.param) @ b).normalized()
 
 
 def _add(a, b):
-    if a[0] == "sc" and b[0] == "sc":
-        return ("sc", a[1] + b[1])
-    if a[0] == "sc":
-        return ("op", _promote(a, b[1].param) + b[1])
-    if b[0] == "sc":
-        return ("op", a[1] + _promote(b, a[1].param))
-    return ("op", a[1] + b[1])
-
-
-def _eval(node, omega):
-    if isinstance(node, IntLit):
-        return ("sc", GaussRat(Fraction(node.value)))
-    if isinstance(node, ImagLit):
-        return ("sc", GaussRat(0, Fraction(1)))
-    if isinstance(node, Gen):
-        return ("op", _resolve(node.name, node.arg, omega))
-    if isinstance(node, Neg):
-        return _mul(("sc", GaussRat(Fraction(-1))), _eval(node.item, omega))
-    if isinstance(node, Sum):
-        acc = _eval(node.items[0], omega)
-        for it in node.items[1:]:
-            acc = _add(acc, _eval(it, omega))
-        return acc
-    if isinstance(node, Prod):
-        acc = _eval(node.items[0], omega)
-        for k in range(1, len(node.items)):
-            right = _eval(node.items[k], omega)
-            _check_size(acc, right, Prod(node.items[:k + 1]))
-            acc = _mul(acc, right)
-        return acc
-    if isinstance(node, Bracket):
-        left = _eval(node.left, omega)
-        right = _eval(node.right, omega)
-        _check_size(left, right, node)
-        param = None
-        for v in (left, right):
-            if v[0] == "op":
-                param = v[1].param or param
-        return ("op", commutator(_promote(left, param),
-                                 _promote(right, param)).normalized())
-    raise DslError(f"unsupported node {node!r}")
-
-
-def build_operator(ast: OpDslAst, omega=Fraction(1)) -> DiffOp:
-    """Evaluate an AST to a differential operator (scalars promote to
-    multiples of the identity).  Lattice clashes raise DslError."""
-    try:
-        value = _eval(ast, omega)
-    except OpError as exc:
-        raise DslError(f"cannot build operator: {exc}") from exc
-    return _promote(value, value[1].param if value[0] == "op" else None)
+    if isinstance(a, DiffOp):
+        return a + _promote(b, a.param)
+    if isinstance(b, DiffOp):
+        return _promote(a, b.param) + b
+    return a + b
 
 
 def parse_and_build(text: str, omega=Fraction(1)) -> DiffOp:
-    return build_operator(parse_op_expr(text), omega)
+    """The operator of an expression (a scalar promotes to a multiple of the
+    identity).  Syntax errors, lattice clashes and oversized products raise
+    DslError."""
+    try:
+        value = _Parser(text, omega).parse()
+    except OpError as exc:
+        raise DslError(f"cannot build operator: {exc}") from exc
+    return _promote(value, value.param if isinstance(value, DiffOp) else None)

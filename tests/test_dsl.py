@@ -1,58 +1,36 @@
-"""Operator expression language: tokenizing, parsing, rendering, building."""
+"""Operator expression language: tokenizing, parsing and building, and the
+one-pass builder against the two-pass route it replaced."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapeinv import clear_caches
+from shapeinv import clear_caches, dsl
 from shapeinv.dsl import (
-    Bracket, DslError, Gen, GENERATOR_NAMES, ImagLit, IntLit, MAX_DEPTH,
-    MAX_PRODUCT_SIZE, Neg, OpDslAst, Prod, Sum, _coefficient_nodes,
-    build_operator, parse_and_build, parse_op_expr,
+    DslError, GENERATOR_NAMES, MAX_DEPTH, MAX_PRODUCT_SIZE, _coefficient_nodes,
+    parse_and_build,
 )
-from shapeinv.opalg import apply_canonical
+from shapeinv.opalg import DiffOp, OpError, apply_canonical, commutator
+from shapeinv.rationals import GaussRat
 from shapeinv.suite import SuiteConfig, run_suite
-from shapeinv.symx import ONE, evaluate
+from shapeinv.symx import ONE, Const, evaluate
+
+
+def build(text, omega=Fraction(1)) -> DiffOp:
+    return parse_and_build(text, omega)
+
+
+def terms(op: DiffOp) -> tuple:
+    """The lattice and every term's coefficient key, derivatives and shift,
+    in order."""
+    return op.param, [(t.coeff.key(), t.derivs, t.shift) for t in op.terms]
 
 
 # -- parsing ------------------------------------------------------------------
 
-def test_parse_explicit_trees():
-    assert parse_op_expr("Lp") == Gen("Lp")
-    assert parse_op_expr("Lm(3)") == Gen("Lm", 3)
-    assert parse_op_expr("Lm(-2)") == Gen("Lm", -2)
-    assert parse_op_expr("[Lp, Lm] - 2*L3") == Sum((
-        Bracket(Gen("Lp"), Gen("Lm")),
-        Neg(Prod((IntLit(2), Gen("L3")))),
-    ))
-    assert parse_op_expr("3 - i") == Sum((IntLit(3), Neg(ImagLit())))
-    assert parse_op_expr("--Hq") == Neg(Neg(Gen("Hq")))
-
-
 def test_whitespace_insensitive():
-    assert parse_op_expr("[Lp,Lm]-2*L3") == parse_op_expr(" [ Lp , Lm ]  - 2 * L3 ")
-
-
-def test_parentheses_group_without_leaving_a_node():
-    assert parse_op_expr("(Lp)") == Gen("Lp")
-    assert parse_op_expr("2*(Lp + Lm)") == Prod((
-        IntLit(2), Sum((Gen("Lp"), Gen("Lm")))))
-
-
-@pytest.mark.parametrize("text", [
-    "Lp", "Lm(3)", "a3d(-1)", "i", "7",
-    "[Lp, Lm] - 2*L3",
-    "-(Lp + Lm)*Hq",
-    "i*Rp - 3",
-    "[L3, [Lp, Rm]]",
-    "2*-L3",
-    "--A1d",
-    "-(Lp*Lm)",
-])
-def test_render_parse_text_fixed_point(text):
-    # after one normalizing round, the rendered text is a parse fixed point
-    once = parse_op_expr(text).render()
-    assert parse_op_expr(once).render() == once
+    assert (terms(build("[Lp,Lm]-2*L3"))
+            == terms(build(" [ Lp , Lm ]  - 2 * L3 ")))
 
 
 # -- error reporting ----------------------------------------------------------
@@ -72,7 +50,7 @@ def test_render_parse_text_fixed_point(text):
 ])
 def test_parse_errors_carry_positions(text, fragment, pos):
     with pytest.raises(DslError) as exc:
-        parse_op_expr(text)
+        parse_and_build(text)
     assert fragment in str(exc.value)
     assert exc.value.pos == pos
     assert f"(at position {pos})" in str(exc.value)
@@ -90,71 +68,24 @@ def nested(opener: str, depth: int) -> str:
 @pytest.mark.parametrize("opener", ["(", "[", "-"])
 def test_nesting_depth_is_bounded(opener):
     # at the bound the expression parses and builds
-    op = parse_and_build(nested(opener, MAX_DEPTH))
+    op = build(nested(opener, MAX_DEPTH))
     assert op.is_zero() == (opener == "[")
     with pytest.raises(DslError, match=f"nested deeper than {MAX_DEPTH}"):
-        parse_op_expr(nested(opener, MAX_DEPTH + 1))
+        parse_and_build(nested(opener, MAX_DEPTH + 1))
 
 
 def test_unknown_generator_lists_valid_names():
     with pytest.raises(DslError) as exc:
-        parse_op_expr("Qp")
+        parse_and_build("Qp")
     msg = str(exc.value)
     for name in ("Lp", "A1d", "Casimir", "Hm"):
         assert name in msg
-
-
-# -- AST basics ---------------------------------------------------------------
-
-def test_all_nodes_subclass_the_ast_base():
-    nodes = [Gen("Lp"), Gen("Lm", 2), IntLit(4), ImagLit(),
-             Neg(Gen("L3")), Sum((IntLit(1), IntLit(2))),
-             Prod((IntLit(2), Gen("Hq"))), Bracket(Gen("Lp"), Gen("Lm"))]
-    for node in nodes:
-        assert isinstance(node, OpDslAst)
-    with pytest.raises(NotImplementedError):
-        OpDslAst().render()
 
 
 def test_generator_name_table():
     assert len(GENERATOR_NAMES) == 17
     assert len(set(GENERATOR_NAMES)) == 17
     assert "i" not in GENERATOR_NAMES
-
-
-# -- random round trips -------------------------------------------------------
-
-_leaf = st.one_of(
-    st.sampled_from(GENERATOR_NAMES).flatmap(
-        lambda n: st.one_of(
-            st.just(Gen(n)),
-            st.integers(-4, 4).map(lambda a: Gen(n, a)))),
-    st.integers(0, 9).map(IntLit),
-    st.just(ImagLit()),
-)
-
-
-def _canonical(depth: int):
-    """Strategy over parser-shaped trees: sums/products never nest into
-    themselves, and a bare negation never wraps a product (its rendering
-    would re-associate)."""
-    if depth <= 0:
-        return _leaf
-    sub = _canonical(depth - 1)
-    bracket = st.builds(Bracket, sub, sub)
-    atom = st.one_of(_leaf, bracket)
-    summ = st.lists(st.one_of(atom, st.builds(Neg, atom)),
-                    min_size=2, max_size=3).map(lambda xs: Sum(tuple(xs)))
-    neg = st.builds(Neg, st.one_of(atom, summ))
-    prod = st.lists(st.one_of(atom, neg, summ),
-                    min_size=2, max_size=3).map(lambda xs: Prod(tuple(xs)))
-    return st.one_of(atom, neg, summ, prod)
-
-
-@settings(max_examples=120, deadline=None)
-@given(_canonical(2))
-def test_parse_inverts_render(ast):
-    assert parse_op_expr(ast.render()) == ast
 
 
 # -- operator construction ----------------------------------------------------
@@ -166,23 +97,25 @@ def test_parse_inverts_render(ast):
     "2*L3 - L3 - L3",
     "i*i + 1",
     "[2, L3]",
+    # the right-invariant copy closes with the opposite sign
+    "[Rp, Rm] + 2*R3",
 ])
 def test_known_identities_build_to_zero(text):
-    assert parse_and_build(text).normalized().is_zero()
+    assert build(text).normalized().is_zero()
 
 
 def test_nonidentity_is_not_zero():
-    assert not parse_and_build("Lp - Rp").normalized().is_zero()
+    assert not build("Lp - Rp").normalized().is_zero()
 
 
 def test_products_are_normalized():
     # composition alone would leave 1327 unmerged terms here
-    op = parse_and_build("Lp*Lp*Lp*Lp")
+    op = build("Lp*Lp*Lp*Lp")
     assert len(op.terms) == len(op.normalized().terms) == 34
 
 
 def test_scalar_expression_promotes_to_identity_multiple():
-    op = parse_and_build("3 - i")
+    op = build("3 - i")
     assert op.param is None
     val = evaluate(apply_canonical(op, ONE), {"theta": 0.3, "psi": 0.7,
                                               "phi": 1.1, "r": 1.3})
@@ -190,7 +123,7 @@ def test_scalar_expression_promotes_to_identity_multiple():
 
 
 def test_applied_forms_have_no_free_lattice_label():
-    op = parse_and_build("Lm(3)*Rm(2)")
+    op = build("Lm(3)*Rm(2)")
     assert op.param is None
     assert not op.normalized().is_zero()
 
@@ -203,17 +136,8 @@ def test_lattice_clash_is_reported_as_build_error():
 
 
 def test_frequency_threads_into_named_forms():
-    assert parse_and_build("[A1, A1d] - 1",
-                           omega=Fraction(1, 2)).normalized().is_zero()
-    assert parse_and_build("[a3, a3d] - 1",
-                           omega=Fraction(3)).normalized().is_zero()
-
-
-def test_build_operator_accepts_a_prebuilt_ast():
-    # the right-invariant copy closes with the opposite sign
-    ast = Bracket(Gen("Rp"), Gen("Rm"))
-    diff = build_operator(ast) + build_operator(Prod((IntLit(2), Gen("R3"))))
-    assert diff.normalized().is_zero()
+    assert build("[A1, A1d] - 1", omega=Fraction(1, 2)).normalized().is_zero()
+    assert build("[a3, a3d] - 1", omega=Fraction(3)).normalized().is_zero()
 
 
 # -- the product work bound ----------------------------------------------------
@@ -222,7 +146,7 @@ POWERS = {"Lp": 54, "Lp*Lp": 320, "Lp*Lp*Lp": 1265, "Lp*Lp*Lp*Lp": 3589}
 
 
 def _power_nodes():
-    return {text: _coefficient_nodes(parse_and_build(text)) for text in POWERS}
+    return {text: _coefficient_nodes(build(text)) for text in POWERS}
 
 
 def test_coefficient_node_counts_do_not_depend_on_memo_warmth():
@@ -236,3 +160,275 @@ def test_coefficient_node_counts_do_not_depend_on_memo_warmth():
     assert _power_nodes() == POWERS
     assert POWERS["Lp*Lp*Lp*Lp"] * POWERS["Lp"] > MAX_PRODUCT_SIZE
     assert POWERS["Lp*Lp*Lp"] * POWERS["Lp"] <= MAX_PRODUCT_SIZE
+
+
+# -- the two-pass route, as a reference ---------------------------------------
+# A compact copy of the route parse_and_build replaced: a parser that builds
+# a tree, and an evaluator that walks it with values tagged ("sc", GaussRat)
+# or ("op", DiffOp).  Trees are tuples: ("gen", name, label), ("int", n),
+# ("i",), ("neg", x), ("sum", items), ("prod", items), ("bracket", l, r).
+
+def render(node) -> str:
+    """Source text that parses back to `node`."""
+    tag = node[0]
+    if tag == "gen":
+        return node[1] if node[2] is None else f"{node[1]}({node[2]})"
+    if tag == "int":
+        return str(node[1])
+    if tag == "i":
+        return "i"
+    if tag == "neg":
+        inner = render(node[1])
+        return f"-({inner})" if node[1][0] == "sum" else f"-{inner}"
+    if tag == "sum":
+        bits = [render(node[1][0])]
+        for it in node[1][1:]:
+            if it[0] == "neg" and it[1][0] != "sum":
+                bits.append(f" - {render(it[1])}")
+            else:
+                bits.append(f" + {render(it)}")
+        return "".join(bits)
+    if tag == "prod":
+        return "*".join(f"({render(it)})" if it[0] == "sum" else render(it)
+                        for it in node[1])
+    return f"[{render(node[1])}, {render(node[2])}]"
+
+
+class _TreeParser(dsl._Parser):
+    """The same grammar and syntax errors; each rule returns a tree."""
+
+    def expr(self):
+        items = [self.term()]
+        while self.at_sym("+", "-"):
+            _, sign, _ = self.next()
+            t = self.term()
+            items.append(("neg", t) if sign == "-" else t)
+        return items[0] if len(items) == 1 else ("sum", tuple(items))
+
+    def term(self):
+        items = [self.unary()]
+        while self.at_sym("*"):
+            self.next()
+            items.append(self.unary())
+        return items[0] if len(items) == 1 else ("prod", tuple(items))
+
+    def unary(self):
+        if self.at_sym("-"):
+            return ("neg", self.nested(self.unary))
+        return self.atom()
+
+    def atom(self):
+        kind, val, pos = self.peek()
+        if kind == "int":
+            self.next()
+            return ("int", int(val))
+        if kind == "name":
+            self.next()
+            if val == "i":
+                if self.at_sym("("):
+                    raise DslError("the imaginary unit takes no argument", pos)
+                return ("i",)
+            if val not in GENERATOR_NAMES:
+                raise DslError(
+                    f"unknown generator {val!r}; valid names: "
+                    + ", ".join(GENERATOR_NAMES), pos)
+            if not self.at_sym("("):
+                return ("gen", val, None)
+            self.next()
+            sign = 1
+            if self.at_sym("-"):
+                self.next()
+                sign = -1
+            akind, aval, apos = self.peek()
+            if akind != "int":
+                raise DslError("expected an integer label", apos)
+            self.next()
+            self.expect(")")
+            return ("gen", val, sign * int(aval))
+        if kind == "sym" and val == "(":
+            return self.nested(self.group)
+        if kind == "sym" and val == "[":
+            return self.nested(self.bracket)
+        got = repr(val) if kind != "end" else "end of input"
+        raise DslError(f"expected an operand, found {got}", pos)
+
+    def bracket(self):
+        left = self.expr()
+        self.expect(",")
+        right = self.expr()
+        self.expect("]")
+        return ("bracket", left, right)
+
+
+def _promote_tagged(value, param):
+    kind, payload = value
+    if kind == "op":
+        return payload
+    return DiffOp.from_expr(Const(payload), param)
+
+
+def _check_size_tagged(a, b, node):
+    if a[0] == "op" and b[0] == "op":
+        na, nb = _coefficient_nodes(a[1]), _coefficient_nodes(b[1])
+        if na * nb > MAX_PRODUCT_SIZE:
+            raise DslError(
+                f"operator product {render(node)} too large to compose: "
+                f"{na} x {nb} = {na * nb} coefficient-node pairs "
+                f"(bound {MAX_PRODUCT_SIZE})")
+
+
+def _mul_tagged(a, b):
+    if a[0] == "sc" and b[0] == "sc":
+        return ("sc", a[1] * b[1])
+    if a[0] == "sc":
+        prod = DiffOp.from_expr(Const(a[1]), b[1].param) @ b[1]
+    elif b[0] == "sc":
+        prod = DiffOp.from_expr(Const(b[1]), a[1].param) @ a[1]
+    else:
+        prod = a[1] @ b[1]
+    return ("op", prod.normalized())
+
+
+def _add_tagged(a, b):
+    if a[0] == "sc" and b[0] == "sc":
+        return ("sc", a[1] + b[1])
+    if a[0] == "sc":
+        return ("op", _promote_tagged(a, b[1].param) + b[1])
+    if b[0] == "sc":
+        return ("op", a[1] + _promote_tagged(b, a[1].param))
+    return ("op", a[1] + b[1])
+
+
+def _eval_tree(node, omega):
+    tag = node[0]
+    if tag == "int":
+        return ("sc", GaussRat(Fraction(node[1])))
+    if tag == "i":
+        return ("sc", GaussRat(0, Fraction(1)))
+    if tag == "gen":
+        return ("op", dsl._resolve(node[1], node[2], omega))
+    if tag == "neg":
+        return _mul_tagged(("sc", GaussRat(Fraction(-1))),
+                           _eval_tree(node[1], omega))
+    if tag == "sum":
+        acc = _eval_tree(node[1][0], omega)
+        for it in node[1][1:]:
+            acc = _add_tagged(acc, _eval_tree(it, omega))
+        return acc
+    if tag == "prod":
+        items = node[1]
+        acc = _eval_tree(items[0], omega)
+        for k in range(1, len(items)):
+            right = _eval_tree(items[k], omega)
+            _check_size_tagged(acc, right, ("prod", items[:k + 1]))
+            acc = _mul_tagged(acc, right)
+        return acc
+    left, right = _eval_tree(node[1], omega), _eval_tree(node[2], omega)
+    _check_size_tagged(left, right, node)
+    param = None
+    for v in (left, right):
+        if v[0] == "op":
+            param = v[1].param or param
+    return ("op", commutator(_promote_tagged(left, param),
+                             _promote_tagged(right, param)).normalized())
+
+
+def two_pass_build(text, omega=Fraction(1)) -> DiffOp:
+    tree = _TreeParser(text, omega).parse()
+    try:
+        value = _eval_tree(tree, omega)
+    except OpError as exc:
+        raise DslError(f"cannot build operator: {exc}") from exc
+    return _promote_tagged(value, value[1].param if value[0] == "op" else None)
+
+
+def outcome(route, text, omega=Fraction(1)):
+    """The route's operator terms, or the message of the DslError it raises."""
+    try:
+        return terms(route(text, omega))
+    except DslError as exc:
+        return str(exc)
+
+
+# the expressions of the dsl-check benchmark workload
+DSL_TABLE = (
+    "[Lp, Lm] - 2*L3",
+    "[L3, Lm] + Lm",
+    "[Rp, Rm] + 2*R3",
+    "[Lp, Rm]",
+    "[Lp*Lp, Lm] - 2*(Lp*L3 + L3*Lp)",
+    "[Lp, [Lm, L3]] + [Lm, [L3, Lp]] + [L3, [Lp, Lm]]",
+    "[Casimir, Lp*Lm]",
+    "Casimir - 2*(Lp*Lm + Lm*Lp) - 4*L3*L3",
+    "[a3, a3d] - 1",
+    "[a3, a4d]",
+    "[A1, A1d] - 1",
+    "[A1, A2d]",
+    "[Lp, Lm] - L3",
+    "Lp*Lp",
+    "Lp*Lp*Lp",
+    "[a3, a3d]",
+    "Hq + Hm",
+    "(" * 3000 + "L3" + ")" * 3000,
+)
+
+CORPUS = DSL_TABLE + (
+    "Lp", "Lm(3)", "Lm(-2)", "a3d(-1)", "i", "7", "3 - i", "--Hq", "(Lp)",
+    "2*(Lp + Lm)", "-(Lp + Lm)*Hq", "i*Rp - 3", "[L3, [Lp, Rm]]", "2*-L3",
+    "--A1d", "-(Lp*Lm)", "Lm(3)*Rm(2)", "Casimir(2) - Hq(2)", "A2d(1)*a4(-3)",
+    "Hm(4) - 2", "Lp*Lp*Lp*Lp*Lp*Lp", "[Lp*Lp*Lp, Lm*Lm*Lm]",
+    "-(Lp + L3)*Lp*Lp*Lp*Lp", "Hq*Hm", "Lp + Bar(2)", "[Lp Lm]",
+)
+
+
+@pytest.mark.parametrize("text", CORPUS, ids=lambda t: t[:40])
+def test_one_pass_builds_the_two_pass_terms(text):
+    assert outcome(build, text) == outcome(two_pass_build, text)
+
+
+@pytest.mark.parametrize("omega", [Fraction(1, 2), Fraction(3)])
+def test_one_pass_threads_frequencies_as_the_two_pass_route(omega):
+    for text in ("[A1, A1d] - 1", "[a3, a3d] - 1", "Hm - A2d*A2", "Hm(2)"):
+        assert (outcome(build, text, omega)
+                == outcome(two_pass_build, text, omega))
+
+
+_leaf = st.one_of(
+    st.sampled_from(GENERATOR_NAMES).flatmap(
+        lambda n: st.one_of(
+            st.just(("gen", n, None)),
+            st.integers(-4, 4).map(lambda a: ("gen", n, a)))),
+    st.integers(0, 9).map(lambda k: ("int", k)),
+    st.just(("i",)),
+)
+
+
+def _neg(x):
+    return ("neg", x)
+
+
+def _canonical(depth: int):
+    """Strategy over parser-shaped trees: sums/products never nest into
+    themselves, and a bare negation never wraps a product (its rendering
+    would re-associate)."""
+    if depth <= 0:
+        return _leaf
+    sub = _canonical(depth - 1)
+    bracket = st.tuples(st.just("bracket"), sub, sub)
+    atom = st.one_of(_leaf, bracket)
+    summ = st.lists(st.one_of(atom, atom.map(_neg)),
+                    min_size=2, max_size=3).map(lambda xs: ("sum", tuple(xs)))
+    neg = st.one_of(atom, summ).map(_neg)
+    prod = st.lists(st.one_of(atom, neg, summ),
+                    min_size=2, max_size=3).map(lambda xs: ("prod", tuple(xs)))
+    return st.one_of(atom, neg, summ, prod)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_canonical(2))
+def test_one_pass_matches_the_two_pass_route_on_rendered_trees(tree):
+    # the rendered text parses back to the tree, so the oversized-product
+    # message, which quotes the source, matches the tree's rendering too
+    text = render(tree)
+    assert _TreeParser(text, Fraction(1)).parse() == tree
+    assert outcome(build, text) == outcome(two_pass_build, text)

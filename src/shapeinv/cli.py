@@ -82,8 +82,8 @@ def _finish(args: argparse.Namespace, header: list, payload: dict,
 def cmd_check(args: argparse.Namespace) -> tuple:
     """Parse an operator expression and verify it vanishes on the battery."""
     expr = args.expr.strip()
-    op = parse_and_build(args.expr, omega=args.omega)
-    rep = check_op_zero(op, _plan_of(args, 32),
+    op, summands = parse_and_build(args.expr, omega=args.omega)
+    rep = check_op_zero(op, _plan_of(args, 32), reference_ops=summands,
                         tol=_tol_of(args, TOL_OPERATOR), name=expr)
     payload = {"expression": expr, "lattice": op.param}
     return _finish(args, [], payload, [rep])

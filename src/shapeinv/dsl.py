@@ -26,6 +26,7 @@ that comes later in the text.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .rationals import GaussRat
@@ -96,6 +97,8 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
+        # the value of the last sum of two or more summands, and the summands
+        self.last_sum = (None, ())
 
     def peek(self):
         return self.toks[self.i]
@@ -142,12 +145,16 @@ class _Parser:
 
     def expr(self):
         acc = self.term()
+        items = [acc]
         while self.at_sym("+", "-"):
             _, sign, _ = self.next()
             t = self.term()
             if sign == "-":
                 t = _mul(_MINUS_ONE, t)
+            items.append(t)
             acc = _add(acc, t)
+        if len(items) > 1:
+            self.last_sum = (acc, items)
         return acc
 
     def term(self):
@@ -165,11 +172,19 @@ class _Parser:
             return _mul(_MINUS_ONE, self.nested(self.unary))
         return self.atom()
 
+    def integer(self) -> int:
+        """Consume an INT token and return its value."""
+        _, val, pos = self.next()
+        try:
+            return int(val)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise DslError(f"integer too long: {len(val)} digits, at most "
+                           f"{sys.get_int_max_str_digits()}", pos) from None
+
     def atom(self):
         kind, val, pos = self.peek()
         if kind == "int":
-            self.next()
-            return GaussRat(Fraction(int(val)))
+            return GaussRat(Fraction(self.integer()))
         if kind == "name":
             self.next()
             if val == "i":
@@ -187,12 +202,12 @@ class _Parser:
             if self.at_sym("-"):
                 self.next()
                 sign = -1
-            akind, aval, apos = self.peek()
+            akind, _, apos = self.peek()
             if akind != "int":
                 raise DslError("expected an integer label", apos)
-            self.next()
+            label = sign * self.integer()
             self.expect(")")
-            return _resolve(val, sign * int(aval), self.omega)
+            return _resolve(val, label, self.omega)
         if kind == "sym" and val == "(":
             return self.nested(self.group)
         if kind == "sym" and val == "[":
@@ -308,12 +323,21 @@ def _add(a, b):
     return a + b
 
 
-def parse_and_build(text: str, omega=Fraction(1)) -> DiffOp:
+def parse_and_build(text: str, omega=Fraction(1)) -> tuple:
     """The operator of an expression (a scalar promotes to a multiple of the
-    identity).  Syntax errors, lattice clashes and oversized products raise
-    DslError."""
+    identity), and the summands of the sum of two or more terms that
+    produced it, parenthesized or not; () when its last operation is not
+    such a sum.  Syntax errors, lattice clashes and oversized products
+    raise DslError."""
+    parser = _Parser(text, omega)
     try:
-        value = _Parser(text, omega).parse()
+        value = parser.parse()
     except OpError as exc:
         raise DslError(f"cannot build operator: {exc}") from exc
-    return _promote(value, value.param if isinstance(value, DiffOp) else None)
+    param = value.param if isinstance(value, DiffOp) else None
+    # parentheses and one-item rules pass a sum's value on unchanged
+    last, items = parser.last_sum
+    if last is not value:
+        items = ()
+    return (_promote(value, param),
+            tuple(_promote(v, param) for v in items))

@@ -92,9 +92,11 @@ def test_check_leading_minus_needs_double_dash(capsys):
 @pytest.mark.parametrize("expr,product", [
     ("Lp*Lp*Lp*Lp*Lp*Lp", "Lp*Lp*Lp*Lp*Lp"),
     ("[Lp*Lp*Lp, Lm*Lm*Lm]", "[Lp*Lp*Lp, Lm*Lm*Lm]"),
-], ids=["power", "bracket"])
+    ("Lp * Lp * Lp * Lp * Lp * Lp", "Lp * Lp * Lp * Lp * Lp"),
+], ids=["power", "bracket", "spaced-power"])
 def test_check_oversized_product_is_a_usage_error(expr, product, capsys):
-    # refused before it is composed: the sixth power would take over 10 s
+    # refused before it is composed: the sixth power would take over 10 s;
+    # the message quotes the product's source text
     code, out, err = run_cli(["check", expr, "--points", "8"], capsys)
     assert code == 2
     assert f"operator product {product} too large" in err
@@ -103,7 +105,92 @@ def test_check_oversized_product_is_a_usage_error(expr, product, capsys):
 
 
 def test_fourth_power_stays_under_the_product_bound():
-    assert parse_and_build("Lp*Lp*Lp*Lp").param is None
+    assert parse_and_build("Lp*Lp*Lp*Lp")[0].param is None
+
+
+@pytest.mark.parametrize("expr,message", [
+    ("Hq + Hm )", "cannot build operator: parameter clash: 'q' vs 'm'"),
+    ("Lp*Lp )", "unexpected trailing input ')' (at position 6)"),
+])
+def test_check_reports_the_first_error_in_the_text(expr, message, capsys):
+    # the operator is built as the text is parsed, so a build error is
+    # reported before a syntax error that comes later in the text
+    code, out, err = run_cli(["check", expr, "--points", "8"], capsys)
+    assert code == 2
+    assert err == f"shapeinv check: {message}\n" and not out
+
+
+@pytest.mark.parametrize("expr,code,relative", [
+    ("1000000*L3 - L3*1000000", 0, None),
+    ("(1000000*L3 - L3*1000000)", 0, None),
+    ("[1000*Lp, 1000*Lm] - 2000000*L3", 0, None),
+    ("[Lp, Lm] - L3", 1, 0.5),
+])
+def test_check_residual_is_relative_to_the_largest_summand(expr, code,
+                                                           relative, capsys):
+    # an absolute residual fails exact identities with large coefficients
+    got, out, _ = run_cli(["check", expr, "--seed", "7", "--format", "json"],
+                          capsys)
+    assert got == code
+    rel = json.loads(out)["checks"][0]["relative_residual"]
+    if relative is None:
+        assert rel < 1e-15
+    else:
+        assert rel == pytest.approx(relative, rel=1e-12)
+
+
+# The expressions of the dsl-check benchmark workload, with the exit code and
+# the SHA-256 of what `check EXPR --seed 7 --format json` writes (stdout,
+# then stderr).
+CHECK_DIGESTS = {
+    "[Lp, Lm] - 2*L3": (
+        0, "5220d10f712f5d5e77568af566133764f3f2137ff1872da8b4b667a59fd5fa81"),
+    "[L3, Lm] + Lm": (
+        0, "ca9cc509bbe521803253194fe4e61b6a2e64c96cadfd735ce5a9a4cf9cf165d3"),
+    "[Rp, Rm] + 2*R3": (
+        0, "5ca442be2d5cb9d8beb92963f8426a772057a3efe1eec65217965ab129978cdf"),
+    "[Lp, Rm]": (
+        0, "43f3c15bc206bfe75445f89a874d61f90e92234ad84694dfa3bc2dcbac0ab3fb"),
+    "[Lp*Lp, Lm] - 2*(Lp*L3 + L3*Lp)": (
+        0, "2fc4410053b442057a124b8c86a2ec6d870fc4ab9812f5e11d3c96a9fa318870"),
+    "[Lp, [Lm, L3]] + [Lm, [L3, Lp]] + [L3, [Lp, Lm]]": (
+        0, "425fba519ad2773549542fd7abc554e4a630d3b41732afa1f2783c5c1696a740"),
+    "[Casimir, Lp*Lm]": (
+        0, "f67aaa14230af97338449e9da7b646fa48ff529ce90dae99bb654e85d67f72f9"),
+    "Casimir - 2*(Lp*Lm + Lm*Lp) - 4*L3*L3": (
+        0, "f12bc06016fabcd735d918140692ba972235936d3c226e096b2331fbef450cc4"),
+    "[a3, a3d] - 1": (
+        0, "23cf02f64cf48eab6de1c780ca75751fb02bd93a460f3755d84b5481ea9a912e"),
+    "[a3, a4d]": (
+        0, "f114922cd873a62b395f0a55b35f130fae141282a81fca19a44de21d21c82172"),
+    "[A1, A1d] - 1": (
+        0, "aa1433673beaf0a4ab16f87f8f03f33e56f0365105124f9d327b125890619270"),
+    "[A1, A2d]": (
+        0, "659353eda78183d137bfe43503d0f83c1e5b2651babbe23e37d492785ad5c198"),
+    "[Lp, Lm] - L3": (
+        1, "74509c664bb76436dd8e85b54ebb005c253f7efe26fdf4fc709e4e007510e29c"),
+    "Lp*Lp": (
+        1, "01cfb7ee3b813b881dd9f50441c19ef03ca0366fc40a6900daa55363b7fbca33"),
+    "Lp*Lp*Lp": (
+        1, "2849dd0e7bc6b39c2c39caf82257f4001adb3eff1f078616aa28f753bb503768"),
+    "[a3, a3d]": (
+        1, "11224b16fb1cec910b12edb354c6b5534fb7f54b603058520ada97e4b71c67d1"),
+    "Hq + Hm": (
+        2, "894744b846acf7958333dfe683e2cfe1d2e36104443b160d634c8f406d0ce866"),
+    "(" * 3000 + "L3" + ")" * 3000: (
+        2, "c62c3c7be0f37f872d50bb264613160d07db78d92aa608428da9f153a0d4a7b0"),
+}
+
+
+@pytest.mark.parametrize("expr", list(CHECK_DIGESTS),
+                         ids=lambda e: e if len(e) < 60 else "nested")
+def test_check_report_digest(expr, capsys):
+    """The digests were recorded on Python 3.11.7 with the x86-64 libm;
+    another libm may round the last bits of a residual differently."""
+    code, out, err = run_cli(["check", expr, "--seed", "7",
+                              "--format", "json"], capsys)
+    digest = hashlib.sha256((out + err).encode()).hexdigest()
+    assert (code, digest) == CHECK_DIGESTS[expr]
 
 
 def test_check_rejects_nonpositive_frequency(capsys):

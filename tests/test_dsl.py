@@ -17,7 +17,7 @@ from shapeinv.symx import ONE, Const, evaluate
 
 
 def build(text, omega=Fraction(1)) -> DiffOp:
-    return parse_and_build(text, omega)
+    return parse_and_build(text, omega)[0]
 
 
 def terms(op: DiffOp) -> tuple:
@@ -47,6 +47,8 @@ def test_whitespace_insensitive():
     ("", "expected an operand, found end of input", 0),
     ("[Lp Lm]", "expected ','", 4),
     ("2 +", "expected an operand", 3),
+    pytest.param("Lm(" + "9" * 5000 + ")", "integer too long: 5000 digits", 3,
+                 id="overlong-label"),
 ])
 def test_parse_errors_carry_positions(text, fragment, pos):
     with pytest.raises(DslError) as exc:
@@ -138,6 +140,23 @@ def test_lattice_clash_is_reported_as_build_error():
 def test_frequency_threads_into_named_forms():
     assert build("[A1, A1d] - 1", omega=Fraction(1, 2)).normalized().is_zero()
     assert build("[a3, a3d] - 1", omega=Fraction(3)).normalized().is_zero()
+
+
+@pytest.mark.parametrize("text,count", [
+    ("[Lp, Lm] - 2*L3", 2),
+    ("(([Lp, Lm] - 2*L3))", 2),
+    ("Hq - 1 + i", 3),
+    ("2*([Lp, Lm] - 2*L3)", 0),
+    ("-([Lp, Lm] - 2*L3)", 0),
+    ("[Lp - L3, Lm]", 0),
+    ("Lp", 0),
+])
+def test_summands_are_those_of_the_outermost_sum(text, count):
+    op, summands = parse_and_build(text)
+    assert len(summands) == count
+    if summands:
+        assert terms(sum(summands[1:], summands[0])) == terms(op)
+        assert all(s.param in (None, op.param) for s in summands)
 
 
 # -- the product work bound ----------------------------------------------------

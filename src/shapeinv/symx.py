@@ -11,7 +11,8 @@ respect to coordinates.
 Two simplifiers are provided:
 
 * `simplify_basic` - flattening, constant folding, neutral-element removal and
-  merging of powers with identical bases.  Never expands products.
+  merging of powers with identical bases.  Never expands products, and is
+  idempotent.
 * `canonical` - full normal form: sums of monomials over a fixed atom basis,
   with cos^2 -> 1 - sin^2 elimination so that identically-zero combinations
   of the trig expressions produced by the operator algebra collapse to the
@@ -258,8 +259,11 @@ def csc(x) -> Expr:
 # `clear_caches()` empties.  Each holds at most MEMO_CAP entries and is
 # emptied when it is full.  The tree kernels here are memoized by node:
 # `diff` by (node, coordinate) in _DIFF_MEMO, `substitute` by (tree, name,
-# replacement) in _SUBST_MEMO, `simplify_basic` in _SIMPLIFY_MEMO, the
-# canonical form in _CANON_MEMO and its tree in `canonical.table`.  A node
+# replacement) in _SUBST_MEMO, `simplify_basic` in _SIMPLIFY_MEMO, with
+# every tree it returned in _SIMPLIFIED as its own simplification, the
+# canonical form in _CANON_MEMO and its tree in `canonical.table`; the
+# canonical form's monomial products are memoized by monomial pair in
+# _MONO_MEMO.  A node
 # hashes from its children's cached hashes, as in Filliatre & Conchon
 # ("Type-Safe Modular Hash-Consing", 2006), and compares by its full
 # structural key, so a memo keyed by node costs one O(arity) hash per node
@@ -522,12 +526,84 @@ def evaluate(e: Expr, binding: dict) -> complex:
 # ---------------------------------------------------------------------------
 
 _SIMPLIFY_MEMO: dict = {}
+_SIMPLIFIED: dict = {}  # every tree simplify_basic returned, keyed by itself
+MEMOS.append(_SIMPLIFIED)
 
 
 def simplify_basic(e: Expr) -> Expr:
+    """Flatten sums and products, fold constants, drop neutral elements and
+    merge powers of structurally identical bases.
+
+    Idempotent: simplify_basic(simplify_basic(e)) equals simplify_basic(e).
+    So every tree it returns is recorded in _SIMPLIFIED as its own
+    simplification, and a later call on an equal tree returns the recorded
+    node without walking it: equal inputs share one tree."""
     if isinstance(e, (Const, Sym)):
         return e
-    return _simplify_node(e)
+    out = _SIMPLIFIED.get(e)
+    if out is None:
+        out = _simplify_node(e)
+        if len(_SIMPLIFIED) < MEMO_CAP:
+            _SIMPLIFIED[out] = out
+        else:
+            _SIMPLIFIED.clear()
+    return out
+
+
+def _power(b: Expr, p: Fraction) -> Expr:
+    """The simplified b^p of a simplified base b."""
+    if p == 0:
+        return ONE
+    if p == 1:
+        return b
+    if isinstance(b, Const) and (p.denominator == 1 or b.value.is_one()):
+        return Const(b.value ** p.numerator)
+    if isinstance(b, Pow) and p.denominator == 1:
+        # (u^a)^n with integer n is branch-safe
+        return _power(b.base, b.exponent * p)
+    return Pow(b, p)
+
+
+def _product(factors, const: GaussRat = QONE) -> Expr:
+    """The simplified product of `const` and simplified factors."""
+    flat = []
+    for s in factors:
+        for p in (s.factors if isinstance(s, Mul) else (s,)):
+            if isinstance(p, Const):
+                const = const * p.value
+            else:
+                flat.append(p)
+    if const.is_zero():
+        return ZERO
+    # merge powers with structurally identical bases; a factor whose base
+    # occurs once is kept as it is, since a simplified power never has
+    # exponent 0 or 1
+    expmap: dict = {}  # base -> (exponent, the factor if unmerged)
+    for p in flat:
+        base, exp = (p.base, p.exponent) if isinstance(p, Pow) else (p, 1)
+        seen = expmap.get(base)
+        expmap[base] = (exp, p) if seen is None else (seen[0] + exp, None)
+    merged: list = []
+    again = False
+    for base, (exp, factor) in expmap.items():
+        if factor is None:
+            if exp == 0:
+                continue
+            factor = _power(base, exp)
+            # a merged power that folds to a constant, or to a product or a
+            # power of another base, is merged with the rest once more
+            again = again or isinstance(factor, (Const, Mul)) or (
+                factor.base if isinstance(factor, Pow) else factor) is not base
+        merged.append(factor)
+    if again:
+        return _product(merged, const)
+    if not merged:
+        return Const(const)
+    if not const.is_one():
+        merged.insert(0, Const(const))
+    if len(merged) == 1:
+        return merged[0]
+    return Mul(*merged)
 
 
 @memo(_SIMPLIFY_MEMO)
@@ -554,53 +630,9 @@ def _simplify_node(e: Expr) -> Expr:
             return flat[0]
         return Add(*flat)
     if isinstance(e, Mul):
-        flat = []
-        const = QONE
-        for f in e.factors:
-            s = simplify_basic(f)
-            parts = s.factors if isinstance(s, Mul) else (s,)
-            for p in parts:
-                if isinstance(p, Const):
-                    const = const * p.value
-                else:
-                    flat.append(p)
-        if const.is_zero():
-            return ZERO
-        # merge powers with structurally identical bases; a factor whose base
-        # occurs once is kept as it is, since a simplified power never has
-        # exponent 0 or 1
-        merged: list = []
-        expmap: dict = {}  # base -> (exponent, the factor if unmerged)
-        for p in flat:
-            base, exp = (p.base, p.exponent) if isinstance(p, Pow) else (p, 1)
-            seen = expmap.get(base)
-            expmap[base] = (exp, p) if seen is None else (seen[0] + exp, None)
-        for base, (exp, factor) in expmap.items():
-            if factor is not None:
-                merged.append(factor)
-            elif exp != 0:
-                merged.append(base if exp == 1 else Pow(base, exp))
-        if not merged:
-            return Const(const)
-        if not const.is_one():
-            merged.insert(0, Const(const))
-        if len(merged) == 1:
-            return merged[0]
-        return Mul(*merged)
+        return _product(map(simplify_basic, e.factors))
     if isinstance(e, Pow):
-        b = simplify_basic(e.base)
-        p = e.exponent
-        if p == 0:
-            return ONE
-        if p == 1:
-            return b
-        if isinstance(b, Const) and (p.denominator == 1 or b.value.is_one()):
-            return Const(b.value ** p.numerator)
-        if isinstance(b, Pow):
-            # (u^a)^n with integer n is branch-safe
-            if p.denominator == 1:
-                return simplify_basic(Pow(b.base, b.exponent * p))
-        return Pow(b, p)
+        return _power(simplify_basic(e.base), e.exponent)
     if isinstance(e, Sin):
         a = simplify_basic(e.arg)
         if isinstance(a, Const) and a.value.is_zero():
@@ -650,16 +682,17 @@ def _cf_const(c: GaussRat) -> dict:
     return {} if c.is_zero() else {(): c}
 
 
-def _cf_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
+def _add_term(out: dict, m: tuple, c: GaussRat):
+    """Add the term c·m into `out`, a CF that no memo table holds."""
+    s = out.get(m)
+    if s is None:
+        out[m] = c
+        return
+    s = s + c
+    if s.is_zero():
+        del out[m]
+    else:
+        out[m] = s
 
 
 def _cf_scale(a: dict, c: GaussRat) -> dict:
@@ -704,7 +737,9 @@ def _merge_exp_atom(atoms: dict, argcf: dict):
             existing = k
             break
     if existing is not None:
-        combined = _cf_add(_key_to_cf(existing[1]), argcf)
+        combined = _key_to_cf(existing[1])
+        for m, c in argcf.items():
+            _add_term(combined, m, c)
         del atoms[existing]
     else:
         combined = argcf
@@ -712,8 +747,13 @@ def _merge_exp_atom(atoms: dict, argcf: dict):
         atoms[("exp", _cf_key(combined))] = (1, 1)
 
 
-def _mono_mul(m1: tuple, c1: GaussRat, m2: tuple, c2: GaussRat) -> dict:
-    coeff_box = [c1 * c2]
+_MONO_MEMO: dict = {}
+
+
+@memo(_MONO_MEMO)
+def _mono_prod(m1: tuple, m2: tuple) -> dict:
+    """The CF of the product of two monomials with unit coefficients."""
+    coeff_box = [QONE]
     atoms: dict = {}
     for mono in (m1, m2):
         for k, p in mono:
@@ -743,15 +783,19 @@ def _pythagoras(atoms: dict, coeff: GaussRat) -> dict:
         if j:
             _insert_atom(at, cb, sin_key, (2 * j, 1))
         for m, c in _pythagoras(at, cb[0]).items():
-            out = _cf_add(out, {m: c})
+            _add_term(out, m, c)
     return out
 
 
 def _cf_mul(a: dict, b: dict) -> dict:
+    """a·b, each monomial product scaled from the memoized unit one; exact,
+    since GaussRat arithmetic is."""
     out: dict = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            out = _cf_add(out, _mono_mul(m1, c1, m2, c2))
+            c = c1 * c2
+            for m, v in _mono_prod(m1, m2).items():
+                _add_term(out, m, v * c)
     return out
 
 
@@ -802,7 +846,8 @@ def _canon_cf(e: Expr) -> dict:
     elif isinstance(e, Add):
         cf = {}
         for t in e.terms:
-            cf = _cf_add(cf, _canon_cf(t))
+            for m, c in _canon_cf(t).items():
+                _add_term(cf, m, c)
     elif isinstance(e, Mul):
         cf = _cf_const(GaussRat(1))
         for f in e.factors:
@@ -906,7 +951,7 @@ def fourier_modes(e: Expr, name: str) -> list:
                 raise SymxError(f"exponent is not linear in {name}")
             if arg:
                 atoms.append((("exp", _cf_key(arg)), p))
-        modes[k] = _cf_add(modes.get(k, {}), {tuple(sorted(atoms)): coeff})
+        _add_term(modes.setdefault(k, {}), tuple(sorted(atoms)), coeff)
     return [(k, cf_to_expr(cf)) for k, cf in sorted(modes.items()) if cf]
 
 
@@ -976,7 +1021,11 @@ class Program:
                 for k in kids:
                     col = list(map(op, col, vals[k]))
             elif kind is Const:
-                col = [complex(e.value)] * n
+                try:
+                    col = [complex(e.value)] * n
+                except _FAILURES:  # it overflows: every point fails
+                    col = [_NAN] * n
+                    bad.update(range(n))
             elif kind is Sym:
                 col = _each(lambda b: complex(b[e.name]), points, bad)
             elif kind is Pow:

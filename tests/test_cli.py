@@ -139,6 +139,22 @@ def test_check_residual_is_relative_to_the_largest_summand(expr, code,
         assert rel == pytest.approx(relative, rel=1e-12)
 
 
+NINES = "9" * 400  # a constant past the float range
+
+
+@pytest.mark.parametrize("expr", [f"{NINES}*L3", f"i*{NINES}*Lp",
+                                  f"Lm({NINES})", f"Hq({NINES})"],
+                         ids=["coefficient", "imaginary-coefficient",
+                              "ladder-label", "hamiltonian-label"])
+def test_check_constant_past_the_float_range_exits_two(expr, capsys):
+    # the constant fails at every sample point, so no point can decide
+    code, out, err = run_cli(["check", expr, "--seed", "7"], capsys)
+    assert code == 2 and not out
+    assert err.count("\n") == 1 and err.startswith("shapeinv check: ")
+    assert "32/32 sample points skipped" in err
+    assert "Traceback" not in err
+
+
 # The expressions of the dsl-check benchmark workload, with the exit code and
 # the SHA-256 of what `check EXPR --seed 7 --format json` writes (stdout,
 # then stderr).

@@ -2,9 +2,10 @@
 uncached route.
 
 `symx.memo` lists each table in `symx.MEMOS`: the node memos of the tree
-kernels (`diff`, `substitute`, `simplify_basic`, the canonical form and its
-tree, `opalg._deriv_multi`), the lattice's chain walker, the `su2` and
-`osc3d` builders, the `ladders2d` one-step operators and the CLI parser.
+kernels (`diff`, `substitute`, `simplify_basic` and its fixed points, the
+monomial products, the canonical form and its tree, `opalg._deriv_multi`),
+the lattice's chain walker, the `su2` and `osc3d` builders, the `ladders2d`
+one-step operators and the CLI parser.
 Each test below recomputes the same results with MEMO_CAP = 0, a cap that
 keeps nothing, which is the plain recursion the memos replace, and asks for
 equal keys: first from warm tables, then after `clear_caches()`, then with
@@ -203,16 +204,38 @@ def test_canonical_shares_one_tree():
 
 # `simplify_basic` results after a cold seed-7 suite (the count is the same
 # for every seed): 58 995 while `diff` built a product-rule term for every
-# factor and a chain-rule product for every function, zero or not
-COLD_SUITE_SIMPLIFY_ENTRIES = 44_549
+# factor and a chain-rule product for every function, zero or not; 44 549
+# while a tree that `simplify_basic` returned was simplified again when it
+# came back as an input
+COLD_SUITE_SIMPLIFY_ENTRIES = 32_613
 
 
-def test_cold_suite_simplify_work_can_only_shrink():
+@pytest.fixture(scope="module")
+def cold_suite_simplify():
+    """The number of simplify entries after a cold seed-7 suite, and every
+    tree in the two simplify tables."""
     clear_caches()
     run_suite(SuiteConfig(seed=7))
     entries = len(symx._SIMPLIFY_MEMO)
+    trees = set(symx._SIMPLIFY_MEMO.values()) | set(symx._SIMPLIFIED)
     clear_caches()
+    return entries, trees
+
+
+def test_cold_suite_simplify_work_can_only_shrink(cold_suite_simplify):
+    entries, _ = cold_suite_simplify
     assert entries <= COLD_SUITE_SIMPLIFY_ENTRIES
+
+
+def test_cold_suite_simplified_trees_are_fixed_points(cold_suite_simplify,
+                                                      monkeypatch):
+    # each is served as its own simplification, so the uncached route must
+    # return it unchanged
+    _, trees = cold_suite_simplify
+    assert len(trees) > 10_000
+    monkeypatch.setattr(symx, "MEMO_CAP", 0)
+    moved = [t for t in trees if symx.simplify_basic(t).key() != t.key()]
+    assert not moved, f"{len(moved)} simplified trees simplify further"
 
 
 COLLECTOR_SWITCHES = ("disable", "enable", "set_threshold", "freeze")

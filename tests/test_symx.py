@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shapeinv import su2
+from shapeinv import clear_caches, su2, symx
 from shapeinv.osc3d import _hermite
 from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
@@ -299,6 +299,113 @@ def test_rebuilt_nodes_are_equal_with_equal_hashes(e):
     assert twin == e and hash(twin) == hash(e) and twin.key() == e.key()
 
 
+# ---------------------------------------------------------------------------
+# simplify_basic is idempotent, so its results are served as their own
+# simplification
+# ---------------------------------------------------------------------------
+
+ROOT2 = Pow(Const(2), Fraction(1, 2))
+RT = Mul(R, THETA)
+
+
+@pytest.mark.parametrize("e, want", [
+    # a merged power of a constant folds into the coefficient
+    (Mul(ROOT2, ROOT2, R), Mul(Const(2), R)),
+    (Mul(ROOT2, Pow(Const(2), Fraction(-1, 2))), ONE),
+    (Mul(Const(3), ROOT2, R, Pow(Const(2), Fraction(3, 2))),
+     Mul(Const(12), R)),
+    (Mul(Pow(Const(0), Fraction(1, 2)), Pow(Const(0), Fraction(1, 2)), R),
+     ZERO),
+    # a merged power of a product is spliced, and its factors merge on
+    (Mul(Pow(RT, Fraction(1, 2)), Pow(RT, Fraction(1, 2)), R),
+     Mul(Pow(R, 2), THETA)),
+    # a merged power of a power merges with its base's other powers
+    (Mul(Pow(Pow(R, Fraction(1, 2)), Fraction(1, 2)),
+         Pow(Pow(R, Fraction(1, 2)), Fraction(1, 2)), Pow(R, Fraction(-1, 2))),
+     ONE),
+    (Mul(Pow(Pow(R, Fraction(2, 3)), Fraction(3, 4)),
+         Pow(Pow(R, Fraction(2, 3)), Fraction(9, 4)), R),
+     Pow(R, 3)),
+], ids=["root2-squared", "root2-over-root2", "constant-powers",
+        "zero-root-squared", "product-root-squared", "power-root-squared",
+        "power-powers"])
+def test_simplify_merges_until_nothing_merges(e, want, monkeypatch):
+    monkeypatch.setattr(symx, "MEMO_CAP", 0)
+    out = simplify_basic(e)
+    assert out.key() == want.key()
+    assert simplify_basic(out).key() == want.key()
+
+
+_idem_leaves = st.sampled_from([
+    THETA, R, ZERO, ONE, Const(-1), Const(Fraction(1, 2)), IMAG, Sin(THETA),
+    ROOT2, Pow(R, Fraction(1, 2)), Pow(Sin(THETA), Fraction(1, 3)),
+])
+_idem_powers = st.sampled_from([Fraction(p) for p in
+                                (-2, -1, 0, 1, 2, "1/2", "-1/2", "3/2",
+                                 "1/3", "2/3")])
+
+
+def _power_or_none(base, p):
+    try:
+        return Pow(base, p)
+    except EvalError:  # a negative power of the zero constant
+        return None
+
+
+def _built(x) -> bool:
+    return x is not None
+
+
+_idem_halves = st.sampled_from([Fraction(p) for p in (1, "1/2", "-1/2", "3/2")])
+
+
+def _merge_next_to(a, b, p):
+    """a·b^p·b^p, or None where b^p is singular."""
+    bp = b if p == 1 else _power_or_none(b, p)
+    return None if bp is None else Mul(a, bp, bp)
+
+
+def _idem_combine(kids):
+    return st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda ts: Add(*ts)),
+        st.lists(kids, min_size=2, max_size=4).map(lambda fs: Mul(*fs)),
+        # a·b^p·b^p: two powers of b merge next to another factor
+        st.builds(_merge_next_to, kids, kids, _idem_halves).filter(_built),
+        st.builds(_power_or_none, kids, _idem_powers).filter(_built),
+        kids.map(Sin), kids.map(Exp),
+    )
+
+
+_idem_exprs = st.recursive(_idem_leaves, _idem_combine, max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_idem_exprs)
+@example(Mul(ROOT2, ROOT2, R))
+@example(Mul(Pow(RT, Fraction(1, 2)), Pow(RT, Fraction(1, 2)), R))
+def test_simplify_basic_is_idempotent(e):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symx, "MEMO_CAP", 0)  # the uncached route
+        try:
+            once = simplify_basic(e)
+        except (EvalError, ZeroDivisionError):  # a singular power
+            assume(False)
+        assert simplify_basic(once).key() == once.key()
+
+
+def test_a_simplified_tree_is_served_as_itself():
+    clear_caches()
+    e = Add(Mul(ROOT2, ROOT2, R), Mul(Sin(THETA), Pow(Sin(THETA), 2)))
+    out = simplify_basic(e)
+    assert out in symx._SIMPLIFIED
+    # an equal tree built apart is a lookup that returns the stored node
+    assert simplify_basic(_fresh(out)) is out
+    entries = len(symx._SIMPLIFY_MEMO)
+    simplify_basic(_fresh(out))
+    assert len(symx._SIMPLIFY_MEMO) == entries
+    clear_caches()
+
+
 _UNARY = (Sin, Cos, Exp)
 
 
@@ -400,6 +507,7 @@ def _close(got, want) -> bool:
 
 @settings(max_examples=40, deadline=None)
 @given(_exprs)
+@example(Mul(Const(10 ** 400), R))  # a constant past the float range
 def test_program_skips_exactly_where_tree_oracle_raises(e):
     es = [e, Mul(e, Sym("q")), Mul(e, Pow(Sin(PHI), -1)),
           Exp(Mul(Const(900), R, e))]

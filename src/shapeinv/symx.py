@@ -25,7 +25,7 @@ import gc
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import wraps
+from functools import reduce, wraps
 from operator import add, attrgetter, mul
 
 from .rationals import (GaussRat, I as IUNIT, ONE as QONE, ZERO as QZERO,
@@ -790,6 +790,8 @@ def _pythagoras(atoms: dict, coeff: GaussRat) -> dict:
 def _cf_mul(a: dict, b: dict) -> dict:
     """a·b, each monomial product scaled from the memoized unit one; exact,
     since GaussRat arithmetic is."""
+    if len(a) == 1 and () in a:  # a constant times b
+        return _cf_scale(b, a[()])
     out: dict = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -849,9 +851,10 @@ def _canon_cf(e: Expr) -> dict:
             for m, c in _canon_cf(t).items():
                 _add_term(cf, m, c)
     elif isinstance(e, Mul):
-        cf = _cf_const(GaussRat(1))
-        for f in e.factors:
-            cf = _cf_mul(cf, _canon_cf(f))
+        # the product starts from the first factor's CF, not from the unit:
+        # the product of a CF and the unit is the CF itself
+        cfs = [_canon_cf(f) for f in e.factors]
+        cf = reduce(_cf_mul, cfs[1:], cfs[0]) if cfs else _cf_const(QONE)
     elif isinstance(e, Pow):
         p = e.exponent
         cf = _cf_pow(_canon_cf(e.base), (p.numerator, p.denominator))

@@ -195,6 +195,46 @@ def test_canonical_is_idempotent(e):
     assert canonical_key(c) == canonical_key(e)
 
 
+def _plain_cf_mul(a: dict, b: dict) -> dict:
+    """The product of two CFs, each pair of terms multiplied with its
+    coefficients and added into a copy of the running sum; no memo and no
+    shortcut for a constant."""
+    out: dict = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            box, atoms = [c1 * c2], {}
+            for k, p in (*m1, *m2):
+                symx._insert_atom(atoms, box, k, p)
+            for m, c in symx._pythagoras(atoms, box[0]).items():
+                out = dict(out)
+                s = out.get(m)
+                s = c if s is None else s + c
+                if s.is_zero():
+                    del out[m]
+                else:
+                    out[m] = s
+    return out
+
+
+def _terms(cf: dict) -> list:
+    return [(m, c.key()) for m, c in cf.items()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_exprs, _exprs)
+@example(Const(3), Add(THETA, Cos(PSI)))
+@example(Add(THETA, Cos(PSI)), Mul(Const(Fraction(1, 2)), Cos(PSI)))
+def test_cf_product_matches_the_plain_product(x, y):
+    # the memoized unit products, scaled, the constant shortcut and the
+    # product started from the first factor give the same terms in the
+    # same order
+    a, b = _canon_cf(x), _canon_cf(y)
+    assert _terms(symx._cf_mul(a, b)) == _terms(_plain_cf_mul(a, b))
+    unit = {(): GaussRat(1)}
+    assert _terms(_canon_cf(Mul(x, y))) == _terms(
+        _plain_cf_mul(_plain_cf_mul(unit, a), b))
+
+
 def _has_trig_of(x, name) -> bool:
     if isinstance(x, (Sin, Cos)) and name in free_symbols(x.arg):
         return True

@@ -557,6 +557,8 @@ def _power(b: Expr, p: Fraction) -> Expr:
     if p == 1:
         return b
     if isinstance(b, Const) and (p.denominator == 1 or b.value.is_one()):
+        if p < 0 and b.value.is_zero():
+            raise EvalError("singular: negative power of the zero constant")
         return Const(b.value ** p.numerator)
     if isinstance(b, Pow) and p.denominator == 1:
         # (u^a)^n with integer n is branch-safe

@@ -27,6 +27,7 @@ from .symx import (
     EvalError,
     Exp,
     Expr,
+    Fn,
     MEMOS,
     Mul,
     Pow,
@@ -44,7 +45,7 @@ from .symx import (
 __all__ = [
     "GaussRat",
     "COORDINATES",
-    "Expr", "Const", "Sym", "Add", "Mul", "Pow", "Sin", "Cos", "Exp",
+    "Expr", "Const", "Sym", "Add", "Mul", "Pow", "Fn", "Sin", "Cos", "Exp",
     "DiffError", "EvalError",
     "diff", "evaluate", "substitute", "simplify_basic", "canonical",
     "free_symbols", "render", "clear_caches",

@@ -43,6 +43,9 @@ from .verify import (TOL_EIGEN, TOL_OPERATOR, PlanDegenerate, SamplePlan,
 EIGEN2D_MAX_TWOL = 14
 SHAPE2D_MAX_TWOL = 7
 OSC3D_MAX_LEVEL = 9
+# most --points: a run's time grows with the count, so a larger count is
+# refused before the run, as the levels above are
+MAX_POINTS = 1000
 
 
 def _plan_of(args: argparse.Namespace, default_count: int) -> SamplePlan:
@@ -269,8 +272,9 @@ def _checked(kind, ok, rule: str):
 
 _positive_fraction = _checked(Fraction, lambda v: v > 0,
                               "frequency must be positive")
-_point_count = _checked(int, lambda v: v >= 1,
-                        "point count must be an integer of at least 1")
+_point_count = _checked(int, lambda v: 1 <= v <= MAX_POINTS,
+                        "point count must be an integer of at least 1 "
+                        f"and at most {MAX_POINTS}")
 _tolerance = _checked(float, lambda v: 0 < v < math.inf,
                       "tolerance must be a positive finite number")
 

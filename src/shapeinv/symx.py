@@ -1,8 +1,10 @@
 """Exact symbolic expression trees for trigonometric/Gaussian operator algebra.
 
-Nodes: constants (Gaussian rationals), symbols, sums, products, rational
-powers, sin, cos and exp.  Trees are immutable; all arithmetic stays exact
-until `evaluate` is called with a numeric binding.
+Six node kinds: `Const` (a Gaussian rational), `Sym`, `Add`, `Mul`, `Pow`
+(a rational power) and `Fn`, one function of one argument, whose `name` is
+"sin", "cos" or "exp".  `Sin`, `Cos` and `Exp` build `Fn` nodes.  Trees are
+immutable; all arithmetic stays exact until `evaluate` is called with a
+numeric binding.
 
 Coordinates are the four fixed names in COORDINATES; every other symbol is a
 parameter (quantum numbers, frequency).  Differentiation is only defined with
@@ -136,11 +138,6 @@ def _set_branch(node: Expr, tag: str, kids: tuple):
     _set_hash(node, hash((tag, *map(_HASH, kids))))
 
 
-def _set_unary(node: Expr, tag: str, arg: Expr):
-    _set_key(node, (tag, arg._key))
-    _set_hash(node, hash((tag, arg._hashv)))
-
-
 class Const(Expr):
     __slots__ = ("value",)
 
@@ -199,31 +196,35 @@ class Pow(Expr):
         _set_hash(self, hash(("pow", b._hashv, n, d)))
 
 
-class Sin(Expr):
-    __slots__ = ("arg",)
+# each function's float version, shared by `evaluate` and `Program`
+_FLOAT_FNS = {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}
 
-    def __init__(self, arg):
+
+class Fn(Expr):
+    """The function `name` ("sin", "cos" or "exp") of `arg`; the name is
+    also the node's key tag."""
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg):
+        if name not in _FLOAT_FNS:
+            raise TypeError(f"unknown function {name!r}")
         a = as_expr(arg)
-        Sin.arg.__set__(self, a)
-        _set_unary(self, "sin", a)
+        Fn.name.__set__(self, name)
+        Fn.arg.__set__(self, a)
+        _set_key(self, (name, a._key))
+        _set_hash(self, hash((name, a._hashv)))
 
 
-class Cos(Expr):
-    __slots__ = ("arg",)
-
-    def __init__(self, arg):
-        a = as_expr(arg)
-        Cos.arg.__set__(self, a)
-        _set_unary(self, "cos", a)
+def Sin(arg) -> Fn:
+    return Fn("sin", arg)
 
 
-class Exp(Expr):
-    __slots__ = ("arg",)
+def Cos(arg) -> Fn:
+    return Fn("cos", arg)
 
-    def __init__(self, arg):
-        a = as_expr(arg)
-        Exp.arg.__set__(self, a)
-        _set_unary(self, "exp", a)
+
+def Exp(arg) -> Fn:
+    return Fn("exp", arg)
 
 
 def as_expr(x) -> Expr:
@@ -242,14 +243,16 @@ R = Sym("r")
 ZERO = Const(0)
 ONE = Const(1)
 IMAG = Const(IUNIT)
+# each function's value at the argument zero
+_AT_ZERO = {"sin": ZERO, "cos": ONE, "exp": ONE}
 
 
 def cot(x) -> Expr:
-    return Mul(Cos(x), Pow(Sin(x), -1))
+    return Mul(Fn("cos", x), Pow(Fn("sin", x), -1))
 
 
 def csc(x) -> Expr:
-    return Pow(Sin(x), -1)
+    return Pow(Fn("sin", x), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def children(e: Expr):
         return e.factors
     if isinstance(e, Pow):
         return (e.base,)
-    if isinstance(e, (Sin, Cos, Exp)):
+    if isinstance(e, Fn):
         return (e.arg,)
     return ()
 
@@ -369,10 +372,12 @@ def free_symbols(e: Expr) -> frozenset:
 
 def rebuild(e: Expr, kids) -> Expr:
     """The node `e` over new children `kids`, given in `children(e)` order."""
-    if isinstance(e, (Add, Mul, Sin, Cos, Exp)):
+    if isinstance(e, (Add, Mul)):
         return type(e)(*kids)
     if isinstance(e, Pow):
         return Pow(kids[0], e.exponent)
+    if isinstance(e, Fn):
+        return Fn(e.name, kids[0])
     if isinstance(e, (Const, Sym)):
         return e
     raise TypeError(f"unknown node {type(e).__name__}")
@@ -405,10 +410,12 @@ def trig_to_exp(e: Expr, name: str) -> Expr:
     canonical forms stay in the sin/cos basis.
     """
     x = rebuild(e, [trig_to_exp(c, name) for c in children(e)])
-    if not isinstance(x, (Sin, Cos)) or name not in free_symbols(x.arg):
+    if (not isinstance(x, Fn) or x.name == "exp"
+            or name not in free_symbols(x.arg)):
         return x
-    pos, neg = Exp(Mul(IMAG, x.arg)), Exp(Mul(Const(-1), IMAG, x.arg))
-    if isinstance(x, Sin):
+    pos = Fn("exp", Mul(IMAG, x.arg))
+    neg = Fn("exp", Mul(Const(-1), IMAG, x.arg))
+    if x.name == "sin":
         return Mul(Const(GaussRat(0, Fraction(-1, 2))),
                    Add(pos, Mul(Const(-1), neg)))
     return Mul(Const(Fraction(1, 2)), Add(pos, neg))
@@ -465,14 +472,14 @@ def _diff_node(x: Expr, coord: str) -> Expr:
         if d is ZERO:
             return ZERO
         return Mul(Const(GaussRat(p)), Pow(x.base, p - 1), d)
-    if isinstance(x, (Sin, Cos, Exp)):
+    if isinstance(x, Fn):
         d = _diff(x.arg, coord)
         if d is ZERO:
             return ZERO
-        if isinstance(x, Sin):
-            return Mul(Cos(x.arg), d)
-        if isinstance(x, Cos):
-            return Mul(Const(-1), Sin(x.arg), d)
+        if x.name == "sin":
+            return Mul(Fn("cos", x.arg), d)
+        if x.name == "cos":
+            return Mul(Const(-1), Fn("sin", x.arg), d)
         return Mul(x, d)
     raise TypeError(f"unknown node {type(x).__name__}")
 
@@ -512,12 +519,8 @@ def evaluate(e: Expr, binding: dict) -> complex:
         if p.denominator == 1:
             return b ** p.numerator
         return b ** (p.numerator / p.denominator)
-    if isinstance(e, Sin):
-        return cmath.sin(evaluate(e.arg, binding))
-    if isinstance(e, Cos):
-        return cmath.cos(evaluate(e.arg, binding))
-    if isinstance(e, Exp):
-        return cmath.exp(evaluate(e.arg, binding))
+    if isinstance(e, Fn):
+        return _FLOAT_FNS[e.name](evaluate(e.arg, binding))
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -635,21 +638,11 @@ def _simplify_node(e: Expr) -> Expr:
         return _product(map(simplify_basic, e.factors))
     if isinstance(e, Pow):
         return _power(simplify_basic(e.base), e.exponent)
-    if isinstance(e, Sin):
+    if isinstance(e, Fn):
         a = simplify_basic(e.arg)
         if isinstance(a, Const) and a.value.is_zero():
-            return ZERO
-        return Sin(a)
-    if isinstance(e, Cos):
-        a = simplify_basic(e.arg)
-        if isinstance(a, Const) and a.value.is_zero():
-            return ONE
-        return Cos(a)
-    if isinstance(e, Exp):
-        a = simplify_basic(e.arg)
-        if isinstance(a, Const) and a.value.is_zero():
-            return ONE
-        return Exp(a)
+            return _AT_ZERO[e.name]
+        return Fn(e.name, a)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -860,21 +853,12 @@ def _canon_cf(e: Expr) -> dict:
     elif isinstance(e, Pow):
         p = e.exponent
         cf = _cf_pow(_canon_cf(e.base), (p.numerator, p.denominator))
-    elif isinstance(e, Sin):
-        acf = _canon_cf(e.arg)
-        cf = {} if not acf else {((("sin", _cf_key(acf)), (1, 1)),): GaussRat(1)}
-    elif isinstance(e, Cos):
+    elif isinstance(e, Fn):
         acf = _canon_cf(e.arg)
         if not acf:
-            cf = _cf_const(GaussRat(1))
+            cf = _cf_const(_AT_ZERO[e.name].value)
         else:
-            cf = {((("cos", _cf_key(acf)), (1, 1)),): GaussRat(1)}
-    elif isinstance(e, Exp):
-        acf = _canon_cf(e.arg)
-        if not acf:
-            cf = _cf_const(GaussRat(1))
-        else:
-            cf = {((("exp", _cf_key(acf)), (1, 1)),): GaussRat(1)}
+            cf = {(((e.name, _cf_key(acf)), (1, 1)),): GaussRat(1)}
     else:
         raise TypeError(f"unknown node {type(e).__name__}")
     return cf
@@ -884,12 +868,8 @@ def _atom_to_expr(key) -> Expr:
     kind = key[0]
     if kind == "sym":
         return Sym(key[1])
-    if kind == "sin":
-        return Sin(cf_to_expr(_key_to_cf(key[1])))
-    if kind == "cos":
-        return Cos(cf_to_expr(_key_to_cf(key[1])))
-    if kind == "exp":
-        return Exp(cf_to_expr(_key_to_cf(key[1])))
+    if kind in _FLOAT_FNS:
+        return Fn(kind, cf_to_expr(_key_to_cf(key[1])))
     if kind == "cpow":
         return Const(GaussRat.from_key(key[1]))
     raise TypeError(f"unknown atom {kind}")
@@ -968,7 +948,6 @@ def fourier_modes(e: Expr, name: str) -> list:
 # power or an overflow, a cmath domain error, an unbound symbol
 _FAILURES = (ArithmeticError, ValueError, LookupError)
 _NAN = complex("nan")
-_FUNCS = {Sin: cmath.sin, Cos: cmath.cos, Exp: cmath.exp}
 _FOLDS = {Add: (add, 0j), Mul: (mul, 1 + 0j)}  # as `evaluate` starts them
 
 
@@ -1037,8 +1016,8 @@ class Program:
                 p = e.exponent
                 p = p.numerator if p.denominator == 1 else p.numerator / p.denominator
                 col = _each(lambda b: b ** p, vals[kids[0]], bad)
-            else:
-                col = _each(_FUNCS[kind], vals[kids[0]], bad)
+            else:  # Fn
+                col = _each(_FLOAT_FNS[e.name], vals[kids[0]], bad)
             vals.append(col)
         return [vals[i] for i in self.outputs], bad
 
@@ -1083,10 +1062,6 @@ def _render(x: Expr, prec: int) -> str:
         if p < 0 or p.denominator != 1:
             ps = f"({ps})"
         return f"{_render(x.base, 3)}^{ps}"
-    if isinstance(x, Sin):
-        return f"sin({_render(x.arg, 0)})"
-    if isinstance(x, Cos):
-        return f"cos({_render(x.arg, 0)})"
-    if isinstance(x, Exp):
-        return f"exp({_render(x.arg, 0)})"
+    if isinstance(x, Fn):
+        return f"{x.name}({_render(x.arg, 0)})"
     raise TypeError(f"unknown node {type(x).__name__}")

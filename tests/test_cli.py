@@ -10,8 +10,9 @@ import sys
 import pytest
 
 from shapeinv import cli, ladders2d, osc3d
-from shapeinv.cli import (EIGEN2D_MAX_TWOL, OSC3D_MAX_LEVEL, SHAPE2D_MAX_TWOL,
-                          _plan_of, _tol_of, build_parser, main)
+from shapeinv.cli import (EIGEN2D_MAX_TWOL, MAX_POINTS, OSC3D_MAX_LEVEL,
+                          SHAPE2D_MAX_TWOL, _plan_of, _tol_of, build_parser,
+                          main)
 from shapeinv.dsl import GENERATOR_NAMES, MAX_PRODUCT_SIZE, parse_and_build
 from shapeinv.suite import SuiteConfig, report_json, run_suite
 from shapeinv.verify import PlanDegenerate
@@ -232,6 +233,8 @@ def test_check_rejects_nonpositive_frequency(capsys):
     (["check", "L3", "--tol", "-1"], "positive finite"),
     (["suite", "--tol", "nan"], "positive finite"),
     (["check", "L3", "--tol", "tiny"], "positive finite"),
+    (["check", "L3", "--points", str(MAX_POINTS + 1)], "at most 1000"),
+    (["suite", "--points", str(MAX_POINTS + 1)], "at most 1000"),
 ])
 def test_bad_points_or_tolerance_is_a_usage_error(argv, fragment, capsys):
     # argparse rejects the value before any check runs
@@ -482,6 +485,26 @@ def test_out_is_opened_before_the_run(tmp_path, monkeypatch, capsys):
     code, out, err = run_cli(["suite", "--out", str(path)], capsys)
     assert_usage_error("suite", code, out, err)
     assert f"cannot write the report to {str(path)!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "--points", str(MAX_POINTS + 1)],
+    ["check", "L3", "--points", str(MAX_POINTS + 1)],
+], ids=["suite", "check"])
+def test_too_many_points_are_refused_before_the_run(argv, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(cli, "run_suite", _must_not_run)
+    monkeypatch.setattr(cli, "parse_and_build", _must_not_run)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and not out
+    assert f"at most {MAX_POINTS}" in err and "Traceback" not in err
+
+
+def test_the_point_bound_itself_is_accepted(capsys):
+    code, out, _ = run_cli(["check", "[Lp, Lm] - 2*L3",
+                            "--points", str(MAX_POINTS)], capsys)
+    assert MAX_POINTS == 1000
+    assert code == 0 and "PASS" in out
 
 
 def _inconclusive(*args, **kwargs):

@@ -227,14 +227,28 @@ def test_cold_suite_simplify_work_can_only_shrink(cold_suite_simplify):
     assert entries <= COLD_SUITE_SIMPLIFY_ENTRIES
 
 
+class _Forgetful(dict):
+    """A table that stores nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_cold_suite_simplified_trees_are_fixed_points(cold_suite_simplify,
                                                       monkeypatch):
-    # each is served as its own simplification, so the uncached route must
-    # return it unchanged
+    # each is served as its own simplification, so simplifying it again
+    # must return it unchanged.  No tree is served as itself here, and the
+    # input-keyed memo starts empty, so each of its entries is the uncached
+    # routine's result for its input: the walk is linear in the distinct
+    # subtrees, not in the paths to them
     _, trees = cold_suite_simplify
     assert len(trees) > 10_000
-    monkeypatch.setattr(symx, "MEMO_CAP", 0)
-    moved = [t for t in trees if symx.simplify_basic(t).key() != t.key()]
+    clear_caches()
+    monkeypatch.setattr(symx, "_SIMPLIFIED", _Forgetful())
+    try:
+        moved = [t for t in trees if symx.simplify_basic(t).key() != t.key()]
+    finally:
+        clear_caches()
     assert not moved, f"{len(moved)} simplified trees simplify further"
 
 

@@ -14,7 +14,7 @@ from shapeinv import clear_caches, su2, symx
 from shapeinv.osc3d import _hermite
 from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
-    Add, Const, Cos, EvalError, Exp, Expr, Mul, Pow, Program, Sin, Sym,
+    Add, Const, Cos, EvalError, Exp, Expr, Fn, Mul, Pow, Program, Sin, Sym,
     COORDINATES, IMAG, ONE, PHI, PSI, R, THETA, ZERO,
     canonical, canonical_key, children, cot, csc, diff,
     evaluate, free_symbols, is_zero_expr, rebuild, render,
@@ -247,7 +247,7 @@ def test_cf_product_matches_the_plain_product(x, y):
 
 
 def _has_trig_of(x, name) -> bool:
-    if isinstance(x, (Sin, Cos)) and name in free_symbols(x.arg):
+    if isinstance(x, Fn) and x.name != "exp" and name in free_symbols(x.arg):
         return True
     return any(_has_trig_of(c, name) for c in children(x))
 
@@ -310,9 +310,9 @@ def _full_chain_rule(e, coord):
     if isinstance(e, Pow):
         p = e.exponent
         return Mul(Const(p), Pow(e.base, p - 1), inner)
-    if isinstance(e, Sin):
+    if e.name == "sin":
         return Mul(Cos(e.arg), inner)
-    if isinstance(e, Cos):
+    if e.name == "cos":
         return Mul(Const(-1), Sin(e.arg), inner)
     return Mul(e, inner)
 
@@ -348,6 +348,124 @@ def test_rebuilt_nodes_are_equal_with_equal_hashes(e):
     assert same == e and hash(same) == hash(e)
     twin = _fresh(e)
     assert twin == e and hash(twin) == hash(e) and twin.key() == e.key()
+
+
+# ---------------------------------------------------------------------------
+# One function node: sin, cos and exp are `Fn` nodes with their name as the
+# key tag.  The oracles below are the branches the kernel had while each
+# function was a class of its own, one per function, pinned against the one
+# `Fn` branch on trees with nested functions and arguments that are zero
+# ---------------------------------------------------------------------------
+
+_FN_NAMES = st.sampled_from(["sin", "cos", "exp"])
+
+
+def _fn_combine(kids):
+    return st.one_of(
+        _combine(kids),
+        st.builds(Fn, _FN_NAMES, kids),
+        # an argument that simplify_basic folds to zero, and one that only
+        # the canonical form finds zero
+        st.builds(lambda n, a: Fn(n, Mul(ZERO, a)), _FN_NAMES, kids),
+        st.builds(lambda n, a: Fn(n, Add(a, Mul(Const(-1), a))),
+                  _FN_NAMES, kids),
+    )
+
+
+_fn_exprs = st.recursive(_leaves, _fn_combine, max_leaves=6)
+_SIMPLIFY_NODE = symx._simplify_node.__wrapped__
+_CANON_CF = symx._canon_cf.__wrapped__
+
+
+def _simplify_node_per_class(e):
+    if not isinstance(e, Fn):
+        return _SIMPLIFY_NODE(e)
+    if e.name == "sin":
+        a = simplify_basic(e.arg)
+        if isinstance(a, Const) and a.value.is_zero():
+            return ZERO
+        return Sin(a)
+    if e.name == "cos":
+        a = simplify_basic(e.arg)
+        if isinstance(a, Const) and a.value.is_zero():
+            return ONE
+        return Cos(a)
+    a = simplify_basic(e.arg)
+    if isinstance(a, Const) and a.value.is_zero():
+        return ONE
+    return Exp(a)
+
+
+def _canon_cf_per_class(e):
+    if not isinstance(e, Fn):
+        return _CANON_CF(e)
+    if e.name == "sin":
+        acf = symx._canon_cf(e.arg)
+        return {} if not acf else {((("sin", symx._cf_key(acf)), (1, 1)),):
+                                   GaussRat(1)}
+    if e.name == "cos":
+        acf = symx._canon_cf(e.arg)
+        if not acf:
+            return symx._cf_const(GaussRat(1))
+        return {((("cos", symx._cf_key(acf)), (1, 1)),): GaussRat(1)}
+    acf = symx._canon_cf(e.arg)
+    if not acf:
+        return symx._cf_const(GaussRat(1))
+    return {((("exp", symx._cf_key(acf)), (1, 1)),): GaussRat(1)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fn_exprs)
+@example(Sin(Mul(ZERO, THETA)))
+@example(Mul(Cos(Add(R, Mul(Const(-1), R))), Exp(Mul(ZERO, PSI)), Sin(R)))
+@example(Exp(Add(Sin(THETA), Cos(Mul(ZERO, R)))))
+def test_one_function_branch_matches_the_per_class_branches(e):
+    clear_caches()
+    want_tree, want_cf = simplify_basic(e), _canon_cf(e)
+    clear_caches()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symx, "MEMO_CAP", 0)  # every node through the oracles
+        mp.setattr(symx, "_simplify_node", _simplify_node_per_class)
+        mp.setattr(symx, "_canon_cf", _canon_cf_per_class)
+        tree, cf = simplify_basic(e), symx._canon_cf(e)
+    clear_caches()
+    assert want_tree.key() == tree.key()
+    assert _terms(want_cf) == _terms(cf)
+
+
+@pytest.mark.parametrize("build,name",
+                         [(Sin, "sin"), (Cos, "cos"), (Exp, "exp")],
+                         ids=["sin", "cos", "exp"])
+@pytest.mark.parametrize("x", [THETA, Add(R, ONE), Sin(PSI)], ids=render)
+def test_function_node_format(build, name, x):
+    f = build(x)
+    assert type(f) is Fn and f.name == name and f.arg is x
+    assert f == Fn(name, x)
+    assert f.key() == (name, x.key())
+    assert hash(f) == hash((name, hash(x)))
+    assert render(f) == f"{name}({render(x)})"
+    # the canonical atom tag is the name, and it reads back as the node
+    ((mono, coeff),) = _canon_cf(f).items()
+    ((atom, exp),) = mono
+    assert atom[0] == name and exp == (1, 1) and coeff.is_one()
+    assert symx._atom_to_expr(atom) == Fn(name, canonical(x))
+
+
+@pytest.mark.parametrize("build,value", [(Sin, 0), (Cos, 1), (Exp, 1)],
+                         ids=["sin", "cos", "exp"])
+@pytest.mark.parametrize("zero,folds", [
+    (ZERO, True), (Mul(ZERO, R), True), (Add(R, Mul(Const(-1), R)), False),
+], ids=["zero", "zero-product", "cancelling-sum"])
+def test_function_of_zero_folds_to_its_value(build, value, zero, folds):
+    want = Const(value).key()
+    assert canonical(build(zero)).key() == want
+    # simplify_basic folds a zero product but does not cancel terms
+    assert (simplify_basic(build(zero)).key() == want) is folds
+
+
+def test_unknown_function_names_are_refused():
+    with pytest.raises(TypeError):
+        Fn("tan", THETA)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from .symx import (
     Sym,
     canonical,
     diff,
-    evaluate,
     free_symbols,
     render,
     simplify_basic,
@@ -47,7 +46,7 @@ __all__ = [
     "COORDINATES",
     "Expr", "Const", "Sym", "Add", "Mul", "Pow", "Fn", "Sin", "Cos", "Exp",
     "DiffError", "EvalError",
-    "diff", "evaluate", "substitute", "simplify_basic", "canonical",
+    "diff", "substitute", "simplify_basic", "canonical",
     "free_symbols", "render", "clear_caches",
 ]
 

@@ -121,16 +121,12 @@ class DiffOp:
         return DiffOp((OpTerm(as_expr(e)),), param)
 
     @staticmethod
-    def partial(coord: str, order: int = 1, param=None) -> "DiffOp":
+    def partial(coord: str, param=None) -> "DiffOp":
         if coord not in COORDINATES:
             raise OpError(f"unknown coordinate {coord!r}")
         d = [0] * _NDIM
-        d[COORDINATES.index(coord)] = order
+        d[COORDINATES.index(coord)] = 1
         return DiffOp((OpTerm(ONE, tuple(d)),), param)
-
-    @staticmethod
-    def shift(param: str, k: int) -> "DiffOp":
-        return DiffOp((OpTerm(ONE, _NO_DERIVS, k),), param)
 
     # -- bookkeeping ----------------------------------------------------------
     def _merge_param(self, other) -> str | None:
@@ -210,15 +206,6 @@ class DiffOp:
         c = as_expr(other)
         return DiffOp(tuple(OpTerm(Mul(c, t.coeff), t.derivs, t.shift)
                             for t in self.terms), self.param)
-
-    def __mul__(self, other):
-        if isinstance(other, DiffOp):
-            return NotImplemented
-        c = as_expr(other)
-        if isinstance(c, Const):
-            return self.__rmul__(c)  # constants commute with everything
-        # operator times function = composition with a multiplication operator
-        return self @ DiffOp.from_expr(c, self.param)
 
     def __matmul__(self, other):
         if not isinstance(other, DiffOp):

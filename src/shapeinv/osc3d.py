@@ -632,10 +632,10 @@ def _poly(u: Expr, terms) -> Expr:
     return pieces[0] if len(pieces) == 1 else Add(*pieces)
 
 
-def _finite_sum(n1: int, n2: int, u: Expr, sign: int) -> Expr:
-    """sum_i (-1)^i i! C(n1,i) C(n2,i) u^(n + sign 2i), n = n1 + n2."""
+def _finite_sum(n1: int, n2: int, u: Expr) -> Expr:
+    """sum_i (-1)^i i! C(n1,i) C(n2,i) u^(n-2i), n = n1 + n2."""
     return _poly(u, [((-1) ** i * math.factorial(i)
-                      * math.comb(n1, i) * math.comb(n2, i), n1 + n2 + sign * 2 * i)
+                      * math.comb(n1, i) * math.comb(n2, i), n1 + n2 - 2 * i)
                      for i in range(min(n1, n2) + 1)])
 
 
@@ -658,7 +658,7 @@ def closed_sum(n1: int, n2: int, n3: int, n4: int, w: Fraction,
     sample it.  hermite_scaled=False drops the sqrt(w) from the Hermite
     arguments (the frequency-blind variant; detectably wrong unless w = 1)."""
     sqw = Pow(Const(w), Fraction(1, 2))
-    body = _finite_sum(n1, n2, Mul(sqw, R, Sin(PSI), Sin(THETA)), -1)
+    body = _finite_sum(n1, n2, Mul(sqw, R, Sin(PSI), Sin(THETA)))
     hsc = sqw if hermite_scaled else ONE
     out = Mul(body,
               _hermite(n3, Mul(hsc, R, Sin(PSI), Cos(THETA))),
@@ -675,20 +675,6 @@ def psi_closed(qn: QNum3D, reduced: bool = True) -> Expr:
     return closed_sum(qn.n1, qn.n2, qn.n3, qn.n4, qn.omega, phase=not reduced)
 
 
-def psi_closed_printed(qn: QNum3D) -> Expr:
-    """Verbatim transcription of the reduced closed form, kept as a
-    negative control: the first Hermite argument lacks both the radius and
-    the frequency, the Gaussian and second Hermite argument lack the
-    frequency, and the sum carries u^(n+2i) in place of u^(n-2i).  It
-    coincides with the corrected form only where the garbled terms are
-    absent (n <= 1, w = 1, n3 = n4 = 0)."""
-    return canonical(Mul(
-        _finite_sum(qn.n1, qn.n2, Mul(R, Sin(PSI), Sin(THETA)), +1),
-        _hermite(qn.n3, Mul(Sin(PSI), Sin(THETA))),
-        _hermite(qn.n4, Mul(R, Cos(PSI))),
-        Exp(Mul(Const(Fraction(-1, 2)), Pow(R, 2)))))
-
-
 def psi_ladder(qn: QNum3D) -> Expr:
     """Eigenfunction by operator chains over the square root of the
     descent's normalization product, `c_squared`."""
@@ -697,16 +683,6 @@ def psi_ladder(qn: QNum3D) -> Expr:
     if c_sq != 1:
         return canonical(Mul(Pow(Const(c_sq), Fraction(-1, 2)), chain.state))
     return chain.state
-
-
-def state_normalized(qn: QNum3D) -> Expr:
-    """Ladder eigenfunction scaled so the one-step actions carry exactly
-    the square-root occupation coefficients: over sqrt(n! n3! n4!)."""
-    scale = math.prod(_LATTICE.chain(qn).steps[:qn.n + qn.n3 + qn.n4])
-    if scale == 1:
-        return psi_ladder(qn)
-    return canonical(Mul(Pow(Const(Fraction(1, scale)), Fraction(1, 2)),
-                         psi_ladder(qn)))
 
 
 def c_squared(n: int, m: int) -> Fraction:

@@ -3,8 +3,8 @@
 Six node kinds: `Const` (a Gaussian rational), `Sym`, `Add`, `Mul`, `Pow`
 (a rational power) and `Fn`, one function of one argument, whose `name` is
 "sin", "cos" or "exp".  `Sin`, `Cos` and `Exp` build `Fn` nodes.  Trees are
-immutable; all arithmetic stays exact until `evaluate` is called with a
-numeric binding.
+built by the node constructors only and are immutable; they stay exact until
+a `Program` evaluates them, as the tests' oracle `tests/oracles.evaluate` does.
 
 Coordinates are the four fixed names in COORDINATES; every other symbol is a
 parameter (quantum numbers, frequency).  Differentiation is only defined with
@@ -41,7 +41,7 @@ class SymxError(Exception):
 
 
 class EvalError(SymxError):
-    """Unbound symbol or singular evaluation."""
+    """A negative power of an exact zero."""
 
 
 class DiffError(SymxError):
@@ -78,40 +78,6 @@ class Expr:
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self._key == other._key
-
-    # -- operator sugar -----------------------------------------------------
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __neg__(self):
-        return Mul(Const(-1), self)
-
-    def __sub__(self, other):
-        return Add(self, -as_expr(other))
-
-    def __rsub__(self, other):
-        return Add(as_expr(other), -self)
-
-    def __mul__(self, other):
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        o = as_expr(other)
-        if isinstance(o, Const):
-            return Mul(Const(GaussRat.of(1) / o.value), self)
-        return Mul(self, Pow(o, -1))
-
-    def __rtruediv__(self, other):
-        return as_expr(other) * Pow(self, -1)
-
-    def __pow__(self, p):
-        return Pow(self, p)
 
     def __repr__(self):
         return render(self)
@@ -196,7 +162,7 @@ class Pow(Expr):
         _set_hash(self, hash(("pow", b._hashv, n, d)))
 
 
-# each function's float version, shared by `evaluate` and `Program`
+# each function's float version, for `Program` and the tests' tree oracle
 _FLOAT_FNS = {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}
 
 
@@ -482,46 +448,6 @@ def _diff_node(x: Expr, coord: str) -> Expr:
             return Mul(Const(-1), Fn("sin", x.arg), d)
         return Mul(x, d)
     raise TypeError(f"unknown node {type(x).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def evaluate(e: Expr, binding: dict) -> complex:
-    """Numerically evaluate with all free symbols bound.
-
-    Raises EvalError for unbound symbols and for singular points
-    (negative/fractional powers of zero).
-    """
-    if isinstance(e, Const):
-        return complex(e.value)
-    if isinstance(e, Sym):
-        try:
-            v = binding[e.name]
-        except KeyError:
-            raise EvalError(f"unbound symbol {e.name!r}") from None
-        return complex(v)
-    if isinstance(e, Add):
-        return sum((evaluate(t, binding) for t in e.terms), 0j)
-    if isinstance(e, Mul):
-        out = 1.0 + 0j
-        for f in e.factors:
-            out *= evaluate(f, binding)
-        return out
-    if isinstance(e, Pow):
-        b = evaluate(e.base, binding)
-        p = e.exponent
-        if b == 0:
-            if p < 0:
-                raise EvalError("singular evaluation: zero base with negative power")
-            return 0j if p > 0 else 1.0 + 0j
-        if p.denominator == 1:
-            return b ** p.numerator
-        return b ** (p.numerator / p.denominator)
-    if isinstance(e, Fn):
-        return _FLOAT_FNS[e.name](evaluate(e.arg, binding))
-    raise TypeError(f"unknown node {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -944,11 +870,11 @@ def fourier_modes(e: Expr, name: str) -> list:
 # Compiled evaluation of trees over many points
 # ---------------------------------------------------------------------------
 
-# what a point raises where `evaluate` raises: a zero base with a negative
+# what a point raises where the tree oracle raises: a zero base with a negative
 # power or an overflow, a cmath domain error, an unbound symbol
 _FAILURES = (ArithmeticError, ValueError, LookupError)
 _NAN = complex("nan")
-_FOLDS = {Add: (add, 0j), Mul: (mul, 1 + 0j)}  # as `evaluate` starts them
+_FOLDS = {Add: (add, 0j), Mul: (mul, 1 + 0j)}  # as the tree oracle starts them
 
 
 def _each(f, col: list, bad: set) -> list:
@@ -976,8 +902,8 @@ class Program:
     Calling it with a list of bindings evaluates each slot over all the
     points at once.  It returns the values of each tree, as a list per
     point, and the set of indices of the points where evaluation failed.
-    Each value is the one `evaluate` computes, by the same operations in
-    the same order, and a point fails exactly where `evaluate` raises.
+    Each value is the one `tests/oracles.evaluate` computes, by the same
+    operations in the same order, and a point fails exactly where it raises.
     """
 
     def __init__(self, exprs):

@@ -18,6 +18,8 @@ from shapeinv.osc3d import QNum3D
 from shapeinv.symx import Add, Const, Mul
 from shapeinv.verify import SamplePlan, check_eigen, check_zero
 
+from oracles import state_normalized
+
 PLAN = SamplePlan(seed=43, count=8)
 TOL = 1e-8
 
@@ -58,7 +60,7 @@ def _oracle_eigen3d(qn, plan, closed, tol):
 def _oracle_pair_eigen(qn, plan, tol):
     w = qn.omega
     lam = osc3d.pair_energy(qn.n, qn.m)
-    state = osc3d.state_normalized(qn)
+    state = state_normalized(qn)
     s = osc3d.build_oscillators(w)
     pair_minus = (s.A2 @ s.A1d).normalized()   # A1d then A2: m -> m - 2
     pair_plus = (s.A2d @ s.A1).normalized()    # A1 then A2d: m -> m + 2
@@ -68,7 +70,7 @@ def _oracle_pair_eigen(qn, plan, tol):
     out = [check_zero(res, plan, reference=[ref], tol=tol,
                       name=f"pair plus-after-minus {qn}")]
     if qn.m - 2 >= -qn.n:
-        low = osc3d.state_normalized(QNum3D(qn.n, qn.m - 2, qn.n3, qn.n4, w))
+        low = state_normalized(QNum3D(qn.n, qn.m - 2, qn.n3, qn.n4, w))
         down_up = (pair_minus @ pair_plus).at_incoming(qn.m - 2)
         res = Add(down_up.apply(low), Mul(Const(-lam), low))
         ref = Mul(Const(lam), low) if lam else low

@@ -13,7 +13,9 @@ from shapeinv.dsl import (
 from shapeinv.opalg import DiffOp, OpError, apply_canonical, commutator
 from shapeinv.rationals import GaussRat
 from shapeinv.suite import SuiteConfig, run_suite
-from shapeinv.symx import ONE, Const, evaluate
+from shapeinv.symx import ONE, Const
+
+from oracles import evaluate
 
 
 def build(text, omega=Fraction(1)) -> DiffOp:

@@ -5,10 +5,11 @@ builder, one-step actions loop and residual rule, and beside them their
 pair ladders as hand-composed operators with their own chain walks and
 scalar products.  Both now supply a `lattice.Lattice` and use its one
 walker, its one actions loop over words of moves and its one rule.  The
-replaced code is kept here, as it was, as the oracle: the 2-D actions and
-reconstruction reports must have the same `as_dict()`, the 3-D actions,
-pair and ascent reports the same verdicts with residuals at rounding level,
-and each chain state must be the same tree.
+replaced code is kept as it was, as the oracle, here and (the 3-D chain
+states) in `oracles`: the 2-D actions and reconstruction reports must have
+the same `as_dict()`, the 3-D actions, pair and ascent reports the same
+verdicts with residuals at rounding level, and each chain state must be
+the same tree.
 """
 import math
 from fractions import Fraction
@@ -29,6 +30,8 @@ from shapeinv.verify import (
     TOL_EIGEN, IdentityReport, PlanDegenerate, SamplePlan, check_eigen,
     check_proportional, check_zero, worst_of,
 )
+
+from oracles import psi_ladder, state_normalized
 
 PLANS = [SamplePlan(seed=31, count=8), SamplePlan(seed=32, count=12)]
 
@@ -209,36 +212,6 @@ def annihilation_reports(qn: QNum2D, plan: SamplePlan, tol: float) -> list:
 
 
 # -- the replaced 3-D code ------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def psi_ladder(qn: QNum3D) -> Expr:
-    w = qn.omega
-    s = build_oscillators(w)
-    f = osc3d._gaussian(w)
-    for k in range(qn.n):
-        f = apply_canonical(s.A2d.at_incoming(k), f)
-    for _ in range(qn.n4):
-        f = apply_canonical(s.a4d.at_incoming(0), f)
-    for _ in range(qn.n3):
-        f = apply_canonical(s.a3d.at_incoming(0), f)
-    for k in range(qn.n, qn.m, -2):
-        f = apply_canonical(s.A1d.at_incoming(k), f)
-        f = apply_canonical(s.A2.at_incoming(k - 1), f)
-    c_sq = c_squared(qn.n, qn.m)
-    if c_sq != 1:
-        f = canonical(Mul(Pow(Const(c_sq), Fraction(-1, 2)), f))
-    return f
-
-
-@lru_cache(maxsize=None)
-def state_normalized(qn: QNum3D) -> Expr:
-    scale = (math.factorial(qn.n) * math.factorial(qn.n3)
-             * math.factorial(qn.n4))
-    if scale == 1:
-        return psi_ladder(qn)
-    return canonical(Mul(Pow(Const(Fraction(1, scale)), Fraction(1, 2)),
-                         psi_ladder(qn)))
-
 
 # op name -> (dn, dm, dn3, dn4, squared coefficient); a move is invalid
 # exactly when the squared coefficient vanishes.
@@ -509,7 +482,6 @@ def test_walker_builds_the_replaced_3d_ladder_states(omega):
                 for m in range(-n, n + 1, 2):
                     qn = QNum3D(n, m, n3, n4, omega)
                     assert osc3d.psi_ladder(qn) == psi_ladder(qn), qn
-                    assert osc3d.state_normalized(qn) == state_normalized(qn), qn
 
 
 # -- the one rule ----------------------------------------------------------------

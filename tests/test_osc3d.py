@@ -22,6 +22,8 @@ from shapeinv.verify import (
     PlanDegenerate, SamplePlan, check_op_zero, check_zero, worst_of,
 )
 
+from oracles import state_normalized
+
 PLAN = SamplePlan(seed=29, count=24)
 
 
@@ -188,7 +190,8 @@ def test_undecided_eigen_relations_can_only_shrink():
     for qn in states:
         psi = osc3d.psi_closed(qn)
         ham = osc3d.build_Hm(qn.omega).at_incoming(qn.m)
-        if not is_zero_expr(ham.apply(psi) - Const(qn.energy()) * psi):
+        if not is_zero_expr(Add(ham.apply(psi),
+                                Mul(Const(-qn.energy()), psi))):
             undecided.add((qn.n, qn.m, qn.n3, qn.n4, qn.omega))
     assert undecided <= {(*label, Fraction(2)) for label in UNDECIDED_EIGEN3D}
 
@@ -201,7 +204,7 @@ def test_closed_form_eigen_other_frequency():
 
 def test_printed_closed_form_fails_eigen():
     qn = QNum3D(2, 0)
-    psi = osc3d.psi_closed_printed(qn)
+    psi = _printed_closed_form(qn)
     ham = osc3d.build_Hm(qn.omega).at_incoming(qn.m)
     lam = Const(qn.energy())
     res = canonical(Add(ham.apply(psi), Mul(Const(-1), lam, psi)))
@@ -210,7 +213,7 @@ def test_printed_closed_form_fails_eigen():
     # ... although it coincides with the corrected form where the garbled
     # pieces are absent
     qn0 = QNum3D(1, 1)
-    assert is_zero_expr(Add(osc3d.psi_closed_printed(qn0),
+    assert is_zero_expr(Add(_printed_closed_form(qn0),
                             Mul(Const(-1), osc3d.psi_closed(qn0))))
 
 
@@ -236,10 +239,21 @@ def _written_hermite(n, x):
     return pieces[0] if len(pieces) == 1 else Add(*pieces)
 
 
+def _printed_closed_form(qn):
+    """The reduced closed form as printed, a negative control: the first
+    Hermite argument lacks the radius and the frequency, the Gaussian and
+    the second lack the frequency, and the sum has u^(n+2i) for u^(n-2i)."""
+    return canonical(Mul(
+        _replaced_sum(qn.n1, qn.n2, Mul(R, Sin(PSI), Sin(THETA)), +1),
+        _written_hermite(qn.n3, Mul(Sin(PSI), Sin(THETA))),
+        _written_hermite(qn.n4, Mul(R, Cos(PSI))),
+        Exp(Mul(Const(Fraction(-1, 2)), Pow(R, 2)))))
+
+
 def test_closed_forms_keep_their_replaced_trees():
-    """Both closed forms build their sums through one helper and their
-    Hermite polynomials through another; each tree is the one the written-out
-    sums and polynomials give."""
+    """The closed form builds its sum through one helper and its Hermite
+    polynomials through another; each tree is the one the written-out sum
+    and polynomials give."""
     for w, n1, n2, (n3, n4) in product((Fraction(1), Fraction(2)), range(4),
                                        range(4), ((0, 0), (1, 0), (0, 2), (3, 1))):
         sqw = Pow(Const(w), Fraction(1, 2))
@@ -254,12 +268,6 @@ def test_closed_forms_keep_their_replaced_trees():
                            want)
             assert osc3d.closed_sum(n1, n2, n3, n4, w, phase=phase,
                                     hermite_scaled=scaled) == simplify_basic(want)
-        assert osc3d.psi_closed_printed(
-            QNum3D(n1 + n2, n2 - n1, n3, n4, w)) == canonical(Mul(
-                _replaced_sum(n1, n2, Mul(R, Sin(PSI), Sin(THETA)), +1),
-                _written_hermite(n3, Mul(Sin(PSI), Sin(THETA))),
-                _written_hermite(n4, Mul(R, Cos(PSI))),
-                Exp(Mul(Const(Fraction(-1, 2)), Pow(R, 2)))))
 
 
 def test_closed_form_prints_its_polynomials():
@@ -349,8 +357,8 @@ def test_state_normalized_is_unit_coefficient_family():
     # one raising step on the normalized family carries sqrt(n3 + 1)
     qn = QNum3D(0, 0, 1, 0)
     up = osc3d.build_oscillators(Fraction(1)).a3d.at_incoming(0)
-    got = apply_canonical(up, osc3d.state_normalized(QNum3D(0, 0, 0, 0)))
-    want = osc3d.state_normalized(qn)
+    got = apply_canonical(up, state_normalized(QNum3D(0, 0, 0, 0)))
+    want = state_normalized(qn)
     from shapeinv.verify import check_proportional
     rep = check_proportional(got, want, PLAN, name="a3d step")
     assert rep.passed

@@ -323,7 +323,7 @@ def _add(a, b):
     return a + b
 
 
-def parse_and_build(text: str, omega=Fraction(1)) -> tuple:
+def parse_and_build(text: str, omega) -> tuple:
     """The operator of an expression (a scalar promotes to a multiple of the
     identity), and the summands of the sum of two or more terms that
     produced it, parenthesized or not; () when its last operation is not

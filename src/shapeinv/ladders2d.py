@@ -53,7 +53,6 @@ from .opalg import DiffOp
 from . import su2
 from .lattice import Lattice, Move, check_words, reach, walk
 from .verify import (
-    TOL_EIGEN,
     IdentityReport,
     SamplePlan,
     check_eigen,
@@ -130,35 +129,11 @@ def valid_states(twol: int):
 # ---------------------------------------------------------------------------
 
 @memo({})
-def Lminus_of(mm) -> DiffOp:
-    """One-step lowering operator of the left sector at incoming label mm."""
-    return su2.reduced_ladder_reference("Lm").at_incoming(mm).normalized()
-
-
-@memo({})
-def Rminus_of(mm) -> DiffOp:
-    """One-step lowering operator of the right sector at incoming label mm."""
-    return su2.reduced_ladder_reference("Rm").at_incoming(mm).normalized()
-
-
-@memo({})
-def Lplus_of(mm) -> DiffOp:
-    return su2.reduced_ladder_reference("Lp").at_incoming(mm).normalized()
-
-
-@memo({})
-def Rplus_of(mm) -> DiffOp:
-    return su2.reduced_ladder_reference("Rp").at_incoming(mm).normalized()
-
-
-@memo({})
-def L3_of(mm) -> DiffOp:
-    return su2.reduced_ladder_reference("L3").subs_param(mm)
-
-
-@memo({})
-def R3_of(mm) -> DiffOp:
-    return su2.reduced_ladder_reference("R3").subs_param(mm)
+def step_op(name: str, label) -> DiffOp:
+    """One-step operator `name` ('Lm', 'Rm', 'Lp', 'Rp', 'L3' or 'R3') at
+    incoming label `label`: the reduced generator's closed form pinned
+    there."""
+    return su2.reduced_ladder_reference(name).at_incoming(label).normalized()
 
 
 def reorder_identity_residuals() -> dict:
@@ -171,8 +146,10 @@ def reorder_identity_residuals() -> dict:
     """
     s = Sym("s")
     sm1 = Add(s, Const(-1))
-    valid = Lminus_of(sm1) @ Rminus_of(s) - Rminus_of(sm1) @ Lminus_of(s)
-    stated = Lminus_of(s) @ Rminus_of(sm1) - Rminus_of(s) @ Lminus_of(sm1)
+    valid = (step_op("Lm", sm1) @ step_op("Rm", s)
+             - step_op("Rm", sm1) @ step_op("Lm", s))
+    stated = (step_op("Lm", s) @ step_op("Rm", sm1)
+              - step_op("Rm", s) @ step_op("Lm", sm1))
     return {"valid": valid, "stated": stated}
 
 
@@ -213,16 +190,16 @@ def _coeff_sq(kind_sign: int, twol: int, q: int, m: int, use_sum: bool) -> Fract
 
 
 # the one-step moves with the measured label assignment; each operator is
-# looked up when the move is made, so a constructor rebound on the module
-# is the one used
+# looked up when the move is made, so a `step_op` rebound on the module is
+# the one used
 _MOVES = {
-    "R+": Move(lambda qn: Rplus_of(qn.q), {"q": +1, "m": -1},
+    "R+": Move(lambda qn: step_op("Rp", qn.q), {"q": +1, "m": -1},
                lambda qn: _coeff_sq(-1, qn.twol, qn.q, qn.m, use_sum=False)),
-    "R-": Move(lambda qn: Rminus_of(qn.q), {"q": -1, "m": +1},
+    "R-": Move(lambda qn: step_op("Rm", qn.q), {"q": -1, "m": +1},
                lambda qn: _coeff_sq(+1, qn.twol, qn.q, qn.m, use_sum=False)),
-    "L+": Move(lambda qn: Lplus_of(qn.q), {"q": +1, "m": +1},
+    "L+": Move(lambda qn: step_op("Lp", qn.q), {"q": +1, "m": +1},
                lambda qn: _coeff_sq(+1, qn.twol, qn.q, qn.m, use_sum=True)),
-    "L-": Move(lambda qn: Lminus_of(qn.q), {"q": -1, "m": -1},
+    "L-": Move(lambda qn: step_op("Lm", qn.q), {"q": -1, "m": -1},
                lambda qn: _coeff_sq(-1, qn.twol, qn.q, qn.m, use_sum=True)),
 }
 # the table the reference closed forms state: the R-moves' coefficients swap
@@ -246,7 +223,7 @@ _LATTICE = Lattice(
 
 
 def verify_ladder_actions(twol: int, plan: SamplePlan,
-                          tol: float = TOL_EIGEN) -> IdentityReport:
+                          tol: float) -> IdentityReport:
     """Measure every one-step ladder ratio on the full grid at this level.
 
     Interior moves must carry their table coefficient; edge moves must give
@@ -327,7 +304,7 @@ def _reconstruction(top: QNum2D, pair: tuple, k: int, qn: QNum2D) -> Expr:
 
 
 def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
-                              tol: float = TOL_EIGEN) -> list:
+                              tol: float) -> list:
     """Ratio-constancy reports for both reconstruction routes: in-level
     pairs (R+ then L-) down from the m-top state, and cross-level pairs
     (R- then L-) down from the q-top state."""
@@ -352,7 +329,7 @@ def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
 # Eigen verification
 # ---------------------------------------------------------------------------
 
-def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float = TOL_EIGEN) -> list:
+def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float) -> list:
     """Eigen-equation reports for one state: quadratic invariant on chi,
     Schrodinger form on the weighted chi, and the two axis generators."""
     lam = qn.eigenvalue()
@@ -362,9 +339,9 @@ def verify_eigen(qn: QNum2D, plan: SamplePlan, tol: float = TOL_EIGEN) -> list:
     out = [check_eigen(quad, chi, lam, plan, tol, f"quadratic eigenvalue {qn}"),
            check_eigen(hq, chi_tilde(qn), lam, plan, tol,
                        f"weighted-form eigenvalue {qn}")]
-    for name, op_of, val in (("left-axis", L3_of, Fraction(qn.m + qn.q, 2)),
-                             ("right-axis", R3_of, Fraction(qn.m - qn.q, 2))):
-        out.append(check_eigen(op_of(qn.q), chi, val, plan, tol,
+    for name, axis, val in (("left-axis", "L3", Fraction(qn.m + qn.q, 2)),
+                            ("right-axis", "R3", Fraction(qn.m - qn.q, 2))):
+        out.append(check_eigen(step_op(axis, qn.q), chi, val, plan, tol,
                                f"{name} weight {qn}", reference=chi))
     return out
 

@@ -66,7 +66,6 @@ from .opalg import (
 from . import su2
 from .lattice import Lattice, Move, check_words, reach, walk
 from .verify import (
-    TOL_EIGEN,
     IdentityReport,
     PlanDegenerate,
     SamplePlan,
@@ -370,29 +369,29 @@ def build_oscillators(omega=None) -> OscillatorSet:
 # Canonical commutators
 # ---------------------------------------------------------------------------
 
-def _ladder_set(omega, reduced: bool) -> tuple:
+def _ladder_set(reduced: bool) -> tuple:
     """(lows, ups, identity) of one algebra: the four lowering and the four
     raising operators as (name, op) pairs in matching order, reduced to the
-    m-lattice or phi-full."""
+    m-lattice or phi-full, at symbolic frequency."""
     if reduced:
-        s = build_oscillators(omega)
+        s = build_oscillators()
         lows = [("A1", s.A1), ("A2", s.A2), ("a3", s.a3), ("a4", s.a4)]
         ups = [("A1d", s.A1d), ("A2d", s.A2d), ("a3d", s.a3d), ("a4d", s.a4d)]
         return lows, ups, DiffOp.identity("m")
-    c = build_combos(omega)
-    cart = cartesian_ladders(omega)
+    c = build_combos()
+    cart = cartesian_ladders()
     lows = [("A1", c.A1), ("A2", c.A2), ("a3", cart.a3), ("a4", cart.a4)]
     ups = [("A1d", c.A1d), ("A2d", c.A2d), ("a3d", cart.a3d), ("a4d", cart.a4d)]
     return lows, ups, DiffOp.identity()
 
 
-def commutator_residuals(omega=None, reduced: bool = True) -> list:
+def commutator_residuals(reduced: bool = True) -> list:
     """All 28 canonical-commutator residuals of the 8-operator set.
 
     Returns (label, residual DiffOp, reference ops); every residual must be
     the zero operator ([low_i, up_j] = delta_ij, same-kind pairs commute).
     """
-    lows, ups, ident = _ladder_set(omega, reduced)
+    lows, ups, ident = _ladder_set(reduced)
     out = []
     for i, (ln, lo) in enumerate(lows):
         for j, (un, up) in enumerate(ups):
@@ -528,7 +527,7 @@ def factorization(reduced: bool, zero_pt: int) -> tuple:
     """w (A1d A1 + A2d A2 + a3d a3 + a4d a4 + zero_pt), normalized, and the
     Hamiltonian it equals when zero_pt is 2: on the m-lattice (uniformly in
     m) or phi-full, at symbolic frequency."""
-    lows, ups, ident = _ladder_set(None, reduced)
+    lows, ups, ident = _ladder_set(reduced)
     number = sum((up @ lo for (_, lo), (_, up) in zip(lows, ups)), DiffOp.zero())
     fact = _P(OMEGA, ident.param) @ (number + Fraction(zero_pt) * ident)
     return fact.normalized(), build_Hm() if reduced else build_H4()
@@ -742,11 +741,11 @@ def _path(qn: QNum3D):
 _LATTICE = Lattice(_MOVES, lambda qn: _gaussian(qn.omega), _path)
 
 
-def verify_ladder_actions(n_max: int, plan: SamplePlan,
-                          tol: float = TOL_EIGEN,
-                          radial_states=((0, 0), (1, 0), (0, 1))) -> IdentityReport:
+def verify_ladder_actions(n_max: int, plan: SamplePlan, tol: float,
+                          radial_states) -> IdentityReport:
     """One aggregated report over every single-step action on the grid (at
-    unit frequency).
+    unit frequency): levels n <= n_max, every m, and each (n3, n4) of
+    `radial_states`.
 
     Valid moves must land on the target state with the square-root
     occupation coefficient; edge moves must annihilate.  The data count the
@@ -768,8 +767,7 @@ def pair_energy(n: int, m: int) -> Fraction:
     return Fraction((n + m) * (n - m + 2), 4)
 
 
-def verify_pair_eigen(qn: QNum3D, plan: SamplePlan,
-                      tol: float = TOL_EIGEN) -> list:
+def verify_pair_eigen(qn: QNum3D, plan: SamplePlan, tol: float) -> list:
     """The two round trips of the pair ladders, each of which must carry
     `pair_energy` as its coefficient: the descent (A1d then A2) and back up
     (A1 then A2d) from qn, and the ascent and back down from the state two
@@ -786,8 +784,7 @@ def verify_pair_eigen(qn: QNum3D, plan: SamplePlan,
     return out
 
 
-def raising_pair_reports(qn: QNum3D, plan: SamplePlan,
-                         tol: float = TOL_EIGEN) -> dict:
+def raising_pair_reports(qn: QNum3D, plan: SamplePlan, tol: float) -> dict:
     """The ascent pair (A1 then A2d) lands on m + 2 (the transcription
     labels the target m - 2; the coefficient (1/2)sqrt((n-m)(n+m+2)) is
     correct).
@@ -811,8 +808,8 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan,
     return out
 
 
-def verify_eigen(qn: QNum3D, plan: SamplePlan, closed: bool = True,
-                 tol: float = TOL_EIGEN) -> IdentityReport:
+def verify_eigen(qn: QNum3D, plan: SamplePlan, closed: bool,
+                 tol: float) -> IdentityReport:
     """H(m) psi = (n + n3 + n4 + 2) w psi as a sampled residual."""
     psi = psi_closed(qn) if closed else psi_ladder(qn)
     form = "closed" if closed else "ladder"
@@ -821,7 +818,7 @@ def verify_eigen(qn: QNum3D, plan: SamplePlan, closed: bool = True,
 
 
 def ladder_closed_ratio(qn: QNum3D, plan: SamplePlan,
-                        tol: float = TOL_EIGEN) -> IdentityReport:
+                        tol: float) -> IdentityReport:
     """Chain-built and closed-form eigenfunctions agree up to a constant."""
     return check_proportional(psi_ladder(qn), psi_closed(qn), plan, tol=tol,
                               name=f"ladder vs closed {qn}")
@@ -836,8 +833,7 @@ def ground_annihilation(omega) -> bool:
                for move in _MOVES.values() if move.coeff_sq(ground) == 0)
 
 
-def cartesian_crosscheck(plan: SamplePlan,
-                         tol: float = TOL_EIGEN) -> list:
+def cartesian_crosscheck(plan: SamplePlan, tol: float) -> list:
     """Separable cartesian eigenfunctions pulled onto the chart match the
     chart-native states at unit frequency.
 

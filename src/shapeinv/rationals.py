@@ -9,8 +9,7 @@ denominator is positive, shares no factor with its numerator, and zero is
 gcd when both denominators are 1 and otherwise reduces with `math.gcd`.
 `key()` is the tuple (a, b, c, d); `GaussRat.from_key` turns it back into a
 scalar without reducing again.  `qadd` and `qmul` are the same arithmetic on
-one reduced pair, for callers that keep rational exponents as pairs.  The
-components are readable as `Fraction`s through `re` and `im`.
+one reduced pair, for callers that keep rational exponents as pairs.
 """
 from __future__ import annotations
 
@@ -86,15 +85,6 @@ class GaussRat:
     def from_key(key: tuple) -> "GaussRat":
         """The scalar whose `key()` is `key`; the inverse of `key()`."""
         return _make(*key)
-
-    # -- components ------------------------------------------------------
-    @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._b)
-
-    @property
-    def im(self) -> Fraction:
-        return Fraction(self._c, self._d)
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:

@@ -36,7 +36,7 @@ from .symx import (
     csc,
     memo,
 )
-from .opalg import DiffOp, OpTerm, commutator, fourier_reduce as _fourier_reduce
+from .opalg import DiffOp, OpTerm, commutator, fourier_reduce
 from .verify import IdentityReport, SamplePlan, measure_constant
 
 _I2 = Const(GaussRat(0, Fraction(1, 2)))          # i/2
@@ -162,15 +162,10 @@ def casimir_reference() -> DiffOp:
 # Fourier reduction and similarity transformation
 # ---------------------------------------------------------------------------
 
-def fourier_reduce(op: DiffOp, param: str = "q") -> DiffOp:
-    """Reduce the periodic angle phi to the integer lattice parameter."""
-    return _fourier_reduce(op, param)
-
-
 @memo({})
 def build_reduced_generators() -> GeneratorSet:
     gs = build_raw_generators()
-    return GeneratorSet(*(fourier_reduce(op) for op in gs))
+    return GeneratorSet(*(fourier_reduce(op, "q") for op in gs))
 
 
 @memo({})

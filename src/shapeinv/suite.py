@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import islice
 
 from . import ladders2d, osc3d, su2
-from .opalg import DiffOp, OpTerm, commutator
+from .opalg import DiffOp, OpTerm, commutator, fourier_reduce
 from .symx import Const, Mul, collector_paused, is_zero_expr
 from .verify import (
     TOL_CONSTANT,
@@ -169,7 +169,7 @@ def _chk_invariant_closed(cfg):
 @_check("invariant lattice reduction", "su2", "structural",
         "periodic coordinate reduced to an integer lattice label")
 def _chk_invariant_reduction(cfg):
-    red = su2.fourier_reduce(su2.casimir(su2.build_raw_generators()))
+    red = fourier_reduce(su2.casimir(su2.build_raw_generators()), "q")
     ref = su2.casimir_reduced_reference()
     ok = red.same_operator(ref)
     return structural(ok,
@@ -566,7 +566,7 @@ def _flt_reversed_shift(cfg):
 @_check("fault: ladder coefficient off by one", "2d", "sampled", FAULT_REF)
 def _flt_coeff_off_by_one(cfg):
     qn = ladders2d.QNum2D(4, 1, 1)
-    applied = ladders2d.Lminus_of(1).apply(ladders2d.chi_reduced(qn))
+    applied = ladders2d.step_op("Lm", 1).apply(ladders2d.chi_reduced(qn))
     target = ladders2d.chi_reduced(ladders2d.QNum2D(4, 0, 0))
     rep = check_proportional(applied, target, _plan(cfg, "flt-off1"),
                              tol=cfg.tol_eigen, name="chain one-step ratio")

@@ -266,8 +266,8 @@ def worst_of(reports, tol, notes: str = "", name="worst-of") -> IdentityReport:
                           worst=worst.name, notes=notes)
 
 
-def check_zero(f: Expr, plan: SamplePlan, reference=(ONE,), tol=TOL_OPERATOR,
-               name="zero-check") -> IdentityReport:
+def check_zero(f: Expr, plan: SamplePlan, reference, tol,
+               name) -> IdentityReport:
     """Residual of f against 0, scaled by reference expression magnitudes.
 
     A reference scale at most PROBE_FLOOR times f's own largest magnitude
@@ -318,8 +318,7 @@ def check_eigen(op, f: Expr, value, plan: SamplePlan, tol, name,
     return check_zero(residual, plan, reference=[reference], tol=tol, name=name)
 
 
-def measure_constant(f: Expr, plan: SamplePlan,
-                     name="constant") -> IdentityReport:
+def measure_constant(f: Expr, plan: SamplePlan, name) -> IdentityReport:
     """Verify f is a constant function; the measured value goes in `data`."""
     (fv,), _, skipped = _sample([f], plan, name)
     mean = sum(fv) / len(fv)
@@ -382,8 +381,8 @@ def _probe_loop(op, reference_ops, plan: SamplePlan, testfns, name):
     return worst_rel, worst_info
 
 
-def check_op_zero(op, plan: SamplePlan, reference_ops=(), testfns=None,
-                  tol=TOL_OPERATOR, name="operator-zero") -> IdentityReport:
+def check_op_zero(op, plan: SamplePlan, reference_ops, testfns=None, *,
+                  tol, name="operator-zero") -> IdentityReport:
     """Check an operator is zero, scaling residuals by reference operators.
 
     The relative residual is the worst per probe.  Two operators a and b

@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from shapeinv import ladders2d, osc3d, su2
-from shapeinv.ladders2d import QNum2D
 from shapeinv.osc3d import QNum3D
 from shapeinv.symx import Add, Const, Mul
 from shapeinv.verify import SamplePlan, check_eigen, check_zero
@@ -38,10 +37,12 @@ def _oracle_eigen2d(qn, plan, tol):
     ref_t = Mul(lam, ct) if qn.twol else ct
     out.append(check_zero(res_t, plan, reference=[ref_t], tol=tol,
                           name=f"weighted-form eigenvalue {qn}"))
-    for name, op_of, val in (
-            ("left-axis", ladders2d.L3_of, Fraction(qn.m + qn.q, 2)),
-            ("right-axis", ladders2d.R3_of, Fraction(qn.m - qn.q, 2))):
-        res_a = Add(op_of(qn.q).apply(chi), Mul(Const(-val), chi))
+    # the axis operators as built before `step_op` pinned them at_incoming
+    for name, axis, val in (
+            ("left-axis", "L3", Fraction(qn.m + qn.q, 2)),
+            ("right-axis", "R3", Fraction(qn.m - qn.q, 2))):
+        op = su2.reduced_ladder_reference(axis).subs_param(qn.q)
+        res_a = Add(op.apply(chi), Mul(Const(-val), chi))
         out.append(check_zero(res_a, plan, reference=[chi], tol=tol,
                               name=f"{name} weight {qn}"))
     return out

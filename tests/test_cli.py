@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -106,7 +107,7 @@ def test_check_oversized_product_is_a_usage_error(expr, product, capsys):
 
 
 def test_fourth_power_stays_under_the_product_bound():
-    assert parse_and_build("Lp*Lp*Lp*Lp")[0].param is None
+    assert parse_and_build("Lp*Lp*Lp*Lp", Fraction(1))[0].param is None
 
 
 @pytest.mark.parametrize("expr,message", [

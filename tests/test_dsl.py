@@ -54,7 +54,7 @@ def test_whitespace_insensitive():
 ])
 def test_parse_errors_carry_positions(text, fragment, pos):
     with pytest.raises(DslError) as exc:
-        parse_and_build(text)
+        parse_and_build(text, Fraction(1))
     assert fragment in str(exc.value)
     assert exc.value.pos == pos
     assert f"(at position {pos})" in str(exc.value)
@@ -75,12 +75,12 @@ def test_nesting_depth_is_bounded(opener):
     op = build(nested(opener, MAX_DEPTH))
     assert op.is_zero() == (opener == "[")
     with pytest.raises(DslError, match=f"nested deeper than {MAX_DEPTH}"):
-        parse_and_build(nested(opener, MAX_DEPTH + 1))
+        parse_and_build(nested(opener, MAX_DEPTH + 1), Fraction(1))
 
 
 def test_unknown_generator_lists_valid_names():
     with pytest.raises(DslError) as exc:
-        parse_and_build("Qp")
+        parse_and_build("Qp", Fraction(1))
     msg = str(exc.value)
     for name in ("Lp", "A1d", "Casimir", "Hm"):
         assert name in msg
@@ -134,9 +134,9 @@ def test_applied_forms_have_no_free_lattice_label():
 
 def test_lattice_clash_is_reported_as_build_error():
     with pytest.raises(DslError, match="cannot build operator: parameter clash"):
-        parse_and_build("Hq + Hm")
+        parse_and_build("Hq + Hm", Fraction(1))
     with pytest.raises(DslError, match="parameter clash: 'q' vs 'm'"):
-        parse_and_build("Hq*Hm")
+        parse_and_build("Hq*Hm", Fraction(1))
 
 
 def test_frequency_threads_into_named_forms():
@@ -154,7 +154,7 @@ def test_frequency_threads_into_named_forms():
     ("Lp", 0),
 ])
 def test_summands_are_those_of_the_outermost_sum(text, count):
-    op, summands = parse_and_build(text)
+    op, summands = parse_and_build(text, Fraction(1))
     assert len(summands) == count
     if summands:
         assert terms(sum(summands[1:], summands[0])) == terms(op)

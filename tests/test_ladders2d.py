@@ -18,7 +18,7 @@ from shapeinv.symx import (
     Add, Const, Cos, Expr, IMAG, Mul, PSI, Sin, Sym, THETA,
     canonical, cot, csc, is_zero_expr,
 )
-from shapeinv.verify import SamplePlan
+from shapeinv.verify import TOL_EIGEN, SamplePlan
 
 
 PLAN = SamplePlan(seed=23, count=24)
@@ -64,7 +64,7 @@ def test_valid_states_consistent_with_degeneracy():
 @pytest.mark.parametrize("twol", [0, 1, 2, 3])
 def test_eigen_relations_whole_level(twol):
     for qn in ld.valid_states(twol):
-        for rep in ld.verify_eigen(qn, PLAN):
+        for rep in ld.verify_eigen(qn, PLAN, TOL_EIGEN):
             assert rep.passed, str(rep)
 
 
@@ -72,7 +72,7 @@ def test_axis_weights_are_half_sums():
     qn = QNum2D(4, 2, 2)
     chi = ld.chi_reduced(qn)
     res = canonical(Add(
-        apply_canonical(ld.L3_of(qn.q), chi),
+        apply_canonical(ld.step_op("L3", qn.q), chi),
         Mul(Const(Fraction(-(qn.m + qn.q), 2)), chi)))
     assert is_zero_expr(res)
 
@@ -97,7 +97,7 @@ def test_annihilation_at_the_edges():
 
 @pytest.mark.parametrize("twol", [1, 2, 3])
 def test_ladder_actions_whole_level(twol):
-    rep = ld.verify_ladder_actions(twol, PLAN)
+    rep = ld.verify_ladder_actions(twol, PLAN, TOL_EIGEN)
     assert rep.passed, str(rep)
     assert rep.data["steps_checked"] > 0
     # the as-stated A-label assignment deviates measurably: the swap is real
@@ -109,14 +109,15 @@ def test_ladder_actions_look_up_the_step_constructors(monkeypatch):
     """The step table reaches the module's constructors at call time, so a
     wrapper bound on the module (a counter, a tracer) sees every call."""
     calls = []
-    original = ld.Rplus_of
+    original = ld.step_op
 
-    def counting(mm):
-        calls.append(mm)
-        return original(mm)
+    def counting(name, label):
+        if name == "Rp":
+            calls.append(label)
+        return original(name, label)
 
-    monkeypatch.setattr(ld, "Rplus_of", counting)
-    rep = ld.verify_ladder_actions(2, SamplePlan(seed=3, count=6))
+    monkeypatch.setattr(ld, "step_op", counting)
+    rep = ld.verify_ladder_actions(2, SamplePlan(seed=3, count=6), TOL_EIGEN)
     assert rep.passed, str(rep)
     assert len(calls) == sum(1 for _ in ld.valid_states(2))
 
@@ -125,7 +126,7 @@ def test_ladder_actions_name_an_edge_that_is_worst(monkeypatch):
     """An edge whose function fails to vanish is the aggregate's worst member:
     the report names it and carries its residual."""
     plan = SamplePlan(seed=3, count=6)
-    clean = ld.verify_ladder_actions(2, plan)
+    clean = ld.verify_ladder_actions(2, plan, TOL_EIGEN)
     real = lattice.check_zero
     edges = []
 
@@ -136,7 +137,7 @@ def test_ladder_actions_name_an_edge_that_is_worst(monkeypatch):
         return real(f, plan, reference=reference, tol=tol, name=name)
 
     monkeypatch.setattr(lattice, "check_zero", leaky)
-    rep = ld.verify_ladder_actions(2, plan)
+    rep = ld.verify_ladder_actions(2, plan, TOL_EIGEN)
     assert len(edges) == clean.data["edge_annihilations"] > 0
     assert rep.worst == edges[0] and not rep.passed
     assert rep.relative == pytest.approx(1e-3, rel=1e-6)
@@ -162,17 +163,17 @@ def _transcribed_ladder(a_im: int, c_cot: int, c_im: int, mm) -> DiffOp:
 
 
 def test_one_step_operators_are_the_transcribed_ones():
-    signs = {ld.Lminus_of: (-1, -1, -1), ld.Rminus_of: (+1, +1, -1),
-             ld.Lplus_of: (+1, -1, +1), ld.Rplus_of: (-1, +1, +1)}
+    signs = {"Lm": (-1, -1, -1), "Rm": (+1, +1, -1),
+             "Lp": (+1, -1, +1), "Rp": (-1, +1, +1)}
     s = Sym("s")
     for mm in [*range(-9, 10), s, Add(s, Const(-1))]:
-        for op_of, (a_im, c_cot, c_im) in signs.items():
-            got = op_of(mm)
+        for name, (a_im, c_cot, c_im) in signs.items():
+            got = ld.step_op(name, mm)
             want = _transcribed_ladder(a_im, c_cot, c_im, mm)
             assert got.param == want.param is None
             # Expr equality is equality of the whole tree
             assert [(t.derivs, t.shift, t.coeff) for t in got.terms] == \
-                [(t.derivs, t.shift, t.coeff) for t in want.terms], (op_of, mm)
+                [(t.derivs, t.shift, t.coeff) for t in want.terms], (name, mm)
 
 
 def test_reorder_identity_true_and_stated_forms():
@@ -215,7 +216,7 @@ def test_norm_product_matches_closed_form():
     QNum2D(2, 0, 0), QNum2D(3, 1, 2), QNum2D(4, 2, 0), QNum2D(4, 0, -2),
 ], ids=str)
 def test_chain_reconstruction_ratio_is_one(qn):
-    for rep in ld.reconstruct_chain_reports(qn, PLAN):
+    for rep in ld.reconstruct_chain_reports(qn, PLAN, TOL_EIGEN):
         assert rep.passed, str(rep)
         assert abs(rep.data["ratio"] - 1.0) <= 1e-9
 

@@ -21,7 +21,7 @@ import pytest
 from shapeinv import clear_caches, ladders2d as ld, osc3d
 from shapeinv.lattice import check_words, reach, walk
 from shapeinv.ladders2d import (
-    QNum2D, Lminus_of, Lplus_of, Rminus_of, Rplus_of, valid_states,
+    QNum2D, step_op, valid_states,
 )
 from shapeinv.opalg import DiffOp, apply_canonical
 from shapeinv.osc3d import QNum3D, build_oscillators, c_squared
@@ -52,8 +52,9 @@ def _chain(twol: int, q: int, m: int) -> Expr:
         return canonical(Mul(Pow(Sin(PSI), twol), Pow(Sin(THETA), twol)))
     l_steps = (twol - q - m) // 2
     if l_steps > 0:
-        return canonical(Lminus_of(q + 1).apply(_chain(twol, q + 1, m + 1)))
-    return canonical(Rminus_of(q + 1).apply(_chain(twol, q + 1, m - 1)))
+        return canonical(
+            step_op("Lm", q + 1).apply(_chain(twol, q + 1, m + 1)))
+    return canonical(step_op("Rm", q + 1).apply(_chain(twol, q + 1, m - 1)))
 
 
 def chi_reduced(qn: QNum2D) -> Expr:
@@ -94,18 +95,17 @@ def _gnorm(twol: int, q: int, m: int) -> float:
 
 def verify_ladder_actions_2d(twol: int, plan: SamplePlan,
                              tol: float = TOL_EIGEN) -> IdentityReport:
-    # built per call, so a constructor rebound on the module is the one used
-    step_ops = {"R+": Rplus_of, "R-": Rminus_of, "L+": Lplus_of, "L-": Lminus_of}
+    step_ops = {"R+": "Rp", "R-": "Rm", "L+": "Lp", "L-": "Lm"}
     reports = []
     ref_label_dev = 0.0
     checked = 0
     annihilated = 0
     for qn in valid_states(twol):
         src = chi_reduced(qn)
-        for kind, op_of in step_ops.items():
+        for kind, op_name in step_ops.items():
             tq, tm = _STEP_TARGET[kind](qn.q, qn.m)
             coeff = _MEASURED_STEP[kind](qn.twol, qn.q, qn.m)
-            applied = op_of(qn.q).apply(src)
+            applied = step_op(op_name, qn.q).apply(src)
             valid_target = (abs(tq) <= twol and abs(tm) <= twol - abs(tq))
             if not valid_target or coeff == 0.0:
                 # edge: both the coefficient and the function must vanish
@@ -145,12 +145,14 @@ def verify_ladder_actions_2d(twol: int, plan: SamplePlan,
 
 def Y_ladder(q: int) -> tuple:
     """In-level pair ladders at fixed q: (m-raising, m-lowering)."""
-    return (Lplus_of(q - 1) @ Rminus_of(q), Lminus_of(q + 1) @ Rplus_of(q))
+    return (step_op("Lp", q - 1) @ step_op("Rm", q),
+            step_op("Lm", q + 1) @ step_op("Rp", q))
 
 
 def X_ladder(q: int) -> tuple:
     """Cross-level pair ladders: (q-raising from q, q-lowering into q)."""
-    return (Lplus_of(q + 1) @ Rplus_of(q), Lminus_of(q + 1) @ Rminus_of(q + 2))
+    return (step_op("Lp", q + 1) @ step_op("Rp", q),
+            step_op("Lm", q + 1) @ step_op("Rm", q + 2))
 
 
 def _reconstruct_y(qn: QNum2D):
@@ -199,8 +201,8 @@ def annihilation_ops(qn: QNum2D) -> dict:
     if qn.q == qn.twol - abs(qn.m):
         out["q-raising pair"] = X_ladder(qn.q)[0]
     if qn.q == qn.twol and qn.m == 0:
-        out["left-raising"] = Lplus_of(qn.q)
-        out["right-raising"] = Rplus_of(qn.q)
+        out["left-raising"] = step_op("Lp", qn.q)
+        out["right-raising"] = step_op("Rp", qn.q)
     return out
 
 
@@ -325,7 +327,7 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan,
 @pytest.mark.parametrize("plan", PLANS, ids=["plan31", "plan32"])
 @pytest.mark.parametrize("twol", range(5))
 def test_2d_actions_match_the_replaced_loop(twol, plan):
-    got = ld.verify_ladder_actions(twol, plan)
+    got = ld.verify_ladder_actions(twol, plan, TOL_EIGEN)
     assert got.as_dict() == verify_ladder_actions_2d(twol, plan).as_dict()
 
 
@@ -338,7 +340,8 @@ def test_3d_actions_match_the_replaced_loop(radial, plan):
     loop's, and both residuals stay at rounding level.  The replaced loop
     counts every word as a step; the one loop counts interior steps, as the
     2-D sector does, and edges apart."""
-    got = osc3d.verify_ladder_actions(2, plan, radial_states=radial).as_dict()
+    got = osc3d.verify_ladder_actions(2, plan, TOL_EIGEN,
+                                      radial_states=radial).as_dict()
     want = verify_ladder_actions_3d(2, plan, radial_states=radial).as_dict()
     for key in ("pass", "notes", "tolerance"):
         assert got[key] == want[key], key
@@ -373,7 +376,8 @@ def test_reconstructions_match_the_replaced_pair_chains():
                 assert rec.label == qn
                 assert rec.state == want, (qn, pair)
                 assert Fraction(math.prod(rec.steps), chain_sq) == ratio
-            got = [r.as_dict() for r in ld.reconstruct_chain_reports(qn, plan)]
+            got = [r.as_dict()
+                   for r in ld.reconstruct_chain_reports(qn, plan, TOL_EIGEN)]
             assert got == [r.as_dict()
                            for r in reconstruct_chain_reports(qn, plan)], qn
 
@@ -410,7 +414,7 @@ def test_3d_pair_and_ascent_reports_match_the_replaced_code(omega):
         for m in range(-n, n + 1, 2):
             for n3, n4 in ((0, 0), (1, 1)):
                 qn = QNum3D(n, m, n3, n4, omega)
-                got = osc3d.verify_pair_eigen(qn, plan)
+                got = osc3d.verify_pair_eigen(qn, plan, TOL_EIGEN)
                 want = verify_pair_eigen(qn, plan)
                 assert [r.passed for r in got] == [True] * len(want), qn
                 assert all(r.passed for r in want), qn
@@ -420,7 +424,7 @@ def test_3d_pair_and_ascent_reports_match_the_replaced_code(omega):
                 assert ("edge" in got[0].name) == (m == -n), got[0].name
                 if m == n:
                     continue
-                got = osc3d.raising_pair_reports(qn, plan)
+                got = osc3d.raising_pair_reports(qn, plan, TOL_EIGEN)
                 want = raising_pair_reports(qn, plan)
                 assert {k: r.passed for k, r in got.items()} \
                     == {k: r.passed for k, r in want.items()}, qn
@@ -456,7 +460,7 @@ def test_reconstruction_charges_a_wrong_coefficient_to_its_own_move(
             k = (twol - abs(qn.q) - qn.m) // 2
             if k == 0:
                 continue
-            m_rep, q_rep = ld.reconstruct_chain_reports(qn, plan)
+            m_rep, q_rep = ld.reconstruct_chain_reports(qn, plan, TOL_EIGEN)
             assert not m_rep.passed, m_rep
             assert m_rep.data["ratio"] == pytest.approx(2.0 ** -k, rel=1e-9)
             assert q_rep.passed, q_rep

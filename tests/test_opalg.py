@@ -17,7 +17,7 @@ from shapeinv.opalg import (
 from shapeinv.symx import (
     Add, Const, Cos, Exp, Mul, Pow, Sin, Sym,
     IMAG, ONE, PHI, PSI, R, THETA,
-    canonical_key, cf_to_expr, diff, is_zero_expr, render, simplify_basic,
+    canonical_key, cf_to_expr, diff, simplify_basic,
     trig_to_exp, _canon_cf, _cf_key, _key_to_cf,
 )
 from shapeinv.verify import SamplePlan
@@ -253,7 +253,7 @@ def _structural_pairs():
     red = su2.build_reduced_generators()
     yield "invariant routes", su2.quadratic(raw), su2.quadratic_right(raw)
     yield "invariant closed", su2.casimir(raw), su2.casimir_reference()
-    yield ("invariant reduced", su2.fourier_reduce(su2.casimir(raw)),
+    yield ("invariant reduced", fourier_reduce(su2.casimir(raw), "q"),
            su2.casimir_reduced_reference())
     for name, op in red.pairs():
         yield f"reduced {name}", op, su2.reduced_ladder_reference(name)
@@ -352,11 +352,12 @@ def _oracle_split_phi_exponent(argcf):
     rest = {}
     for mono, coeff in argcf.items():
         if mono == _ORACLE_PHI_MONO:
-            if not coeff.re.numerator == 0:
+            re_num, _, im_num, im_den = coeff.key()
+            if not re_num == 0:
                 raise OpError("exp argument has a non-imaginary phi part")
-            if coeff.im.denominator != 1:
+            if im_den != 1:
                 raise OpError("exp argument phi frequency is not an integer")
-            k = coeff.im.numerator
+            k = im_num
         else:
             rest[mono] = coeff
     if _oracle_cf_mentions(rest, "phi"):

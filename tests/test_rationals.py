@@ -139,7 +139,8 @@ def _same(new, old) -> None:
     assert isinstance(new, GaussRat)
     assert new.key() == old.key()
     assert new.render() == old.render()
-    assert (new.re, new.im) == (old.re, old.im)
+    a, b, c, d = new.key()
+    assert (Fraction(a, b), Fraction(c, d)) == (old.re, old.im)
     assert _bits(complex(new)) == _bits(complex(old))
     assert new.is_zero() == old.is_zero()
     assert new.is_one() == old.is_one()

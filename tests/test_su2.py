@@ -4,13 +4,11 @@ Every identity here has an exact route (normalized operator difference is
 the zero operator) plus, where structure alone could mislead, a sampled
 route through the evaluation battery.
 """
-from fractions import Fraction
-
 import pytest
 
 from shapeinv import su2
 from shapeinv.opalg import DiffOp, OpTerm, commutator, fourier_reduce
-from shapeinv.symx import Const, Mul, Sym, render
+from shapeinv.symx import Const, Mul
 from shapeinv.verify import SamplePlan, check_op_zero
 
 

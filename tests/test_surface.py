@@ -1,16 +1,21 @@
 """Every top-level name in the package is used, every setting is set,
-every default is used, and no module reaches into another's private names.
+every default is used, no module reaches into another's private names, and
+no test module imports a name it does not use.
 
-Each module-level `def`, `class` and assignment target in `src/shapeinv`
-(dunders exempt) must be mentioned, as a whole word, somewhere in `src` or
-`perfbench` outside the statements that define it; a suite check function
-is used by its `@_check(...)` declaration.  A name that nothing mentions is
-dead code, and a name that only the tests mention is test code: delete it,
-use it, or move it into the tests.  Each defaulted parameter of a
-module-level function or method must be passed by some call in `src`,
-`tests` or `perfbench`, and omitted by some other.  Each method and
-annotated field of a package class must be reached as an attribute
-(`.name`) there too.  A
+Only the program counts as a user: `src` and `perfbench` (`USERS`), never
+`tests`.  Each module-level `def`, `class` and assignment target in
+`src/shapeinv` (dunders exempt) must be mentioned, as a whole word, there,
+outside the statements that define it; a suite check function is used by
+its `@_check(...)` declaration.  A name that nothing mentions is dead code,
+and a name that only the tests mention is test code: delete it, use it, or
+move it into the tests.  Each defaulted parameter of a module-level
+function or method must be passed by some call there, and omitted by some
+other: a default that only the tests omit is one to make required, and a
+parameter that only the tests pass is one to delete.  A call counts for a
+function of the module it names, through a module attribute, an import or
+a module-level alias; a method call, or a call that names no module,
+counts for every callee of its name.  Each method and annotated field of a
+package class must be reached as an attribute (`.name`) there too.  A
 `_`-prefixed name belongs to its module: no other package module imports
 it or reads it as an attribute.
 """
@@ -21,8 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shapeinv"
-SEARCHED = ("src", "tests", "perfbench")
-USERS = ("src", "perfbench")  # where a top-level name counts as used
+USERS = ("src", "perfbench")  # where a name, member or setting counts as used
+MODULES = frozenset(path.stem for path in PACKAGE.glob("*.py"))
 WORD = re.compile(r"[A-Za-z_]\w*")
 
 
@@ -76,11 +81,11 @@ def test_every_top_level_name_is_used():
 
 
 def test_every_class_member_is_reached():
-    """A method or a field that no `.name` anywhere reaches is dead: a hook
-    left on a table type after its last caller went, say.  Dunders are
-    exempt; the language calls them."""
+    """A method or a field that no `.name` in the program reaches is dead,
+    or test code: a hook left on a table type after its last caller went,
+    say.  Dunders are exempt; the language calls them."""
     attributes = set()
-    for top in SEARCHED:
+    for top in USERS:
         for path in sorted((ROOT / top).rglob("*.py")):
             attributes.update(re.findall(r"\.([A-Za-z_]\w*)", path.read_text()))
     unreached = []
@@ -129,31 +134,94 @@ def _defaulted_parameters(tree: ast.Module):
                 yield label, callee, param.arg, None
 
 
+def _package_module(node: ast.ImportFrom):
+    """The package module a from-import reads: its stem, "" for the
+    package itself, None for anything outside the package."""
+    if node.level:
+        return node.module or ""
+    if node.module == "shapeinv":
+        return ""
+    if node.module and node.module.startswith("shapeinv."):
+        return node.module.partition(".")[2]
+    return None
+
+
+def _bindings(tree: ast.Module, stem=None) -> dict:
+    """local name -> (module, name) that it stands for: (module, None) for
+    a package module itself, (None, name) for a name the package itself
+    re-exports.  Package from-imports anywhere in the file, the
+    module-level definitions of package module `stem`, and module-level
+    aliases such as `_P = DiffOp.from_expr` are bound."""
+    names = {}
+    for node in ast.walk(tree):
+        source = (_package_module(node) if isinstance(node, ast.ImportFrom)
+                  else None)
+        if source is None:
+            continue
+        for alias in node.names:
+            if source == "":
+                target = ((alias.name, None) if alias.name in MODULES
+                          else (None, alias.name))
+            else:
+                target = (source, alias.name)
+            names[alias.asname or alias.name] = target
+    for node in tree.body:
+        if stem is not None and isinstance(node, (ast.FunctionDef,
+                                                  ast.ClassDef)):
+            names[node.name] = (stem, node.name)
+        elif isinstance(node, ast.Assign) and isinstance(
+                node.value, (ast.Name, ast.Attribute)):
+            target = _callee(node.value, names)
+            for name in node.targets:
+                if isinstance(name, ast.Name) and target is not None:
+                    names[name.id] = target
+    return names
+
+
+def _callee(func: ast.expr, names: dict):
+    """(module or None, name) of what a call calls: the module is known
+    when the call names it, through a bound name or a module attribute; a
+    method call, or any other attribute call, is matched by name alone."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id, (None, func.id))
+    if isinstance(func, ast.Attribute):
+        owner = (names.get(func.value.id)
+                 if isinstance(func.value, ast.Name) else None)
+        if owner is not None and owner[1] is None:
+            return owner[0], func.attr
+        return None, func.attr
+    return None
+
+
 def _calls():
-    """callee name -> [(keywords passed, positional count)] for each call;
-    None for a call with *args or **kwargs, which may pass anything."""
+    """callee name -> [(module or None, call)] for each call in the
+    program, where call is (keywords passed, positional count), or None for
+    a call with *args or **kwargs, which may pass anything."""
     calls = {}
-    for top in SEARCHED:
+    for top in USERS:
         for path in sorted((ROOT / top).rglob("*.py")):
-            for call in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            names = _bindings(tree, path.stem if path.parent == PACKAGE
+                              else None)
+            for call in ast.walk(tree):
                 if not isinstance(call, ast.Call):
                     continue
-                func = call.func
-                name = (func.id if isinstance(func, ast.Name) else
-                        func.attr if isinstance(func, ast.Attribute) else None)
-                if name is None:
+                target = _callee(call.func, names)
+                if target is None:
                     continue
+                module, name = target
                 starred = (any(isinstance(a, ast.Starred) for a in call.args)
                            or any(k.arg is None for k in call.keywords))
-                calls.setdefault(name, []).append(
+                calls.setdefault(name, []).append((module, (
                     None if starred else
-                    ({k.arg for k in call.keywords}, len(call.args)))
+                    ({k.arg for k in call.keywords}, len(call.args)))))
     return calls
 
 
 def _defaults_failing(rule):
-    """'<module>.<label>(<param>=)' for each defaulted parameter whose calls,
-    matched by the callee's name alone, fail `rule(passes)`: `passes` holds
+    """'<module>.<label>(<param>=)' for each defaulted parameter whose calls
+    in the program fail `rule(passes)`: the calls are those of the callee's
+    name that name its module or no module, and `passes` holds
     one flag per call, True when the call passes the parameter by keyword
     or by position, False when it omits it, None when it goes through
     *args or **kwargs."""
@@ -165,26 +233,26 @@ def _defaults_failing(rule):
             passes = [None if call is None else
                       param in call[0] or (position is not None
                                            and call[1] > position)
-                      for call in calls.get(callee, [])]
+                      for module, call in calls.get(callee, [])
+                      if module in (None, path.stem)]
             if not rule(passes):
                 found.append(f"{path.stem}.{label}({param}=)")
     return sorted(found)
 
 
 def test_every_defaulted_parameter_is_set_somewhere():
-    """A parameter with a default that no call passes, by keyword or by
-    position, is a setting nothing sets: delete it.  Calls are matched by
-    the callee's name alone, so a name shared by two functions counts the
-    calls of both."""
+    """A parameter with a default that no call in the program passes, by
+    keyword or by position, is a setting nothing sets: delete it.  A call
+    that names no module counts for every callee of its name."""
     unset = _defaults_failing(lambda passes: any(p is not False
                                                  for p in passes))
     assert not unset, "defaulted but never set: " + ", ".join(unset)
 
 
 def test_every_default_is_used_somewhere():
-    """A parameter with a default that every call passes is a default
-    nothing uses: make it required.  Calls are matched as above; a call
-    through *args or **kwargs counts as one that omits it."""
+    """A parameter with a default that every call in the program passes is
+    a default nothing uses: make it required.  Calls are matched as above;
+    a call through *args or **kwargs counts as one that omits it."""
     unused = _defaults_failing(lambda passes: any(p is not True
                                                   for p in passes))
     assert not unused, "default never used: " + ", ".join(unused)
@@ -219,3 +287,23 @@ def test_no_module_reads_another_modules_private_names():
     for path in sorted(PACKAGE.glob("*.py")):
         found += _private_reads(path.stem, ast.parse(path.read_text()))
     assert not found, "private names read across modules: " + ", ".join(found)
+
+
+def _unused_imports(tree: ast.Module):
+    """Each name a module imports and never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
+def test_no_test_module_imports_a_name_it_does_not_use():
+    found = [f"{path.stem}.{name}"
+             for path in sorted((ROOT / "tests").glob("*.py"))
+             for name in _unused_imports(ast.parse(path.read_text()))]
+    assert not found, "imported but never used: " + ", ".join(found)

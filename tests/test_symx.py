@@ -4,7 +4,6 @@ The derivative rules are checked against a central finite difference, the
 canonical-form engine against independent numeric evaluation, and the
 structural laws (commutativity, idempotence) with hypothesis.
 """
-import math
 from fractions import Fraction
 
 import pytest

@@ -16,11 +16,11 @@ import pytest
 import shapeinv
 from shapeinv import su2, symx
 from shapeinv.symx import (
-    Add, Const, Cos, Exp, Mul, Pow, Sin, Sym, IMAG, ONE, PHI, R, THETA,
+    Add, Const, Cos, Exp, Mul, Pow, Sin, IMAG, ONE, PHI, R, THETA,
 )
 from shapeinv.opalg import DiffOp, OpTerm
 from shapeinv.verify import (
-    DEFAULT_BOXES, IdentityReport, PlanDegenerate,
+    DEFAULT_BOXES, TOL_OPERATOR, IdentityReport, PlanDegenerate,
     SamplePlan, check_eigen, check_op_zero, check_proportional, check_zero,
     default_battery, measure_constant,
 )
@@ -70,13 +70,15 @@ def test_plan_rejects_empty():
 def test_check_zero_trig_identity():
     e = Add(Pow(Sin(THETA), Fraction(2)), Pow(Cos(THETA), Fraction(2)),
             Const(-1))
-    rep = check_zero(e, SamplePlan(seed=0, count=32))
+    rep = check_zero(e, SamplePlan(seed=0, count=32), reference=(ONE,),
+                     tol=TOL_OPERATOR, name="zero-check")
     assert rep.passed and rep.relative <= 1e-15
 
 
 def test_check_zero_negative_control():
     rep = check_zero(Add(Sin(THETA), Mul(Const(-1), THETA)),
-                     SamplePlan(seed=0, count=32), reference=[THETA])
+                     SamplePlan(seed=0, count=32), reference=[THETA],
+                     tol=TOL_OPERATOR, name="zero-check")
     assert not rep.passed
 
 
@@ -85,7 +87,8 @@ def test_check_zero_reference_cancelling_to_rounding_is_degenerate():
     # would turn sin(theta) into a relative residual of order 1e15
     trig_zero = Add(Pow(Sin(THETA), 2), Pow(Cos(THETA), 2), Const(-1))
     rep = check_zero(Sin(THETA), SamplePlan(seed=0, count=24),
-                     reference=[trig_zero])
+                     reference=[trig_zero], tol=TOL_OPERATOR,
+                     name="zero-check")
     assert rep.notes == "reference scale degenerate; using absolute residual"
     assert rep.scale == 1.0 and rep.relative == rep.max_abs < 1.0
     assert not rep.passed
@@ -96,7 +99,8 @@ def test_check_zero_skip_budget():
     # evaluates, so the plan must be declared degenerate rather than pass
     bad = Pow(Add(Sin(THETA), Mul(Const(-1), Sin(THETA))), Fraction(-1))
     with pytest.raises(PlanDegenerate):
-        check_zero(bad, SamplePlan(seed=0, count=16))
+        check_zero(bad, SamplePlan(seed=0, count=16), reference=(ONE,),
+                   tol=TOL_OPERATOR, name="zero-check")
 
 
 def test_check_proportional_constant_ratio():
@@ -119,10 +123,11 @@ def test_check_proportional_undefined_divisor():
 
 def test_measure_constant_reports_value():
     e = Const(Fraction(7, 4))
-    rep = measure_constant(e, SamplePlan(seed=2, count=24))
+    rep = measure_constant(e, SamplePlan(seed=2, count=24), "constant")
     assert rep.passed
     assert abs(rep.data["value"] - 1.75) <= 1e-12
-    rep2 = measure_constant(Sin(THETA), SamplePlan(seed=2, count=24))
+    rep2 = measure_constant(Sin(THETA), SamplePlan(seed=2, count=24),
+                            "constant")
     assert not rep2.passed
 
 
@@ -155,7 +160,8 @@ def test_report_serializes_complex_values():
 
 
 def test_fail_annotation():
-    rep = check_zero(Const(0), SamplePlan(seed=0, count=8))
+    rep = check_zero(Const(0), SamplePlan(seed=0, count=8), reference=(ONE,),
+                     tol=TOL_OPERATOR, name="zero-check")
     assert rep.passed
     failed = rep.fail("forced")
     assert failed is rep and not failed.passed
@@ -179,12 +185,15 @@ def test_check_op_zero_compares_and_decides():
     b = (DiffOp.from_expr(Cos(THETA))
          + DiffOp.from_expr(Sin(THETA)) @ DiffOp.partial("theta"))
     # two operators are compared through their difference, scaled by both
-    rep = check_op_zero(a - b, plan, reference_ops=(a, b))
+    rep = check_op_zero(a - b, plan, reference_ops=(a, b), tol=TOL_OPERATOR)
     assert rep.passed and not rep.data
-    assert not check_op_zero(a + b, plan, reference_ops=(a, b)).passed
-    rep2 = check_op_zero((a - b).normalized(), plan)
+    assert not check_op_zero(a + b, plan, reference_ops=(a, b),
+                             tol=TOL_OPERATOR).passed
+    rep2 = check_op_zero((a - b).normalized(), plan, reference_ops=(),
+                         tol=TOL_OPERATOR)
     assert rep2.passed and rep2.relative == 0.0
-    rep3 = check_op_zero(DiffOp.from_expr(Sin(THETA)), plan)
+    rep3 = check_op_zero(DiffOp.from_expr(Sin(THETA)), plan, reference_ops=(),
+                         tol=TOL_OPERATOR)
     assert not rep3.passed
 
 
@@ -194,8 +203,10 @@ def test_check_op_zero_scales_against_references():
     big = DiffOp.from_expr(Mul(Const(10 ** 6), Sin(THETA)))
     # a 1e-6 residual fails against the unit scale but is 1e-12 relative
     # to a 1e+6 reference operator
-    assert not check_op_zero(small, plan).passed
-    assert check_op_zero(small, plan, reference_ops=[big]).passed
+    assert not check_op_zero(small, plan, reference_ops=(),
+                             tol=TOL_OPERATOR).passed
+    assert check_op_zero(small, plan, reference_ops=[big],
+                         tol=TOL_OPERATOR).passed
 
 
 def test_probe_annihilated_by_every_reference_is_passed_over():
@@ -209,9 +220,10 @@ def test_probe_annihilated_by_every_reference_is_passed_over():
     probe = Mul(Exp(Mul(Const(Fraction(-1, 3)), Pow(R, 2))), Sin(THETA), R)
     op = DiffOp.from_expr(Sin(THETA))
     with pytest.raises(PlanDegenerate, match="degenerate test battery"):
-        check_op_zero(op, plan, reference_ops=[zero], testfns=[probe])
+        check_op_zero(op, plan, reference_ops=[zero], testfns=[probe],
+                      tol=TOL_OPERATOR)
     rep = check_op_zero(op, plan, reference_ops=[zero, op],
-                        testfns=[probe, Cos(THETA)])
+                        testfns=[probe, Cos(THETA)], tol=TOL_OPERATOR)
     assert not rep.passed and rep.relative == 1.0
 
 
@@ -236,13 +248,16 @@ def test_sampling_never_canonicalizes(monkeypatch):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, _refuse)
     reports = [
-        check_zero(trig, plan),
+        check_zero(trig, plan, reference=(ONE,), tol=TOL_OPERATOR,
+                   name="zero-check"),
         check_proportional(Mul(Const(3), Sin(THETA), R), Mul(Sin(THETA), R),
                            plan),
-        measure_constant(Add(Pow(Sin(PHI), 2), Pow(Cos(PHI), 2)), plan),
+        measure_constant(Add(Pow(Sin(PHI), 2), Pow(Cos(PHI), 2)), plan,
+                         "constant"),
         check_eigen(d2, Sin(THETA), -1, plan, 1e-10, "eigen"),
-        check_op_zero(a - b, plan, reference_ops=(a, b)),
-        check_op_zero(residual, plan, reference_ops=refs, name=label),
+        check_op_zero(a - b, plan, reference_ops=(a, b), tol=TOL_OPERATOR),
+        check_op_zero(residual, plan, reference_ops=refs, tol=TOL_OPERATOR,
+                      name=label),
     ]
     assert all(rep.passed for rep in reports)
     assert reports[0].relative > 0.0  # the tree was sampled, not its CF

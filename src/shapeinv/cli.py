@@ -207,19 +207,17 @@ def _dump_entry(name: str, omega, plan: SamplePlan):
         return osc3d.build_Hm(omega), osc3d.hm_reference(omega), (
             "radial-lattice Hamiltonian; the transcription is correct as "
             "printed"), {}
-    if name in ("A1", "A1d", "A2", "A2d"):
-        derived = getattr(osc3d.build_combos(omega), name)
-        printed = osc3d.combo_reference(name, omega, printed=True)
-        notes = {
-            "A1": "the transcribed form flips only the psi-derivative sign",
-            "A1d": "the transcribed form flips its whole derivative group, "
-                   "collapsing onto the second lowering combination",
-            "A2": "printed and derived forms agree exactly",
-            "A2d": "printed and derived forms agree exactly",
-        }[name]
-        return derived, printed, notes, {}
-    derived = getattr(osc3d.cartesian_ladders(omega), name)
-    return derived, None, (
+    # one of the eight oscillators: the parser admits no other name
+    notes = {
+        "A1": "the transcribed form flips only the psi-derivative sign",
+        "A1d": "the transcribed form flips its whole derivative group, "
+               "collapsing onto the second lowering combination",
+        "A2": "printed and derived forms agree exactly",
+        "A2d": "printed and derived forms agree exactly",
+    }.get(name)
+    printed = (None if notes is None else
+               osc3d.combo_reference(name, omega, printed=True))
+    return getattr(osc3d.build_combos(omega), name), printed, notes or (
         "built from the chart gradient of its cartesian coordinate; no "
         "separately transcribed closed form is tracked"), {}
 

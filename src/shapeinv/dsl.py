@@ -255,13 +255,9 @@ def _resolve(name: str, arg: int | None, omega):
     if name == "Hm":
         op = osc3d.build_Hm(omega)
         return op if arg is None else op.at_incoming(arg)
-    if name in ("A1", "A1d", "A2", "A2d"):
-        if arg is None:
-            return getattr(osc3d.build_combos(omega), name)
-        return getattr(osc3d.build_oscillators(omega), name).at_incoming(arg)
-    # a3, a3d, a4 or a4d: the parser admits no other name
+    # one of the eight oscillators: the parser admits no other name
     if arg is None:
-        return getattr(osc3d.cartesian_ladders(omega), name)
+        return getattr(osc3d.build_combos(omega), name)
     return getattr(osc3d.build_oscillators(omega), name).at_incoming(arg)
 
 

@@ -9,8 +9,11 @@ builds:
 * the four cartesian gradients and ladder operators (exact, symbolic
   frequency), with the dual-basis identity d/dx_i (x_j) = delta_ij as the
   independent anchor for every coefficient;
-* the phi-full lowering/raising combos, their closed transcriptions, and
-  the reduced (shift-operator) family;
+* one eight-operator ladder set, `OscillatorSet`, for both charts: the
+  phi-full set (the phi-diagonal lowering/raising combos beside the
+  cartesian a3, a4 and their adjoints) and, field for field, its Fourier
+  reduction to shift operators on the m-lattice; and the combos' closed
+  transcriptions;
 * the full and reduced Hamiltonians, derived from the gradient Laplacian
   and cross-checked against closed transcriptions, the ladder
   factorization and the four intertwining relations (uniformly in m);
@@ -236,11 +239,18 @@ def cartesian_a1_printed() -> DiffOp:
 # Phi-diagonal combos and their closed transcriptions
 # ---------------------------------------------------------------------------
 
-class ComboSet(NamedTuple):
+class OscillatorSet(NamedTuple):
+    """The eight ladder operators of one chart, each lowering operator
+    before its raising one: phi-full (`build_combos`) or their Fourier
+    reductions to the m-lattice (`build_oscillators`), field for field."""
     A1: DiffOp
     A1d: DiffOp
     A2: DiffOp
     A2d: DiffOp
+    a3: DiffOp
+    a3d: DiffOp
+    a4: DiffOp
+    a4d: DiffOp
 
 
 def _phi_exponential(op: DiffOp) -> DiffOp:
@@ -257,13 +267,15 @@ def _combo(a: DiffOp, b: DiffOp, sign: int) -> DiffOp:
 
 
 @_per_frequency
-def build_combos(omega=None) -> ComboSet:
-    """A1 = (a1 + i a2)/sqrt2, A2 = (a1 - i a2)/sqrt2 and the adjoints."""
+def build_combos(omega=None) -> OscillatorSet:
+    """The phi-full set: A1 = (a1 + i a2)/sqrt2, A2 = (a1 - i a2)/sqrt2 and
+    the adjoints, then the cartesian a3, a4 and their adjoints themselves."""
     c = cartesian_ladders(omega)
-    return ComboSet(_phi_exponential(_combo(c.a1, c.a2, +1)),
-                    _phi_exponential(_combo(c.a1d, c.a2d, -1)),
-                    _phi_exponential(_combo(c.a1, c.a2, -1)),
-                    _phi_exponential(_combo(c.a1d, c.a2d, +1)))
+    return OscillatorSet(_phi_exponential(_combo(c.a1, c.a2, +1)),
+                         _phi_exponential(_combo(c.a1d, c.a2d, -1)),
+                         _phi_exponential(_combo(c.a1, c.a2, -1)),
+                         _phi_exponential(_combo(c.a1d, c.a2d, +1)),
+                         c.a3, c.a3d, c.a4, c.a4d)
 
 
 # Sign pattern of one combo against the shared skeleton
@@ -339,30 +351,14 @@ def reduced_reference(name: str, printed: bool = False) -> DiffOp:
     return DiffOp(tuple(terms), "m").normalized()
 
 
-class OscillatorSet(NamedTuple):
-    a3: DiffOp
-    a3d: DiffOp
-    a4: DiffOp
-    a4d: DiffOp
-    A1: DiffOp
-    A1d: DiffOp
-    A2: DiffOp
-    A2d: DiffOp
-
-
 @_per_frequency
 def build_oscillators(omega=None) -> OscillatorSet:
-    """The reduced operator family on the m-lattice (symbolic m).
+    """The reduced operator family on the m-lattice (symbolic m): the
+    Fourier reduction of each operator of `build_combos`.
 
     a3, a4 act within one lattice site; A1, A2d shift m up by one, A2, A1d
-    shift it down by one.  All eight are Fourier reductions of the derived
-    phi-full operators."""
-    cart = cartesian_ladders(omega)
-    comb = build_combos(omega)
-    red = lambda op: fourier_reduce(op, "m")
-    return OscillatorSet(red(cart.a3), red(cart.a3d), red(cart.a4),
-                         red(cart.a4d), red(comb.A1), red(comb.A1d),
-                         red(comb.A2), red(comb.A2d))
+    shift it down by one."""
+    return OscillatorSet(*(fourier_reduce(op, "m") for op in build_combos(omega)))
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +369,10 @@ def _ladder_set(reduced: bool) -> tuple:
     """(lows, ups, identity) of one algebra: the four lowering and the four
     raising operators as (name, op) pairs in matching order, reduced to the
     m-lattice or phi-full, at symbolic frequency."""
-    if reduced:
-        s = build_oscillators()
-        lows = [("A1", s.A1), ("A2", s.A2), ("a3", s.a3), ("a4", s.a4)]
-        ups = [("A1d", s.A1d), ("A2d", s.A2d), ("a3d", s.a3d), ("a4d", s.a4d)]
-        return lows, ups, DiffOp.identity("m")
-    c = build_combos()
-    cart = cartesian_ladders()
-    lows = [("A1", c.A1), ("A2", c.A2), ("a3", cart.a3), ("a4", cart.a4)]
-    ups = [("A1d", c.A1d), ("A2d", c.A2d), ("a3d", cart.a3d), ("a4d", cart.a4d)]
-    return lows, ups, DiffOp.identity()
+    s = build_oscillators() if reduced else build_combos()
+    pairs = list(zip(s._fields, s))
+    ident = DiffOp.identity("m") if reduced else DiffOp.identity()
+    return pairs[::2], pairs[1::2], ident
 
 
 def commutator_residuals(reduced: bool = True) -> list:
@@ -563,8 +553,8 @@ def gradient_flipped_oscillators() -> OscillatorSet:
 
     The fault corrupts both reduced lowering combos but neither raising
     one, so exactly the two lowering intertwining relations must break.
-    The faulted combos are reduced as `build_combos` reduces the healthy
-    ones."""
+    The faulted combos are built as `build_combos` builds the healthy ones
+    and reduced as `build_oscillators` reduces them."""
     c = cartesian_ladders()
     return build_oscillators()._replace(
         A1=fourier_reduce(_phi_exponential(_combo(c.a1d, c.a2, +1)), "m"),
@@ -873,57 +863,47 @@ def transcription_reports() -> dict:
     cart = cartesian_ladders()
     comb = build_combos()
     s = build_oscillators()
-
-    diff = cart.a1 - cartesian_a1_printed()
-    out = [structural(
-        _only_derivs(diff, {_DPS}), name="cartesian a1 psi slot",
-        notes="the transcribed first cartesian operator carries cos(phi) in "
-              "its psi slot where the gradient has sin(phi); all other "
-              "slots agree")]
-
-    derived = {"A1": comb.A1, "A1d": comb.A1d, "A2": comb.A2, "A2d": comb.A2d}
-    for name in ("A2", "A2d"):
-        ok = derived[name].same_operator(combo_reference(name, printed=True))
-        out.append(structural(
-            ok, name=f"full {name} transcription",
-            notes="printed and derived forms agree exactly"))
-    diff = comb.A1 - combo_reference("A1", printed=True)
-    out.append(structural(
-        _only_derivs(diff, {_DPS}), name="full A1 psi slot",
-        notes="the transcribed first lowering combo flips only the "
-              "psi-derivative sign"))
-    diff = comb.A1d - combo_reference("A1d", printed=True)
-    out.append(structural(
-        _only_derivs(diff, {_DR, _DPS, _DTH, _DPH}),
-        name="full A1d derivative group",
-        notes="the transcribed first raising combo flips the sign of its "
-              "whole derivative group; the multiplicative term agrees"))
-    out.append(structural(
-        combo_reference("A1d", printed=True).same_operator(
-            combo_reference("A2", printed=True)),
-        name="printed A1d collapses onto A2",
-        notes="as transcribed, the first raising combo and the second "
-              "lowering combo are the same operator; the corrected "
-              "derivative-group sign separates them"))
-
-    reduced = {"A1": s.A1, "A1d": s.A1d, "A2": s.A2, "A2d": s.A2d}
-    for name in ("A1d", "A2", "A2d"):
-        ok = reduced[name].same_operator(reduced_reference(name, printed=True))
-        out.append(structural(
-            ok, name=f"reduced {name} transcription",
-            notes="printed and derived reduced forms agree exactly "
-                  "(incoming-label scalar slot included)"))
-    diff = s.A1 - reduced_reference("A1", printed=True)
-    out.append(structural(
-        _only_derivs(diff, {_DPS}), name="reduced A1 psi slot",
-        notes="the reduced transcription inherits the psi-slot sign flip "
-              "of the phi-full form; the incoming-label scalar is correct"))
-    for name in ("A1", "A1d", "A2", "A2d"):
-        ok = reduced[name].same_operator(reduced_reference(name))
-        out.append(structural(
-            ok, name=f"reduced {name} corrected",
-            notes="corrected transcription matches the derived reduction"))
-
+    full = lambda name: combo_reference(name, printed=True)
+    red = lambda name: reduced_reference(name, printed=True)
+    exact = "printed and derived forms agree exactly"
+    exact_red = ("printed and derived reduced forms agree exactly "
+                 "(incoming-label scalar slot included)")
+    fixed = "corrected transcription matches the derived reduction"
+    # (name, derived, transcribed, slots, notes): with slots None the two
+    # must be the same operator, else their difference must be nonzero and
+    # confined to those derivative slots
+    rows = (
+        ("cartesian a1 psi slot", cart.a1, cartesian_a1_printed(), {_DPS},
+         "the transcribed first cartesian operator carries cos(phi) in its "
+         "psi slot where the gradient has sin(phi); all other slots agree"),
+        ("full A2 transcription", comb.A2, full("A2"), None, exact),
+        ("full A2d transcription", comb.A2d, full("A2d"), None, exact),
+        ("full A1 psi slot", comb.A1, full("A1"), {_DPS},
+         "the transcribed first lowering combo flips only the "
+         "psi-derivative sign"),
+        ("full A1d derivative group", comb.A1d, full("A1d"),
+         {_DR, _DPS, _DTH, _DPH},
+         "the transcribed first raising combo flips the sign of its whole "
+         "derivative group; the multiplicative term agrees"),
+        ("printed A1d collapses onto A2", full("A1d"), full("A2"), None,
+         "as transcribed, the first raising combo and the second lowering "
+         "combo are the same operator; the corrected derivative-group sign "
+         "separates them"),
+        ("reduced A1d transcription", s.A1d, red("A1d"), None, exact_red),
+        ("reduced A2 transcription", s.A2, red("A2"), None, exact_red),
+        ("reduced A2d transcription", s.A2d, red("A2d"), None, exact_red),
+        ("reduced A1 psi slot", s.A1, red("A1"), {_DPS},
+         "the reduced transcription inherits the psi-slot sign flip of the "
+         "phi-full form; the incoming-label scalar is correct"),
+        ("reduced A1 corrected", s.A1, reduced_reference("A1"), None, fixed),
+        ("reduced A1d corrected", s.A1d, reduced_reference("A1d"), None, fixed),
+        ("reduced A2 corrected", s.A2, reduced_reference("A2"), None, fixed),
+        ("reduced A2d corrected", s.A2d, reduced_reference("A2d"), None, fixed),
+    )
+    out = [structural(derived.same_operator(printed) if slots is None
+                      else _only_derivs(derived - printed, slots),
+                      name=name, notes=notes)
+           for name, derived, printed, slots, notes in rows]
     out.append(structural(
         build_H4().same_operator(h4_reference()), name="full Hamiltonian",
         notes="derived Laplacian route matches the corrected transcription "

@@ -393,6 +393,88 @@ def test_dump_every_name(name, capsys):
     assert doc["notes"]
 
 
+# The SHA-256 of what `dump NAME --format FORMAT` writes at the default seed,
+# for every name and both formats; the bytes do not depend on PYTHONHASHSEED.
+DUMP_DIGESTS = {
+    ("Lp", "text"):
+        "4eaa4b95c098aa9390e062f9652183173724ddcd41c296b8592e5c41c81cd2ca",
+    ("Lp", "json"):
+        "7f9361221859994f936ba6feaa33df32ccf49fe00c2e4bd8e545c91ce8d71743",
+    ("Lm", "text"):
+        "f9db1a059f351edc6051515a0a84e149c468e9e996491036f5ede75c88e55011",
+    ("Lm", "json"):
+        "47b72b90b1bb7ff029c7edb3d38122e2469cc388ac98aa23f5b6af3a0cd1dafb",
+    ("L3", "text"):
+        "67822ce8762409d5a76ee8b90f48e04843c5a4545dc2ed591542e4d776ac716f",
+    ("L3", "json"):
+        "7af14d07831b24adaef652710e673511e20c67faf35c875fc24f01638ef6d355",
+    ("Rp", "text"):
+        "0ec1d3fab55dbe7f068fc073baeec5e60cd8b144c93d2446218926b9517243c9",
+    ("Rp", "json"):
+        "6201f6a0a0d9fd83de8042533f289c34469e74bad6d08a0711891df2b231ab28",
+    ("Rm", "text"):
+        "e34c2a60f45ededfdc7124df7c7f07f029056d756007b6bd0d2459e5a11c7c5e",
+    ("Rm", "json"):
+        "ef5278a4ee941a142dee87afe17d6c75932286f622176bfa4f5a32cb6c753b1e",
+    ("R3", "text"):
+        "7d1596f8c35139a42e8590bb910a576835ff860f4f7516f1c7386d2e52b838ea",
+    ("R3", "json"):
+        "4eaecc94d8f61c885dbd393a27309a58be95095cb6c147bb80ae044daed0b841",
+    ("A1", "text"):
+        "80b583877eaf4dafbfbe8d2c08d62776a54d2d9ef262b8d869a639bce1adb42a",
+    ("A1", "json"):
+        "4ff30e1c846d88a8023e30694a189facd5f6a1bcc9d9f12750371bc2b7ac3d83",
+    ("A1d", "text"):
+        "8eb53114a6429386a8b451d2d6dc83e0d552a5dd412211859aabcb866609de58",
+    ("A1d", "json"):
+        "39036533d6be4ffbcd9685ce03ffea776702b439d6f5e65113b0531c33819336",
+    ("A2", "text"):
+        "61b1afac893c65da382592e8452e14fc325aa5d7c32ad1252c9914f46bb356f6",
+    ("A2", "json"):
+        "6d127167eeb6920f779e4fc87c2246ea9c80d49a34227c5e57af563245230b7b",
+    ("A2d", "text"):
+        "a9e432a3679476525f64063e04c00797230a0af803ecf7dc4ee7dc7c1405497b",
+    ("A2d", "json"):
+        "f1283f20c2925a687242b3a3d2a62cb75157390728213e605913d3619ffa2f76",
+    ("a3", "text"):
+        "bb957b22b8cef784214514c6cce4c2fb9a949e461355265bf6e7c872c90448ae",
+    ("a3", "json"):
+        "30e3f15d0b9dccffe7a09682ab54ab2fbbb395054a85b8ef5c72ef0e998142e6",
+    ("a3d", "text"):
+        "f94ce49681b383f6bef525778e39dff79535e4487991d8b876e3aefb0bfc5f74",
+    ("a3d", "json"):
+        "98c86ae3bd3e29b6a62845490ca65134e2ab16b84711248e547d0b69d905e43c",
+    ("a4", "text"):
+        "5ee902cfe3d7a883e30cd848ba81713349011d9fa8bc8f406cb5cd180d0f147a",
+    ("a4", "json"):
+        "9799d1acd48f8769a54a0a02513d0e21dd08b14093578a5b3c0a5518b631e54c",
+    ("a4d", "text"):
+        "5f5a0ac244e9223e1ab52b3fcbb5902a19d935bf636aa2e62af55a1169b21350",
+    ("a4d", "json"):
+        "ab4470da307b3dc26dbe4039b001b3735174d5fd88d23951162748edc2be5097",
+    ("Casimir", "text"):
+        "fd9aed547dde0af9a12018f90f1f8727fdb4454d23b96f8cf53ef56e36b7e6cc",
+    ("Casimir", "json"):
+        "17267b52852bf6be2af20268b4977b12ab58974fb4afea83c99bdfb8e8c6e0aa",
+    ("Hq", "text"):
+        "afc2918728164225e8331f516260cdcac6687a6c863e980079d7b6b8e9d00808",
+    ("Hq", "json"):
+        "6e6a2d13bbfeaa69ac58f69ab406735c0c2d1e58979c54b2f2e248a36d341e20",
+    ("Hm", "text"):
+        "fcf5c35a350685011f978f23f2c60f9ff2bc058157ca7977fd6294d804a744b1",
+    ("Hm", "json"):
+        "0a9dcc90919216292887c868885e214101862652839a85eaf06ecdc7e6b9e577",
+}
+
+
+@pytest.mark.parametrize("name,fmt", list(DUMP_DIGESTS))
+def test_dump_report_digest(name, fmt, capsys):
+    """Recorded on Python 3.11.7 with the x86-64 libm, as CHECK_DIGESTS."""
+    code, out, err = run_cli(["dump", name, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DUMP_DIGESTS[name, fmt]
+
+
 def test_dump_reduced_generator_carries_full_form(capsys):
     code, out, _ = run_cli(["dump", "Lm", "--format", "json"], capsys)
     assert code == 0

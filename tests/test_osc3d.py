@@ -22,6 +22,7 @@ from shapeinv.verify import (
     TOL_EIGEN, TOL_OPERATOR, SamplePlan, check_op_zero, check_zero, worst_of,
 )
 
+import oracles
 from oracles import state_normalized
 
 PLAN = SamplePlan(seed=29, count=24)
@@ -65,6 +66,37 @@ def test_spectrum_examples():
 
 
 # -- canonical commutators ----------------------------------------------------
+
+@pytest.mark.parametrize("omega", [None, 1, 2, Fraction(1, 2)])
+def test_both_charts_are_one_set_field_for_field(omega):
+    """Each field of the phi-full and of the reduced set is the operator
+    that the two-shape builders (`oracles.build_combos`, a `ComboSet` beside
+    the cartesian set, and `oracles.build_oscillators`) made under its name;
+    a3 ... a4d of the phi-full set are the cartesian ladders themselves."""
+    comb, s = osc3d.build_combos(omega), osc3d.build_oscillators(omega)
+    cart = osc3d.cartesian_ladders(omega)
+    old_comb = oracles.build_combos(omega)
+    old_s = oracles.build_oscillators(omega)
+    for name in osc3d.OscillatorSet._fields:
+        old = getattr(old_comb if name in old_comb._fields else cart, name)
+        assert getattr(comb, name).structure_key() == old.structure_key(), name
+        assert (getattr(s, name).structure_key()
+                == getattr(old_s, name).structure_key()), name
+    for name in ("a3", "a3d", "a4", "a4d"):
+        assert getattr(comb, name) is getattr(cart, name), name
+
+
+@pytest.mark.parametrize("reduced", [True, False])
+def test_commutator_labels_keep_their_order(reduced):
+    """Lows A1, A2, a3, a4 against ups A1d, A2d, a3d, a4d, then the pairs
+    within each group: the order the two-shape sets gave."""
+    lows, ups = ("A1", "A2", "a3", "a4"), ("A1d", "A2d", "a3d", "a4d")
+    expected = ([f"[{lo},{up}]" for lo in lows for up in ups]
+                + [f"[{a},{b}]" for group in (lows, ups)
+                   for a, b in combinations(group, 2)])
+    labels = [label for label, _, _ in osc3d.commutator_residuals(reduced)]
+    assert labels == expected and len(labels) == 28
+
 
 @pytest.mark.parametrize("reduced", [False, True])
 def test_canonical_commutators_structural(reduced):
@@ -147,6 +179,37 @@ def test_transcription_reports_all_pass():
     assert len(reports) >= 18
     for key, rep in reports.items():
         assert rep.passed, f"{key}: {rep}"
+
+
+def _verdicts(reports: dict) -> list:
+    return [(key, rep.name, rep.passed, rep.notes)
+            for key, rep in reports.items()]
+
+
+def test_transcription_rows_match_the_replaced_reports():
+    reports = osc3d.transcription_reports()
+    assert len(reports) == 20
+    assert _verdicts(reports) == _verdicts(oracles.transcription_reports())
+
+
+@pytest.mark.parametrize("full_a2d,failing", [
+    (False, ["reduced A1 psi slot"]),
+    (True, ["full A2d transcription", "reduced A1 psi slot"]),
+])
+def test_a_corrupted_transcription_fails_only_its_rows(full_a2d, failing,
+                                                       monkeypatch):
+    """A reduced A1 transcribed without its psi-slot flip leaves nothing to
+    confine, and a flipped psi slot on the phi-full A2d breaks its exact
+    match: in the rows and in the replaced reports alike, exactly those
+    comparisons fail."""
+    monkeypatch.setitem(osc3d._COMBO_PRINTED_REDUCED, "A1",
+                        osc3d._COMBO_DERIVED["A1"])
+    if full_a2d:
+        monkeypatch.setitem(osc3d._COMBO_PRINTED_FULL, "A2d",
+                            (+1, +1, +1, +1, +1))
+    for reports in (osc3d.transcription_reports(),
+                    oracles.transcription_reports()):
+        assert [k for k, rep in reports.items() if not rep.passed] == failing
 
 
 def test_printed_first_raising_combo_collapses():

@@ -1,6 +1,6 @@
 """Every top-level name in the package is used, every setting is set,
 every default is used, no module reaches into another's private names, and
-no test module imports a name it does not use.
+no package or test module imports a name it does not use.
 
 Only the program counts as a user: `src` and `perfbench` (`USERS`), never
 `tests`.  Each module-level `def`, `class` and assignment target in
@@ -17,7 +17,8 @@ a module-level alias; a method call, or a call that names no module,
 counts for every callee of its name.  Each method and annotated field of a
 package class must be reached as an attribute (`.name`) there too.  A
 `_`-prefixed name belongs to its module: no other package module imports
-it or reads it as an attribute.
+it or reads it as an attribute.  An imported name must be read in the
+module that imports it, or listed in that module's `__all__`.
 """
 import ast
 import re
@@ -290,7 +291,8 @@ def test_no_module_reads_another_modules_private_names():
 
 
 def _unused_imports(tree: ast.Module):
-    """Each name a module imports and never reads."""
+    """Each name a module imports and never reads; a name that the
+    module's `__all__` lists is read by whoever imports it from there."""
     imported = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -299,11 +301,23 @@ def _unused_imports(tree: ast.Module):
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported += [a.asname or a.name for a in node.names]
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "__all__" for t in node.targets):
+            read.update(elt.value for elt in node.value.elts)
     return [name for name in imported if name not in read]
 
 
+def _unused_imports_in(directory: Path) -> list:
+    return [f"{path.stem}.{name}" for path in sorted(directory.glob("*.py"))
+            for name in _unused_imports(ast.parse(path.read_text()))]
+
+
 def test_no_test_module_imports_a_name_it_does_not_use():
-    found = [f"{path.stem}.{name}"
-             for path in sorted((ROOT / "tests").glob("*.py"))
-             for name in _unused_imports(ast.parse(path.read_text()))]
+    found = _unused_imports_in(ROOT / "tests")
+    assert not found, "imported but never used: " + ", ".join(found)
+
+
+def test_no_package_module_imports_a_name_it_does_not_use():
+    found = _unused_imports_in(PACKAGE)
     assert not found, "imported but never used: " + ", ".join(found)

@@ -21,7 +21,8 @@ from typing import Callable, NamedTuple
 
 from .opalg import apply_canonical
 from .symx import Expr, memo
-from .verify import IdentityReport, check_proportional, check_zero
+from .verify import (IdentityReport, check_proportional, check_zero,
+                     shared_columns)
 
 
 class Move(NamedTuple):
@@ -103,6 +104,7 @@ def reach(moves: dict, label, word: tuple) -> tuple:
     return len(word), label, coeff_sq
 
 
+@shared_columns()
 def check_words(lattice: Lattice, labels, words, plan, tol) -> tuple:
     """Every word on every label's chain state: the member reports, in
     label then word order, and the number of edge words.  The letters before

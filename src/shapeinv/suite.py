@@ -24,7 +24,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
+from operator import attrgetter
 
 from . import ladders2d, osc3d, su2
 from .opalg import DiffOp, OpTerm, commutator, fourier_reduce
@@ -41,6 +42,7 @@ from .verify import (
     check_op_zero,
     check_proportional,
     default_battery,
+    shared_columns,
     structural,
     worst_of,
 )
@@ -75,6 +77,7 @@ def _light_battery(param: str) -> list:
     return [b[0], b[1], b[3], b[5]]
 
 
+@shared_columns()
 def _op_reports(plan: SamplePlan, param: str, residuals) -> list:
     """One sampled report per (label, residual, reference ops): the
     residual against zero on the light battery in `param`, scaled by its
@@ -242,16 +245,24 @@ def _chk_degeneracy(cfg):
         "joint eigenfunctions of the reduced two-angle operators")
 def _chk_eigen2d(cfg):
     plan = _plan(cfg, "eigen2d", count=max(4, cfg.points // 2))
-    states = [qn for twol in range(6 + 1)
-              for qn in ladders2d.valid_states(twol)]
-    rep = worst_of([r for qn in states
-                    for r in ladders2d.verify_eigen(qn, plan, tol=cfg.tol_eigen)],
-                   cfg.tol_eigen, notes=f"{len(states)} states x 4 relations")
+    # one column table per level and q, whose states share their operators:
+    # one per level would hold up to 5 868 slots at once, and one for the
+    # grid 13 127
+    reports = []
+    for twol in range(6 + 1):
+        for _, states in groupby(ladders2d.valid_states(twol), attrgetter("q")):
+            with shared_columns():
+                reports += [r for qn in states
+                            for r in ladders2d.verify_eigen(qn, plan,
+                                                            tol=cfg.tol_eigen)]
+    rep = worst_of(reports, cfg.tol_eigen,
+                   notes=f"{len(reports) // 4} states x 4 relations")
     return rep.note(f"worst: {rep.worst}")
 
 
 @_check("2-D one-step ladder coefficients", "2d", "sampled",
         "measured one-step ladder ratios against closed coefficients")
+@shared_columns()
 def _chk_ladders2d(cfg):
     plan = _plan(cfg, "ladders2d", count=max(4, cfg.points // 2))
     cap = 4
@@ -439,6 +450,7 @@ def _grid3d(cap: int):
 
 @_check("3-D eigen grid (closed form)", "3d", "sampled",
         "closed-form eigenfunctions of the reduced Hamiltonian")
+@shared_columns()
 def _chk_eigen3d(cfg):
     plan = _plan(cfg, "eigen3d", count=max(4, cfg.points // 2))
     states = [osc3d.QNum3D(n, m, n3, n4, w) for w in (Fraction(1), Fraction(2))

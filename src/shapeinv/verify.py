@@ -12,7 +12,13 @@ Conventions
   magnitude the compared quantities reach on the plan (floored at 1e-300);
 * proportionality checks report the pointwise-ratio dispersion stddev/|mean|;
 * points where evaluation hits a singularity are skipped, but more than 20%
-  skipped points invalidates the plan;
+  skipped points invalidates the plan; a request's skipped points are those
+  of its own trees, whatever else is sampled beside it;
+* the sampled checks of a battery (`shared_columns`) share one column
+  table, `symx.Program`: a node that several of its requests hold is
+  evaluated once per point cloud, a cloud being the points that one
+  (seed, count, extra symbols) draws; outside a battery the table lives
+  for one request;
 * a plan that cannot decide raises PlanDegenerate: too many points
   skipped, a divisor that vanishes, or an operator comparison whose every
   probe is annihilated;
@@ -43,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .rationals import GaussRat
@@ -222,14 +229,43 @@ def _guard_skips(skipped: int, total: int, name: str):
             f"{name}: {skipped}/{total} sample points skipped (budget 20%)")
 
 
+# the column table that the open battery shares, and its clouds by
+# (seed, count, extra symbols); None outside a battery.  A battery's checks
+# reach `_sample` through several layers of check functions, so the table
+# is opened around them rather than passed down.
+_TABLE = None
+
+
+@contextmanager
+def shared_columns():
+    """Run a battery of sampled checks over one column table: a node that
+    several of its requests share is evaluated once per point cloud.  In
+    a battery that is already open this joins it."""
+    global _TABLE
+    if _TABLE is not None:
+        yield
+        return
+    _TABLE = (Program([]), {})
+    try:
+        yield
+    finally:
+        _TABLE = None
+
+
 def _sample(exprs, plan: SamplePlan, name: str):
-    """Evaluate exprs on the plan's points for their free symbols.
+    """Evaluate exprs on the plan's points for their free symbols, in the
+    open battery's column table or, outside one, in a table of their own.
 
     Returns (values per expr, kept points, skipped count); raises
     PlanDegenerate when the skip budget is exceeded.
     """
-    program = Program(exprs)
-    pts = plan.points(program.symbols - set(COORDINATES))
+    program, clouds = _TABLE or (Program([]), {})
+    program.add(exprs)
+    extras = program.symbols - set(COORDINATES)
+    key = (plan.seed, plan.count, extras)
+    pts = clouds.get(key)
+    if pts is None:
+        pts = clouds[key] = plan.points(extras)
     vals, kept, skipped = _eval_many(program, pts)
     _guard_skips(skipped, plan.count, name)
     return vals, kept, skipped
@@ -255,15 +291,20 @@ def structural(ok: bool, notes: str, name="structural") -> IdentityReport:
 
 
 def worst_of(reports, tol, notes: str = "", name="worst-of") -> IdentityReport:
-    """One report for a battery of checks: its worst member's residual.
+    """One report for a battery of checks: its worst member's residual,
+    failed when any member failed.
 
     The aggregate keeps the worst member's max-abs residual and scale, so
-    its relative residual is that member's; `worst` holds the member's
-    name.  Ties go to the first of the equally bad members.
+    its relative residual is that member's; `worst` holds the name of the
+    first failed member, or of the worst one when none failed.  Ties go to
+    the first of the equally bad members.
     """
     worst = max(reports, key=lambda r: r.relative)
-    return IdentityReport(name, worst.max_abs, worst.scale, tol,
-                          worst=worst.name, notes=notes)
+    failed = next((r for r in reports if not r.passed), None)
+    rep = IdentityReport(name, worst.max_abs, worst.scale, tol,
+                         worst=(failed or worst).name, notes=notes)
+    rep.passed = rep.passed and failed is None
+    return rep
 
 
 def check_zero(f: Expr, plan: SamplePlan, reference, tol,
@@ -352,6 +393,7 @@ def default_battery(param: str) -> list:
     ]
 
 
+@shared_columns()
 def _probe_loop(op, reference_ops, plan: SamplePlan, testfns, name):
     """Worst relative residual of `op` over a probe battery.
 

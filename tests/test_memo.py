@@ -210,21 +210,54 @@ def test_canonical_shares_one_tree():
 COLD_SUITE_SIMPLIFY_ENTRIES = 32_506
 
 
+# slots x points that `Program` calls evaluate in a cold seed-7 suite:
+# 627 425 while each sampled request compiled and evaluated a program of its
+# own; and the most slots that one program holds, the 3-D eigen grid's
+# (one 2-D eigen level would hold up to 5 868, the whole 2-D grid 13 127)
+COLD_SUITE_SLOT_POINTS = 195_835
+LARGEST_TABLE_SLOTS = 2_878
+
+
 @pytest.fixture(scope="module")
-def cold_suite_simplify():
-    """The number of simplify entries after a cold seed-7 suite, and every
-    tree in the two simplify tables."""
+def cold_suite():
+    """After a cold seed-7 suite: the number of simplify entries, every
+    tree in the two simplify tables, the slots x points that `Program`
+    calls evaluated and the most slots that one program held."""
+    call = symx.Program.__call__
+    sampled = {"slot_points": 0, "slots": 0}
+
+    def evaluated(program, points) -> int:
+        cloud = program._clouds.get(id(points))
+        return 0 if cloud is None else (len(cloud.values)
+                                        - cloud.values.count(None))
+
+    def counted(program, points):
+        before = evaluated(program, points)
+        out = call(program, points)
+        sampled["slot_points"] += ((evaluated(program, points) - before)
+                                   * len(points))
+        sampled["slots"] = max(sampled["slots"], len(program.steps))
+        return out
+
     clear_caches()
-    run_suite(SuiteConfig(seed=7))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(symx.Program, "__call__", counted)
+        run_suite(SuiteConfig(seed=7))
     entries = len(symx._SIMPLIFY_MEMO)
     trees = set(symx._SIMPLIFY_MEMO.values()) | set(symx._SIMPLIFIED)
     clear_caches()
-    return entries, trees
+    return entries, trees, sampled
 
 
-def test_cold_suite_simplify_work_can_only_shrink(cold_suite_simplify):
-    entries, _ = cold_suite_simplify
+def test_cold_suite_simplify_work_can_only_shrink(cold_suite):
+    entries, _, _ = cold_suite
     assert entries <= COLD_SUITE_SIMPLIFY_ENTRIES
+
+
+def test_cold_suite_sampling_evaluates_each_node_once_per_cloud(cold_suite):
+    _, _, sampled = cold_suite
+    assert sampled["slot_points"] <= COLD_SUITE_SLOT_POINTS
+    assert sampled["slots"] <= LARGEST_TABLE_SLOTS
 
 
 class _Forgetful(dict):
@@ -234,14 +267,13 @@ class _Forgetful(dict):
         pass
 
 
-def test_cold_suite_simplified_trees_are_fixed_points(cold_suite_simplify,
-                                                      monkeypatch):
+def test_cold_suite_simplified_trees_are_fixed_points(cold_suite, monkeypatch):
     # each is served as its own simplification, so simplifying it again
     # must return it unchanged.  No tree is served as itself here, and the
     # input-keyed memo starts empty, so each of its entries is the uncached
     # routine's result for its input: the walk is linear in the distinct
     # subtrees, not in the paths to them
-    _, trees = cold_suite_simplify
+    _, trees, _ = cold_suite
     assert len(trees) > 10_000
     clear_caches()
     monkeypatch.setattr(symx, "_SIMPLIFIED", _Forgetful())

@@ -8,9 +8,9 @@ from pathlib import Path
 import pytest
 
 import shapeinv
-from shapeinv import suite
+from shapeinv import ladders2d, osc3d, suite
 from shapeinv.opalg import OpError
-from shapeinv.symx import SymxError
+from shapeinv.symx import Const, Mul, SymxError
 from shapeinv.suite import (
     FAULT_PREFIX, SECTORS, SuiteConfig, render_text, report_json, run_suite,
     _registry,
@@ -187,3 +187,31 @@ def test_a_raising_check_is_a_failed_entry(error, monkeypatch):
     assert entries[name]["notes"] == f"error: {type(error).__name__}: {error}"
     assert all(e["pass"] for n, e in entries.items() if n != name)
     assert report["summary"] == f"checks: {len(entries) - 1} passed / 1 failed"
+
+
+def _pair_energy_plus_one(monkeypatch):
+    scalar = osc3d.pair_energy
+    monkeypatch.setattr(osc3d, "pair_energy", lambda n, m: scalar(n, m) + 1)
+
+
+def _reconstruction_doubled(monkeypatch):
+    rebuild = ladders2d._reconstruction
+    monkeypatch.setattr(ladders2d, "_reconstruction",
+                        lambda *args: Mul(Const(2), rebuild(*args)))
+
+
+@pytest.mark.parametrize("check, mutate", [
+    ("_chk_pair3d", _pair_energy_plus_one),
+    ("_chk_reconstruction", _reconstruction_doubled),
+])
+def test_an_aggregate_fails_with_a_member_failed_on_its_exact_half(
+        check, mutate, monkeypatch):
+    # the mutant's members fail by `.fail()`, at residuals far below the
+    # tolerance: the aggregate must keep their verdict
+    cfg = SuiteConfig(seed=7)
+    healthy = getattr(suite, check)(cfg)
+    assert healthy.passed and healthy.relative < 1e-12
+    mutate(monkeypatch)
+    rep = getattr(suite, check)(cfg)
+    assert not rep.passed
+    assert rep.relative == healthy.relative

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shapeinv import clear_caches, su2, symx
+from shapeinv import clear_caches, su2, symx, verify
 from shapeinv.osc3d import _hermite
 from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
@@ -19,7 +19,7 @@ from shapeinv.symx import (
     free_symbols, is_zero_expr, rebuild, render,
     simplify_basic, substitute, trig_to_exp, _canon_cf, _key_to_cf, _rank,
 )
-from shapeinv.verify import default_battery
+from shapeinv.verify import PlanDegenerate, SamplePlan, default_battery
 
 from oracles import evaluate
 
@@ -691,6 +691,74 @@ def test_program_skips_exactly_where_tree_oracle_raises(e):
     _, bad = Program(es[::2])(_POINTS)
     assert bad == {i for i, b in enumerate(_POINTS)
                    if any(_oracle(f, b) is None for f in es[::2])}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_exprs, min_size=2, max_size=4), _exprs)
+def test_a_grown_program_answers_as_a_fresh_one(es, e):
+    # the failures of the trees already in the table stay theirs
+    es = [*es, Mul(e, Pow(Sin(PHI), -1)), Exp(Mul(Const(900), R, e))]
+    program = Program(es[:2])
+    for request in ([es[2]], es[1:3], [e, es[-1]], es[:1], [Add(e, es[0])]):
+        program.add(request)
+        assert program.symbols == set().union(*map(free_symbols, request))
+        (values, bad), (want, want_bad) = (program(_POINTS),
+                                           Program(request)(_POINTS))
+        assert bad == want_bad
+        for col, ref in zip(values, want, strict=True):
+            assert [v for i, v in enumerate(col) if i not in bad] == \
+                [v for i, v in enumerate(ref) if i not in bad]
+
+
+# overflow where r > 709.78/310, at about one point in ten of a plan, and
+# where r > 709.78/600, past the skip budget
+_OVERFLOW = Exp(Mul(Const(310), R))
+_OVER_BUDGET = Exp(Mul(Const(600), R))
+
+
+def _alone(exprs, plan: SamplePlan, name: str):
+    """`verify._sample` for one request, on a fresh one-request program."""
+    program = Program(exprs)
+    pts = plan.points(program.symbols - set(COORDINATES))
+    vals, kept, skipped = verify._eval_many(program, pts)
+    verify._guard_skips(skipped, plan.count, name)
+    return vals, kept, skipped
+
+
+def _outcome(sample, exprs, plan, name):
+    """Values, kept points, skipped count and worst binding of a request,
+    or the message of the PlanDegenerate it raises."""
+    try:
+        vals, kept, skipped = sample(exprs, plan, name)
+    except PlanDegenerate as exc:
+        return str(exc)
+    return vals, kept, skipped, verify._worst_point(kept, vals[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_exprs, min_size=3, max_size=3), st.data())
+def test_shared_columns_answer_each_request_as_a_fresh_program(pool, data):
+    a, b, c = pool
+    one, two = (SamplePlan(seed=data.draw(st.integers(0, 99)), count=20)
+                for _ in range(2))
+    requests = [
+        ([a, Mul(a, b)], one),
+        ([Mul(a, b), Add(b, c)], one),         # shares subtrees
+        ([Mul(Sym("q"), a), c], one),          # another cloud of one plan
+        ([Mul(a, b)], two),                    # the same trees, another plan
+        ([Mul(c, _OVERFLOW)], one),            # fails at some points
+        ([Mul(b, _OVER_BUDGET)], one),         # raises PlanDegenerate
+        ([Mul(Sin(PHI), Cos(PHI))], one),      # shares none of its nodes
+        ([c, Add(c, ONE)], one),               # shares all but the failing ones
+    ]
+    order = data.draw(st.permutations(range(len(requests))))
+    names = [f"request {i}" for i in order]
+    want = [_outcome(_alone, *requests[i], name)
+            for i, name in zip(order, names)]
+    with verify.shared_columns():
+        got = [_outcome(verify._sample, *requests[i], name)
+               for i, name in zip(order, names)]
+    assert got == want
 
 
 def _sampled_max(e):

@@ -22,7 +22,7 @@ from shapeinv.opalg import DiffOp, OpTerm
 from shapeinv.verify import (
     DEFAULT_BOXES, TOL_OPERATOR, IdentityReport, PlanDegenerate,
     SamplePlan, check_eigen, check_op_zero, check_proportional, check_zero,
-    default_battery, measure_constant,
+    default_battery, measure_constant, worst_of,
 )
 
 
@@ -166,6 +166,20 @@ def test_fail_annotation():
     failed = rep.fail("forced")
     assert failed is rep and not failed.passed
     assert "forced" in failed.notes
+
+
+def test_worst_of_fails_when_any_member_failed():
+    # a member failed on its exact half keeps its small residual
+    exact = IdentityReport("exact", 1e-15, 1.0, 1e-8).fail("not the scalar")
+    sampled = IdentityReport("sampled", 1e-9, 1.0, 1e-8)
+    later = IdentityReport("later", 1e-12, 1.0, 1e-8).fail("also wrong")
+    rep = worst_of([sampled, exact, later], 1e-8)
+    assert not rep.passed
+    assert (rep.max_abs, rep.relative) == (sampled.max_abs, sampled.relative)
+    assert rep.worst == "exact"
+    healthy = worst_of([IdentityReport("a", 1e-12, 1.0, 1e-8), sampled], 1e-8)
+    assert healthy.passed and healthy.worst == "sampled"
+    assert not worst_of([sampled], 1e-10).passed
 
 
 def test_default_battery_is_generic():

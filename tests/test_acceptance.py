@@ -241,3 +241,13 @@ def test_suite_report_digest_seed_7(full_suite_runs):
     digest = hashlib.sha256(report_json(first).encode()).hexdigest()
     assert digest == (
         "7f4817f95d6bbf0848fe262da060cba30f9079a66b1cb1d95574b7a68cee7e0b")
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "5a6d84ee1b1b7499d241caa7e22f0cea136a7cb10323e2c0c421b94bb4c383e5"),
+    (12345, "a1d485088ff70e029fc38bd0f51b8853cb9e8852c842c149c3b7b90f4cf99a4c"),
+])
+def test_suite_report_digest_at_other_seeds(seed, digest):
+    """The two other pinned seeds, recorded as the seed-7 digest was."""
+    report = run_suite(SuiteConfig(seed=seed))
+    assert hashlib.sha256(report_json(report).encode()).hexdigest() == digest

@@ -33,8 +33,8 @@ from .osc3d import QNum3D
 from .suite import (SuiteConfig, render_text, report_json, run_suite,
                     summary_line)
 from .symx import collector_paused, memo, render
-from .verify import (TOL_EIGEN, TOL_OPERATOR, PlanDegenerate, SamplePlan,
-                     check_op_zero, structural)
+from .verify import (TOL_EIGEN, TOL_OPERATOR, IdentityReport, PlanDegenerate,
+                     SamplePlan, check_op_zero)
 
 # highest --twol of eigen2d and shape2d, and highest n + n3 + n4 of osc3d
 # (at frequencies 1 and 2): the sampled checks lose float precision with
@@ -132,11 +132,11 @@ def cmd_shape2d(args: argparse.Namespace) -> tuple:
     qn = None if args.q is None else QNum2D(args.twol, args.q, args.m)
     plan, tol = _plan_of(args, 24), _tol_of(args, TOL_EIGEN)
     reports = [ladders2d.verify_ladder_actions(args.twol, plan, tol=tol)]
-    ok = ladders2d.reorder_identity_holds()
-    reports.append(structural(
-        ok, notes="the two descending compositions agree exactly once the "
-                  "leading label sits one site down",
-        name="lowering-pair exchange identity"))
+    reports.append(IdentityReport(
+        "lowering-pair exchange identity",
+        exact=ladders2d.reorder_identity_holds(),
+        notes="the two descending compositions agree exactly once the "
+              "leading label sits one site down"))
     header = [f"level: 2l={args.twol}"]
     payload = {"level": {"twol": args.twol}}
     if qn is not None:

@@ -74,7 +74,6 @@ from .verify import (
     SamplePlan,
     check_eigen,
     check_proportional,
-    structural,
     worst_of,
 )
 
@@ -504,13 +503,13 @@ def angular_prefactor_deviation() -> IdentityReport:
     scale = Mul(Const(Fraction(-1, 2)),
                 Add(Pow(R, Fraction(-1)), Mul(Const(-1), Pow(R, Fraction(-2)))))
     expected = _P(scale, "m") @ _angular_block(reduced=True)
-    ok = diff.same_operator(expected) and not diff.is_zero()
-    return structural(
-        ok, notes="the transcribed full Hamiltonian carries 1/r on the angular "
-                  "block where the cartesian Laplacian requires 1/r^2; the "
-                  "residual is confined to the angular derivatives and the "
-                  "centrifugal scalar",
-        name="angular prefactor deviation")
+    return IdentityReport(
+        "angular prefactor deviation",
+        exact=diff.same_operator(expected) and not diff.is_zero(),
+        notes="the transcribed full Hamiltonian carries 1/r on the angular "
+              "block where the cartesian Laplacian requires 1/r^2; the "
+              "residual is confined to the angular derivatives and the "
+              "centrifugal scalar")
 
 
 def factorization(reduced: bool, zero_pt: int) -> tuple:
@@ -768,9 +767,9 @@ def verify_pair_eigen(qn: QNum3D, plan: SamplePlan, tol: float) -> list:
     out = []
     for label, word in trips:
         rep, = check_words(_LATTICE, [label], [word], plan, tol)[0]
-        if reach(_MOVES, label, word)[2] != pair_energy(qn.n, qn.m) ** 2:
-            rep.fail(f"coefficient is not {pair_energy(qn.n, qn.m)}")
-        out.append(rep)
+        ok = reach(_MOVES, label, word)[2] == pair_energy(qn.n, qn.m) ** 2
+        out.append(rep.note("" if ok else f"coefficient is not "
+                            f"{pair_energy(qn.n, qn.m)}", exact=ok))
     return out
 
 
@@ -794,7 +793,7 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan, tol: float) -> dict:
                 moved, _LATTICE.chain(replace(qn, m=qn.m - 2)).state, plan,
                 tol=tol, name=name)
         except PlanDegenerate as exc:  # degenerate ratios: also a mismatch
-            out["stated"] = IdentityReport(name, 1.0, 1.0, tol, notes=str(exc))
+            out["stated"] = IdentityReport(name, exact=False, notes=str(exc))
     return out
 
 
@@ -869,62 +868,56 @@ def transcription_reports() -> dict:
     exact_red = ("printed and derived reduced forms agree exactly "
                  "(incoming-label scalar slot included)")
     fixed = "corrected transcription matches the derived reduction"
-    # (name, derived, transcribed, slots, notes): with slots None the two
-    # must be the same operator, else their difference must be nonzero and
-    # confined to those derivative slots
+    same = lambda derived, printed: derived.same_operator(printed)
+    # a known deviation: the difference is nonzero and confined to `slots`
+    only = lambda derived, printed, slots: _only_derivs(derived - printed, slots)
     rows = (
-        ("cartesian a1 psi slot", cart.a1, cartesian_a1_printed(), {_DPS},
+        ("cartesian a1 psi slot", only(cart.a1, cartesian_a1_printed(), {_DPS}),
          "the transcribed first cartesian operator carries cos(phi) in its "
          "psi slot where the gradient has sin(phi); all other slots agree"),
-        ("full A2 transcription", comb.A2, full("A2"), None, exact),
-        ("full A2d transcription", comb.A2d, full("A2d"), None, exact),
-        ("full A1 psi slot", comb.A1, full("A1"), {_DPS},
+        ("full A2 transcription", same(comb.A2, full("A2")), exact),
+        ("full A2d transcription", same(comb.A2d, full("A2d")), exact),
+        ("full A1 psi slot", only(comb.A1, full("A1"), {_DPS}),
          "the transcribed first lowering combo flips only the "
          "psi-derivative sign"),
-        ("full A1d derivative group", comb.A1d, full("A1d"),
-         {_DR, _DPS, _DTH, _DPH},
+        ("full A1d derivative group",
+         only(comb.A1d, full("A1d"), {_DR, _DPS, _DTH, _DPH}),
          "the transcribed first raising combo flips the sign of its whole "
          "derivative group; the multiplicative term agrees"),
-        ("printed A1d collapses onto A2", full("A1d"), full("A2"), None,
+        ("printed A1d collapses onto A2", same(full("A1d"), full("A2")),
          "as transcribed, the first raising combo and the second lowering "
          "combo are the same operator; the corrected derivative-group sign "
          "separates them"),
-        ("reduced A1d transcription", s.A1d, red("A1d"), None, exact_red),
-        ("reduced A2 transcription", s.A2, red("A2"), None, exact_red),
-        ("reduced A2d transcription", s.A2d, red("A2d"), None, exact_red),
-        ("reduced A1 psi slot", s.A1, red("A1"), {_DPS},
+        ("reduced A1d transcription", same(s.A1d, red("A1d")), exact_red),
+        ("reduced A2 transcription", same(s.A2, red("A2")), exact_red),
+        ("reduced A2d transcription", same(s.A2d, red("A2d")), exact_red),
+        ("reduced A1 psi slot", only(s.A1, red("A1"), {_DPS}),
          "the reduced transcription inherits the psi-slot sign flip of the "
          "phi-full form; the incoming-label scalar is correct"),
-        ("reduced A1 corrected", s.A1, reduced_reference("A1"), None, fixed),
-        ("reduced A1d corrected", s.A1d, reduced_reference("A1d"), None, fixed),
-        ("reduced A2 corrected", s.A2, reduced_reference("A2"), None, fixed),
-        ("reduced A2d corrected", s.A2d, reduced_reference("A2d"), None, fixed),
+        ("reduced A1 corrected", same(s.A1, reduced_reference("A1")), fixed),
+        ("reduced A1d corrected", same(s.A1d, reduced_reference("A1d")), fixed),
+        ("reduced A2 corrected", same(s.A2, reduced_reference("A2")), fixed),
+        ("reduced A2d corrected", same(s.A2d, reduced_reference("A2d")), fixed),
+        ("full Hamiltonian", same(build_H4(), h4_reference()),
+         "derived Laplacian route matches the corrected transcription "
+         "(angular prefactor 1/r^2)"),
+        ("angular block is the invariant", angular_matches_invariant(),
+         "the angular block equals minus the two-angle quadratic invariant "
+         "operator"),
+        ("reduced Hamiltonian", same(build_Hm(), hm_reference()),
+         "the reduced transcription is correct as printed"),
+        ("radial similarity", radial_similarity_matches(),
+         "r^(1/2)-conjugation reproduces the weighted form including the "
+         "+3/(8 r^2) residue"),
     )
-    out = [structural(derived.same_operator(printed) if slots is None
-                      else _only_derivs(derived - printed, slots),
-                      name=name, notes=notes)
-           for name, derived, printed, slots, notes in rows]
-    out.append(structural(
-        build_H4().same_operator(h4_reference()), name="full Hamiltonian",
-        notes="derived Laplacian route matches the corrected transcription "
-              "(angular prefactor 1/r^2)"))
-    out.append(structural(
-        angular_matches_invariant(), name="angular block is the invariant",
-        notes="the angular block equals minus the two-angle quadratic "
-              "invariant operator"))
-    out.append(structural(
-        build_Hm().same_operator(hm_reference()), name="reduced Hamiltonian",
-        notes="the reduced transcription is correct as printed"))
-    out.append(structural(
-        radial_similarity_matches(), name="radial similarity",
-        notes="r^(1/2)-conjugation reproduces the weighted form including "
-              "the +3/(8 r^2) residue"))
+    out = [IdentityReport(name, exact=ok, notes=notes)
+           for name, ok, notes in rows]
     out.append(angular_prefactor_deviation())
 
     ok = all(c_squared(n, m) == c_squared_printed(n, m)
              for n in range(0, 9) for m in range(-n, n + 1, 2))
-    out.append(structural(
-        ok, name="descent normalization closed form",
+    out.append(IdentityReport(
+        "descent normalization closed form", exact=ok,
         notes="the transcribed closed form of the descent constant equals "
               "the per-step product exactly (n <= 8)"))
     return {rep.name: rep for rep in out}

@@ -284,9 +284,9 @@ def build_Hq(plan: SamplePlan) -> HqBundle:
                          if not any(t.derivs) and t.shift == 0)
     scalar = Add(*(t.coeff for t in scalar_terms)) if scalar_terms else Const(0)
     offset = measure_constant(scalar, plan, name="Hq closed-form offset")
-    if deriv_terms:
-        offset = offset.fail("difference contains derivative terms")
-    return HqBundle(reference, derived, offset)
+    return HqBundle(reference, derived, offset.note(
+        "difference contains derivative terms" if deriv_terms else "",
+        exact=not deriv_terms))
 
 
 # ---------------------------------------------------------------------------

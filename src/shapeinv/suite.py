@@ -7,11 +7,13 @@ identity check fails); its notes record the observed residual.
 
 Each check is declared once, by an `_check` line over its function: the
 entry's name, its sector, its route (what decides the verdict:
-"structural", "sampled" or "both") and its paper_ref, a neutral
-description of what is verified.  Declaration order is report order.  The
-fault entries share one paper_ref, `FAULT_REF`.  A check function returns
-only a verdict: pass, relative residual and notes; the entry's name comes
-from its declaration.
+"structural": its report has an exact half, "sampled": it drew sample
+points, or "both") and its paper_ref, a neutral description of what is
+verified.  Declaration order is report order.  The fault entries share one
+paper_ref, `FAULT_REF`.  A check function returns only a verdict, one
+`IdentityReport` whose exact and sampled halves give its pass, relative
+residual and notes; the entry's name comes from its declaration.  A fault
+control, a verdict on another report's outcome, has no exact half.
 
 The aggregated report is a plain dictionary rendered to JSON with sorted
 keys; all sampling derives from the configured seed through content-stable
@@ -43,7 +45,6 @@ from .verify import (
     check_proportional,
     default_battery,
     shared_columns,
-    structural,
     worst_of,
 )
 
@@ -89,6 +90,19 @@ def _op_reports(plan: SamplePlan, param: str, residuals) -> list:
             for label, res, refs in residuals]
 
 
+def _verdict(ok: bool, notes: str) -> IdentityReport:
+    """A verdict on other reports' outcomes, as a fault control's: it
+    decides nothing exact, and its residual is 0 when `ok`, else 1."""
+    return IdentityReport(max_abs=float(not ok), notes=notes)
+
+
+def _caught(rep: IdentityReport, mutation: str) -> IdentityReport:
+    """A fault control's verdict: caught when `rep`, the check of the
+    mutated object, failed; the notes give its residual."""
+    return _verdict(not rep.passed,
+                    f"{mutation} (relative {rep.relative:.3e})")
+
+
 # ---------------------------------------------------------------------------
 # Declarations
 # ---------------------------------------------------------------------------
@@ -131,8 +145,8 @@ def _chk_su2_structural(cfg):
     gs = su2.build_raw_generators()
     bad = [lbl for lbl, res, _ in su2.commutator_residuals(gs)
            if not res.is_zero()]
-    return structural(
-        not bad, notes="all 15 residual operators normalize to zero"
+    return IdentityReport(
+        exact=not bad, notes="all 15 residual operators normalize to zero"
         if not bad else "nonzero residuals: " + ", ".join(bad))
 
 
@@ -149,10 +163,9 @@ def _chk_su2_sampled(cfg):
         "quadratic invariant built from left or right generators")
 def _chk_invariant_routes(cfg):
     gs = su2.build_raw_generators()
-    ok = su2.quadratic(gs).same_operator(su2.quadratic_right(gs))
-    return structural(ok,
-                      notes="left-built and right-built quadratic forms "
-                            "are the same operator")
+    return IdentityReport(
+        exact=su2.quadratic(gs).same_operator(su2.quadratic_right(gs)),
+        notes="left-built and right-built quadratic forms are the same operator")
 
 
 @_check("invariant closed form", "su2", "both",
@@ -164,9 +177,9 @@ def _chk_invariant_closed(cfg):
     rep = check_op_zero(built - ref, _plan(cfg, "casimir"),
                         reference_ops=(built, ref),
                         testfns=_light_battery("q"), tol=TOL_EXACT)
-    if not built.same_operator(ref):
-        return rep.fail("structural mismatch against the closed form")
-    return rep.note("structural match is exact")
+    ok = built.same_operator(ref)
+    return rep.note("structural match is exact" if ok else
+                    "structural mismatch against the closed form", exact=ok)
 
 
 @_check("invariant lattice reduction", "su2", "structural",
@@ -174,10 +187,8 @@ def _chk_invariant_closed(cfg):
 def _chk_invariant_reduction(cfg):
     red = fourier_reduce(su2.casimir(su2.build_raw_generators()), "q")
     ref = su2.casimir_reduced_reference()
-    ok = red.same_operator(ref)
-    return structural(ok,
-                      notes="reduction agrees term-for-term with the "
-                            "closed reduced form")
+    return IdentityReport(exact=red.same_operator(ref), notes="reduction agrees "
+                          "term-for-term with the closed reduced form")
 
 
 @_check("reduced generators closed forms", "su2", "structural",
@@ -185,29 +196,27 @@ def _chk_invariant_reduction(cfg):
 def _chk_reduced_generators(cfg):
     bad = [n for n, op in su2.build_reduced_generators().pairs()
            if not op.same_operator(su2.reduced_ladder_reference(n))]
-    return structural(not bad,
-                      notes="all six reduced generators match" if not bad
-                      else "mismatch: " + ", ".join(bad))
+    return IdentityReport(exact=not bad, notes="all six reduced generators match"
+                          if not bad else "mismatch: " + ", ".join(bad))
 
 
 @_check("half-power weight similarity", "su2", "structural",
         "similarity transform by the single-angle half-power weight")
 def _chk_weight_similarity(cfg):
     der = su2.conjugate(su2.casimir_reduced_reference(), su2.weight_psi())
-    ok = der.same_operator(su2.weighted_reduced_reference())
-    return structural(ok,
-                      notes="single-angle weight conjugation matches its "
-                            "closed form")
+    return IdentityReport(
+        exact=der.same_operator(su2.weighted_reduced_reference()),
+        notes="single-angle weight conjugation matches its closed form")
 
 
 @_check("Schrodinger-form agreement", "su2", "both",
         "full-weight similarity against the potential-form Hamiltonian")
 def _chk_hq(cfg):
     bundle = su2.build_Hq(_plan(cfg, "hq", count=max(cfg.points, 100)))
-    rep = bundle.offset
-    if bundle.reference.same_operator(bundle.derived):
-        return rep.note("closed form matches the derivation exactly (offset 0)")
-    return rep.fail("closed form is not structurally identical")
+    ok = bundle.reference.same_operator(bundle.derived)
+    return bundle.offset.note(
+        "closed form matches the derivation exactly (offset 0)" if ok
+        else "closed form is not structurally identical", exact=ok)
 
 
 @_check("weight-conjugated generators", "su2", "structural",
@@ -216,10 +225,9 @@ def _chk_primed(cfg):
     got = su2.build_primed_generators().pairs()
     ref = su2.primed_reference()
     bad = [n for (n, a), b in zip(got, ref) if not a.same_operator(b)]
-    return structural(not bad,
-                      notes="scalar corrections ride the generator's own "
-                            "lattice shift" if not bad
-                      else "mismatch: " + ", ".join(bad))
+    return IdentityReport(exact=not bad, notes="scalar corrections ride the "
+                          "generator's own lattice shift" if not bad
+                          else "mismatch: " + ", ".join(bad))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +244,10 @@ def _chk_degeneracy(cfg):
             ms = ladders2d.degeneracy(twol, q)
             if ms != table.get(q, []) or len(ms) != twol + 1 - abs(q):
                 bad.append((twol, q))
-    return structural(
-        not bad, notes=f"counts match the weight-pair enumeration for levels "
-                       f"<= {cap}/2" if not bad else f"mismatches: {bad}")
+    return IdentityReport(
+        exact=not bad, notes=f"counts match the weight-pair enumeration for "
+                             f"levels <= {cap}/2" if not bad
+        else f"mismatches: {bad}")
 
 
 @_check("2-D eigen grid", "2d", "sampled",
@@ -296,13 +305,13 @@ def _chk_pair_scalars(cfg):
                 dev = max(dev, abs(ladders2d.pair_scalar_sq(
                     qn, ladders2d.Q_ROUND_TRIP, True)
                     - ladders2d.N_closed(twol, q, m)))
-    return IdentityReport(
-        "closed-form deviation", dev, 1.0, cfg.tol_eigen,
-        notes=f"products equal their closed forms; the as-stated label "
-              f"assignment deviates at {label_diff} states")
+    return IdentityReport(exact=dev == 0, notes=(
+        "products equal their closed forms" if dev == 0 else
+        f"products deviate from their closed forms by up to {dev}")
+        + f"; the as-stated label assignment deviates at {label_diff} states")
 
 
-@_check("chain reconstructions", "2d", "sampled",
+@_check("chain reconstructions", "2d", "both",
         "pair-chain rebuilds of eigenfunctions, ratio one")
 def _chk_reconstruction(cfg):
     # the first off-top state with q >= 0 at levels 5/2, 2 and 3/2
@@ -334,8 +343,8 @@ def _chk_annihilation(cfg):
 @_check("pair-order exchange identity", "2d", "structural",
         "commuting the two lowering sectors across the lattice")
 def _chk_reorder(cfg):
-    return structural(
-        ladders2d.reorder_identity_holds(),
+    return IdentityReport(
+        exact=ladders2d.reorder_identity_holds(),
         notes="label-consistent placement vanishes identically; the "
               "as-stated index placement does not (kept as control)")
 
@@ -347,11 +356,9 @@ def _chk_reorder(cfg):
 @_check("cartesian gradient duality", "3d", "structural",
         "chart gradients against the coordinate functions")
 def _chk_gradients(cfg):
-    ok = all(is_zero_expr(res)
-             for _, res in osc3d.gradient_duality_residuals())
-    return structural(ok,
-                      notes="all 16 pairings collapse to the identity "
-                            "pattern exactly")
+    return IdentityReport(exact=all(
+        is_zero_expr(res) for _, res in osc3d.gradient_duality_residuals()),
+        notes="all 16 pairings collapse to the identity pattern exactly")
 
 
 @_check("oscillator brackets (structural)", "3d", "structural",
@@ -362,9 +369,9 @@ def _chk_osc_comm_structural(cfg):
         for lbl, res, _ in osc3d.commutator_residuals(reduced=reduced):
             if not res.is_zero():
                 bad.append(("reduced" if reduced else "full") + " " + lbl)
-    return structural(not bad,
-                      notes="56 residuals (both algebras) normalize to zero"
-                      if not bad else "nonzero: " + ", ".join(bad))
+    return IdentityReport(
+        exact=not bad, notes="56 residuals (both algebras) normalize to zero"
+        if not bad else "nonzero: " + ", ".join(bad))
 
 
 @_check("oscillator brackets (sampled)", "3d", "sampled",
@@ -379,8 +386,8 @@ def _chk_osc_comm_sampled(cfg):
 @_check("oscillator angular block", "3d", "structural",
         "angular part of the oscillator Hamiltonian")
 def _chk_angular_invariant(cfg):
-    return structural(osc3d.angular_matches_invariant(),
-                      notes="equals minus the two-angle quadratic invariant")
+    return IdentityReport(exact=osc3d.angular_matches_invariant(),
+                          notes="equals minus the two-angle quadratic invariant")
 
 
 @_check("oscillator Hamiltonian forms", "3d", "structural",
@@ -390,10 +397,10 @@ def _chk_hamiltonian_forms(cfg):
     ok_red = osc3d.build_Hm().same_operator(osc3d.hm_reference())
     ok_sim = osc3d.radial_similarity_matches()
     ok = ok_full and ok_red and ok_sim
-    return structural(
-        ok, notes="derived Laplacian, lattice reduction and half-power radial "
-                  "similarity all match their closed forms" if ok else
-        f"full={ok_full} reduced={ok_red} similarity={ok_sim}")
+    return IdentityReport(exact=ok, notes=(
+        "derived Laplacian, lattice reduction and half-power radial "
+        "similarity all match their closed forms" if ok else
+        f"full={ok_full} reduced={ok_red} similarity={ok_sim}"))
 
 
 @_check("transcription deviations isolated", "3d", "structural",
@@ -401,10 +408,11 @@ def _chk_hamiltonian_forms(cfg):
 def _chk_transcriptions(cfg):
     reports = osc3d.transcription_reports()
     bad = [k for k, r in reports.items() if not r.passed]
-    return structural(
-        not bad, notes=f"{len(reports)} comparisons: exact matches match, "
-                       "each known deviation is confined to its offending "
-                       "slot" if not bad else "unexpected: " + ", ".join(bad))
+    return worst_of(
+        reports.values(), TOL_EXACT,
+        notes=f"{len(reports)} comparisons: exact matches match, each known "
+              "deviation is confined to its offending slot" if not bad
+        else "unexpected: " + ", ".join(bad))
 
 
 @_check("oscillator factorization", "3d", "both",
@@ -415,9 +423,8 @@ def _chk_factorization(cfg):
     ok = fact.same_operator(ham) and full.same_operator(full_ham)
     rep, = _op_reports(_plan(cfg, "factor"), "m",
                        [("factorization", fact - ham, (fact, ham))])
-    if not ok:
-        return rep.fail("structural factorization mismatch")
-    return rep.note("structural match in both algebras, uniformly in the label")
+    return rep.note("structural match in both algebras, uniformly in the label"
+                    if ok else "structural factorization mismatch", exact=ok)
 
 
 @_check("intertwining relations", "3d", "both",
@@ -426,18 +433,17 @@ def _chk_intertwining(cfg):
     residuals = osc3d.intertwining_residuals()
     rep = worst_of(_op_reports(_plan(cfg, "intertwine"), "m", residuals),
                    TOL_OPERATOR)
-    if all(res.is_zero() for _, res, _ in residuals):
-        return rep.note("all four relations vanish structurally")
-    return rep.fail("a relation failed to vanish structurally")
+    ok = all(res.is_zero() for _, res, _ in residuals)
+    return rep.note("all four relations vanish structurally" if ok
+                    else "a relation failed to vanish structurally", exact=ok)
 
 
 @_check("ground-state annihilation", "3d", "structural",
         "lowering operators on the Gaussian ground state")
 def _chk_ground(cfg):
     ok = osc3d.ground_annihilation(1) and osc3d.ground_annihilation(2)
-    return structural(ok,
-                      notes="all four lowering operators kill the Gaussian "
-                            "exactly at both frequencies")
+    return IdentityReport(exact=ok, notes="all four lowering operators kill "
+                          "the Gaussian exactly at both frequencies")
 
 
 def _grid3d(cap: int):
@@ -479,10 +485,9 @@ def _chk_ladder_actions3d(cfg):
     rep = osc3d.verify_ladder_actions(
         n_max=2, plan=_plan(cfg, "steps3d"),
         tol=cfg.tol_eigen, radial_states=((0, 0), (1, 1)))
-    rep.notes = (f"{rep.data['steps_checked']} interior steps, "
-                 f"{rep.data['edge_annihilations']} edge annihilations"
-                 + ("; " + rep.notes if rep.notes else ""))
-    return rep
+    return worst_of([rep], cfg.tol_eigen, notes="; ".join(filter(None, (
+        f"{rep.data['steps_checked']} interior steps, "
+        f"{rep.data['edge_annihilations']} edge annihilations", rep.notes))))
 
 
 @_check("3-D pair-ladder scalars", "3d", "both",
@@ -503,10 +508,10 @@ def _chk_ascent_target(cfg):
     reps = osc3d.raising_pair_reports(osc3d.QNum3D(3, 1),
                                       _plan(cfg, "ascent"),
                                       tol=cfg.tol_eigen)
-    ok = reps["corrected"].passed and not reps["stated"].passed
-    return structural(
-        ok, notes="the ascent product lands two lattice sites up; the "
-                  "as-stated down-target fails (its coefficient is correct)")
+    return _verdict(
+        reps["corrected"].passed and not reps["stated"].passed,
+        notes="the ascent product lands two lattice sites up; the "
+              "as-stated down-target fails (its coefficient is correct)")
 
 
 @_check("spectrum bookkeeping", "3d", "structural",
@@ -515,8 +520,8 @@ def _chk_spectrum(cfg):
     ok = (osc3d.spectrum(osc3d.QNum3D(0, 0)) == 2
           and osc3d.spectrum(osc3d.QNum3D(2, 0, 1, 1)) == 6
           and osc3d.QNum3D(3, -1, omega=Fraction(2)).energy() == 10)
-    return structural(ok,
-                      notes="(n + n3 + n4 + 2) w at spot-checked labels")
+    return IdentityReport(
+        exact=ok, notes="(n + n3 + n4 + 2) w at spot-checked labels")
 
 
 @_check("cartesian crosschecks", "3d", "sampled",
@@ -545,9 +550,7 @@ def _flt_su2_sign(cfg):
     res = commutator(bad, gs.Lm) - 2 * gs.L3
     rep, = _op_reports(_plan(cfg, "flt-sign"), "q",
                        [("mutated bracket", res, (bad, gs.Lm, gs.L3))])
-    return structural(not rep.passed,
-                      notes=f"polar-slot sign flip breaks bracket closure "
-                            f"(relative {rep.relative:.3e})")
+    return _caught(rep, "polar-slot sign flip breaks bracket closure")
 
 
 @_check("fault: invariant scale dropped", "su2", "sampled", FAULT_REF)
@@ -557,9 +560,7 @@ def _flt_invariant_scale(cfg):
     rep = check_op_zero(quad - ref, _plan(cfg, "flt-scale"),
                         reference_ops=(quad, ref), testfns=_light_battery("q"),
                         tol=TOL_EXACT, name="mutated invariant scale")
-    return structural(not rep.passed,
-                      notes=f"undoing the factor-4 normalization is caught "
-                            f"(relative {rep.relative:.3e})")
+    return _caught(rep, "undoing the factor-4 normalization is caught")
 
 
 @_check("fault: reversed lattice shift", "su2", "sampled", FAULT_REF)
@@ -570,9 +571,7 @@ def _flt_reversed_shift(cfg):
     res = commutator(bad, red.Lm) - 2 * red.L3
     rep, = _op_reports(_plan(cfg, "flt-shift"), "q", [
         ("mutated reduced bracket", res, (bad, red.Lm, red.L3))])
-    return structural(not rep.passed,
-                      notes=f"flipping the shift direction breaks reduced "
-                            f"closure (relative {rep.relative:.3e})")
+    return _caught(rep, "flipping the shift direction breaks reduced closure")
 
 
 @_check("fault: ladder coefficient off by one", "2d", "sampled", FAULT_REF)
@@ -584,9 +583,9 @@ def _flt_coeff_off_by_one(cfg):
                              tol=cfg.tol_eigen, name="chain one-step ratio")
     claimed = 2.0  # the true chain coefficient is exactly 1; mutate by +1
     detected = rep.passed and abs(rep.data["ratio"] - claimed) > cfg.tol_eigen
-    return structural(detected,
-                      notes=f"measured chain ratio {rep.data['ratio'].real:.6g} "
-                            f"rejects the off-by-one claim {claimed:g}")
+    return _verdict(detected,
+                    notes=f"measured chain ratio {rep.data['ratio'].real:.6g} "
+                          f"rejects the off-by-one claim {claimed:g}")
 
 
 @_check("fault: zero-point constant dropped", "3d", "sampled", FAULT_REF)
@@ -594,9 +593,7 @@ def _flt_zero_point(cfg):
     fact, ham = osc3d.factorization(True, 0)
     rep, = _op_reports(_plan(cfg, "flt-zp"), "m",
                        [("factorization without +2", fact - ham, (fact, ham))])
-    return structural(not rep.passed,
-                      notes=f"factorization without the +2 fails "
-                            f"(relative {rep.relative:.3e})")
+    return _caught(rep, "factorization without the +2 fails")
 
 
 @_check("fault: lowering-gradient sign flip", "3d", "sampled", FAULT_REF)
@@ -606,9 +603,9 @@ def _flt_gradient_sign(cfg):
     pattern = [rep.passed for rep in
                _op_reports(_plan(cfg, "flt-grad"), "m", residuals)]
     detected = pattern == [True, True, False, False]
-    return structural(detected,
-                      notes="exactly the two lowering intertwinings break "
-                            f"(pattern {pattern})")
+    return _verdict(detected,
+                    notes="exactly the two lowering intertwinings break "
+                          f"(pattern {pattern})")
 
 
 @_check("fault: frequency-blind polynomial arguments", "3d", "sampled",
@@ -620,9 +617,8 @@ def _flt_frequency_blind(cfg):
     rep = check_eigen(osc3d.build_Hm(w).at_incoming(0), psi, qn.energy(),
                       _plan(cfg, "flt-blind"), cfg.tol_eigen,
                       "frequency-blind eigencheck")
-    return structural(not rep.passed,
-                      notes=f"unscaled polynomial arguments fail off the unit "
-                            f"frequency (relative {rep.relative:.3e})")
+    return _caught(rep, "unscaled polynomial arguments fail off the unit "
+                        "frequency")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ expressions and anything with an ``apply(expr) -> expr`` operator interface.
 
 Conventions
 -----------
+* a report has an exact half (decided equal, decided different, or not
+  decided) and a sampled half (a residual and its tolerance, or none), and
+  `IdentityReport.passed` is the one rule that judges both; an aggregate
+  (`worst_of`) folds its members' halves;
 * a report's ``relative`` residual is max-abs residual divided by the largest
   magnitude the compared quantities reach on the plan (floored at 1e-300);
 * proportionality checks report the pointwise-ratio dispersion stddev/|mean|;
@@ -23,7 +27,8 @@ Conventions
   skipped, a divisor that vanishes, or an operator comparison whose every
   probe is annihilated;
 * expressions are sampled as the trees that were built, never through their
-  canonical forms, so an exact cancellation samples to rounding level, not 0;
+  canonical forms, so an exact cancellation samples to rounding level, not 0:
+  an exact verdict goes in the exact half;
 * an operator comparison passes over a probe f whose reference scale is at
   most PROBE_FLOOR = 1e-12 of f's own largest magnitude on the plan: every
   reference annihilates it, up to rounding (about 1e-16 of |f|); by the
@@ -151,30 +156,44 @@ class SamplePlan:
 
 
 class IdentityReport:
-    """Outcome of one verification."""
+    """Outcome of one verification: an exact half and a sampled half.
 
-    __slots__ = ("name", "max_abs", "scale", "relative", "tol", "passed",
-                 "worst", "notes", "data")
+    `exact` is True when an exact comparison decided that the claim holds,
+    False when one decided that it does not, None when none decided.  The
+    sampled half is a max-abs residual over its scale, `relative`, judged
+    against `tol`; a report built without one (`sampled` False) states the
+    residual 0 when its exact half holds, else 1, on unit scale.  `passed`
+    follows one rule: a report fails when its exact half is False or its
+    sampled residual is above its tolerance."""
 
-    def __init__(self, name, max_abs, scale, tol, worst=None, notes="", data=None):
-        self.name = name
-        self.max_abs = float(max_abs)
+    __slots__ = ("name", "exact", "sampled", "max_abs", "scale", "relative",
+                 "tol", "worst", "notes", "data")
+
+    def __init__(self, name="", max_abs=None, scale=1.0, tol=TOL_EXACT, *,
+                 exact=None, worst=None, notes="", data=None):
+        if max_abs is None and exact is None:
+            raise ValueError(f"{name}: a report needs an exact or a sampled half")
+        self.name, self.exact, self.worst = name, exact, worst
+        self.sampled = max_abs is not None
+        self.max_abs = float(max_abs if self.sampled else not exact)
         self.scale = float(scale)
         self.relative = self.max_abs / max(self.scale, SCALE_FLOOR)
         self.tol = float(tol)
-        self.passed = self.relative <= self.tol
-        self.worst = worst
-        self.notes = notes
-        self.data = dict(data or {})
+        self.notes, self.data = notes, dict(data or {})
 
-    def note(self, text: str) -> "IdentityReport":
-        """Append `text` to the notes, separated by '; '."""
-        self.notes = (self.notes + "; " if self.notes else "") + text
-        return self
+    @property
+    def passed(self) -> bool:
+        return self.exact is not False and (not self.sampled
+                                            or self.relative <= self.tol)
 
-    def fail(self, reason: str) -> "IdentityReport":
-        self.passed = False
-        return self.note(reason)
+    def note(self, text: str, exact=None) -> "IdentityReport":
+        """This report with `text` after its notes, separated by '; ', and
+        `exact` folded into its exact half as `worst_of` folds them."""
+        return IdentityReport(
+            self.name, self.max_abs if self.sampled else None, self.scale,
+            self.tol, exact=min({self.exact, exact} - {None}, default=None),
+            worst=self.worst, notes="; ".join(filter(None, (self.notes, text))),
+            data=self.data)
 
     def as_dict(self) -> dict:
         return {
@@ -284,27 +303,20 @@ def _worst_point(kept, values):
     return max_abs, worst
 
 
-def structural(ok: bool, notes: str, name="structural") -> IdentityReport:
-    """Report for an exact (symbolic) comparison: relative 0 or 1."""
-    return IdentityReport(name, 0.0 if ok else 1.0, 1.0, TOL_EXACT,
-                          notes=notes)
-
-
 def worst_of(reports, tol, notes: str = "", name="worst-of") -> IdentityReport:
-    """One report for a battery of checks: its worst member's residual,
-    failed when any member failed.
-
-    The aggregate keeps the worst member's max-abs residual and scale, so
-    its relative residual is that member's; `worst` holds the name of the
-    first failed member, or of the worst one when none failed.  Ties go to
-    the first of the equally bad members.
-    """
-    worst = max(reports, key=lambda r: r.relative)
-    failed = next((r for r in reports if not r.passed), None)
-    rep = IdentityReport(name, worst.max_abs, worst.scale, tol,
-                         worst=(failed or worst).name, notes=notes)
-    rep.passed = rep.passed and failed is None
-    return rep
+    """One report for a battery of checks, its members' halves folded: the
+    exact half is False when a member's is, else True when one is, else
+    None; the sampled half is the worst sampled member's residual and scale,
+    judged against `tol`, and none when no member was sampled.  So it fails
+    when any member judged at `tol` failed.  `worst` names the first failed
+    member, or else the worst sampled one; ties go to the first of them."""
+    worst = max((r for r in reports if r.sampled),
+                key=lambda r: r.relative, default=None)
+    named = next((r for r in reports if not r.passed), worst)
+    return IdentityReport(
+        name, worst and worst.max_abs, worst.scale if worst else 1.0, tol,
+        exact=min({r.exact for r in reports} - {None}, default=None),
+        worst=named and named.name, notes=notes)
 
 
 def check_zero(f: Expr, plan: SamplePlan, reference, tol,
@@ -339,10 +351,9 @@ def check_proportional(f: Expr, g: Expr, plan: SamplePlan, tol=TOL_EIGEN,
     mean = sum(ratios) / len(ratios)
     var = sum(abs(r - mean) ** 2 for r in ratios) / len(ratios)
     stddev = math.sqrt(var)
-    rep = IdentityReport(name, stddev, max(abs(mean), SCALE_FLOOR), tol,
-                         notes=f"ratio={mean:.12g}",
-                         data={"ratio": mean, "skipped": skipped})
-    return rep
+    return IdentityReport(name, stddev, max(abs(mean), SCALE_FLOOR), tol,
+                          notes=f"ratio={mean:.12g}",
+                          data={"ratio": mean, "skipped": skipped})
 
 
 def check_eigen(op, f: Expr, value, plan: SamplePlan, tol, name,
@@ -365,10 +376,9 @@ def measure_constant(f: Expr, plan: SamplePlan, name) -> IdentityReport:
     mean = sum(fv) / len(fv)
     stddev = math.sqrt(sum(abs(v - mean) ** 2 for v in fv) / len(fv))
     # absolute dispersion criterion: a constant is constant at any magnitude
-    rep = IdentityReport(name, stddev, 1.0, TOL_CONSTANT,
-                         notes=f"value={mean:.12g}",
-                         data={"value": mean, "skipped": skipped})
-    return rep
+    return IdentityReport(name, stddev, 1.0, TOL_CONSTANT,
+                          notes=f"value={mean:.12g}",
+                          data={"value": mean, "skipped": skipped})
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +444,7 @@ def check_op_zero(op, plan: SamplePlan, reference_ops, testfns=None, *,
     found = _probe_loop(op, reference_ops, plan, testfns, name)
     if found is None:
         if op.is_zero():
-            return IdentityReport(name, 0.0, 1.0, tol,
+            return IdentityReport(name, tol=tol, exact=True,
                                   notes="operator structurally zero")
         raise PlanDegenerate(f"{name}: inconclusive: degenerate test battery")
     worst_rel, worst_info = found

@@ -2,7 +2,9 @@
 tree oracle that `symx.Program` must match value for value; the 3-D ladder
 states as `osc3d` built them before the lattice's chain walker; and the
 3-D ladder sets and transcription reports as `osc3d` built them when the
-phi-full combos and the reduced oscillators were two shapes of set.
+phi-full combos and the reduced oscillators were two shapes of set.  The
+oracles judge exactly through `structural` and `failed`, the two report
+helpers that the package had before each report carried its exact half.
 """
 import math
 from fractions import Fraction
@@ -21,7 +23,18 @@ from shapeinv.osc3d import (
 from shapeinv.symx import (
     Add, Const, EvalError, Expr, Fn, Mul, Pow, Sym, _FLOAT_FNS, canonical,
 )
-from shapeinv.verify import structural
+from shapeinv.verify import IdentityReport
+
+
+def structural(ok: bool, notes: str, name="structural") -> IdentityReport:
+    """The exact-only report, as the oracles below built it before a report
+    carried its exact half: relative 0 when `ok`, 1 when not."""
+    return IdentityReport(name, exact=ok, notes=notes)
+
+
+def failed(rep: IdentityReport, reason: str) -> IdentityReport:
+    """`rep` failed on its exact half, with `reason` after its notes."""
+    return rep.note(reason, exact=False)
 
 
 def evaluate(e: Expr, binding: dict) -> complex:

@@ -31,7 +31,7 @@ from shapeinv.verify import (
     check_proportional, check_zero, worst_of,
 )
 
-from oracles import psi_ladder, state_normalized
+from oracles import failed, psi_ladder, state_normalized
 
 PLANS = [SamplePlan(seed=31, count=8), SamplePlan(seed=32, count=12)]
 
@@ -189,7 +189,7 @@ def reconstruct_chain_reports(qn: QNum2D, plan: SamplePlan,
         rep = check_proportional(rec, base, plan, tol=tol,
                                  name=f"{route}-chain reconstruction {qn}")
         if abs(rep.data["ratio"] - 1.0) > 1e-6:
-            rep = rep.fail(f"ratio {rep.data['ratio']:.6g} != 1")
+            rep = failed(rep, f"ratio {rep.data['ratio']:.6g} != 1")
         out.append(rep)
     return out
 

@@ -9,6 +9,8 @@ this matrix keeps the others as tests, so the suite's 39 entries stay as
 they are (mutation analysis: DeMillo, Lipton & Sayward, IEEE Computer
 11(4), 1978).
 """
+from fractions import Fraction
+
 import pytest
 
 from shapeinv import clear_caches, ladders2d, osc3d
@@ -39,6 +41,11 @@ ROWS = [
      {"3-D pair-ladder scalars"}),
     ("E_measured_closed+1", "2d",
      lambda: _shifted(ladders2d, "E_measured_closed", lambda *qn: 1),
+     {"pair-ladder scalars"}),
+    # an exact deviation far below any float tolerance
+    ("E_measured_closed+1/10^12", "2d",
+     lambda: _shifted(ladders2d, "E_measured_closed",
+                      lambda *qn: Fraction(1, 10 ** 12)),
      {"pair-ladder scalars"}),
     ("N_closed+1", "2d",
      lambda: _shifted(ladders2d, "N_closed", lambda *qn: 1),

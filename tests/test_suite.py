@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import shapeinv
-from shapeinv import ladders2d, osc3d, suite
+from shapeinv import ladders2d, osc3d, suite, verify
 from shapeinv.opalg import OpError
 from shapeinv.symx import Const, Mul, SymxError
 from shapeinv.suite import (
@@ -84,7 +84,7 @@ ONE_ROUTE = frozenset({
     "ground-state annihilation", "spectrum bookkeeping",
     # sampled residuals only
     "2-D eigen grid", "2-D one-step ladder coefficients",
-    "chain reconstructions", "edge annihilations",
+    "edge annihilations",
     "3-D eigen grid (closed form)", "3-D ladder vs closed form",
     "3-D one-step ladder coefficients", "ascent pair target",
     "cartesian crosschecks",
@@ -102,6 +102,32 @@ def test_objects_with_one_route_are_pinned():
     assert routes["su2 bracket table"] == {"structural", "sampled"}
     one_route = {obj for obj, found in routes.items() if len(found) == 1}
     assert one_route <= ONE_ROUTE, sorted(one_route - ONE_ROUTE)
+
+
+def test_each_check_takes_its_declared_route(monkeypatch):
+    """The route of each check is computed from what it produced and must
+    be the declared one: "sampled" when it drew points through
+    `verify._sample`, "structural" when its report has an exact half (an
+    aggregate keeps its members'), "both" when both hold."""
+    drawn = []
+    sample = verify._sample
+
+    def counted(*args):
+        drawn.append(args)
+        return sample(*args)
+
+    monkeypatch.setattr(verify, "_sample", counted)
+    declared, computed = {}, {}
+    for (name, _, _, check), (*_, route, _) in zip(_registry(),
+                                                   suite._CHECKS):
+        drawn.clear()
+        rep = check(SMALL)
+        found = {"structural"} if rep.exact is not None else set()
+        found |= {"sampled"} if drawn else set()
+        declared[name] = route
+        computed[name] = "both" if len(found) == 2 else "".join(found)
+    assert len(computed) == 39
+    assert computed == declared
 
 
 def test_reduced_run_all_pass(small_report):
@@ -206,8 +232,8 @@ def _reconstruction_doubled(monkeypatch):
 ])
 def test_an_aggregate_fails_with_a_member_failed_on_its_exact_half(
         check, mutate, monkeypatch):
-    # the mutant's members fail by `.fail()`, at residuals far below the
-    # tolerance: the aggregate must keep their verdict
+    # the mutant's members fail on their exact half, at residuals far below
+    # the tolerance: the aggregate must keep their verdict
     cfg = SuiteConfig(seed=7)
     healthy = getattr(suite, check)(cfg)
     assert healthy.passed and healthy.relative < 1e-12

@@ -18,7 +18,10 @@ counts for every callee of its name.  Each method and annotated field of a
 package class must be reached as an attribute (`.name`) there too.  A
 `_`-prefixed name belongs to its module: no other package module imports
 it or reads it as an attribute.  An imported name must be read in the
-module that imports it, or listed in that module's `__all__`.
+module that imports it, or listed in that module's `__all__`.  A report's
+verdict comes from one rule, in `verify.IdentityReport`: no package module
+assigns a report's `passed` or `notes` outside that record's constructor,
+and no construction of a report passes a literal number as its residual.
 """
 import ast
 import re
@@ -311,6 +314,49 @@ def _unused_imports(tree: ast.Module):
 def _unused_imports_in(directory: Path) -> list:
     return [f"{path.stem}.{name}" for path in sorted(directory.glob("*.py"))
             for name in _unused_imports(ast.parse(path.read_text()))]
+
+
+def _literal_number(node) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant)
+            and isinstance(node.value, (int, float, complex)))
+
+
+def _verdicts_by_hand(stem: str, tree: ast.Module):
+    """'<stem>:<line> ...' for each assignment to a `passed` or `notes`
+    attribute outside `IdentityReport.__init__`, and for each
+    `IdentityReport(...)` whose residual (its second argument, `max_abs`)
+    is a literal number."""
+    constructor = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "IdentityReport":
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+                    constructor.update(map(id, ast.walk(node)))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for sub in (s for t in targets for s in ast.walk(t)):
+                if (isinstance(sub, ast.Attribute)
+                        and sub.attr in ("passed", "notes")
+                        and id(sub) not in constructor):
+                    yield f"{stem}:{node.lineno} assigns .{sub.attr}"
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "id", getattr(node.func, "attr", None))
+              == "IdentityReport"):
+            residual = [k.value for k in node.keywords if k.arg == "max_abs"]
+            residual += node.args[1:2]
+            if any(map(_literal_number, residual)):
+                yield f"{stem}:{node.lineno} passes a literal residual"
+
+
+def test_a_verdict_comes_from_the_one_rule():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += _verdicts_by_hand(path.stem, ast.parse(path.read_text()))
+    assert not found, "verdicts set by hand: " + ", ".join(found)
 
 
 def test_no_test_module_imports_a_name_it_does_not_use():

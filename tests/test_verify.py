@@ -20,7 +20,7 @@ from shapeinv.symx import (
 )
 from shapeinv.opalg import DiffOp, OpTerm
 from shapeinv.verify import (
-    DEFAULT_BOXES, TOL_OPERATOR, IdentityReport, PlanDegenerate,
+    DEFAULT_BOXES, TOL_EXACT, TOL_OPERATOR, IdentityReport, PlanDegenerate,
     SamplePlan, check_eigen, check_op_zero, check_proportional, check_zero,
     default_battery, measure_constant, worst_of,
 )
@@ -159,20 +159,57 @@ def test_report_serializes_complex_values():
     assert doc["data"]["ratio"] == [0.0, 1.0]
 
 
-def test_fail_annotation():
-    rep = check_zero(Const(0), SamplePlan(seed=0, count=8), reference=(ONE,),
-                     tol=TOL_OPERATOR, name="zero-check")
-    assert rep.passed
-    failed = rep.fail("forced")
-    assert failed is rep and not failed.passed
-    assert "forced" in failed.notes
+def test_one_rule_judges_both_halves():
+    """A report fails when its exact half is False or its sampled residual
+    is above its tolerance; an exact-only report states 0 or 1 on unit
+    scale at TOL_EXACT."""
+    holds, differs = (IdentityReport("e", exact=ok) for ok in (True, False))
+    assert holds.passed and not differs.passed
+    assert [(r.max_abs, r.scale, r.relative, r.tol, r.sampled)
+            for r in (holds, differs)] == [(0.0, 1.0, 0.0, TOL_EXACT, False),
+                                           (1.0, 1.0, 1.0, TOL_EXACT, False)]
+    for exact, max_abs, passed in [(None, 1e-9, True), (None, 1e-7, False),
+                                   (True, 1e-9, True), (True, 1e-7, False),
+                                   (False, 1e-15, False),
+                                   (None, math.nan, False)]:
+        rep = IdentityReport("s", max_abs, 1.0, 1e-8, exact=exact)
+        assert (rep.sampled, rep.passed) == (True, passed), (exact, max_abs)
+    with pytest.raises(ValueError, match="an exact or a sampled half"):
+        IdentityReport("neither")
+
+
+def test_note_is_a_new_report_with_the_exact_half_folded():
+    rep = IdentityReport("s", 1e-9, 2.0, 1e-8, worst="w", notes="first",
+                         data={"k": 1})
+    noted = rep.note("second", exact=False)
+    assert (rep.notes, rep.exact, rep.passed) == ("first", None, True)
+    assert (noted.notes, noted.exact, noted.passed) == ("first; second",
+                                                        False, False)
+    assert noted.as_dict() | {"pass": True, "notes": "first"} == rep.as_dict()
+    assert rep.note("", exact=True).as_dict() == rep.as_dict()
+    assert IdentityReport("e", exact=True).note("x").as_dict() == \
+        IdentityReport("e", exact=True, notes="x").as_dict()
+
+
+def test_worst_of_folds_both_halves():
+    exact = [IdentityReport(n, exact=True) for n in "ab"]
+    rep = worst_of(exact, 1e-8)
+    assert (rep.exact, rep.sampled, rep.passed, rep.relative) == \
+        (True, False, True, 0.0)
+    sampled = IdentityReport("s", 1e-9, 1.0, 1e-8)
+    rep = worst_of([*exact, sampled], 1e-8)
+    assert (rep.exact, rep.relative, rep.worst) == (True, 1e-9, "s")
+    assert worst_of([sampled], 1e-8).exact is None
+    rep = worst_of([sampled, IdentityReport("c", exact=False)], 1e-8)
+    assert (rep.exact, rep.relative, rep.passed, rep.worst) == \
+        (False, 1e-9, False, "c")
 
 
 def test_worst_of_fails_when_any_member_failed():
     # a member failed on its exact half keeps its small residual
-    exact = IdentityReport("exact", 1e-15, 1.0, 1e-8).fail("not the scalar")
+    exact = IdentityReport("exact", 1e-15, 1.0, 1e-8, exact=False)
     sampled = IdentityReport("sampled", 1e-9, 1.0, 1e-8)
-    later = IdentityReport("later", 1e-12, 1.0, 1e-8).fail("also wrong")
+    later = IdentityReport("later", 1e-12, 1.0, 1e-8, exact=False)
     rep = worst_of([sampled, exact, later], 1e-8)
     assert not rep.passed
     assert (rep.max_abs, rep.relative) == (sampled.max_abs, sampled.relative)

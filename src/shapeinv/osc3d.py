@@ -793,7 +793,7 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan, tol: float) -> dict:
                 moved, _LATTICE.chain(replace(qn, m=qn.m - 2)).state, plan,
                 tol=tol, name=name)
         except PlanDegenerate as exc:  # degenerate ratios: also a mismatch
-            out["stated"] = IdentityReport(name, exact=False, notes=str(exc))
+            out["stated"] = IdentityReport(name, tol=tol, exact=False, notes=str(exc))
     return out
 
 

@@ -28,7 +28,8 @@ import math
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce, wraps
-from operator import add, attrgetter, mul
+from itertools import repeat
+from operator import add, attrgetter, getitem, mul
 
 from .rationals import (GaussRat, I as IUNIT, ONE as QONE, ZERO as QZERO,
                         qadd, qmul)
@@ -521,13 +522,18 @@ def _product(factors, const: GaussRat = QONE) -> Expr:
             if exp == 0:
                 continue
             factor = _power(base, exp)
-            # a merged power that folds to a constant, or to a product or a
-            # power of another base, is merged with the rest once more
-            again = again or isinstance(factor, (Const, Mul)) or (
+            if isinstance(factor, Const):  # a merged power folds to a constant
+                const = const * factor.value
+                continue
+            # one that folds to a product or a power of another base is
+            # merged with the rest once more
+            again = again or isinstance(factor, Mul) or (
                 factor.base if isinstance(factor, Pow) else factor) is not base
         merged.append(factor)
     if again:
         return _product(merged, const)
+    if const.is_zero():
+        return ZERO
     if not merged:
         return Const(const)
     if not const.is_one():
@@ -876,18 +882,22 @@ _FAILURES = (ArithmeticError, ValueError, LookupError)
 _NAN = complex("nan")
 _EMPTY = frozenset()  # no names, no failed points
 _FOLDS = {Add: (add, 0j), Mul: (mul, 1 + 0j)}  # as the tree oracle starts them
+# children per chain of maps: a chain tens of thousands deep overflows the C
+# stack when it is consumed
+_CHAIN = 1024
 
 
-def _each(f, col: list, failed: frozenset) -> tuple:
-    """f over one slot's values, and the slot's failure set: `failed` with
-    each point where f raises, which holds nan from there on."""
+def _each(f, col: list, failed: frozenset, *args) -> tuple:
+    """f(x, *args) over one slot's argument values x, and the slot's failure
+    set: `failed` with each point where f raises, which holds nan from there
+    on."""
     try:
-        return list(map(f, col)), failed
+        return list(map(f, col, *map(repeat, args))), failed
     except _FAILURES:
         out, bad = [], set(failed)
         for i, x in enumerate(col):
             try:
-                out.append(f(x))
+                out.append(f(x, *args))
             except _FAILURES:
                 bad.add(i)
                 out.append(_NAN)
@@ -916,6 +926,13 @@ class Program:
     value is the one `tests/oracles.evaluate` computes, by the same
     operations in the same order, and a point fails exactly where it
     raises.
+
+    Each slot's column is built as one list.  A sum or a product folds its
+    children through a chain of maps, one per child (a list ends a chain
+    every `_CHAIN` children), from its start value (0j or 1 + 0j, as the
+    oracle starts it); its leading constants are folded into that start
+    value once, not at every point.  A power is `pow` mapped over its
+    base's column.
     """
 
     def __init__(self, exprs):
@@ -973,28 +990,39 @@ class Program:
             lacking = sorted(lacking)
         cloud.whole = False  # until every slot below its length is evaluated
         n = len(points)
+        steps = self.steps
         for i in lacking:
-            kind, e, kids, _ = self.steps[i]
+            kind, e, kids, _ = steps[i]
             if kind is Mul or kind is Add:
                 op, start = _FOLDS[kind]
-                col, failed = [start] * n, _EMPTY
-                for k in kids:
-                    col = list(map(op, col, vals[k]))
+                j = 0  # the leading constants fold into the start, once
+                for k in kids if n else ():
+                    # a constant that overflows stays a column, whose
+                    # failure set holds every point
+                    if steps[k][0] is not Const or fails[k]:
+                        break
+                    start = op(start, vals[k][0])
+                    j += 1
+                col, failed = repeat(start, n), _EMPTY
+                for depth, k in enumerate(kids[j:], 1):
+                    col = map(op, col, vals[k])
+                    if not depth % _CHAIN:
+                        col = list(col)
                     if fails[k]:
                         failed = failed | fails[k]
+                col = list(col)
             elif kind is Const:
                 try:
                     col, failed = [complex(e.value)] * n, _EMPTY
                 except _FAILURES:  # it overflows: every point fails
                     col, failed = [_NAN] * n, frozenset(range(n))
             elif kind is Sym:
-                col, failed = _each(lambda b: complex(b[e.name]), points,
-                                    _EMPTY)
+                col, failed = _each(getitem, points, _EMPTY, e.name)
+                col = list(map(complex, col))
             elif kind is Pow:
                 p = e.exponent
                 p = p.numerator if p.denominator == 1 else p.numerator / p.denominator
-                col, failed = _each(lambda b: b ** p, vals[kids[0]],
-                                    fails[kids[0]])
+                col, failed = _each(pow, vals[kids[0]], fails[kids[0]], p)
             else:  # Fn
                 col, failed = _each(_FLOAT_FNS[e.name], vals[kids[0]],
                                     fails[kids[0]])

@@ -131,18 +131,18 @@ class SamplePlan:
         the mix-in below is content-stable so reruns in fresh processes
         (randomized string hashing) see identical clouds.
         """
-        key = f"{self.seed}|{','.join(sorted(set(extra_symbols)))}"
+        extras = sorted(set(extra_symbols))
+        key = f"{self.seed}|{','.join(extras)}"
         rng = random.Random(int.from_bytes(
             hashlib.sha256(key.encode()).digest()[:8], "big"))
+        boxes = [(name, lo, hi - lo) for name, (lo, hi) in DEFAULT_BOXES.items()]
+        extras = [name for name in extras if name not in DEFAULT_BOXES]
         pts = []
         for _ in range(self.count):
             b = {}
-            for name in ("theta", "psi", "phi", "r"):
-                lo, hi = DEFAULT_BOXES[name]
-                b[name] = lo + (hi - lo) * rng.random()
-            for name in sorted(set(extra_symbols)):
-                if name in b:
-                    continue
+            for name, lo, width in boxes:
+                b[name] = lo + width * rng.random()
+            for name in extras:
                 if name == "omega":
                     b[name] = OMEGA_POOL[rng.randrange(len(OMEGA_POOL))]
                 elif name in INT_POOLS:
@@ -225,18 +225,28 @@ def _jsonable(v):
     return v
 
 
+def _bounded(col) -> bool:
+    """Whether the moduli of col sum to at most 1e100, which holds only when
+    no value is nan, blows up past 1e100 or has a modulus past the float
+    range; for one value, that is the rule itself."""
+    try:
+        return sum(map(abs, col)) <= 1e100
+    except OverflowError:  # finite parts whose modulus overflows
+        return False
+
+
 def _eval_many(program: Program, pts):
     """Evaluate a compiled program over the points.
 
     Returns (values: list per expr of list per point, kept points, skipped
-    point count).  Points where any expression is singular, overflows or
-    is not finite are dropped for all expressions, keeping the value lists
-    aligned.
+    point count).  Points where any expression is singular, overflows, is
+    not finite or exceeds 1e100 in modulus are dropped for all expressions,
+    keeping the value lists aligned.
     """
     values, bad = program(pts)
     for col in values:
-        bad.update(i for i, v in enumerate(col)
-                   if v != v or abs(v) > 1e100)  # nan or blow-up
+        if not _bounded(col):  # some point may blow up: test each one
+            bad.update(i for i, v in enumerate(col) if not _bounded((v,)))
     keep = [i for i in range(len(pts)) if i not in bad]
     return ([[col[i] for i in keep] for col in values],
             [pts[i] for i in keep], len(bad))
@@ -291,7 +301,7 @@ def _sample(exprs, plan: SamplePlan, name: str):
 
 
 def _max_abs(values) -> float:
-    return max((abs(v) for v in values), default=0.0)
+    return max(map(abs, values), default=0.0)
 
 
 def _worst_point(kept, values):

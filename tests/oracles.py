@@ -5,8 +5,12 @@ states as `osc3d` built them before the lattice's chain walker; and the
 phi-full combos and the reduced oscillators were two shapes of set.  The
 oracles judge exactly through `structural` and `failed`, the two report
 helpers that the package had before each report carried its exact half.
+`sample_points` draws a plan's cloud as `verify.SamplePlan.points` did
+before its per-point loop did only the draws.
 """
+import hashlib
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
@@ -23,7 +27,9 @@ from shapeinv.osc3d import (
 from shapeinv.symx import (
     Add, Const, EvalError, Expr, Fn, Mul, Pow, Sym, _FLOAT_FNS, canonical,
 )
-from shapeinv.verify import IdentityReport
+from shapeinv.verify import (
+    DEFAULT_BOXES, GENERIC_BOX, INT_POOLS, OMEGA_POOL, IdentityReport,
+)
 
 
 def structural(ok: bool, notes: str, name="structural") -> IdentityReport:
@@ -232,3 +238,40 @@ def transcription_reports() -> dict:
         notes="the transcribed closed form of the descent constant equals "
               "the per-step product exactly (n <= 8)"))
     return {rep.name: rep for rep in out}
+
+
+# -- the sample cloud ----------------------------------------------------------
+# `verify.SamplePlan.points` as it was, with the sorted extras and the box
+# widths worked out at every point; `self` is the plan.
+
+def sample_points(self, extra_symbols) -> list:
+    """Bindings for the four coordinates plus any extra named symbols.
+
+    Extras are drawn from integer pools for quantum-number-like names,
+    from the frequency pool for 'omega', and from a generic positive box
+    otherwise.  The sequence is a pure function of (seed, count, extras);
+    the mix-in below is content-stable so reruns in fresh processes
+    (randomized string hashing) see identical clouds.
+    """
+    key = f"{self.seed}|{','.join(sorted(set(extra_symbols)))}"
+    rng = random.Random(int.from_bytes(
+        hashlib.sha256(key.encode()).digest()[:8], "big"))
+    pts = []
+    for _ in range(self.count):
+        b = {}
+        for name in ("theta", "psi", "phi", "r"):
+            lo, hi = DEFAULT_BOXES[name]
+            b[name] = lo + (hi - lo) * rng.random()
+        for name in sorted(set(extra_symbols)):
+            if name in b:
+                continue
+            if name == "omega":
+                b[name] = OMEGA_POOL[rng.randrange(len(OMEGA_POOL))]
+            elif name in INT_POOLS:
+                lo, hi = INT_POOLS[name]
+                b[name] = float(rng.randint(lo, hi))
+            else:
+                lo, hi = GENERIC_BOX
+                b[name] = lo + (hi - lo) * rng.random()
+        pts.append(b)
+    return pts

@@ -145,11 +145,14 @@ NINES = "9" * 400  # a constant past the float range
 
 
 @pytest.mark.parametrize("expr", [f"{NINES}*L3", f"i*{NINES}*Lp",
-                                  f"Lm({NINES})", f"Hq({NINES})"],
+                                  f"Lm({NINES})", f"Hq({NINES})",
+                                  f"13{'0' * 307}*(1+i)"],
                          ids=["coefficient", "imaginary-coefficient",
-                              "ladder-label", "hamiltonian-label"])
+                              "ladder-label", "hamiltonian-label",
+                              "modulus-past-the-float-range"])
 def test_check_constant_past_the_float_range_exits_two(expr, capsys):
-    # the constant fails at every sample point, so no point can decide
+    # the constant fails at every sample point, or its modulus overflows
+    # there, so no point can decide
     code, out, err = run_cli(["check", expr, "--seed", "7"], capsys)
     assert code == 2 and not out
     assert err.count("\n") == 1 and err.startswith("shapeinv check: ")

@@ -507,6 +507,18 @@ def test_simplify_merges_until_nothing_merges(e, want, monkeypatch):
     assert simplify_basic(out).key() == want.key()
 
 
+def test_a_power_merged_to_a_constant_folds_in_place(monkeypatch):
+    # the constant joins the coefficient without a second merging pass
+    monkeypatch.setattr(symx, "MEMO_CAP", 0)
+    entries = []
+    product = symx._product
+    monkeypatch.setattr(symx, "_product",
+                        lambda *a: entries.append(a) or product(*a))
+    out = simplify_basic(Mul(ROOT2, ROOT2, R))
+    assert out.key() == Mul(Const(2), R).key()
+    assert len(entries) == 1
+
+
 _idem_leaves = st.sampled_from([
     THETA, R, ZERO, ONE, Const(-1), Const(Fraction(1, 2)), IMAG, Sin(THETA),
     ROOT2, Pow(R, Fraction(1, 2)), Pow(Sin(THETA), Fraction(1, 3)),
@@ -647,16 +659,31 @@ def _oracle(e, binding):
         return None
 
 
-@settings(max_examples=60, deadline=None)
+def _bits(z: complex) -> tuple:
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=400, deadline=None)
 @given(st.lists(_exprs, min_size=2, max_size=4))
+# the (1 + 0j) that starts a product turns the imaginary part -0.0 of
+# cos(psi) at psi = 1.21 into +0.0, which the square root keeps; the sum is
+# theta in its order and 0 in any other
+@example([Pow(Mul(Cos(PSI), Cos(PSI)), Fraction(1, 2)),
+          Add(THETA, Const(10 ** 16), Const(-10 ** 16))])
 def test_program_matches_tree_oracle(es):
     es = [*es, Mul(R, Sin(THETA))]
     values, bad = Program(es)(_POINTS)
     assert not bad
     for e, col in zip(es, values, strict=True):
         for b, got in zip(_POINTS, col, strict=True):
-            want = evaluate(e, b)
-            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+            assert _bits(got) == _bits(evaluate(e, b))
+
+
+def test_a_sum_wider_than_one_chain_of_maps():
+    e = Add(*[R] * 100_000, THETA)
+    (col,), bad = Program([e])(_POINTS)
+    assert not bad
+    assert [_bits(v) for v in col] == [_bits(evaluate(e, b)) for b in _POINTS]
 
 
 @settings(max_examples=60, deadline=None)

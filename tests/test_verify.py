@@ -22,8 +22,10 @@ from shapeinv.opalg import DiffOp, OpTerm
 from shapeinv.verify import (
     DEFAULT_BOXES, TOL_EXACT, TOL_OPERATOR, IdentityReport, PlanDegenerate,
     SamplePlan, check_eigen, check_op_zero, check_proportional, check_zero,
-    default_battery, measure_constant, worst_of,
+    _eval_many, default_battery, measure_constant, worst_of,
 )
+
+from oracles import sample_points
 
 
 def test_plan_is_deterministic_per_seed():
@@ -62,9 +64,36 @@ def test_plan_stable_under_hash_randomization():
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("extras", [(), ("m",), ("q", "omega"), ("zeta",),
+                                    ("r", "m", "m")])
+def test_plan_draws_the_cloud_of_the_replaced_loop(extras):
+    for seed, count in ((0, 1), (5, 9), (12345, 32), (7, 300)):
+        plan = SamplePlan(seed=seed, count=count)
+        assert repr(plan.points(extras)) == repr(sample_points(plan, extras))
+
+
 def test_plan_rejects_empty():
     with pytest.raises(ValueError):
         SamplePlan(seed=0, count=0)
+
+
+def _column(col):
+    """A stand-in program whose one output has the values col."""
+    return lambda pts: ([col], set())
+
+
+def test_a_value_past_the_float_range_is_skipped_not_raised():
+    nan = float("nan")
+    # finite parts whose modulus overflows, nan, a blow-up, and the bound
+    col = [1 + 0j, complex(1.3e308, 1.3e308), complex(nan, nan), 2e100 + 0j,
+           complex(0.0, 1e100), -2j]
+    pts = [{"i": i} for i in range(len(col))]
+    values, kept, skipped = _eval_many(_column(col), pts)
+    assert skipped == 3
+    assert kept == [pts[0], pts[4], pts[5]]
+    assert values == [[1 + 0j, complex(0.0, 1e100), -2j]]
+    # the column's moduli sum past 1e100, but no value's modulus does
+    assert _eval_many(_column([6e99 + 0j] * 2), pts[:2])[2] == 0
 
 
 def test_check_zero_trig_identity():

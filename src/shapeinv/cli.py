@@ -92,11 +92,12 @@ def cmd_check(args: argparse.Namespace) -> tuple:
     return _finish(args, [], payload, [rep])
 
 
-def cmd_suite(args: argparse.Namespace, sectors=None) -> tuple:
+def cmd_suite(args: argparse.Namespace) -> tuple:
+    """Run the sectors of the battery that `args.sectors` names (None: all)."""
     config = SuiteConfig(seed=args.seed,
                          points=args.points or SuiteConfig.points,
                          tol_eigen=_tol_of(args, SuiteConfig.tol_eigen))
-    report = run_suite(config, sectors=sectors)
+    report = run_suite(config, sectors=args.sectors)
     text = report_json(report) if args.format == "json" else render_text(report)
     passed = all(e["pass"] for e in report["checks"])
     return text, 0 if passed else 1
@@ -149,7 +150,7 @@ def cmd_shape2d(args: argparse.Namespace) -> tuple:
 
 def cmd_osc3d(args: argparse.Namespace) -> tuple:
     if args.run_suite:
-        return cmd_suite(args, sectors=("3d",))
+        return cmd_suite(args)
     if args.n is None or args.m is None:
         raise ValueError("--n and --m are required (or use --suite)")
     qn = QNum3D(args.n, args.m, args.n3, args.n4, args.omega)
@@ -321,9 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="operator expression, e.g. '[Lp, Lm] - 2*L3'")
     p.add_argument("--omega", type=_positive_fraction, default=Fraction(1),
                    help="frequency used by the oscillator generators")
+    p.set_defaults(run=cmd_check)
     _add_common(p)
 
     p = sub.add_parser("suite", help="run the registered verification battery")
+    p.set_defaults(run=cmd_suite, sectors=None)
     _add_common(p)
 
     p = sub.add_parser("eigen2d",
@@ -332,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="doubled level label")
     p.add_argument("--q", type=int, required=True, help="lattice label")
     p.add_argument("--m", type=int, required=True, help="axis label")
+    p.set_defaults(run=cmd_eigen2d)
     _add_common(p)
 
     p = sub.add_parser("shape2d",
@@ -342,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="state for reconstruction checks (with --m)")
     p.add_argument("--m", type=int, default=None,
                    help="state for reconstruction checks (with --q)")
+    p.set_defaults(run=cmd_shape2d)
     _add_common(p)
 
     p = sub.add_parser("osc3d",
@@ -354,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oscillator frequency")
     p.add_argument("--suite", action="store_true", dest="run_suite",
                    help="run the oscillator sector of the battery instead")
+    p.set_defaults(run=cmd_osc3d, sectors=("3d",))  # for --suite
     _add_common(p)
 
     p = sub.add_parser("dump",
@@ -363,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(GENERATOR_NAMES))
     p.add_argument("--omega", type=_positive_fraction, default=Fraction(1),
                    help="frequency used by the oscillator operators")
+    p.set_defaults(run=cmd_dump)
     _add_common(p)
 
     return parser
@@ -389,18 +396,7 @@ def _dispatch(argv) -> int:
     try:
         with (open(args.out, "w", encoding="utf-8") if args.out
               else nullcontext(sys.stdout)) as out:
-            if args.command == "check":
-                text, code = cmd_check(args)
-            elif args.command == "suite":
-                text, code = cmd_suite(args)
-            elif args.command == "eigen2d":
-                text, code = cmd_eigen2d(args)
-            elif args.command == "shape2d":
-                text, code = cmd_shape2d(args)
-            elif args.command == "osc3d":
-                text, code = cmd_osc3d(args)
-            else:
-                text, code = cmd_dump(args)
+            text, code = args.run(args)
             out.write(text)
     except OSError as exc:
         return _usage_error(args.command, f"cannot write the report to "

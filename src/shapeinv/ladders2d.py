@@ -82,7 +82,9 @@ class QNum2D:
         if not (isinstance(self.twol, int) and isinstance(self.q, int)
                 and isinstance(self.m, int)):
             raise ValueError("quantum numbers out of range: integers required")
-        if self.twol < 0 or abs(self.q) > self.twol:
+        if self.twol < 0:
+            raise ValueError("quantum numbers out of range: 2l >= 0")
+        if abs(self.q) > self.twol:
             raise ValueError(f"quantum numbers out of range: |q| <= {self.twol}")
         if abs(self.m) > self.twol - abs(self.q):
             raise ValueError(
@@ -234,18 +236,18 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
     labels = list(valid_states(twol))
     members, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
                                  tol)
-    rep = worst_of(members, tol,
-                   notes="A-labels verified with the measured (sign-swapped) "
-                         "assignment", name=f"ladder actions 2l={twol}")
-    rep.max_abs, rep.scale = rep.relative, 1.0  # on unit scale, as the members
-    rep.data.update(
-        steps_checked=len(members) - edges, edge_annihilations=edges,
-        reference_label_max_deviation=max(
-            (abs(r.data["coefficient"]
-                 - math.sqrt(_STATED[kind].coeff_sq(qn)))
-             for r, (qn, kind) in zip(members, product(labels, _MOVES))
-             if "coefficient" in r.data), default=0.0))
-    return rep
+    worst = worst_of(members, tol)
+    return IdentityReport(  # on unit scale, as the members
+        f"ladder actions 2l={twol}", worst.relative, 1.0, tol,
+        exact=worst.exact, worst=worst.worst,
+        notes="A-labels verified with the measured (sign-swapped) assignment",
+        data=dict(
+            steps_checked=len(members) - edges, edge_annihilations=edges,
+            reference_label_max_deviation=max(
+                (abs(r.data["coefficient"]
+                     - math.sqrt(_STATED[kind].coeff_sq(qn)))
+                 for r, (qn, kind) in zip(members, product(labels, _MOVES))
+                 if "coefficient" in r.data), default=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +368,7 @@ def annihilation_reports(qn: QNum2D, plan: SamplePlan, tol: float) -> list:
     ops = sorted(annihilation_ops(qn).items())
     members = check_words(_LATTICE, [qn], [word for _, word in ops], plan,
                           tol)[0]
-    for (name, _), rep in zip(ops, members):
-        rep.name = f"{name} annihilates the state"
-    return members
+    return [IdentityReport(f"{name} annihilates the state", rep.max_abs,
+                           rep.scale, rep.tol, exact=rep.exact,
+                           worst=rep.worst, notes=rep.notes, data=rep.data)
+            for (name, _), rep in zip(ops, members)]

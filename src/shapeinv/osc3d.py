@@ -743,12 +743,12 @@ def verify_ladder_actions(n_max: int, plan: SamplePlan, tol: float,
               for m in range(-n, n + 1, 2) for n3, n4 in radial_states]
     reports, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
                                  tol)
-    rep = worst_of(reports, tol,
-                   notes="; ".join(r.name for r in reports if not r.passed),
-                   name="ladder actions")
-    rep.data.update(steps_checked=len(reports) - edges,
-                    edge_annihilations=edges)
-    return rep
+    worst = worst_of(reports, tol)
+    return IdentityReport(
+        "ladder actions", worst.max_abs, worst.scale, tol, exact=worst.exact,
+        worst=worst.worst,
+        notes="; ".join(r.name for r in reports if not r.passed),
+        data=dict(steps_checked=len(reports) - edges, edge_annihilations=edges))
 
 
 def pair_energy(n: int, m: int) -> Fraction:

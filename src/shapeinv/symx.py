@@ -29,7 +29,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce, wraps
 from itertools import repeat
-from operator import add, attrgetter, getitem, mul
+from operator import add, attrgetter, getitem, mul, or_
 
 from .rationals import (GaussRat, I as IUNIT, ONE as QONE, ZERO as QZERO,
                         qadd, qmul)
@@ -880,7 +880,7 @@ def fourier_modes(e: Expr, name: str) -> list:
 # power or an overflow, a cmath domain error, an unbound symbol
 _FAILURES = (ArithmeticError, ValueError, LookupError)
 _NAN = complex("nan")
-_EMPTY = frozenset()  # no names, no failed points
+_EMPTY = frozenset()  # no failed points
 _FOLDS = {Add: (add, 0j), Mul: (mul, 1 + 0j)}  # as the tree oracle starts them
 # children per chain of maps: a chain tens of thousands deep overflows the C
 # stack when it is consumed
@@ -911,21 +911,21 @@ class Program:
 
     Each distinct node is one slot, children before parents, shared by all
     the trees.  `add` appends the slots of more trees that the program
-    lacks and makes those trees its outputs.  `symbols` holds the names of
-    the outputs' free symbols, from the per-slot name sets collected in the
-    same walk (one set object per distinct set).
+    lacks and makes those trees its outputs.  Each symbol name has a bit,
+    and a slot's mask is its own bit or the OR of its children's masks, so
+    the walk that appends a slot also gives its free symbols; `symbols`
+    decodes the OR of the outputs' masks into names.
 
-    A point cloud is one list of bindings.  Calling the program with it
-    evaluates, over all the points at once, each slot of the outputs'
-    trees that the cloud lacks, and keeps the columns for later calls with
-    the same list: each node is evaluated once per cloud.  A slot's failure
-    set holds the points where it or a slot below it failed; it is the
-    empty set, shared, unless a point fails.  The call returns the outputs'
-    values, as a list per point, and the union of their failure sets, so
-    what the table holds besides the outputs' trees changes nothing.  Each
-    value is the one `tests/oracles.evaluate` computes, by the same
-    operations in the same order, and a point fails exactly where it
-    raises.
+    Calling the program with a `Cloud` evaluates, over all its points at
+    once, each slot of the outputs' trees that the cloud lacks, and keeps
+    the columns in the cloud for later calls: each node is evaluated once
+    per cloud.  A slot's failure set holds the points where it or a slot
+    below it failed; it is the empty set, shared, unless a point fails.
+    The call returns the outputs' columns, as the cloud holds them, and the
+    union of their failure sets, so what the table holds besides the
+    outputs' trees changes nothing.  Each value is the one
+    `tests/oracles.evaluate` computes, by the same operations in the same
+    order, and a point fails exactly where it raises.
 
     Each slot's column is built as one list.  A sum or a product folds its
     children through a chain of maps, one per child (a list ends a chain
@@ -936,17 +936,17 @@ class Program:
     """
 
     def __init__(self, exprs):
-        self.steps = []  # per slot: (node type, node, child slots, names)
+        self.steps = []  # per slot: (node type, node, child slots, mask)
         self._slots: dict = {}
-        self._sets = {_EMPTY: _EMPTY}  # one object per distinct name set
-        self._clouds: dict = {}  # id(points) -> _Cloud
+        self._bits: dict = {}  # symbol name -> its bit in the masks
         self.add(exprs)
 
     def add(self, exprs) -> None:
         self._fresh = len(self.steps)  # the first slot this call appends
         self.outputs = [self._walk(e) for e in exprs]
-        self.symbols = frozenset().union(
-            *(self.steps[i][3] for i in self.outputs))
+        mask = reduce(or_, [self.steps[i][3] for i in self.outputs], 0)
+        self.symbols = frozenset(
+            name for name, bit in self._bits.items() if mask & bit)
 
     def _walk(self, e: Expr) -> int:
         i = self._slots.get(e)
@@ -954,26 +954,19 @@ class Program:
             # from a list: tuple(map(...)) grows and shrinks each tuple, which
             # raised a 300-point workload's peak RSS by 2 %
             kids = tuple([self._walk(c) for c in children(e)])
-            names = _EMPTY
             if isinstance(e, Sym):
-                names = frozenset((e.name,))
-                names = self._sets.setdefault(names, names)
-            for k in kids:
-                below = self.steps[k][3]
-                if not below <= names:
-                    if names:
-                        below = names | below
-                        below = self._sets.setdefault(below, below)
-                    names = below
+                mask = self._bits.setdefault(e.name, 1 << len(self._bits))
+            else:
+                mask = 0
+                for k in kids:
+                    mask |= self.steps[k][3]
             i = self._slots[e] = len(self.steps)
-            self.steps.append((type(e), e, kids, names))
+            self.steps.append((type(e), e, kids, mask))
         return i
 
-    def __call__(self, points: list):
-        cloud = self._clouds.get(id(points))
-        if cloud is None:
-            cloud = self._clouds[id(points)] = _Cloud(points)
-        vals, fails, done = cloud.values, cloud.failed, len(cloud.values)
+    def __call__(self, cloud: Cloud):
+        points, vals, fails = cloud.points, cloud.values, cloud.failed
+        done = len(vals)
         grow = [None] * (len(self.steps) - done)
         vals += grow
         fails += grow
@@ -1032,15 +1025,18 @@ class Program:
                 set().union(*(fails[i] for i in self.outputs)))
 
 
-class _Cloud:
-    """One point cloud's columns in a `Program`: per slot, its values and
-    its failure set, None where it was not evaluated; `whole` while every
-    slot below their length was.  It holds the cloud itself, so that no
-    other list takes the cloud's id while the program lives."""
+class Cloud:
+    """One point cloud, a list of bindings, and its columns in one
+    `Program`: per slot, its values and its failure set, None where it was
+    not evaluated; `whole` while every slot below their length was.  Its
+    length is its number of points."""
     __slots__ = ("points", "values", "failed", "whole")
 
     def __init__(self, points: list):
         self.points, self.values, self.failed, self.whole = points, [], [], True
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,10 @@ Conventions
   skipped points invalidates the plan; a request's skipped points are those
   of its own trees, whatever else is sampled beside it;
 * the sampled checks of a battery (`shared_columns`) share one column
-  table, `symx.Program`: a node that several of its requests hold is
-  evaluated once per point cloud, a cloud being the points that one
-  (seed, count, extra symbols) draws; outside a battery the table lives
-  for one request;
+  table, `symx.Program`, and one `symx.Cloud` per (seed, count, extra
+  symbols): the points drawn and the columns computed on them, so a node
+  that several requests hold is evaluated once per cloud; outside a
+  battery the table and its cloud live for one request;
 * a plan that cannot decide raises PlanDegenerate: too many points
   skipped, a divisor that vanishes, or an operator comparison whose every
   probe is annihilated;
@@ -61,6 +61,7 @@ from .rationals import GaussRat
 from .symx import (
     COORDINATES,
     Add,
+    Cloud,
     Const,
     Cos,
     Exp,
@@ -235,21 +236,24 @@ def _bounded(col) -> bool:
         return False
 
 
-def _eval_many(program: Program, pts):
-    """Evaluate a compiled program over the points.
+def _eval_many(program: Program, cloud: Cloud):
+    """Evaluate a compiled program over a point cloud.
 
     Returns (values: list per expr of list per point, kept points, skipped
     point count).  Points where any expression is singular, overflows, is
     not finite or exceeds 1e100 in modulus are dropped for all expressions,
-    keeping the value lists aligned.
+    keeping the value lists aligned.  When none is, the program's columns
+    and the cloud's points are returned as they are: callers only read them.
     """
-    values, bad = program(pts)
+    values, bad = program(cloud)
     for col in values:
         if not _bounded(col):  # some point may blow up: test each one
             bad.update(i for i, v in enumerate(col) if not _bounded((v,)))
-    keep = [i for i in range(len(pts)) if i not in bad]
+    if not bad:
+        return values, cloud.points, 0
+    keep = [i for i in range(len(cloud)) if i not in bad]
     return ([[col[i] for i in keep] for col in values],
-            [pts[i] for i in keep], len(bad))
+            [cloud.points[i] for i in keep], len(bad))
 
 
 def _guard_skips(skipped: int, total: int, name: str):
@@ -258,7 +262,7 @@ def _guard_skips(skipped: int, total: int, name: str):
             f"{name}: {skipped}/{total} sample points skipped (budget 20%)")
 
 
-# the column table that the open battery shares, and its clouds by
+# the column table that the open battery shares, and its `Cloud`s by
 # (seed, count, extra symbols); None outside a battery.  A battery's checks
 # reach `_sample` through several layers of check functions, so the table
 # is opened around them rather than passed down.
@@ -292,10 +296,10 @@ def _sample(exprs, plan: SamplePlan, name: str):
     program.add(exprs)
     extras = program.symbols - set(COORDINATES)
     key = (plan.seed, plan.count, extras)
-    pts = clouds.get(key)
-    if pts is None:
-        pts = clouds[key] = plan.points(extras)
-    vals, kept, skipped = _eval_many(program, pts)
+    cloud = clouds.get(key)
+    if cloud is None:
+        cloud = clouds[key] = Cloud(plan.points(extras))
+    vals, kept, skipped = _eval_many(program, cloud)
     _guard_skips(skipped, plan.count, name)
     return vals, kept, skipped
 
@@ -313,7 +317,7 @@ def _worst_point(kept, values):
     return max_abs, worst
 
 
-def worst_of(reports, tol, notes: str = "", name="worst-of") -> IdentityReport:
+def worst_of(reports, tol, notes: str = "") -> IdentityReport:
     """One report for a battery of checks, its members' halves folded: the
     exact half is False when a member's is, else True when one is, else
     None; the sampled half is the worst sampled member's residual and scale,
@@ -324,7 +328,7 @@ def worst_of(reports, tol, notes: str = "", name="worst-of") -> IdentityReport:
                 key=lambda r: r.relative, default=None)
     named = next((r for r in reports if not r.passed), worst)
     return IdentityReport(
-        name, worst and worst.max_abs, worst.scale if worst else 1.0, tol,
+        "worst-of", worst and worst.max_abs, worst.scale if worst else 1.0, tol,
         exact=min({r.exact for r in reports} - {None}, default=None),
         worst=named and named.name, notes=notes)
 

@@ -152,12 +152,12 @@ def test_criterion_5_two_angle_ladders(capsys):
 def test_criterion_6_oscillator_algebra(capsys):
     plan = SamplePlan(seed=106, count=16)
 
-    def worst(name, residuals):
+    def worst(residuals):
         return worst_of([
             check_op_zero(res, plan, reference_ops=refs, tol=1e-10, name=label)
-            for label, res, refs in residuals], 1e-10, name=name)
+            for label, res, refs in residuals], 1e-10)
 
-    comm = worst("canonical commutators", osc3d.commutator_residuals())
+    comm = worst(osc3d.commutator_residuals())
     structural = all(res.normalized().is_zero()
                      for reduced in (True, False)
                      for _, res, _ in osc3d.commutator_residuals(
@@ -165,12 +165,11 @@ def test_criterion_6_oscillator_algebra(capsys):
     fact_sym = all(fact.same_operator(ham) for fact, ham in (
         osc3d.factorization(reduced, 2) for reduced in (True, False)))
     number, ham = osc3d.factorization(True, 2)
-    fact = worst("factorization",
-                 [("factorization", number - ham, (number, ham))])
+    fact = worst([("factorization", number - ham, (number, ham))])
     inter_res = osc3d.intertwining_residuals()
     inter_structural = all(res.normalized().is_zero()
                            for _, res, _ in inter_res)
-    inter = worst("intertwining relations", inter_res)
+    inter = worst(inter_res)
     ok = (comm.passed and structural and fact_sym and fact.passed
           and len(inter_res) == 4 and inter_structural and inter.passed)
     _verdict(capsys, 6, ok,

@@ -271,12 +271,14 @@ def test_eigen2d_half_integer_level_json(capsys):
 @pytest.mark.parametrize("argv,fragment", [
     (["eigen2d", "--twol", "2", "--q", "3", "--m", "0"], "|q| <= 2"),
     (["eigen2d", "--twol", "2", "--q", "0", "--m", "1"], "parity"),
-    (["eigen2d", "--twol", "-1", "--q", "0", "--m", "0"], "|q| <= -1"),
+    # a negative level is refused as such, not through the |q| bound
+    (["eigen2d", "--twol", "-1", "--q", "0", "--m", "0"], "2l >= 0"),
 ])
 def test_eigen2d_invalid_state_names_the_invariant(argv, fragment, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert fragment in err
+    assert err.count("\n") == 1 and err.startswith("shapeinv eigen2d: ")
 
 
 # -- shape2d ------------------------------------------------------------------

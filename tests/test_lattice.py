@@ -135,12 +135,13 @@ def verify_ladder_actions_2d(twol: int, plan: SamplePlan,
             ref_coeff = _REFERENCE_STEP[kind](qn.twol, qn.q, qn.m)
             ref_label_dev = max(ref_label_dev, abs(measured - ref_coeff))
             checked += 1
-    rep = worst_of(reports, tol,
-                   notes="A-labels verified with the measured (sign-swapped) "
-                         "assignment", name=f"ladder actions 2l={twol}")
-    rep.data.update(steps_checked=checked, edge_annihilations=annihilated,
-                    reference_label_max_deviation=ref_label_dev)
-    return rep
+    worst = worst_of(reports, tol)
+    return IdentityReport(
+        f"ladder actions 2l={twol}", worst.max_abs, worst.scale, tol,
+        exact=worst.exact, worst=worst.worst,
+        notes="A-labels verified with the measured (sign-swapped) assignment",
+        data=dict(steps_checked=checked, edge_annihilations=annihilated,
+                  reference_label_max_deviation=ref_label_dev))
 
 
 def Y_ladder(q: int) -> tuple:
@@ -267,11 +268,12 @@ def verify_ladder_actions_3d(n_max: int, plan: SamplePlan,
                         reports.append(_coefficient_report(
                             apply_canonical(op, src), tgt, math.sqrt(coeff_sq),
                             plan, tol, f"{kind} on {qn}"))
-    rep = worst_of(reports, tol,
-                   notes="; ".join(r.name for r in reports if not r.passed),
-                   name="ladder actions")
-    rep.data.update(steps_checked=len(reports), edge_annihilations=edges)
-    return rep
+    worst = worst_of(reports, tol)
+    return IdentityReport(
+        "ladder actions", worst.max_abs, worst.scale, tol, exact=worst.exact,
+        worst=worst.worst,
+        notes="; ".join(r.name for r in reports if not r.passed),
+        data=dict(steps_checked=len(reports), edge_annihilations=edges))
 
 
 def pair_minus(omega) -> DiffOp:

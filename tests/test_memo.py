@@ -226,16 +226,13 @@ def cold_suite():
     call = symx.Program.__call__
     sampled = {"slot_points": 0, "slots": 0}
 
-    def evaluated(program, points) -> int:
-        cloud = program._clouds.get(id(points))
-        return 0 if cloud is None else (len(cloud.values)
-                                        - cloud.values.count(None))
+    def evaluated(cloud) -> int:
+        return len(cloud.values) - cloud.values.count(None)
 
-    def counted(program, points):
-        before = evaluated(program, points)
-        out = call(program, points)
-        sampled["slot_points"] += ((evaluated(program, points) - before)
-                                   * len(points))
+    def counted(program, cloud):
+        before = evaluated(cloud)
+        out = call(program, cloud)
+        sampled["slot_points"] += (evaluated(cloud) - before) * len(cloud)
         sampled["slots"] = max(sampled["slots"], len(program.steps))
         return out
 

@@ -1,7 +1,8 @@
 """Mutant matrix: what each check catches.
 
 Each row is a single-constant mutant of the package: a closed-form scalar
-moved by a small step.  The row runs its sector's checks in-process, cold,
+moved by a small step, or one move's squared coefficient in a sector's
+move table scaled by 4.  The row runs its sector's checks in-process, cold,
 at seed 7, and pins the exact set of non-fault checks that fail.  A row
 whose set is empty would be a mutant that no check kills; every row here
 is killed.  The 7 fault controls of the suite are mutants picked by hand;
@@ -10,6 +11,7 @@ they are (mutation analysis: DeMillo, Lipton & Sayward, IEEE Computer
 11(4), 1978).
 """
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -23,12 +25,21 @@ def _shifted(owner, name, step):
     return owner, name, lambda *args: original(*args) + step(*args)
 
 
+def _move_scaled(module, kind):
+    """Mutate the squared coefficient of move `kind` in `module._MOVES`
+    (the table the lattice walks and judges) to four times its value."""
+    move = module._MOVES[kind]
+    return module._MOVES, kind, move._replace(
+        coeff_sq=lambda qn: 4 * move.coeff_sq(qn))
+
+
 def _last_m_dropped():
     original = ladders2d.degeneracy
     return ladders2d, "degeneracy", lambda twol, q: original(twol, q)[:-1]
 
 
-# (row id, sector, mutant as (owner, attribute, replacement), failed checks)
+# (row id, sector, mutant as (owner, attribute or key, replacement), failed
+# checks)
 ROWS = [
     ("eigenvalue+1", "2d",
      lambda: _shifted(ladders2d.QNum2D, "eigenvalue", lambda qn: 1),
@@ -56,6 +67,22 @@ ROWS = [
      lambda: _shifted(osc3d, "c_squared", lambda n, m: 1),
      {"transcription deviations isolated"}),
 ]
+# each move's squared coefficient x4, by (sector, module, moves, failed checks)
+MOVE_ROWS = [
+    ("2d", ladders2d, ("R+", "R-"), {"2-D one-step ladder coefficients",
+                                     "chain reconstructions",
+                                     "pair-ladder scalars"}),
+    ("2d", ladders2d, ("L+", "L-"), {"2-D one-step ladder coefficients",
+                                     "pair-ladder scalars"}),
+    ("3d", osc3d, ("A1d", "A2d", "A1", "A2"), {
+        "3-D one-step ladder coefficients", "3-D pair-ladder scalars",
+        "ascent pair target"}),
+    ("3d", osc3d, ("a3d", "a3", "a4d", "a4"),
+     {"3-D one-step ladder coefficients"}),
+]
+ROWS += [(f"{sector[0]}-D {kind} coeff_sq x4", sector,
+          partial(_move_scaled, module, kind), failed)
+         for sector, module, kinds, failed in MOVE_ROWS for kind in kinds]
 
 
 @pytest.fixture
@@ -77,5 +104,8 @@ def _failed(sector: str) -> set:
                          [row[1:] for row in ROWS], ids=[row[0] for row in ROWS])
 def test_each_mutant_fails_exactly_its_checks(sector, mutant, failed,
                                               cold, monkeypatch):
-    monkeypatch.setattr(*mutant())
+    owner, name, value = mutant()
+    patch = (monkeypatch.setitem if isinstance(owner, dict)
+             else monkeypatch.setattr)
+    patch(owner, name, value)
     assert _failed(sector) == failed

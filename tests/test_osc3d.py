@@ -107,8 +107,7 @@ def test_canonical_commutators_structural(reduced):
 
 
 def test_canonical_commutators_sampled():
-    rep = worst_of(_sampled(osc3d.commutator_residuals()), 1e-10,
-                   name="canonical commutators")
+    rep = worst_of(_sampled(osc3d.commutator_residuals()), 1e-10)
     assert rep.passed, str(rep)
 
 
@@ -161,8 +160,7 @@ def test_intertwining_structural():
 
 
 def test_intertwining_sampled():
-    rep = worst_of(_sampled(osc3d.intertwining_residuals()), 1e-10,
-                   name="intertwining relations")
+    rep = worst_of(_sampled(osc3d.intertwining_residuals()), 1e-10)
     assert rep.passed, str(rep)
 
 

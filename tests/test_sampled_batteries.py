@@ -27,8 +27,7 @@ def verify_canonical_commutators(plan, testfns=None, tol=1e-10):
                                     testfns=testfns, name=f"commutator {label}")
                for label, res, refs in osc3d.commutator_residuals()}
     failures = [label for label, rep in reports.items() if not rep.passed]
-    return worst_of(reports.values(), tol, notes="; ".join(failures),
-                    name="canonical commutators (reduced)")
+    return worst_of(reports.values(), tol, notes="; ".join(failures))
 
 
 def verify_factorization(plan, drop_constant=False, testfns=None, tol=1e-10):
@@ -53,8 +52,7 @@ def verify_intertwining(plan, testfns=None, tol=1e-10):
     return worst_of([
         check_op_zero(res, plan, reference_ops=refs, tol=tol, testfns=testfns,
                       name=f"intertwining {name}")
-        for name, res, refs in osc3d.intertwining_residuals()], tol,
-        name="intertwining relations")
+        for name, res, refs in osc3d.intertwining_residuals()], tol)
 
 
 def intertwining_fault_pattern(plan, testfns=None, tol=1e-10):

@@ -19,14 +19,17 @@ package class must be reached as an attribute (`.name`) there too.  A
 `_`-prefixed name belongs to its module: no other package module imports
 it or reads it as an attribute.  An imported name must be read in the
 module that imports it, or listed in that module's `__all__`.  A report's
-verdict comes from one rule, in `verify.IdentityReport`: no package module
-assigns a report's `passed` or `notes` outside that record's constructor,
-and no construction of a report passes a literal number as its residual.
+verdict comes from one rule, in `verify.IdentityReport`, and a report is
+built once: no package module assigns a report's field (`passed` or a
+slot) outside that record's constructor or changes its `data`, and no
+construction of a report passes a literal number as its residual.
 """
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from shapeinv.verify import IdentityReport
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "shapeinv"
@@ -323,11 +326,16 @@ def _literal_number(node) -> bool:
             and isinstance(node.value, (int, float, complex)))
 
 
+# a report's fields, and the methods that change a dict in place
+REPORT_FIELDS = frozenset(IdentityReport.__slots__) | {"passed"}
+DICT_UPDATES = frozenset(("update", "setdefault", "pop", "popitem", "clear"))
+
+
 def _verdicts_by_hand(stem: str, tree: ast.Module):
-    """'<stem>:<line> ...' for each assignment to a `passed` or `notes`
-    attribute outside `IdentityReport.__init__`, and for each
-    `IdentityReport(...)` whose residual (its second argument, `max_abs`)
-    is a literal number."""
+    """'<stem>:<line> ...' for each assignment to a report field, or store
+    or delete into one (`x.data[k] = v`), outside `IdentityReport.__init__`;
+    for each in-place update of a `.data`; and for each `IdentityReport(...)`
+    whose residual (its second argument, `max_abs`) is a literal number."""
     constructor = set()
     for cls in tree.body:
         if isinstance(cls, ast.ClassDef) and cls.name == "IdentityReport":
@@ -335,14 +343,20 @@ def _verdicts_by_hand(stem: str, tree: ast.Module):
                 if isinstance(node, ast.FunctionDef) and node.name == "__init__":
                     constructor.update(map(id, ast.walk(node)))
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign,
+                             ast.Delete)):
+            targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
                        else [node.target])
             for sub in (s for t in targets for s in ast.walk(t)):
                 if (isinstance(sub, ast.Attribute)
-                        and sub.attr in ("passed", "notes")
+                        and sub.attr in REPORT_FIELDS
                         and id(sub) not in constructor):
                     yield f"{stem}:{node.lineno} assigns .{sub.attr}"
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr in DICT_UPDATES
+              and getattr(node.func.value, "attr", None) == "data"):
+            yield f"{stem}:{node.lineno} updates .data"
         elif (isinstance(node, ast.Call)
               and getattr(node.func, "id", getattr(node.func, "attr", None))
               == "IdentityReport"):

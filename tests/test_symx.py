@@ -13,7 +13,8 @@ from shapeinv import clear_caches, su2, symx, verify
 from shapeinv.osc3d import _hermite
 from shapeinv.rationals import GaussRat
 from shapeinv.symx import (
-    Add, Const, Cos, EvalError, Exp, Expr, Fn, Mul, Pow, Program, Sin, Sym,
+    Add, Cloud, Const, Cos, EvalError, Exp, Expr, Fn, Mul, Pow, Program, Sin,
+    Sym,
     COORDINATES, IMAG, ONE, PHI, PSI, R, THETA, ZERO,
     canonical, canonical_key, children, cot, csc, diff,
     free_symbols, is_zero_expr, rebuild, render,
@@ -672,7 +673,7 @@ def _bits(z: complex) -> tuple:
           Add(THETA, Const(10 ** 16), Const(-10 ** 16))])
 def test_program_matches_tree_oracle(es):
     es = [*es, Mul(R, Sin(THETA))]
-    values, bad = Program(es)(_POINTS)
+    values, bad = Program(es)(Cloud(_POINTS))
     assert not bad
     for e, col in zip(es, values, strict=True):
         for b, got in zip(_POINTS, col, strict=True):
@@ -681,7 +682,7 @@ def test_program_matches_tree_oracle(es):
 
 def test_a_sum_wider_than_one_chain_of_maps():
     e = Add(*[R] * 100_000, THETA)
-    (col,), bad = Program([e])(_POINTS)
+    (col,), bad = Program([e])(Cloud(_POINTS))
     assert not bad
     assert [_bits(v) for v in col] == [_bits(evaluate(e, b)) for b in _POINTS]
 
@@ -693,7 +694,7 @@ def test_program_reads_each_symbol_once_per_point(es):
     program = Program(es)
     assert program.symbols == set().union(*map(free_symbols, es))
     bindings = [_CountingBinding(b) for b in _POINTS]
-    program(bindings)
+    program(Cloud(bindings))
     for b in bindings:
         assert b.reads == {name: 1 for name in program.symbols}
 
@@ -710,12 +711,12 @@ def test_program_skips_exactly_where_tree_oracle_raises(e):
     es = [e, Mul(e, Sym("q")), Mul(e, Pow(Sin(PHI), -1)),
           Exp(Mul(Const(900), R, e))]
     for f in es:
-        (col,), bad = Program([f])(_POINTS)
+        (col,), bad = Program([f])(Cloud(_POINTS))
         want = [_oracle(f, b) for b in _POINTS]
         assert bad == {i for i, w in enumerate(want) if w is None}
         assert all(_close(col[i], w) for i, w in enumerate(want) if w is not None)
     # in one program, a point where any tree fails fails for all of them
-    _, bad = Program(es[::2])(_POINTS)
+    _, bad = Program(es[::2])(Cloud(_POINTS))
     assert bad == {i for i, b in enumerate(_POINTS)
                    if any(_oracle(f, b) is None for f in es[::2])}
 
@@ -725,12 +726,12 @@ def test_program_skips_exactly_where_tree_oracle_raises(e):
 def test_a_grown_program_answers_as_a_fresh_one(es, e):
     # the failures of the trees already in the table stay theirs
     es = [*es, Mul(e, Pow(Sin(PHI), -1)), Exp(Mul(Const(900), R, e))]
-    program = Program(es[:2])
+    program, cloud = Program(es[:2]), Cloud(_POINTS)
     for request in ([es[2]], es[1:3], [e, es[-1]], es[:1], [Add(e, es[0])]):
         program.add(request)
         assert program.symbols == set().union(*map(free_symbols, request))
-        (values, bad), (want, want_bad) = (program(_POINTS),
-                                           Program(request)(_POINTS))
+        (values, bad), (want, want_bad) = (program(cloud),
+                                           Program(request)(Cloud(_POINTS)))
         assert bad == want_bad
         for col, ref in zip(values, want, strict=True):
             assert [v for i, v in enumerate(col) if i not in bad] == \
@@ -746,8 +747,8 @@ _OVER_BUDGET = Exp(Mul(Const(600), R))
 def _alone(exprs, plan: SamplePlan, name: str):
     """`verify._sample` for one request, on a fresh one-request program."""
     program = Program(exprs)
-    pts = plan.points(program.symbols - set(COORDINATES))
-    vals, kept, skipped = verify._eval_many(program, pts)
+    cloud = Cloud(plan.points(program.symbols - set(COORDINATES)))
+    vals, kept, skipped = verify._eval_many(program, cloud)
     verify._guard_skips(skipped, plan.count, name)
     return vals, kept, skipped
 
@@ -789,7 +790,7 @@ def test_shared_columns_answer_each_request_as_a_fresh_program(pool, data):
 
 
 def _sampled_max(e):
-    (col,), bad = Program([e])(_POINTS)
+    (col,), bad = Program([e])(Cloud(_POINTS))
     assert not bad
     return max(abs(v) for v in col)
 

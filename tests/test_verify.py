@@ -16,7 +16,7 @@ import pytest
 import shapeinv
 from shapeinv import su2, symx
 from shapeinv.symx import (
-    Add, Const, Cos, Exp, Mul, Pow, Sin, IMAG, ONE, PHI, R, THETA,
+    Add, Cloud, Const, Cos, Exp, Mul, Pow, Sin, IMAG, ONE, PHI, R, THETA,
 )
 from shapeinv.opalg import DiffOp, OpTerm
 from shapeinv.verify import (
@@ -79,7 +79,7 @@ def test_plan_rejects_empty():
 
 def _column(col):
     """A stand-in program whose one output has the values col."""
-    return lambda pts: ([col], set())
+    return lambda cloud: ([col], set())
 
 
 def test_a_value_past_the_float_range_is_skipped_not_raised():
@@ -88,12 +88,12 @@ def test_a_value_past_the_float_range_is_skipped_not_raised():
     col = [1 + 0j, complex(1.3e308, 1.3e308), complex(nan, nan), 2e100 + 0j,
            complex(0.0, 1e100), -2j]
     pts = [{"i": i} for i in range(len(col))]
-    values, kept, skipped = _eval_many(_column(col), pts)
+    values, kept, skipped = _eval_many(_column(col), Cloud(pts))
     assert skipped == 3
     assert kept == [pts[0], pts[4], pts[5]]
     assert values == [[1 + 0j, complex(0.0, 1e100), -2j]]
     # the column's moduli sum past 1e100, but no value's modulus does
-    assert _eval_many(_column([6e99 + 0j] * 2), pts[:2])[2] == 0
+    assert _eval_many(_column([6e99 + 0j] * 2), Cloud(pts[:2]))[2] == 0
 
 
 def test_check_zero_trig_identity():

@@ -51,7 +51,7 @@ from .symx import (
 )
 from .opalg import DiffOp
 from . import su2
-from .lattice import Lattice, Move, check_words, reach, walk
+from .lattice import Lattice, Move, check_words, reach, walk, word_name
 from .verify import (
     IdentityReport,
     SamplePlan,
@@ -235,7 +235,7 @@ def verify_ladder_actions(twol: int, plan: SamplePlan,
     """
     labels = list(valid_states(twol))
     members, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
-                                 tol)
+                                 tol, word_name)
     worst = worst_of(members, tol)
     return IdentityReport(  # on unit scale, as the members
         f"ladder actions 2l={twol}", worst.relative, 1.0, tol,
@@ -365,10 +365,7 @@ def annihilation_ops(qn: QNum2D) -> dict:
 def annihilation_reports(qn: QNum2D, plan: SamplePlan, tol: float) -> list:
     """One sampled check that each of `annihilation_ops(qn)` kills chi at
     its first zero letter, scaled by chi itself, in name order."""
-    ops = sorted(annihilation_ops(qn).items())
-    members = check_words(_LATTICE, [qn], [word for _, word in ops], plan,
-                          tol)[0]
-    return [IdentityReport(f"{name} annihilates the state", rep.max_abs,
-                           rep.scale, rep.tol, exact=rep.exact,
-                           worst=rep.worst, notes=rep.notes, data=rep.data)
-            for (name, _), rep in zip(ops, members)]
+    names = {word: f"{name} annihilates the state"
+             for name, word in sorted(annihilation_ops(qn).items())}
+    return check_words(_LATTICE, [qn], list(names), plan, tol,
+                       lambda word, label, edge: names[word])[0]

@@ -104,11 +104,18 @@ def reach(moves: dict, label, word: tuple) -> tuple:
     return len(word), label, coeff_sq
 
 
+def word_name(word: tuple, label, edge: bool) -> str:
+    """A word's member name at `label`: its letters, then "edge" for an
+    edge word or "at" for any other, then the label."""
+    return f"{' '.join(word)} {'edge' if edge else 'at'} {label}"
+
+
 @shared_columns()
-def check_words(lattice: Lattice, labels, words, plan, tol) -> tuple:
+def check_words(lattice: Lattice, labels, words, plan, tol, name) -> tuple:
     """Every word on every label's chain state: the member reports, in
     label then word order, and the number of edge words.  The letters before
-    the last one applied (the first zero letter at an edge) are walked.
+    the last one applied (the first zero letter at an edge) are walked, and
+    `name(word, label, edge)` names each member.
 
     An edge word's report is its residual against zero, scaled by the
     state.  Any other word's is |measured - c|/c on unit scale, c the square
@@ -120,24 +127,23 @@ def check_words(lattice: Lattice, labels, words, plan, tol) -> tuple:
     for label in labels:
         seed, path = lattice.path(label)
         for word in words:
-            kind = " ".join(word)
             stop, target, coeff_sq = reach(lattice.moves, label, word)
             before = walk(lattice, seed, path + word[:stop - 1])
             moved = (lattice.moves[word[stop - 1]].op(before.label)
                      .apply(before.state))
+            member = name(word, label, not coeff_sq)
             if coeff_sq:
-                name = f"{kind} at {label}"
                 rep = check_proportional(moved, lattice.chain(target).state,
-                                         plan, tol=tol, name=name)
+                                         plan, tol=tol, name=member)
                 measured = (rep.data["ratio"] * lattice.scale(target)
                             / lattice.scale(label))
                 coeff = math.sqrt(coeff_sq)
                 members.append(IdentityReport(
-                    name, max(abs(measured - coeff) / coeff, rep.relative),
+                    member, max(abs(measured - coeff) / coeff, rep.relative),
                     1.0, tol, data={"coefficient": measured}))
                 continue
             members.append(check_zero(
                 moved, plan, reference=[lattice.chain(label).state], tol=tol,
-                name=f"{kind} edge {label}"))
+                name=member))
             edges += 1
     return members, edges

@@ -19,7 +19,7 @@ builds:
   factorization and the four intertwining relations (uniformly in m);
 * joint eigenfunctions both as operator chains (raising chain to the
   m = n corner, then paired descent with the exact normalization product)
-  and as finite closed-form sums, plus the scalar spectrum.
+  and as finite closed-form sums, plus each label's energy.
 
 Transcription policy: derived operators are the source of truth; each
 closed transcription either matches structurally or is kept verbatim and
@@ -67,7 +67,7 @@ from .opalg import (
     fourier_reduce,
 )
 from . import su2
-from .lattice import Lattice, Move, check_words, reach, walk
+from .lattice import Lattice, Move, check_words, reach, walk, word_name
 from .verify import (
     IdentityReport,
     PlanDegenerate,
@@ -561,7 +561,7 @@ def gradient_flipped_oscillators() -> OscillatorSet:
 
 
 # ---------------------------------------------------------------------------
-# Quantum numbers, spectrum, eigenfunctions
+# Quantum numbers, energies, eigenfunctions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -601,12 +601,8 @@ class QNum3D:
         return (self.n + self.m) // 2
 
     def energy(self) -> Fraction:
+        """(n + n3 + n4 + 2) w, independent of the lattice label m."""
         return (self.n + self.n3 + self.n4 + 2) * self.omega
-
-
-def spectrum(qn: QNum3D) -> Fraction:
-    """(n + n3 + n4 + 2) w, independent of the lattice label m."""
-    return qn.energy()
 
 
 def _gaussian(w: Fraction) -> Expr:
@@ -742,7 +738,7 @@ def verify_ladder_actions(n_max: int, plan: SamplePlan, tol: float,
     labels = [QNum3D(n, m, n3, n4) for n in range(n_max + 1)
               for m in range(-n, n + 1, 2) for n3, n4 in radial_states]
     reports, edges = check_words(_LATTICE, labels, list(zip(_MOVES)), plan,
-                                 tol)
+                                 tol, word_name)
     worst = worst_of(reports, tol)
     return IdentityReport(
         "ladder actions", worst.max_abs, worst.scale, tol, exact=worst.exact,
@@ -766,7 +762,7 @@ def verify_pair_eigen(qn: QNum3D, plan: SamplePlan, tol: float) -> list:
         trips.append((replace(qn, m=qn.m - 2), ("A1", "A2d", "A1d", "A2")))
     out = []
     for label, word in trips:
-        rep, = check_words(_LATTICE, [label], [word], plan, tol)[0]
+        rep, = check_words(_LATTICE, [label], [word], plan, tol, word_name)[0]
         ok = reach(_MOVES, label, word)[2] == pair_energy(qn.n, qn.m) ** 2
         out.append(rep.note("" if ok else f"coefficient is not "
                             f"{pair_energy(qn.n, qn.m)}", exact=ok))
@@ -783,7 +779,8 @@ def raising_pair_reports(qn: QNum3D, plan: SamplePlan, tol: float) -> dict:
     phase that separates them is divided out), so the two candidates only
     differ for m != 0; start the demonstration off-center."""
     word = ("A1", "A2d")
-    out = {"corrected": check_words(_LATTICE, [qn], [word], plan, tol)[0][0]}
+    out = {"corrected": check_words(_LATTICE, [qn], [word], plan, tol,
+                                    word_name)[0][0]}
     if qn.m - 2 >= -qn.n:
         seed, path = _LATTICE.path(qn)
         moved = walk(_LATTICE, seed, path + word).state

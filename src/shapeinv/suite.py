@@ -517,8 +517,8 @@ def _chk_ascent_target(cfg):
 @_check("spectrum bookkeeping", "3d", "structural",
         "energy bookkeeping of the oscillator labels")
 def _chk_spectrum(cfg):
-    ok = (osc3d.spectrum(osc3d.QNum3D(0, 0)) == 2
-          and osc3d.spectrum(osc3d.QNum3D(2, 0, 1, 1)) == 6
+    ok = (osc3d.QNum3D(0, 0).energy() == 2
+          and osc3d.QNum3D(2, 0, 1, 1).energy() == 6
           and osc3d.QNum3D(3, -1, omega=Fraction(2)).energy() == 10)
     return IdentityReport(
         exact=ok, notes="(n + n3 + n4 + 2) w at spot-checked labels")

@@ -880,28 +880,25 @@ def fourier_modes(e: Expr, name: str) -> list:
 # power or an overflow, a cmath domain error, an unbound symbol
 _FAILURES = (ArithmeticError, ValueError, LookupError)
 _NAN = complex("nan")
-_EMPTY = frozenset()  # no failed points
 _FOLDS = {Add: (add, 0j), Mul: (mul, 1 + 0j)}  # as the tree oracle starts them
 # children per chain of maps: a chain tens of thousands deep overflows the C
 # stack when it is consumed
 _CHAIN = 1024
 
 
-def _each(f, col: list, failed: frozenset, *args) -> tuple:
-    """f(x, *args) over one slot's argument values x, and the slot's failure
-    set: `failed` with each point where f raises, which holds nan from there
-    on."""
+def _each(f, col: list, *args) -> list:
+    """f(x, *args) over one slot's argument values x, with nan at each point
+    where f raises."""
     try:
-        return list(map(f, col, *map(repeat, args))), failed
+        return list(map(f, col, *map(repeat, args)))
     except _FAILURES:
-        out, bad = [], set(failed)
-        for i, x in enumerate(col):
+        out = []
+        for x in col:
             try:
                 out.append(f(x, *args))
             except _FAILURES:
-                bad.add(i)
                 out.append(_NAN)
-        return out, frozenset(bad)
+        return out
 
 
 class Program:
@@ -919,13 +916,16 @@ class Program:
     Calling the program with a `Cloud` evaluates, over all its points at
     once, each slot of the outputs' trees that the cloud lacks, and keeps
     the columns in the cloud for later calls: each node is evaluated once
-    per cloud.  A slot's failure set holds the points where it or a slot
-    below it failed; it is the empty set, shared, unless a point fails.
-    The call returns the outputs' columns, as the cloud holds them, and the
-    union of their failure sets, so what the table holds besides the
-    outputs' trees changes nothing.  Each value is the one
-    `tests/oracles.evaluate` computes, by the same operations in the same
-    order, and a point fails exactly where it raises.
+    per cloud.  The call returns the outputs' columns, as the cloud holds
+    them, so what the table holds besides the outputs' trees changes
+    nothing.  Each value is the one `tests/oracles.evaluate` computes, by
+    the same operations in the same order.  A point where a slot raises
+    (where the oracle raises) holds nan there, and that nan is the one
+    record of the failure: under IEEE 754 and the C99 Annex G special
+    values that `cmath` follows, it reaches every slot above, whatever the
+    other operands hold.  The one exception is a power with exponent 0, as
+    pow(nan, 0) == 1; `simplify_basic` folds such a power to 1 and
+    canonical forms drop it, and no tree the package samples holds one.
 
     Each slot's column is built as one list.  A sum or a product folds its
     children through a chain of maps, one per child (a list ends a chain
@@ -964,12 +964,10 @@ class Program:
             self.steps.append((type(e), e, kids, mask))
         return i
 
-    def __call__(self, cloud: Cloud):
-        points, vals, fails = cloud.points, cloud.values, cloud.failed
+    def __call__(self, cloud: Cloud) -> list:
+        points, vals = cloud.points, cloud.values
         done = len(vals)
-        grow = [None] * (len(self.steps) - done)
-        vals += grow
-        fails += grow
+        vals += [None] * (len(self.steps) - done)
         whole = cloud.whole and done >= self._fresh
         if whole:  # the cloud lacks only what the last `add` appended
             lacking = range(done, len(vals))
@@ -988,52 +986,47 @@ class Program:
             kind, e, kids, _ = steps[i]
             if kind is Mul or kind is Add:
                 op, start = _FOLDS[kind]
-                j = 0  # the leading constants fold into the start, once
+                # the leading constants fold into the start, once; one that
+                # overflows folds in nan, and every point fails
+                j = 0
                 for k in kids if n else ():
-                    # a constant that overflows stays a column, whose
-                    # failure set holds every point
-                    if steps[k][0] is not Const or fails[k]:
+                    if steps[k][0] is not Const:
                         break
                     start = op(start, vals[k][0])
                     j += 1
-                col, failed = repeat(start, n), _EMPTY
+                col = repeat(start, n)
                 for depth, k in enumerate(kids[j:], 1):
                     col = map(op, col, vals[k])
                     if not depth % _CHAIN:
                         col = list(col)
-                    if fails[k]:
-                        failed = failed | fails[k]
                 col = list(col)
             elif kind is Const:
                 try:
-                    col, failed = [complex(e.value)] * n, _EMPTY
+                    col = [complex(e.value)] * n
                 except _FAILURES:  # it overflows: every point fails
-                    col, failed = [_NAN] * n, frozenset(range(n))
+                    col = [_NAN] * n
             elif kind is Sym:
-                col, failed = _each(getitem, points, _EMPTY, e.name)
-                col = list(map(complex, col))
+                col = list(map(complex, _each(getitem, points, e.name)))
             elif kind is Pow:
                 p = e.exponent
                 p = p.numerator if p.denominator == 1 else p.numerator / p.denominator
-                col, failed = _each(pow, vals[kids[0]], fails[kids[0]], p)
+                col = _each(pow, vals[kids[0]], p)
             else:  # Fn
-                col, failed = _each(_FLOAT_FNS[e.name], vals[kids[0]],
-                                    fails[kids[0]])
-            vals[i], fails[i] = col, failed
+                col = _each(_FLOAT_FNS[e.name], vals[kids[0]])
+            vals[i] = col
         cloud.whole = whole
-        return ([vals[i] for i in self.outputs],
-                set().union(*(fails[i] for i in self.outputs)))
+        return [vals[i] for i in self.outputs]
 
 
 class Cloud:
     """One point cloud, a list of bindings, and its columns in one
-    `Program`: per slot, its values and its failure set, None where it was
-    not evaluated; `whole` while every slot below their length was.  Its
-    length is its number of points."""
-    __slots__ = ("points", "values", "failed", "whole")
+    `Program`: per slot, its values, None where it was not evaluated;
+    `whole` while every slot below their length was.  Its length is its
+    number of points."""
+    __slots__ = ("points", "values", "whole")
 
     def __init__(self, points: list):
-        self.points, self.values, self.failed, self.whole = points, [], [], True
+        self.points, self.values, self.whole = points, [], True
 
     def __len__(self) -> int:
         return len(self.points)

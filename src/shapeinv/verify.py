@@ -17,7 +17,8 @@ Conventions
 * proportionality checks report the pointwise-ratio dispersion stddev/|mean|;
 * points where evaluation hits a singularity are skipped, but more than 20%
   skipped points invalidates the plan; a request's skipped points are those
-  of its own trees, whatever else is sampled beside it;
+  of its own trees, whatever else is sampled beside it; such a point holds
+  nan in its columns, which is how it is found;
 * the sampled checks of a battery (`shared_columns`) share one column
   table, `symx.Program`, and one `symx.Cloud` per (seed, count, extra
   symbols): the points drawn and the columns computed on them, so a node
@@ -240,12 +241,13 @@ def _eval_many(program: Program, cloud: Cloud):
     """Evaluate a compiled program over a point cloud.
 
     Returns (values: list per expr of list per point, kept points, skipped
-    point count).  Points where any expression is singular, overflows, is
-    not finite or exceeds 1e100 in modulus are dropped for all expressions,
-    keeping the value lists aligned.  When none is, the program's columns
-    and the cloud's points are returned as they are: callers only read them.
+    point count).  Points where any expression is singular or overflows
+    (the program leaves nan there), is not finite or exceeds 1e100 in
+    modulus are dropped for all expressions, keeping the value lists
+    aligned.  When none is, the program's columns and the cloud's points
+    are returned as they are: callers only read them.
     """
-    values, bad = program(cloud)
+    values, bad = program(cloud), set()
     for col in values:
         if not _bounded(col):  # some point may blow up: test each one
             bad.update(i for i, v in enumerate(col) if not _bounded((v,)))

@@ -19,7 +19,7 @@ from itertools import product
 import pytest
 
 from shapeinv import clear_caches, ladders2d as ld, osc3d
-from shapeinv.lattice import check_words, reach, walk
+from shapeinv.lattice import check_words, reach, walk, word_name
 from shapeinv.ladders2d import (
     QNum2D, step_op, valid_states,
 )
@@ -504,7 +504,8 @@ def _warm_moves(sector: str, plan: SamplePlan):
     walked with the true table, and the loop's members there, which pass."""
     module, labels = _GRIDS[sector]
     members, _ = check_words(module._LATTICE, labels,
-                             list(zip(module._MOVES)), plan, TOL_EIGEN)
+                             list(zip(module._MOVES)), plan, TOL_EIGEN,
+                             word_name)
     assert all(r.passed for r in members), sector
     return module._LATTICE, labels
 
@@ -523,7 +524,7 @@ def test_the_rule_fails_exactly_the_moves_with_a_wrong_coefficient(
         coeff_sq=lambda label: 4 * move.coeff_sq(label)))
     walked = len(walk.table)
     members, _ = check_words(lat, labels, list(zip(lat.moves)), plan,
-                             TOL_EIGEN)
+                             TOL_EIGEN, word_name)
     assert len(walk.table) == walked  # no chain read the fault
     failed = 0
     for r, (label, k) in zip(members, product(labels, lat.moves)):
@@ -546,7 +547,8 @@ def test_a_nonzero_coefficient_off_the_lattice_is_an_error(
         coeff_sq=lambda label: move.coeff_sq(label) + 1))
     walked = len(walk.table)
     with pytest.raises(ValueError, match="zero target with nonzero coefficient"):
-        check_words(lat, labels, list(zip(lat.moves)), plan, TOL_EIGEN)
+        check_words(lat, labels, list(zip(lat.moves)), plan, TOL_EIGEN,
+                    word_name)
     assert len(walk.table) == walked
 
 

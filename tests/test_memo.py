@@ -222,9 +222,10 @@ LARGEST_TABLE_SLOTS = 2_878
 def cold_suite():
     """After a cold seed-7 suite: the number of simplify entries, every
     tree in the two simplify tables, the slots x points that `Program`
-    calls evaluated and the most slots that one program held."""
+    calls evaluated, the most slots that one program held and every
+    compiled power with exponent 0."""
     call = symx.Program.__call__
-    sampled = {"slot_points": 0, "slots": 0}
+    sampled = {"slot_points": 0, "slots": 0, "zero_powers": set()}
 
     def evaluated(cloud) -> int:
         return len(cloud.values) - cloud.values.count(None)
@@ -234,6 +235,9 @@ def cold_suite():
         out = call(program, cloud)
         sampled["slot_points"] += (evaluated(cloud) - before) * len(cloud)
         sampled["slots"] = max(sampled["slots"], len(program.steps))
+        sampled["zero_powers"].update(
+            e for kind, e, _, _ in program.steps
+            if kind is symx.Pow and e.exponent == 0)
         return out
 
     clear_caches()
@@ -255,6 +259,13 @@ def test_cold_suite_sampling_evaluates_each_node_once_per_cloud(cold_suite):
     _, _, sampled = cold_suite
     assert sampled["slot_points"] <= COLD_SUITE_SLOT_POINTS
     assert sampled["slots"] <= LARGEST_TABLE_SLOTS
+
+
+def test_cold_suite_samples_no_power_with_exponent_zero(cold_suite):
+    # a failed point is recorded only as the nan it leaves in its column,
+    # and pow(nan, 0) == 1 would drop that record
+    _, _, sampled = cold_suite
+    assert not sampled["zero_powers"]
 
 
 class _Forgetful(dict):

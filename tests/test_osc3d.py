@@ -53,16 +53,15 @@ def test_pair_indices_and_energy():
     qn = QNum3D(3, -1, 2, 0)
     assert (qn.n1, qn.n2) == (2, 1)
     assert qn.energy() == Fraction(7)
-    assert osc3d.spectrum(qn) == Fraction(7)
 
 
 def test_spectrum_examples():
-    assert osc3d.spectrum(QNum3D(0, 0, 0, 0)) == 2
-    assert osc3d.spectrum(QNum3D(2, 0, 1, 1)) == 6
+    assert QNum3D(0, 0, 0, 0).energy() == 2
+    assert QNum3D(2, 0, 1, 1).energy() == 6
     # the energy is independent of the lattice label
-    vals = {osc3d.spectrum(QNum3D(3, m)) for m in (-3, -1, 1, 3)}
+    vals = {QNum3D(3, m).energy() for m in (-3, -1, 1, 3)}
     assert vals == {Fraction(5)}
-    assert osc3d.spectrum(QNum3D(1, 1, 0, 0, Fraction(2))) == 6
+    assert QNum3D(1, 1, 0, 0, Fraction(2)).energy() == 6
 
 
 # -- canonical commutators ----------------------------------------------------
@@ -159,6 +158,23 @@ def test_intertwining_structural():
         assert res.normalized().is_zero(), label
 
 
+def test_every_oscillator_intertwines_by_its_quanta():
+    """[H_m, X] = c w X for each of the eight reduced operators, with c the
+    change in n + n3 + n4 that its move makes; with the opposite sign the
+    relation fails."""
+    ham = osc3d.build_Hm()
+    s = osc3d.build_oscillators()
+    omega = DiffOp.from_expr(osc3d.OMEGA, "m")
+    for name, x in zip(s._fields, s):
+        delta = osc3d._MOVES[name].delta
+        c = sum(delta.get(field, 0) for field in ("n", "n3", "n4"))
+        assert abs(c) == 1, name
+        bracket = commutator(ham, x)
+        wx = omega @ x
+        assert (bracket - Fraction(c) * wx).is_zero(), name
+        assert not (bracket + Fraction(c) * wx).is_zero(), name
+
+
 def test_intertwining_sampled():
     rep = worst_of(_sampled(osc3d.intertwining_residuals()), 1e-10)
     assert rep.passed, str(rep)
@@ -190,21 +206,51 @@ def test_transcription_rows_match_the_replaced_reports():
     assert _verdicts(reports) == _verdicts(oracles.transcription_reports())
 
 
-@pytest.mark.parametrize("full_a2d,failing", [
-    (False, ["reduced A1 psi slot"]),
-    (True, ["full A2d transcription", "reduced A1 psi slot"]),
+_SIGN_FIELDS = ("pre", "eps", "g", "ps", "ph")
+_COLLAPSE = "printed A1d collapses onto A2"
+# the rows that fail when one sign of a printed combo table is negated
+# alone: per table and combo, the same for each of its five signs, except
+# that a psi- or phi-slot flip of the phi-full A1d stays within the
+# derivative group its deviation is confined to
+_SIGN_FAILS = {
+    ("FULL", "A1"): ["full A1 psi slot"],
+    ("FULL", "A1d"): ["full A1d derivative group", _COLLAPSE],
+    ("FULL", "A2"): ["full A2 transcription", _COLLAPSE],
+    ("FULL", "A2d"): ["full A2d transcription"],
+    ("REDUCED", "A1"): ["reduced A1 psi slot"],
+    ("REDUCED", "A1d"): ["reduced A1d transcription"],
+    ("REDUCED", "A2"): ["reduced A2 transcription"],
+    ("REDUCED", "A2d"): ["reduced A2d transcription"],
+}
+
+
+def _flips_row(flips, failing):
+    return pytest.param(flips, failing,
+                        id="+".join("-".join(flip) for flip in flips))
+
+
+@pytest.mark.parametrize("flips, failing", [
+    *(_flips_row([(table, combo, field)],
+                 [_COLLAPSE] if (table, combo) == ("FULL", "A1d")
+                 and field in ("ps", "ph") else failing)
+      for (table, combo), failing in _SIGN_FAILS.items()
+      for field in _SIGN_FIELDS),
+    # two flips fail the rows of each
+    _flips_row([("REDUCED", "A1", "ps"), ("FULL", "A2d", "g")],
+               ["full A2d transcription", "reduced A1 psi slot"]),
 ])
-def test_a_corrupted_transcription_fails_only_its_rows(full_a2d, failing,
+def test_a_corrupted_transcription_fails_only_its_rows(flips, failing,
                                                        monkeypatch):
-    """A reduced A1 transcribed without its psi-slot flip leaves nothing to
-    confine, and a flipped psi slot on the phi-full A2d breaks its exact
-    match: in the rows and in the replaced reports alike, exactly those
-    comparisons fail."""
-    monkeypatch.setitem(osc3d._COMBO_PRINTED_REDUCED, "A1",
-                        osc3d._COMBO_DERIVED["A1"])
-    if full_a2d:
-        monkeypatch.setitem(osc3d._COMBO_PRINTED_FULL, "A2d",
-                            (+1, +1, +1, +1, +1))
+    """Every sign of the two printed combo tables is a killed mutant: with
+    the signs of `flips` negated, exactly the rows `failing` fail, in the
+    rows and in the replaced reports alike.  A reduced A1 transcribed
+    without its psi-slot flip leaves nothing to confine, and a flipped
+    derivative group on the phi-full A2d breaks its exact match."""
+    for table, combo, field in flips:
+        printed = getattr(osc3d, f"_COMBO_PRINTED_{table}")
+        signs = list(printed[combo])
+        signs[_SIGN_FIELDS.index(field)] *= -1
+        monkeypatch.setitem(printed, combo, tuple(signs))
     for reports in (osc3d.transcription_reports(),
                     oracles.transcription_reports()):
         assert [k for k, rep in reports.items() if not rep.passed] == failing

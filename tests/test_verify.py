@@ -79,7 +79,7 @@ def test_plan_rejects_empty():
 
 def _column(col):
     """A stand-in program whose one output has the values col."""
-    return lambda cloud: ([col], set())
+    return lambda cloud: [col]
 
 
 def test_a_value_past_the_float_range_is_skipped_not_raised():
